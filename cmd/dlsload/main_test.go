@@ -206,6 +206,9 @@ func TestRunClassifiesInjectedAndShed(t *testing.T) {
 		"-concurrency", "4",
 		"-platforms", "2",
 		"-retries", "-1", // disable retries: classify the raw responses
+		// Disable the breaker too: five injected 503s in a row would open
+		// it, and its short-circuits are not raw responses.
+		"-breaker-threshold", "-1",
 		"-json", out,
 	}, &buf)
 	if err != nil {

@@ -45,10 +45,11 @@ type BatcherConfig struct {
 	// size; the effective threshold grows toward Adaptive.MaxSize when
 	// the drain workers are behind.
 	MaxSize int
-	// QueueCap bounds admission. A Submit that finds the queue full (or,
-	// with MaxDelay = 0, QueueCap solves in flight) is shed with
-	// ErrOverloaded instead of blocking, so overload surfaces immediately
-	// rather than as unbounded latency. Default 1024.
+	// QueueCap bounds admission, counted in submissions (a SubmitBatch
+	// body counts each of its requests). A submission that finds the
+	// queue full (or, with MaxDelay = 0, QueueCap solves in flight) is
+	// shed with ErrOverloaded instead of blocking, so overload surfaces
+	// immediately rather than as unbounded latency. Default 1024.
 	QueueCap int
 	// Workers bounds how many flushed windows are solved concurrently
 	// (each window is one SolveBatch, which fans out over the solver's own
@@ -58,8 +59,8 @@ type BatcherConfig struct {
 	// and SLO accounting. Nil means SystemClock(); internal/sim injects a
 	// virtual clock.
 	Clock Clock
-	// Classes are the SLO classes SubmitSLO resolves against. Optional;
-	// plain Submit works regardless.
+	// Classes are the SLO classes SubmitSLO and SubmitBatch resolve
+	// against. Optional; plain Submit works regardless.
 	Classes []SLOClass
 	// Adaptive, when set, replaces the fixed MaxDelay/MaxSize window with
 	// the SLO-aware adaptive policy (see AdaptiveConfig). MaxDelay must
@@ -155,6 +156,17 @@ func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Att
 // waits out the window, which is what makes its batch sizes stable under
 // load.
 //
+// SubmitBatch admits a whole batch body as one group: one queue entry,
+// admitted or shed whole, appended to windows in slot order (a body
+// reaching the size threshold flushes partway through it, so a body of
+// exactly MaxSize requests on an idle batcher is exactly one window).
+//
+// Every request is answered as soon as its own dedup group is solved —
+// prepass-certified groups right after the chain prepass, the rest when
+// their solve returns — not when the window's slowest solve ends, the
+// way the paper's FIFO schedules return each worker's result once it is
+// computed instead of at the makespan.
+//
 // With BatcherConfig.Adaptive set, the window delay and size adapt to
 // observed backlog and solve cost, and requests that provably cannot meet
 // their SLO deadline are shed early; see AdaptiveConfig.
@@ -169,9 +181,12 @@ type Batcher struct {
 
 	mu     sync.RWMutex // guards closed vs. new admissions
 	closed bool
-	queue  chan *submission
+	queue  chan []*submission // one entry per Submit or SubmitBatch body
+	// queued counts admitted submissions not yet collected (with direct:
+	// submissions solving); admission reserves against QueueCap.
+	queued atomic.Int64
 
-	direct   chan struct{} // MaxDelay = 0: concurrency slots instead of a queue
+	direct   bool // MaxDelay = 0: bounded direct solves instead of a queue
 	inflight sync.WaitGroup
 
 	flushes chan []*submission
@@ -197,10 +212,12 @@ func (s *Solver) NewBatcher(cfg BatcherConfig) *Batcher {
 		return b // synchronous mode: the owner pumps
 	}
 	if cfg.MaxDelay <= 0 {
-		b.direct = make(chan struct{}, cfg.QueueCap)
+		b.direct = true
 		return b
 	}
-	b.queue = make(chan *submission, cfg.QueueCap)
+	// Every entry holds at least one reserved submission, so QueueCap
+	// entries always fit and sends never block.
+	b.queue = make(chan []*submission, cfg.QueueCap)
 	b.flushes = make(chan []*submission, cfg.Workers)
 	b.wg.Add(1 + cfg.Workers)
 	go b.collect()
@@ -273,13 +290,14 @@ func (b *Batcher) recordShed(sub *submission, err error) {
 	close(sub.ready)
 }
 
-// Submit queues req and blocks until its window is solved, returning the
+// Submit queues req and blocks until it is answered — as soon as its own
+// dedup group in the window's SolveBatch is solved — returning the
 // request's own result (duplicates within a window are deduplicated by
 // SolveBatch and come back marked Cached). If admission is full the
 // request is shed immediately with ErrOverloaded. A ctx that expires
 // while the request is queued abandons it (the flush skips submissions
 // whose context is already done); a ctx that expires mid-solve returns
-// ctx.Err() without waiting for the window.
+// ctx.Err() without waiting for the solve.
 func (b *Batcher) Submit(ctx context.Context, req Request) (*Result, error) {
 	return b.submitClass(ctx, req, SLOClass{})
 }
@@ -298,25 +316,77 @@ func (b *Batcher) SubmitSLO(ctx context.Context, req Request, class string) (*Re
 
 func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) (*Result, error) {
 	if b.cfg.OnWindow != nil {
-		return nil, fmt.Errorf("dls: Submit on a synchronous batcher (drive it with Offer)")
+		return nil, errSyncSubmit
 	}
 	sub, cancel := b.newSubmission(ctx, req, class)
 	defer cancel()
-	if b.direct != nil {
-		return b.submitDirect(sub)
+	if err := b.admit([]*submission{sub}); err != nil {
+		return nil, err
 	}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return nil, ErrBatcherClosed
+	return sub.wait()
+}
+
+// errSyncSubmit rejects the goroutine-mode entry points on a synchronous
+// batcher.
+var errSyncSubmit = errors.New("dls: Submit on a synchronous batcher (drive it with Offer)")
+
+// SubmitBatch admits a batch body as one group under a named SLO class
+// and blocks until every request is answered: results[i] and errs[i]
+// answer reqs[i], which is submitted under ctxs[i] (per-slot contexts, so
+// each slot can carry its own trace). The body takes one queue entry and
+// counts len(reqs) submissions against QueueCap; a body that does not fit
+// is shed whole, every slot failing with ErrOverloaded. Admitted slots
+// join windows in slot order and are answered like Submit's: each as soon
+// as its dedup group is solved, a slot whose context ends mid-solve with
+// its ctx.Err().
+func (b *Batcher) SubmitBatch(ctxs []context.Context, reqs []Request, class string) ([]*Result, []error) {
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	fail := func(err error) ([]*Result, []error) {
+		for i := range errs {
+			errs[i] = err
+		}
+		return results, errs
 	}
+	if len(ctxs) != len(reqs) {
+		return fail(fmt.Errorf("dls: SubmitBatch: %d contexts for %d requests", len(ctxs), len(reqs)))
+	}
+	if b.cfg.OnWindow != nil {
+		return fail(errSyncSubmit)
+	}
+	c, err := b.resolveClass(class)
+	if err != nil {
+		return fail(err)
+	}
+	if len(reqs) == 0 {
+		return results, errs
+	}
+	subs := make([]*submission, len(reqs))
+	cancels := make([]context.CancelFunc, len(reqs))
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	for i, req := range reqs {
+		subs[i], cancels[i] = b.newSubmission(ctxs[i], req, c)
+	}
+	if err := b.admit(subs); err != nil {
+		return fail(err)
+	}
+	for i, sub := range subs {
+		results[i], errs[i] = sub.wait()
+	}
+	return results, errs
+}
+
+// wait blocks until sub is answered or its context ends; an answer that
+// is already in wins over a context that ended afterwards.
+func (sub *submission) wait() (*Result, error) {
 	select {
-	case b.queue <- sub:
-		b.mu.RUnlock()
+	case <-sub.ready:
+		return sub.res, sub.err
 	default:
-		b.mu.RUnlock()
-		b.recordShed(sub, ErrOverloaded)
-		return nil, ErrOverloaded
 	}
 	select {
 	case <-sub.ready:
@@ -326,42 +396,77 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	}
 }
 
-// submitDirect is the MaxDelay = 0 path: no window, one direct solve,
-// still bounded (QueueCap concurrent solves, shed beyond) and still
-// honouring Close.
-func (b *Batcher) submitDirect(sub *submission) (*Result, error) {
+// admit admits subs as one group, or sheds every one of them: queued as
+// one entry for the collector, or (direct mode) solved right here.
+func (b *Batcher) admit(subs []*submission) error {
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
-		return nil, ErrBatcherClosed
+		return ErrBatcherClosed
 	}
-	select {
-	case b.direct <- struct{}{}:
-	default:
+	if !b.reserve(len(subs)) {
 		b.mu.RUnlock()
-		b.recordShed(sub, ErrOverloaded)
-		return nil, ErrOverloaded
+		for _, sub := range subs {
+			b.recordShed(sub, ErrOverloaded)
+		}
+		return ErrOverloaded
+	}
+	if !b.direct {
+		b.queue <- subs
+		b.mu.RUnlock()
+		return nil
 	}
 	b.inflight.Add(1)
 	b.mu.RUnlock()
 	defer func() {
-		<-b.direct
+		b.queued.Add(-int64(len(subs)))
 		b.inflight.Done()
 	}()
+	b.solveDirect(subs)
+	return nil
+}
+
+// reserve claims n submissions of QueueCap, all or nothing.
+func (b *Batcher) reserve(n int) bool {
+	for {
+		cur := b.queued.Load()
+		if cur+int64(n) > int64(b.cfg.QueueCap) {
+			return false
+		}
+		if b.queued.CompareAndSwap(cur, cur+int64(n)) {
+			return true
+		}
+	}
+}
+
+// solveDirect is the MaxDelay = 0 path: no window, the group solves at
+// once in the caller's goroutine — a lone request through Solve, a batch
+// body through one SolveBatch — still bounded by QueueCap and honouring
+// Close.
+func (b *Batcher) solveDirect(subs []*submission) {
 	var start time.Time
-	if len(sub.traces) > 0 {
-		start = b.clock.Now()
+	for _, sub := range subs {
+		if len(sub.traces) > 0 {
+			if start.IsZero() {
+				start = b.clock.Now()
+			}
+			// Direct mode has no window: the slot wait is the queue stage
+			// and the solve runs immediately after.
+			sub.stage("queue_wait", sub.submitAt, start)
+			sub.flushAt = start
+		}
 	}
-	res, err := b.s.Solve(sub.ctx, sub.req)
-	if len(sub.traces) > 0 {
-		now := b.clock.Now()
-		// Direct mode has no window: the slot wait is the queue stage and
-		// the solve runs immediately after.
-		sub.stage("queue_wait", sub.submitAt, start)
-		sub.stage("solve", start, now)
+	if len(subs) > 1 {
+		b.solveWindow(subs)
+		return
 	}
-	b.accountCompletion(sub, err)
-	return res, err
+	sub := subs[0]
+	sub.res, sub.err = b.s.Solve(sub.ctx, sub.req)
+	if len(sub.traces) > 0 {
+		sub.stage("solve", start, b.clock.Now())
+	}
+	b.accountCompletion(sub, sub.err)
+	close(sub.ready)
 }
 
 // accountCompletion records the SLO outcome of one answered submission.
@@ -402,11 +507,8 @@ func (b *Batcher) Stats() BatcherStats {
 			WindowFill: len(b.syncWin),
 		}
 	}
-	if b.direct != nil {
-		return BatcherStats{QueueDepth: len(b.direct)}
-	}
 	return BatcherStats{
-		QueueDepth: len(b.queue),
+		QueueDepth: int(b.queued.Load()),
 		WindowFill: int(b.fill.Load()),
 	}
 }
@@ -538,35 +640,40 @@ func (b *Batcher) collect() {
 	}
 	for {
 		select {
-		case sub, ok := <-b.queue:
+		case subs, ok := <-b.queue:
 			if !ok {
 				flush()
 				return
 			}
-			if err := sub.ctx.Err(); err != nil {
-				// Abandoned while queued; answer without admitting so the
-				// adaptive estimates only see live traffic.
-				sub.err = err
-				close(sub.ready)
-				continue
-			}
-			if !b.admitOrShed(sub, flushAt) {
-				continue
-			}
-			if len(sub.traces) > 0 {
-				sub.admitAt = b.clock.Now()
-			}
-			win = append(win, sub)
-			b.fill.Store(int64(len(win)))
-			if len(win) == 1 {
-				size = b.windowSize()
-				delay := b.windowDelay(sub)
-				flushAt = b.clock.Now().Add(delay)
-				timer = b.clock.NewTimer(delay)
-				fire = timer.C()
-			}
-			if len(win) >= size {
-				flush()
+			b.queued.Add(-int64(len(subs)))
+			// A group joins windows in slot order, flushing partway
+			// through whenever a window fills.
+			for _, sub := range subs {
+				if err := sub.ctx.Err(); err != nil {
+					// Abandoned while queued; answer without admitting so
+					// the adaptive estimates only see live traffic.
+					sub.err = err
+					close(sub.ready)
+					continue
+				}
+				if !b.admitOrShed(sub, flushAt) {
+					continue
+				}
+				if len(sub.traces) > 0 {
+					sub.admitAt = b.clock.Now()
+				}
+				win = append(win, sub)
+				b.fill.Store(int64(len(win)))
+				if len(win) == 1 {
+					size = b.windowSize()
+					delay := b.windowDelay(sub)
+					flushAt = b.clock.Now().Add(delay)
+					timer = b.clock.NewTimer(delay)
+					fire = timer.C()
+				}
+				if len(win) >= size {
+					flush()
+				}
 			}
 		case <-fire:
 			timer, fire = nil, nil
@@ -583,29 +690,13 @@ func (b *Batcher) drain() {
 	}
 }
 
-// countGroups counts the deduplicated problems of a window — the number
-// of solves its SolveBatch actually runs — for the adaptive cost model.
-func countGroups(win []*submission) int {
-	seen := make(map[string]struct{}, len(win))
-	groups := 0
-	for _, sub := range win {
-		if sub.req.Platform == nil {
-			groups++ // invalid; errors individually, never solves
-			continue
-		}
-		key := sub.req.cacheKey()
-		if _, ok := seen[key]; !ok {
-			seen[key] = struct{}{}
-			groups++
-		}
-	}
-	return groups
-}
-
 // solveWindow answers every submission of one window with a single
-// SolveBatch call. Submissions whose context is already done are answered
-// with their ctx.Err() without solving; the batch context propagates the
-// callers' deadlines and cancellations (see windowContext).
+// SolveBatch, each as soon as its dedup group is solved: a request never
+// waits for a slower group it merely shared the window with. Submissions
+// whose context is already done are answered with their ctx.Err() without
+// solving; the batch context propagates the callers' deadlines and
+// cancellations (see windowContext). The adaptive controller still
+// observes the whole window, which is how long it held a drain worker.
 func (b *Batcher) solveWindow(win []*submission) {
 	groups := 0
 	start := b.clock.Now()
@@ -615,7 +706,8 @@ func (b *Batcher) solveWindow(win []*submission) {
 			b.adapt.observeSolve(b.clock.Now().Sub(start), groups)
 		}
 	}()
-	live := win[:0]
+	// A fresh slice: a direct-mode window is the caller's own body.
+	live := make([]*submission, 0, len(win))
 	for _, sub := range win {
 		if err := sub.ctx.Err(); err != nil {
 			sub.err = err
@@ -627,7 +719,6 @@ func (b *Batcher) solveWindow(win []*submission) {
 	if len(live) == 0 {
 		return
 	}
-	groups = countGroups(live)
 	ctx, cancel := b.windowContext(live)
 	if cancel != nil {
 		defer cancel()
@@ -643,19 +734,15 @@ func (b *Batcher) solveWindow(win []*submission) {
 			traces[i] = sub.traces
 		}
 	}
-	results, errs := b.s.solveBatchTraced(ctx, reqs, traces)
-	var done time.Time
-	if traces != nil {
-		done = b.clock.Now()
-	}
-	for i, sub := range live {
-		sub.res, sub.err = results[i], errs[i]
+	groups = b.s.solveBatchTraced(ctx, reqs, traces, func(i int, res *Result, err error) {
+		sub := live[i]
+		sub.res, sub.err = res, err
 		if len(sub.traces) > 0 {
-			sub.stage("solve", sub.flushAt, done)
+			sub.stage("solve", sub.flushAt, b.clock.Now())
 		}
-		b.accountCompletion(sub, sub.err)
+		b.accountCompletion(sub, err)
 		close(sub.ready)
-	}
+	})
 }
 
 // windowContext derives the context a window is solved under. A window

@@ -93,6 +93,11 @@ func (w *Window) Tag(i int) any { return w.subs[i].tag }
 // per class against the clock, and the adaptive controller observes the
 // window's service time (now - FlushedAt) over its dedup groups. Either
 // slice may be nil; non-nil slices must have length Size.
+//
+// Unlike the goroutine mode, which answers each request as soon as its
+// dedup group is solved, Complete answers the whole window at once: the
+// simulator prices service per window, so there is no per-group finish
+// time to answer at.
 func (w *Window) Complete(results []*Result, errs []error) error {
 	if results != nil && len(results) != len(w.subs) {
 		return fmt.Errorf("dls: Window.Complete: %d results for %d submissions", len(results), len(w.subs))
@@ -215,4 +220,25 @@ func (b *Batcher) flushSync() {
 	id := b.countFlush(win)
 	b.stageFlush(win, id)
 	b.cfg.OnWindow(&Window{b: b, subs: win, groups: countGroups(win), flushed: b.clock.Now()})
+}
+
+// countGroups counts the deduplicated problems of a window — the number
+// of solves its SolveBatch would run — for the owner's cost model and the
+// adaptive controller. (The goroutine mode takes the count from the batch
+// solve itself.)
+func countGroups(win []*submission) int {
+	seen := make(map[string]struct{}, len(win))
+	groups := 0
+	for _, sub := range win {
+		if sub.req.Platform == nil {
+			groups++ // invalid; errors individually, never solves
+			continue
+		}
+		key := sub.req.cacheKey()
+		if _, ok := seen[key]; !ok {
+			seen[key] = struct{}{}
+			groups++
+		}
+	}
+	return groups
 }

@@ -541,32 +541,32 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 // requests leave a nil slot; the returned error joins the per-request
 // errors in request order.
 func (s *Solver) SolveBatch(ctx context.Context, reqs []Request) ([]*Result, error) {
-	results, errs := s.solveBatch(ctx, reqs)
-	for i, err := range errs {
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	s.solveBatchTraced(ctx, reqs, nil, func(i int, res *Result, err error) {
+		results[i] = res
 		if err != nil {
 			errs[i] = fmt.Errorf("dls: batch request %d: %w", i, err)
 		}
-	}
+	})
 	return results, errors.Join(errs...)
 }
 
-// solveBatch is SolveBatch with the per-slot errors kept individually (and
-// unwrapped), for callers — the micro-batcher, the serving layer — that
-// answer each request to a different consumer.
-func (s *Solver) solveBatch(ctx context.Context, reqs []Request) ([]*Result, []error) {
-	return s.solveBatchTraced(ctx, reqs, nil)
-}
-
-// solveBatchTraced is solveBatch with per-request trace sets: when traces
+// solveBatchTraced is SolveBatch for callers — the micro-batcher — that
+// answer each request to a different consumer: answer(i, res, err) is
+// called exactly once per request, with the error unwrapped, as soon as
+// that request is settled rather than when the whole batch is. Invalid
+// requests are answered during deduplication, groups the chain prepass
+// certifies right after the prepass, and pool-solved groups when their
+// Solve returns — possibly concurrently from several pool workers, so
+// answer must be safe for concurrent use on distinct indices. When traces
 // is non-nil, traces[i] holds the obs traces following request i, and each
 // deduplicated group's solve runs under the union of its members' traces —
 // so a submission answered by a leader it never met still sees the stages
 // of the solve that produced its result. With traces == nil, every group
-// solves under ctx unchanged.
-func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces [][]*obs.Trace) ([]*Result, []error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-
+// solves under ctx unchanged. Returns the number of deduplicated problems
+// solved (the adaptive admission controller's unit of work).
+func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces [][]*obs.Trace, answer func(i int, res *Result, err error)) int {
 	// Deduplicate by cache key: one solve per distinct problem.
 	groups := make(map[string]*group, len(reqs))
 	order := make([]*group, 0, len(reqs))
@@ -574,7 +574,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 	for i, req := range reqs {
 		p, _, err := s.prepare(req)
 		if err != nil {
-			errs[i] = err
+			answer(i, nil, err)
 			continue
 		}
 		prepared[i] = p
@@ -612,11 +612,30 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 		return gctx
 	}
 
+	// answerGroup fans one group's outcome out to its members: the leader
+	// gets the result itself, duplicates their own copy finished against
+	// their own Load and marked as served without a solve.
+	answerGroup := func(g *group, res *Result, err error) {
+		for _, i := range g.indices {
+			switch {
+			case err != nil:
+				answer(i, nil, err)
+			case i == g.leader:
+				answer(i, res, nil)
+			default:
+				answer(i, finish(res.clone(), prepared[i], true), nil)
+			}
+		}
+	}
+
 	// Chain prepass: chain-shaped leaders of the same size are evaluated
 	// together by structure-of-arrays lockstep sweeps before the pool
-	// starts; everything it could not certify flows through the normal
-	// per-request path below.
-	handled := s.chainPrepass(ctx, prepared, order, results, errs, groupCtx)
+	// starts, and answered straight away; everything it could not certify
+	// flows through the normal per-request path below.
+	handled := s.chainPrepass(ctx, prepared, order, groupCtx)
+	for g, res := range handled {
+		answerGroup(g, res, nil)
+	}
 
 	// Solve one leader per group on the pool (never more workers than
 	// groups to solve).
@@ -632,34 +651,19 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 			defer wg.Done()
 			for g := range jobs {
 				res, err := s.Solve(groupCtx(g), reqs[g.leader])
-				if err != nil {
-					for _, i := range g.indices {
-						errs[i] = err
-					}
-					continue
-				}
-				for _, i := range g.indices {
-					if i == g.leader {
-						results[i] = res
-						continue
-					}
-					// Duplicates get their own copy, finished against their
-					// own Load, and are marked as served without a solve.
-					results[i] = finish(res.clone(), prepared[i], true)
-				}
+				answerGroup(g, res, err)
 			}
 		}()
 	}
 	for _, g := range order {
-		if handled[g] {
+		if _, ok := handled[g]; ok {
 			continue
 		}
 		jobs <- g
 	}
 	close(jobs)
 	wg.Wait()
-
-	return results, errs
+	return len(order)
 }
 
 // chainScenario reports whether a prepared request is chain-shaped — its
@@ -724,11 +728,11 @@ func chainScenario(req Request) (send Order, lifo, ok bool) {
 // (same tiers, same canonicalisation), and fan out to their duplicate
 // requests exactly like pool-solved groups; lanes whose chain certificate
 // fails — port-bound or resource-selecting optima — are left for the
-// normal path. Returns the set of fully answered groups. A done context
-// (cancelled, or a WithTimeout deadline that already expired) skips the
-// prepass entirely so every request uniformly reports ctx.Err() from the
-// pool path.
-func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*group, results []*Result, errs []error, groupCtx func(*group) context.Context) map[*group]bool {
+// normal path. Returns the certified groups with their leaders' results;
+// the caller fans them out. A done context (cancelled, or a WithTimeout
+// deadline that already expired) skips the prepass entirely so every
+// request uniformly reports ctx.Err() from the pool path.
+func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*group, groupCtx func(*group) context.Context) map[*group]*Result {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -739,9 +743,6 @@ func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*
 	}
 	byKey := make(map[batchKey][]lane)
 	for _, g := range order {
-		if errs[g.leader] != nil {
-			continue
-		}
 		req := prepared[g.leader]
 		send, lifo, ok := chainScenario(req)
 		if !ok || len(send) == 0 {
@@ -753,7 +754,7 @@ func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*
 		key := batchKey{q: len(send), lifo: lifo, model: req.Model}
 		byKey[key] = append(byKey[key], lane{g: g, send: send, lifo: lifo})
 	}
-	handled := make(map[*group]bool)
+	handled := make(map[*group]*Result)
 	for key, lanes := range byKey {
 		if len(lanes) < 2 {
 			continue // lockstep only pays with company; a lone lane solves normally
@@ -790,14 +791,7 @@ func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*
 					obs.String("strategy", req.Strategy),
 					obs.String("prepass", "chain"))
 			}
-			for _, idx := range ln.g.indices {
-				if idx == ln.g.leader {
-					results[idx] = res
-					continue
-				}
-				results[idx] = finish(res.clone(), prepared[idx], true)
-			}
-			handled[ln.g] = true
+			handled[ln.g] = res
 		}
 	}
 	return handled

@@ -346,11 +346,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resultResponse(res))
 }
 
-// handleBatch answers POST /v1/solve/batch: every request of the body is
-// submitted to the admission batcher concurrently, so the batch shares
-// windows (and the SoA prepass) with whatever else is in flight. Slots
-// that fail keep their error message; if the whole batch was shed the
-// response is a single 429.
+// handleBatch answers POST /v1/solve/batch: the body is admitted to the
+// batcher as one group (one queue entry, shed whole if it does not fit),
+// so its slots fill windows in order and share them (and the SoA prepass)
+// with whatever else is in flight. Slots that fail keep their error
+// message; if the whole batch was shed the response is a single 429.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
@@ -378,24 +378,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	begin := time.Now()
-	results := make([]*dls.Result, len(batch.Requests))
-	errs := make([]error, len(batch.Requests))
-	var wg sync.WaitGroup
-	for i, req := range batch.Requests {
-		wg.Add(1)
-		go func(i int, req dls.Request) {
-			defer wg.Done()
-			// Each batch slot is its own trace: slots land in different
-			// admission windows and dedup groups, so their stage timelines
-			// genuinely differ. No response writer — the goroutines must
-			// not race on the shared header.
-			sctx, finishTrace := s.traceRequest(ctx, r, nil, "/v1/solve/batch")
-			results[i], errs[i] = s.batcher.SubmitSLO(sctx, req, class)
-			finishTrace(errs[i])
-			s.logRequest(sctx, "/v1/solve/batch", begin, errs[i])
-		}(i, req)
+	// Each batch slot is its own trace: slots can land in different
+	// admission windows and dedup groups, so their stage timelines
+	// genuinely differ. No response writer — one header cannot carry
+	// every slot's trace id.
+	ctxs := make([]context.Context, len(batch.Requests))
+	finishTraces := make([]func(error), len(batch.Requests))
+	for i := range batch.Requests {
+		ctxs[i], finishTraces[i] = s.traceRequest(ctx, r, nil, "/v1/solve/batch")
 	}
-	wg.Wait()
+	results, errs := s.batcher.SubmitBatch(ctxs, batch.Requests, class)
+	for i, err := range errs {
+		finishTraces[i](err)
+		s.logRequest(ctxs[i], "/v1/solve/batch", begin, err)
+	}
 
 	resp := BatchResponse{Results: make([]*SolveResponse, len(results))}
 	allShed, anyErr, anyOK := true, false, false
@@ -415,7 +411,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if anyErr {
 		if allShed {
-			w.Header().Set("Retry-After", strconv.FormatFloat(s.cfg.RetryAfter.Seconds(), 'f', 3, 64))
+			w.Header().Set("Retry-After", strconv.FormatFloat(s.retryAfter().Seconds(), 'f', 3, 64))
 			writeError(w, http.StatusTooManyRequests, "batch shed: admission queue full")
 			return
 		}

@@ -48,8 +48,8 @@ func (s *Server) Recorder() *obs.Recorder { return s.rec }
 // traceRequest starts a trace for one solve submission, adopting the
 // trace id of an incoming traceparent header (so fleet-client retries
 // chain into the caller's trace) and stamping the id onto the response
-// when w is non-nil (batch slots pass nil: their goroutines must not
-// touch the shared response header). The returned finish seals the trace
+// when w is non-nil (batch slots pass nil: one response header cannot
+// carry every slot's trace id). The returned finish seals the trace
 // into the recorder and the stage histograms; it must be called exactly
 // once, after the solve settled but before the handler returns. With
 // tracing off, ctx is returned unchanged and finish is a no-op.
