@@ -623,7 +623,7 @@ func BenchmarkTheorem2BusClosedForm(b *testing.B) {
 	b.Run("linear-program", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dls.OptimalFIFO(p, dls.Float64); err != nil {
+			if _, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -649,7 +649,7 @@ func BenchmarkAblationArithmetic(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := dls.OptimalFIFO(p, tc.arith); err != nil {
+				if _, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Arith: tc.arith}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -666,10 +666,11 @@ func BenchmarkAblationRounding(b *testing.B) {
 	app := dls.DefaultApp(100)
 	sp := dls.RandomSpeeds(rng, 11, dls.Heterogeneous)
 	plat := sp.Platform(app)
-	sched, err := dls.OptimalFIFO(plat, dls.Float64)
+	res, err := dls.Solve(context.Background(), dls.Request{Platform: plat, Strategy: dls.StrategyFIFO})
 	if err != nil {
 		b.Fatal(err)
 	}
+	sched := res.Schedule
 	const M = 1000
 	predicted := dls.MakespanForLoad(sched, M)
 
@@ -741,39 +742,23 @@ func BenchmarkAblationDiscipline(b *testing.B) {
 	rng := rand.New(rand.NewSource(52))
 	sp := dls.RandomSpeeds(rng, 5, dls.Heterogeneous)
 	p := sp.Platform(dls.DefaultApp(200))
-	b.Run("optimal-fifo", func(b *testing.B) {
-		var rho float64
-		for i := 0; i < b.N; i++ {
-			s, err := dls.OptimalFIFO(p, dls.Float64)
-			if err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct{ name, strategy string }{
+		{"optimal-fifo", dls.StrategyFIFO},
+		{"optimal-lifo", dls.StrategyLIFO},
+		{"best-pair-exhaustive", dls.StrategyPairExhaustive},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var rho float64
+			for i := 0; i < b.N; i++ {
+				res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: tc.strategy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rho = res.Throughput
 			}
-			rho = s.Throughput()
-		}
-		b.ReportMetric(rho, "units/s")
-	})
-	b.Run("optimal-lifo", func(b *testing.B) {
-		var rho float64
-		for i := 0; i < b.N; i++ {
-			s, err := dls.OptimalLIFO(p, dls.Float64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rho = s.Throughput()
-		}
-		b.ReportMetric(rho, "units/s")
-	})
-	b.Run("best-pair-exhaustive", func(b *testing.B) {
-		var rho float64
-		for i := 0; i < b.N; i++ {
-			pr, err := dls.BestPairExhaustive(p, dls.OnePort, dls.Float64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rho = pr.Schedule.Throughput()
-		}
-		b.ReportMetric(rho, "units/s")
-	})
+			b.ReportMetric(rho, "units/s")
+		})
+	}
 }
 
 // BenchmarkAblationOnePortPenalty reports the throughput cost of the

@@ -13,7 +13,6 @@
 //	dlsexp -all -spread               # add standard-deviation columns
 //	dlsexp -figure 12 -parallel 8     # LP batches on an 8-worker engine pool
 //	dlsexp -all -profile cpu          # write a cpu.pprof of the run
-//	dlsexp -figure pair -pair-search flat   # pin the pair-search algorithm
 //
 // Figures: 8 (linearity), 9 (trace), 10 (homogeneous), 11 (hom. comm /
 // het. comp), 12 (heterogeneous), 13a (compute ×10), 13b (communication
@@ -57,7 +56,6 @@ func run(args []string, w io.Writer) error {
 	svgPath := fs.String("svg", "", "write the figure's SVG rendering (figure 9) to this file")
 	parallel := fs.Int("parallel", 0, "engine worker-pool size for the LP batches (0 = GOMAXPROCS); output is identical at any setting")
 	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | closed-form | direct | simplex | exact")
-	pairSearch := fs.String("pair-search", "auto", "pair-search algorithm of the \"pair\" figure: auto | bb | flat (identical output, different exploration)")
 	searchPar := fs.Int("search-parallel", 1, "workers INSIDE each exhaustive search (1 = serial, 0 = one per CPU); output is identical at any setting")
 	profile := fs.String("profile", "", "write a pprof profile of the run: cpu | mem")
 	profileOut := fs.String("profile-out", "", "profile output path (default cpu.pprof / mem.pprof)")
@@ -68,10 +66,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
 	}
 	evalMode, err := dls.ParseEvalMode(*evalName)
-	if err != nil {
-		return err
-	}
-	pairStrategy, err := dls.PairStrategyForSearch(*pairSearch)
 	if err != nil {
 		return err
 	}
@@ -99,7 +93,6 @@ func run(args []string, w io.Writer) error {
 	cfg.ReportSpread = *spread
 	cfg.Parallelism = *parallel
 	cfg.Eval = evalMode
-	cfg.PairStrategy = pairStrategy
 	cfg.SearchParallelism = *searchPar
 
 	reg := experiments.Registry()

@@ -26,21 +26,14 @@ func TestRunSingleFigure(t *testing.T) {
 	}
 }
 
-// TestRunPairFigure exercises the open-question probe and its
-// -pair-search knob: both algorithms must run, and an unknown name fails
-// before any figure work starts.
+// TestRunPairFigure exercises the open-question probe end to end.
 func TestRunPairFigure(t *testing.T) {
-	for _, search := range []string{"auto", "bb", "flat"} {
-		var sb strings.Builder
-		if err := run(quickArgs("-figure", "pair", "-pair-search", search), &sb); err != nil {
-			t.Fatalf("-pair-search %s: %v", search, err)
-		}
-		if !strings.Contains(sb.String(), "Figure pair") {
-			t.Errorf("-pair-search %s output missing the pair figure:\n%s", search, sb.String())
-		}
+	var sb strings.Builder
+	if err := run(quickArgs("-figure", "pair"), &sb); err != nil {
+		t.Fatal(err)
 	}
-	if err := run(quickArgs("-figure", "pair", "-pair-search", "nope"), &strings.Builder{}); err == nil {
-		t.Error("unknown -pair-search algorithm must fail")
+	if !strings.Contains(sb.String(), "Figure pair") {
+		t.Errorf("output missing the pair figure:\n%s", sb.String())
 	}
 }
 

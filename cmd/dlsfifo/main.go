@@ -6,7 +6,7 @@
 //
 //	dlsfifo schedule -platform file.json [-discipline fifo|lifo|incw|<strategy>] [-model one-port|two-port] [-exact] [-eval auto|closed-form|direct|simplex|exact] [-load M] [-gantt]
 //	dlsfifo bus -c 0.1 -d 0.05 -w 0.4,0.6,0.8
-//	dlsfifo brute -platform file.json [-exact] [-eval direct] [-timeout 30s] [-search auto|bb|flat]
+//	dlsfifo brute -platform file.json [-exact] [-eval direct] [-timeout 30s] [-search-parallel N]
 //	dlsfifo random -p 11 -family heterogeneous -size 100 -seed 42
 //	dlsfifo strategies
 //
@@ -14,9 +14,10 @@
 // dls.Request naming a strategy from the registry and solves it. The
 // schedule subcommand prints the optimal loads, throughput and per-worker
 // timeline; bus evaluates the Theorem 2 closed form; brute searches all
-// permutation pairs (small platforms, cancellable via -timeout); random
-// emits a platform JSON drawn from the paper's generator families;
-// strategies lists the registry.
+// permutation pairs (small platforms, cancellable via -timeout) with the
+// pair-exhaustive strategy, which runs branch-and-bound in float64 and the
+// flat search under -exact; random emits a platform JSON drawn from the
+// paper's generator families; strategies lists the registry.
 package main
 
 import (
@@ -358,7 +359,7 @@ func cmdBus(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := dls.BusFIFOSchedule(p)
+	res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyBusFIFO})
 	if err != nil {
 		return err
 	}
@@ -367,7 +368,7 @@ func cmdBus(args []string) error {
 	fmt.Printf("  one-port communication bound 1/(c+d):     %.9g\n", 1/(*c+*d))
 	fmt.Printf("  two-port FIFO throughput ρ̃:               %.9g\n", two)
 	fmt.Printf("  one-port LIFO throughput (closed form):   %.9g\n", lifo)
-	fmt.Printf("constructive schedule loads: %v\n", s.Alpha)
+	fmt.Printf("constructive schedule loads: %v\n", res.Schedule.Alpha)
 	return nil
 }
 
@@ -377,16 +378,11 @@ func cmdBrute(args []string) error {
 	exact := fs.Bool("exact", false, "use exact rational LP arithmetic")
 	timeout := fs.Duration("timeout", 0, "abort the (p!)² search after this duration (0 = no limit)")
 	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | closed-form | direct | simplex | exact")
-	search := fs.String("search", "auto", "pair-search algorithm: auto (branch-and-bound for float64 backends) | bb | flat")
 	searchPar := fs.Int("search-parallel", 0, "workers for the exhaustive searches (0 = one per CPU, 1 = serial; result is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	evalMode, err := dls.ParseEvalMode(*evalName)
-	if err != nil {
-		return err
-	}
-	pairStrategy, err := dls.PairStrategyForSearch(*search)
 	if err != nil {
 		return err
 	}
@@ -404,7 +400,7 @@ func cmdBrute(args []string) error {
 	// FIFO is solved separately because a star without a common z makes it
 	// fail with ErrNoCommonZ, which only drops its comparison line.
 	results, err := solver.SolveBatch(ctx, []dls.Request{
-		{Platform: p, Strategy: pairStrategy, Arith: arith, Eval: evalMode},
+		{Platform: p, Strategy: dls.StrategyPairExhaustive, Arith: arith, Eval: evalMode},
 		{Platform: p, Strategy: dls.StrategyLIFO, Arith: arith, Eval: evalMode},
 	})
 	if err != nil {

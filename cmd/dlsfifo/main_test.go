@@ -135,25 +135,13 @@ func TestCmdBrute(t *testing.T) {
 	}
 }
 
-// TestCmdBruteSearchFlag exercises the -search knob: both explicit
-// algorithms must run and report the same optimum as the default, the bb
-// algorithm must reject exact arithmetic (whose comparisons its float64
-// bounds cannot certify), and an unknown name must fail.
-func TestCmdBruteSearchFlag(t *testing.T) {
+// TestCmdBruteExact runs brute under exact arithmetic, where the
+// pair-exhaustive strategy takes the flat search (the branch-and-bound's
+// float64 bounds cannot certify exact comparisons).
+func TestCmdBruteExact(t *testing.T) {
 	path := writePlatform(t)
-	for _, search := range []string{"bb", "flat"} {
-		if err := cmdBrute([]string{"-platform", path, "-search", search}); err != nil {
-			t.Errorf("brute -search %s: %v", search, err)
-		}
-	}
-	if err := cmdBrute([]string{"-platform", path, "-search", "nope"}); err == nil {
-		t.Error("unknown -search algorithm must fail")
-	}
-	if err := cmdBrute([]string{"-platform", path, "-search", "bb", "-exact"}); err == nil {
-		t.Error("brute -search bb -exact must fail: the bounds cannot certify exact comparisons")
-	}
-	if err := cmdBrute([]string{"-platform", path, "-search", "flat", "-exact"}); err != nil {
-		t.Errorf("brute -search flat -exact: %v", err)
+	if err := cmdBrute([]string{"-platform", path, "-exact"}); err != nil {
+		t.Errorf("brute -exact: %v", err)
 	}
 }
 
@@ -295,11 +283,11 @@ func TestGanttOfSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dls.OptimalFIFO(p, dls.Float64)
+	res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ganttOfSchedule(p, s)
+	g := ganttOfSchedule(p, res.Schedule)
 	for _, want := range []string{"master", "legend", "#", "="} {
 		if !strings.Contains(g, want) {
 			t.Errorf("gantt missing %q:\n%s", want, g)

@@ -18,8 +18,6 @@ var degradeFallbacks = map[string][]string{
 	StrategyFIFOExhaustive: {StrategyIncC, StrategyIncW, StrategyDecC},
 	StrategyLIFOExhaustive: {StrategyLIFO},
 	StrategyPairExhaustive: {StrategyIncC, StrategyIncW, StrategyDecC, StrategyLIFO},
-	StrategyPairBB:         {StrategyIncC, StrategyIncW, StrategyDecC, StrategyLIFO},
-	StrategyPairFlat:       {StrategyIncC, StrategyIncW, StrategyDecC, StrategyLIFO},
 }
 
 // costKey indexes solve-cost EWMAs: exhaustive-search cost is a function

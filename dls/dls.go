@@ -37,9 +37,8 @@
 // extensions ([StrategyFIFOAffine], [StrategyScenarioAffine]). New
 // heuristics plug in with [RegisterStrategy] without touching the engine.
 //
-// The engine adds what the historical free functions could not: context
-// cancellation and [WithTimeout] deadlines for the exponential exhaustive
-// searches, an LRU result cache ([WithCache]) keyed by platform
+// The engine also provides context cancellation and [WithTimeout]
+// deadlines for the exponential exhaustive searches, an LRU result cache ([WithCache]) keyed by platform
 // fingerprint, and concurrent batch solving ([Solver.SolveBatch],
 // [Solver.SolveStream]) with deterministic, parallelism-independent output
 // ordering ([WithParallelism]). An admission-window micro-batcher
@@ -59,15 +58,11 @@
 // ([EvalAuto], the default, tiers them); the backends agree to 1e-9 by
 // property test, so the knob trades only speed, not results.
 //
-// The pre-engine free functions (OptimalFIFO, OptimalLIFO, IncC, ...)
-// remain as thin deprecated wrappers over the engine.
-//
 // All schedule-producing strategies verify their output against an
 // independent feasibility checker before returning it.
 package dls
 
 import (
-	"context"
 	"math/big"
 	"math/rand"
 
@@ -169,8 +164,8 @@ const (
 	Heterogeneous = platform.Heterogeneous
 )
 
-// ErrNoCommonZ is returned by the StrategyFIFO solve (and the deprecated
-// OptimalFIFO wrapper) when d_i/c_i is not constant.
+// ErrNoCommonZ is returned by the one-port StrategyFIFO solve when d_i/c_i
+// is not constant.
 var ErrNoCommonZ = core.ErrNoCommonZ
 
 // NewPlatform builds a star platform from explicit worker costs.
@@ -194,110 +189,6 @@ func RandomSpeeds(rng *rand.Rand, p int, family Family) Speeds {
 // the slow worker's communication speed x.
 func Fig14Speeds(x float64) Speeds { return platform.Fig14Speeds(x) }
 
-// scheduleOf adapts an engine result to the historical (schedule, error)
-// shape of the deprecated wrappers.
-func scheduleOf(res *Result, err error) (*Schedule, error) {
-	if err != nil {
-		return nil, err
-	}
-	return res.Schedule, nil
-}
-
-// OptimalFIFO computes an optimal one-port FIFO schedule (Theorem 1 +
-// Proposition 1), including resource selection. The platform must have a
-// common ratio z = d_i/c_i.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyFIFO].
-func OptimalFIFO(p *Platform, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyFIFO, Arith: arith}))
-}
-
-// OptimalLIFO computes the optimal one-port LIFO schedule.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyLIFO].
-func OptimalLIFO(p *Platform, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyLIFO, Arith: arith}))
-}
-
-// FIFOWithOrder computes optimal loads for the FIFO schedule using the
-// given send order, under either communication model.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyFIFOOrder].
-func FIFOWithOrder(p *Platform, order Order, model Model, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyFIFOOrder, Send: order, Model: model, Arith: arith}))
-}
-
-// LIFOWithOrder computes optimal loads for the LIFO schedule whose send
-// order is the given order.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyLIFOOrder].
-func LIFOWithOrder(p *Platform, order Order, model Model, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyLIFOOrder, Send: order, Model: model, Arith: arith}))
-}
-
-// SolveScenario computes optimal loads for an arbitrary scenario: enrolled
-// workers and their send and return orders (Section 2.3).
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyScenario].
-func SolveScenario(p *Platform, send, ret Order, model Model, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyScenario, Send: send, Return: ret, Model: model, Arith: arith}))
-}
-
-// IncC is the INC_C heuristic of Section 5: FIFO over all workers by
-// non-decreasing c (optimal for z ≤ 1 by Theorem 1).
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyIncC].
-func IncC(p *Platform, model Model, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyIncC, Model: model, Arith: arith}))
-}
-
-// IncW is the INC_W heuristic of Section 5: FIFO over all workers by
-// non-decreasing w.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyIncW].
-func IncW(p *Platform, model Model, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyIncW, Model: model, Arith: arith}))
-}
-
-// BestFIFOExhaustive searches all FIFO send orders (p ≤ 9) and returns the
-// best schedule and its order.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyFIFOExhaustive];
-// the engine adds cancellation and deadlines for this factorial search.
-func BestFIFOExhaustive(p *Platform, model Model, arith Arith) (*Schedule, Order, error) {
-	res, err := Solve(context.Background(), Request{Platform: p, Strategy: StrategyFIFOExhaustive, Model: model, Arith: arith})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Schedule, res.Send, nil
-}
-
-// BestLIFOExhaustive searches all LIFO send orders (p ≤ 9).
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyLIFOExhaustive];
-// the engine adds cancellation and deadlines for this factorial search.
-func BestLIFOExhaustive(p *Platform, model Model, arith Arith) (*Schedule, Order, error) {
-	res, err := Solve(context.Background(), Request{Platform: p, Strategy: StrategyLIFOExhaustive, Model: model, Arith: arith})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Schedule, res.Send, nil
-}
-
-// BestPairExhaustive searches all (σ1, σ2) permutation pairs (p ≤ 8 in
-// float64, p ≤ 5 in exact arithmetic) — the general problem whose
-// complexity the paper leaves open.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyPairExhaustive];
-// the engine adds cancellation and deadlines for this (p!)² search.
-func BestPairExhaustive(p *Platform, model Model, arith Arith) (*PairResult, error) {
-	res, err := Solve(context.Background(), Request{Platform: p, Strategy: StrategyPairExhaustive, Model: model, Arith: arith})
-	if err != nil {
-		return nil, err
-	}
-	return &PairResult{Schedule: res.Schedule, Send: res.Send, Return: res.Return}, nil
-}
-
 // BusFIFOThroughput returns Theorem 2's closed-form optimal one-port FIFO
 // throughput for a bus platform.
 func BusFIFOThroughput(p *Platform) (float64, error) { return core.BusFIFOThroughput(p) }
@@ -305,14 +196,6 @@ func BusFIFOThroughput(p *Platform) (float64, error) { return core.BusFIFOThroug
 // ExactBusFIFOThroughput evaluates the Theorem 2 closed form in exact
 // rational arithmetic.
 func ExactBusFIFOThroughput(p *Platform) (*big.Rat, error) { return core.ExactBusFIFOThroughput(p) }
-
-// BusFIFOSchedule constructs the optimal one-port FIFO schedule on a bus
-// via the constructive proof of Theorem 2.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyBusFIFO].
-func BusFIFOSchedule(p *Platform) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyBusFIFO}))
-}
 
 // BusLIFOThroughput returns the closed-form LIFO throughput on a bus in
 // the given worker order.

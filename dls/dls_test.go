@@ -1,12 +1,23 @@
 package dls_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/dls"
 )
+
+// mustSolve runs req on the default solver and fails the test on error.
+func mustSolve(t *testing.T, req dls.Request) *dls.Result {
+	t.Helper()
+	res, err := dls.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatalf("%s: %v", req.Strategy, err)
+	}
+	return res
+}
 
 func TestFacadeEndToEnd(t *testing.T) {
 	// Build a platform, compute the optimal FIFO schedule, round to 100
@@ -17,10 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	speeds := dls.RandomSpeeds(rng, 6, dls.Heterogeneous)
 	p := speeds.Platform(app)
 
-	s, err := dls.OptimalFIFO(p, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyFIFO}).Schedule
 	if s.Throughput() <= 0 || !s.IsFIFO() {
 		t.Fatalf("bad schedule: %v", s)
 	}
@@ -61,10 +69,7 @@ func TestFacadeBusRoutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dls.BusFIFOSchedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyBusFIFO}).Schedule
 	if math.Abs(s.Throughput()-rho) > 1e-9 {
 		t.Errorf("schedule %g vs closed form %g", s.Throughput(), rho)
 	}
@@ -96,49 +101,24 @@ func TestFacadeScenarioAndSearches(t *testing.T) {
 		dls.Worker{C: 0.10, W: 0.5, D: 0.050},
 	)
 	order := dls.Order{0, 1, 2}
-	sc, err := dls.SolveScenario(p, order, dls.Order{2, 1, 0}, dls.OnePort, dls.Exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.IsLIFO() {
+	sc := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyScenario, Send: order, Return: dls.Order{2, 1, 0}, Arith: dls.Exact})
+	if !sc.Schedule.IsLIFO() {
 		t.Error("reverse return order must be LIFO")
 	}
-	fifo, _, err := dls.BestFIFOExhaustive(p, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lifo, _, err := dls.BestLIFOExhaustive(p, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := dls.BestPairExhaustive(p, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := pair.Schedule.Throughput()
-	if fifo.Throughput() > best+1e-9 || lifo.Throughput() > best+1e-9 {
+	fifo := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive})
+	lifo := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyLIFOExhaustive})
+	pair := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyPairExhaustive})
+	if fifo.Throughput > pair.Throughput+1e-9 || lifo.Throughput > pair.Throughput+1e-9 {
 		t.Error("fixed disciplines cannot beat the unrestricted pair search")
 	}
-	incc, err := dls.IncC(p, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incw, err := dls.IncW(p, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incw.Throughput() > incc.Throughput()+1e-9 {
+	incc := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyIncC})
+	incw := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyIncW})
+	if incw.Throughput > incc.Throughput+1e-9 {
 		t.Error("INC_W beat INC_C with a common z < 1, contradicting Theorem 1")
 	}
-	if _, err := dls.FIFOWithOrder(p, order, dls.TwoPort, dls.Float64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dls.LIFOWithOrder(p, order, dls.TwoPort, dls.Float64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dls.OptimalLIFO(p, dls.Float64); err != nil {
-		t.Fatal(err)
-	}
+	mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyFIFOOrder, Send: order, Model: dls.TwoPort})
+	mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyLIFOOrder, Send: order, Model: dls.TwoPort})
+	mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyLIFO})
 }
 
 func TestFacadeErrNoCommonZ(t *testing.T) {
@@ -146,7 +126,7 @@ func TestFacadeErrNoCommonZ(t *testing.T) {
 		dls.Worker{C: 1, W: 1, D: 0.5},
 		dls.Worker{C: 1, W: 1, D: 0.7},
 	)
-	if _, err := dls.OptimalFIFO(p, dls.Float64); err != dls.ErrNoCommonZ {
+	if _, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO}); err != dls.ErrNoCommonZ {
 		t.Errorf("want ErrNoCommonZ, got %v", err)
 	}
 }
@@ -154,10 +134,7 @@ func TestFacadeErrNoCommonZ(t *testing.T) {
 func TestFacadeFig14(t *testing.T) {
 	app := dls.DefaultApp(400)
 	blocked := dls.Fig14Speeds(1).Platform(app)
-	s, err := dls.OptimalFIFO(blocked, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustSolve(t, dls.Request{Platform: blocked, Strategy: dls.StrategyFIFO}).Schedule
 	for _, w := range s.Participants() {
 		if w == 3 {
 			t.Error("x=1: slow worker enrolled")

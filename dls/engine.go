@@ -907,9 +907,8 @@ func (s *Solver) SolveStream(ctx context.Context, reqs <-chan Request) <-chan St
 	return out
 }
 
-// The default solver backs the package-level Solve/SolveBatch helpers and
-// the deprecated free functions: no cache (every call recomputes, matching
-// the historical semantics), parallelism GOMAXPROCS.
+// The default solver backs the package-level Solve/SolveBatch helpers: no
+// cache (every call recomputes), parallelism GOMAXPROCS.
 var (
 	defaultSolverOnce sync.Once
 	defaultSolver     *Solver

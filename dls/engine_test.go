@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/dls"
+	"repro/internal/obs"
 )
 
 func testPlatform() *dls.Platform {
@@ -305,12 +307,13 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestPairSearchStrategies pins the pair-search strategy knob at the
-// engine level: pair-bb and pair-flat must agree with pair-exhaustive on
-// the optimum, pair-bb must reject exact arithmetic, and a WithTimeout
-// deadline must abort a p = 7 pair-bb solve inside the return-order
-// recursion (the search is far too large to finish in a millisecond).
-func TestPairSearchStrategies(t *testing.T) {
+// TestPairExhaustiveSearch pins the one pair-search strategy at the engine
+// level. Under exact arithmetic it runs the flat loop (the search stage of
+// the request's trace names the algorithm) and agrees with the float64
+// branch-and-bound optimum. A WithTimeout deadline aborts a p = 7 solve
+// inside the return-order recursion: the search is far too large to
+// finish in a millisecond.
+func TestPairExhaustiveSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	p := dls.RandomSpeeds(rng, 4, dls.Heterogeneous).Platform(dls.DefaultApp(100))
 	solver := mustSolver(t)
@@ -319,25 +322,34 @@ func TestPairSearchStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []string{dls.StrategyPairBB, dls.StrategyPairFlat} {
-		res, err := solver.Solve(ctx, dls.Request{Platform: p, Strategy: strat})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if d := res.Throughput - ref.Throughput; d > 1e-9*(1+ref.Throughput) || d < -1e-9*(1+ref.Throughput) {
-			t.Errorf("%s throughput %.12g != pair-exhaustive %.12g", strat, res.Throughput, ref.Throughput)
+	tr := obs.NewTrace("pair-exact", "test", time.Now)
+	res, err := solver.Solve(obs.ContextWithTrace(ctx, tr), dls.Request{Platform: p, Strategy: dls.StrategyPairExhaustive, Arith: dls.Exact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Throughput - ref.Throughput; d > 1e-9*(1+ref.Throughput) || d < -1e-9*(1+ref.Throughput) {
+		t.Errorf("exact throughput %.12g != float64 %.12g", res.Throughput, ref.Throughput)
+	}
+	algo := ""
+	for _, st := range tr.Snapshot().Stages {
+		if st.Name == "search" {
+			for _, a := range st.Attrs {
+				if a.Key == "algo" {
+					algo = a.Value
+				}
+			}
 		}
 	}
-	if _, err := solver.Solve(ctx, dls.Request{Platform: p, Strategy: dls.StrategyPairBB, Arith: dls.Exact}); err == nil {
-		t.Error("pair-bb with exact arithmetic must fail")
+	if algo != "flat" {
+		t.Errorf("exact pair-exhaustive search ran algo %q, want the flat loop", algo)
 	}
 
 	big := dls.RandomSpeeds(rng, 7, dls.Heterogeneous).Platform(dls.DefaultApp(100))
 	timed := mustSolver(t, dls.WithTimeout(time.Millisecond))
 	start := time.Now()
-	_, err = timed.Solve(ctx, dls.Request{Platform: big, Strategy: dls.StrategyPairBB})
+	_, err = timed.Solve(ctx, dls.Request{Platform: big, Strategy: dls.StrategyPairExhaustive})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("want context.DeadlineExceeded from the p=7 pair-bb solve, got %v", err)
+		t.Errorf("want context.DeadlineExceeded from the p=7 pair-exhaustive solve, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v, the recursion is not polling the deadline", elapsed)
@@ -455,8 +467,10 @@ func TestSolveStreamOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineCoversOldAPI solves one request per built-in strategy and
-// checks each against its historical free function.
+// TestEngineCoversOldAPI solves one request per built-in strategy of the
+// paper's historical entrypoints, checks the bus construction against
+// Theorem 2's closed form, and checks that the FIFO strategy surfaces the
+// paper's sentinel error unwrapped.
 func TestEngineCoversOldAPI(t *testing.T) {
 	p := testPlatform()
 	bus := dls.NewBus(0.1, 0.05, 0.4, 0.6, 0.8)
@@ -466,77 +480,52 @@ func TestEngineCoversOldAPI(t *testing.T) {
 	ctx := context.Background()
 	solver := mustSolver(t)
 
-	type probe struct {
-		req  dls.Request
-		want func() (float64, error) // throughput of the old entrypoint
+	probes := map[string]dls.Request{
+		"fifo":            {Platform: p, Strategy: dls.StrategyFIFO},
+		"fifo-two-port":   {Platform: p, Strategy: dls.StrategyFIFO, Model: dls.TwoPort},
+		"lifo":            {Platform: p, Strategy: dls.StrategyLIFO},
+		"scenario":        {Platform: p, Strategy: dls.StrategyScenario, Send: order, Return: rev},
+		"bus-fifo":        {Platform: bus, Strategy: dls.StrategyBusFIFO},
+		"pair-exhaustive": {Platform: p, Strategy: dls.StrategyPairExhaustive},
+		"fifo-affine":     {Platform: p, Strategy: dls.StrategyFIFOAffine, Affine: &aff},
 	}
-	probes := map[string]probe{
-		"fifo": {dls.Request{Platform: p, Strategy: dls.StrategyFIFO}, func() (float64, error) {
-			s, err := dls.OptimalFIFO(p, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
-		}},
-		"fifo-two-port": {dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Model: dls.TwoPort}, func() (float64, error) {
-			s, err := dls.OptimalFIFOTwoPort(p, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
-		}},
-		"lifo": {dls.Request{Platform: p, Strategy: dls.StrategyLIFO}, func() (float64, error) {
-			s, err := dls.OptimalLIFO(p, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
-		}},
-		"scenario": {dls.Request{Platform: p, Strategy: dls.StrategyScenario, Send: order, Return: rev}, func() (float64, error) {
-			s, err := dls.SolveScenario(p, order, rev, dls.OnePort, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
-		}},
-		"bus-fifo": {dls.Request{Platform: bus, Strategy: dls.StrategyBusFIFO}, func() (float64, error) {
-			return dls.BusFIFOThroughput(bus)
-		}},
-		"pair-exhaustive": {dls.Request{Platform: p, Strategy: dls.StrategyPairExhaustive}, func() (float64, error) {
-			pr, err := dls.BestPairExhaustive(p, dls.OnePort, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return pr.Schedule.Throughput(), nil
-		}},
-		"fifo-affine": {dls.Request{Platform: p, Strategy: dls.StrategyFIFOAffine, Affine: &aff}, func() (float64, error) {
-			ar, err := dls.BestFIFOAffine(p, aff, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return ar.Throughput, nil
-		}},
+	rho, err := dls.BusFIFOThroughput(bus)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, pr := range probes {
-		res, err := solver.Solve(ctx, pr.req)
+	for name, req := range probes {
+		res, err := solver.Solve(ctx, req)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		want, err := pr.want()
-		if err != nil {
-			t.Errorf("%s (old API): %v", name, err)
-			continue
+		if !(res.Throughput > 0) {
+			t.Errorf("%s: throughput %g", name, res.Throughput)
 		}
-		if diff := res.Throughput - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: engine throughput %g != old API %g", name, res.Throughput, want)
+		if diff := res.Throughput - rho; name == "bus-fifo" && (diff > 1e-9 || diff < -1e-9) {
+			t.Errorf("bus-fifo: engine throughput %g != Theorem 2 closed form %g", res.Throughput, rho)
 		}
 	}
 
-	// The FIFO strategy surfaces the paper's sentinel error unwrapped.
 	noZ := dls.NewPlatform(dls.Worker{C: 1, W: 1, D: 0.5}, dls.Worker{C: 1, W: 1, D: 0.7})
 	if _, err := solver.Solve(ctx, dls.Request{Platform: noZ, Strategy: dls.StrategyFIFO}); err != dls.ErrNoCommonZ {
 		t.Errorf("want ErrNoCommonZ through the engine, got %v", err)
+	}
+}
+
+// TestErrNoCommonZNamesStrategies checks that the strategies ErrNoCommonZ
+// recommends instead are registered, so its text (which dlsd serves in
+// its 422 body) never names something a client cannot ask for.
+func TestErrNoCommonZNamesStrategies(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, name := range dls.Strategies() {
+		registered[name] = true
+	}
+	msg := dls.ErrNoCommonZ.Error()
+	for _, name := range []string{dls.StrategyFIFOExhaustive, dls.StrategyScenario} {
+		if !strings.Contains(msg, name) || !registered[name] {
+			t.Errorf("ErrNoCommonZ %q must name the registered strategy %q", msg, name)
+		}
 	}
 }
 

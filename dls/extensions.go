@@ -1,8 +1,6 @@
 package dls
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/multiround"
 )
@@ -23,58 +21,6 @@ type AffineResult = core.AffineResult
 // ZeroAffine returns an all-zero affine extension for p workers (reduces
 // to the paper's linear model).
 func ZeroAffine(p int) Affine { return core.ZeroAffine(p) }
-
-// affineOf adapts an engine result to the historical (result, error) shape
-// of the deprecated affine wrappers.
-func affineOf(res *Result, err error) (*AffineResult, error) {
-	if err != nil {
-		return nil, err
-	}
-	return res.Affine, nil
-}
-
-// SolveScenarioAffine computes optimal loads for a fixed scenario under
-// the affine cost model. Enrolled workers pay their fixed costs even at
-// zero load.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyScenarioAffine].
-func SolveScenarioAffine(p *Platform, aff Affine, send, ret Order, model Model, arith Arith) (*AffineResult, error) {
-	return affineOf(Solve(context.Background(), Request{
-		Platform: p, Strategy: StrategyScenarioAffine,
-		Affine: &aff, Send: send, Return: ret, Model: model, Arith: arith,
-	}))
-}
-
-// BestFIFOAffine searches participant subsets (p ≤ 20) for the best
-// one-port FIFO schedule under the affine model, keeping workers in
-// non-decreasing-c order.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyFIFOAffine];
-// the engine adds cancellation and deadlines for this 2^p search.
-func BestFIFOAffine(p *Platform, aff Affine, arith Arith) (*AffineResult, error) {
-	return affineOf(Solve(context.Background(), Request{
-		Platform: p, Strategy: StrategyFIFOAffine, Affine: &aff, Arith: arith,
-	}))
-}
-
-// OptimalFIFOTwoPort computes the optimal two-port FIFO schedule (the
-// companion-paper baseline).
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyFIFO] and
-// Model: [TwoPort].
-func OptimalFIFOTwoPort(p *Platform, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyFIFO, Model: TwoPort, Arith: arith}))
-}
-
-// OptimalLIFOTwoPort computes the optimal two-port LIFO schedule; it
-// coincides with the one-port LIFO optimum since every LIFO schedule obeys
-// the one-port model.
-//
-// Deprecated: use [Solver.Solve] (or [Solve]) with [StrategyLIFO] and
-// Model: [TwoPort].
-func OptimalLIFOTwoPort(p *Platform, arith Arith) (*Schedule, error) {
-	return scheduleOf(Solve(context.Background(), Request{Platform: p, Strategy: StrategyLIFO, Model: TwoPort, Arith: arith}))
-}
 
 // OnePortPenalty returns ρ_two-port / ρ_one-port ≥ 1 for FIFO scheduling
 // on the platform: the throughput cost of the one-port restriction.

@@ -14,23 +14,15 @@ func TestFacadeAffine(t *testing.T) {
 		dls.Worker{C: 0.08, W: 0.2, D: 0.04},
 	)
 	order := dls.Order{0, 1}
-	zero, err := dls.SolveScenarioAffine(p, dls.ZeroAffine(2), order, order, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := dls.SolveScenario(p, order, order, dls.OnePort, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(zero.Throughput-linear.Throughput()) > 1e-7 {
-		t.Errorf("zero affine %g != linear %g", zero.Throughput, linear.Throughput())
+	zeroAff := dls.ZeroAffine(2)
+	zero := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyScenarioAffine, Affine: &zeroAff, Send: order, Return: order}).Affine
+	linear := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyScenario, Send: order, Return: order})
+	if math.Abs(zero.Throughput-linear.Throughput) > 1e-7 {
+		t.Errorf("zero affine %g != linear %g", zero.Throughput, linear.Throughput)
 	}
 	aff := dls.ZeroAffine(2)
 	aff.In[0], aff.In[1] = 0.1, 0.1
-	best, err := dls.BestFIFOAffine(p, aff, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyFIFOAffine, Affine: &aff}).Affine
 	if !best.Feasible || best.Throughput <= 0 {
 		t.Errorf("affine best: %+v", best)
 	}
@@ -43,26 +35,14 @@ func TestFacadeTwoPort(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	sp := dls.RandomSpeeds(rng, 5, dls.Heterogeneous)
 	p := sp.Platform(dls.DefaultApp(100))
-	two, err := dls.OptimalFIFOTwoPort(p, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := dls.OptimalFIFO(p, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if two.Throughput() < one.Throughput()-1e-9 {
+	two := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Model: dls.TwoPort})
+	one := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyFIFO})
+	if two.Throughput < one.Throughput-1e-9 {
 		t.Error("two-port below one-port")
 	}
-	lifo2, err := dls.OptimalLIFOTwoPort(p, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lifo1, err := dls.OptimalLIFO(p, dls.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lifo1.Throughput()-lifo2.Throughput()) > 1e-7 {
+	lifo2 := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyLIFO, Model: dls.TwoPort})
+	lifo1 := mustSolve(t, dls.Request{Platform: p, Strategy: dls.StrategyLIFO})
+	if math.Abs(lifo1.Throughput-lifo2.Throughput) > 1e-7 {
 		t.Error("LIFO optima differ across models")
 	}
 	pen, err := dls.OnePortPenalty(p, dls.Float64)

@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 )
 
-// Names of the built-in strategies. Every scheduling entrypoint of the
-// historical free-function API is reachable through one of them.
+// Names of the built-in strategies: the one way to ask the engine for each
+// of the paper's schedules.
 const (
 	// StrategyFIFO is the optimal FIFO schedule: Theorem 1 + Proposition 1
 	// under the one-port model (requires a common z = d/c), the companion
@@ -46,18 +46,10 @@ const (
 	// StrategyPairExhaustive searches all (σ1, σ2) permutation pairs
 	// (p ≤ 8; p ≤ 5 under exact arithmetic, whose flat loop runs
 	// unpruned) — the general problem whose complexity the paper leaves
-	// open. It explores with the default algorithm: the return-order
-	// branch-and-bound for float64 backends, the flat double loop under
-	// exact arithmetic.
+	// open. The search picks its algorithm from the arithmetic: the
+	// return-order branch-and-bound for float64 backends, the flat double
+	// loop under exact arithmetic.
 	StrategyPairExhaustive = "pair-exhaustive"
-	// StrategyPairBB forces the branch-and-bound pair search: return
-	// orders are explored as prefix trees and whole subtrees are cut by
-	// the eval-layer prefix bound. Float64 backends only.
-	StrategyPairBB = "pair-bb"
-	// StrategyPairFlat forces the flat p!×p! pair search (send-prefix
-	// reuse, whole-inner-loop pruning) — the agreement-testing baseline
-	// and the exact-arithmetic path.
-	StrategyPairFlat = "pair-flat"
 	// StrategyFIFOAffine searches participant subsets (p ≤ 20) for the best
 	// one-port FIFO schedule under the affine cost model of Request.Affine,
 	// branch-and-bound over the subset lattice on float64 backends.
@@ -66,23 +58,6 @@ const (
 	// affine cost model of Request.Affine.
 	StrategyScenarioAffine = "scenario-affine"
 )
-
-// PairStrategyForSearch maps the CLI pair-search spellings onto the
-// engine's pair-search strategies: "auto" → StrategyPairExhaustive,
-// "bb" → StrategyPairBB, "flat" → StrategyPairFlat. Both CLIs (`dlsfifo
-// brute -search`, `dlsexp -pair-search`) resolve their flags here, so the
-// spellings cannot diverge.
-func PairStrategyForSearch(name string) (string, error) {
-	switch name {
-	case "auto":
-		return StrategyPairExhaustive, nil
-	case "bb":
-		return StrategyPairBB, nil
-	case "flat":
-		return StrategyPairFlat, nil
-	}
-	return "", fmt.Errorf("dls: unknown pair-search algorithm %q (auto | bb | flat)", name)
-}
 
 // StrategyFunc computes a Result for a prepared Request. The engine has
 // already validated the platform, resolved the arithmetic default and
@@ -237,18 +212,13 @@ func init() {
 		}
 		return &Result{Schedule: s, Send: order, Return: order.Reverse()}, nil
 	})
-	pairSearch := func(algo core.PairAlgo) StrategyFunc {
-		return func(ctx context.Context, req Request) (*Result, error) {
-			pr, err := core.BestPairExhaustiveAlgo(ctx, req.Platform, req.Model, req.Eval, algo)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Schedule: pr.Schedule, Send: pr.Send, Return: pr.Return}, nil
+	mustRegisterStrategy(StrategyPairExhaustive, func(ctx context.Context, req Request) (*Result, error) {
+		pr, err := core.BestPairExhaustiveEval(ctx, req.Platform, req.Model, req.Eval)
+		if err != nil {
+			return nil, err
 		}
-	}
-	mustRegisterStrategy(StrategyPairExhaustive, pairSearch(core.PairAuto))
-	mustRegisterStrategy(StrategyPairBB, pairSearch(core.PairBB))
-	mustRegisterStrategy(StrategyPairFlat, pairSearch(core.PairFlat))
+		return &Result{Schedule: pr.Schedule, Send: pr.Send, Return: pr.Return}, nil
+	})
 	mustRegisterStrategy(StrategyFIFOAffine, func(ctx context.Context, req Request) (*Result, error) {
 		if req.Affine == nil {
 			return nil, fmt.Errorf("dls: strategy %q requires Request.Affine", StrategyFIFOAffine)

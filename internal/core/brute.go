@@ -587,7 +587,7 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 		}
 	case PairBB:
 		if mode == eval.ExactRational {
-			return nil, fmt.Errorf("core: pair-bb requires a float64 evaluation backend (the prefix bounds cannot certify exact-rational comparisons); use pair-flat with exact")
+			return nil, fmt.Errorf("core: the branch-and-bound pair search requires a float64 evaluation backend (the prefix bounds cannot certify exact-rational comparisons); pair-exhaustive with exact arithmetic runs the flat search")
 		}
 	case PairFlat:
 		// Always available.

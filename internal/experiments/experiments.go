@@ -61,12 +61,6 @@ type Config struct {
 	// and tight-system backends over the simplex; the agreement between
 	// backends is itself covered by the internal/eval property tests.
 	Eval dls.EvalMode
-	// PairStrategy names the engine strategy driving the pair-search
-	// figure ("pair"): StrategyPairExhaustive when empty (the default
-	// algorithm — branch-and-bound for float64 backends), or
-	// StrategyPairBB / StrategyPairFlat to pin one algorithm for
-	// agreement runs (the CLI's -pair-search knob).
-	PairStrategy string
 	// SearchParallelism is the intra-request worker count of the
 	// exhaustive order-space searches (the "pair" figure): 0 uses one
 	// worker per CPU, 1 the serial search. Results are byte-identical at

@@ -259,38 +259,22 @@ func TestFig14ParticipationX3(t *testing.T) {
 
 // TestFigPairGap pins the open-question probe: the FIFO and LIFO optima
 // can never beat the unrestricted pair optimum (ratios ≤ 1 up to LP
-// noise), and the figure's output is identical whichever pair-search
-// algorithm computes it — the bb/flat knob changes exploration, never
-// results.
+// noise). The branch-and-bound and flat searches agree on the optimum by
+// core.TestPairBBAgreesWithFlat.
 func TestFigPairGap(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Platforms = 4
-	run := func(strategy string) *Result {
-		c := cfg
-		c.PairStrategy = strategy
-		res, err := FigPairGap(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := FigPairGap(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bb := run("pair-bb")
 	for _, name := range []string{"FIFO-opt/pair", "LIFO-opt/pair"} {
-		for i, v := range seriesByName(t, bb, name) {
+		for i, v := range seriesByName(t, res, name) {
 			if v > 1+1e-9 {
-				t.Errorf("%s at p=%g is %g > 1: a discipline beat the unrestricted optimum", name, bb.X[i], v)
+				t.Errorf("%s at p=%g is %g > 1: a discipline beat the unrestricted optimum", name, res.X[i], v)
 			}
 			if v < 0.5 {
-				t.Errorf("%s at p=%g is %g — implausibly far from the optimum", name, bb.X[i], v)
-			}
-		}
-	}
-	flat := run("pair-flat")
-	for si := range bb.Series {
-		for i := range bb.Series[si].Y {
-			a, b := bb.Series[si].Y[i], flat.Series[si].Y[i]
-			if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
-				t.Errorf("series %q point %d: bb %g != flat %g", bb.Series[si].Name, i, a, b)
+				t.Errorf("%s at p=%g is %g — implausibly far from the optimum", name, res.X[i], v)
 			}
 		}
 	}

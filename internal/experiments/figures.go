@@ -202,18 +202,11 @@ func Fig14Participation(cfg Config, x float64) (*Result, error) {
 // (σ1, σ2) optimum, measured exhaustively on small heterogeneous star
 // platforms. For each worker count p the figure averages, over random
 // platforms, the ratio of the optimal-FIFO and optimal-LIFO throughputs to
-// the best permutation pair's. The pair searches run through the engine
-// strategy named by cfg.PairStrategy, making the figure double as an
-// agreement workload for the branch-and-bound versus flat search
-// algorithms (identical output expected at any setting, like the
-// parallelism knob).
+// the best permutation pair's, found by the engine's pair-exhaustive
+// strategy.
 func FigPairGap(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	pairStrategy := cfg.PairStrategy
-	if pairStrategy == "" {
-		pairStrategy = dls.StrategyPairExhaustive
 	}
 	// Worker counts stay at pair-search scale: p = 5 already means 120
 	// send orders over up to 120 return orders per platform. Platform
@@ -244,7 +237,7 @@ func FigPairGap(cfg Config) (*Result, error) {
 		reqs := make([]dls.Request, 0, 3*platforms)
 		for i := 0; i < platforms; i++ {
 			plat := platform.RandomSpeeds(rng, p, platform.Heterogeneous).Platform(app)
-			for _, strat := range []string{pairStrategy, dls.StrategyFIFOExhaustive, dls.StrategyLIFOExhaustive} {
+			for _, strat := range []string{dls.StrategyPairExhaustive, dls.StrategyFIFOExhaustive, dls.StrategyLIFOExhaustive} {
 				reqs = append(reqs, dls.Request{Platform: plat, Strategy: strat, Eval: cfg.Eval})
 			}
 		}
@@ -265,7 +258,7 @@ func FigPairGap(cfg Config) (*Result, error) {
 		res.Series[2].Y = append(res.Series[2].Y, lifoRatio/float64(platforms))
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("pair search strategy: %s (averages over %d random heterogeneous platforms per point)", pairStrategy, platforms),
+		fmt.Sprintf("pair search strategy: %s (averages over %d random heterogeneous platforms per point)", dls.StrategyPairExhaustive, platforms),
 		"the ratios measure the paper's open question: neither discipline is optimal in general,",
 		"  but both stay within a few percent of the unrestricted optimum on random platforms")
 	return res, nil
