@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -421,14 +422,37 @@ func (s *Solver) prepare(req Request) (Request, StrategyFunc, error) {
 
 // cacheKey builds the memoization key of a prepared request. Load is
 // excluded: Makespan is derived from the cached throughput per request.
+// Every field is delimited ('|' between fields, brackets and commas
+// around orders), so distinct requests get distinct keys up to the cost
+// hashes.
 func (req Request) cacheKey() string {
-	var b strings.Builder
-	b.WriteString(req.Platform.Fingerprint())
-	fmt.Fprintf(&b, "|%s|%d|%d|%d|%v|%v", req.Strategy, int(req.Model), int(req.Arith), int(req.Eval), []int(req.Send), []int(req.Return))
-	if req.Affine != nil {
-		fmt.Fprintf(&b, "|aff-%016x", platform.HashFloats(req.Affine.In, req.Affine.Out, req.Affine.Comp))
+	var arr [128]byte // the key of a typical request fits on the stack
+	b := req.Platform.AppendFingerprint(arr[:0])
+	b = append(b, '|')
+	b = append(b, req.Strategy...)
+	for _, v := range [...]int{int(req.Model), int(req.Arith), int(req.Eval)} {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	b = appendOrder(append(b, '|'), req.Send)
+	b = appendOrder(append(b, '|'), req.Return)
+	if req.Affine != nil {
+		b = append(b, "|aff-"...)
+		b = strconv.AppendUint(b, platform.HashFloats(req.Affine.In, req.Affine.Out, req.Affine.Comp), 16)
+	}
+	return string(b)
+}
+
+// appendOrder appends an order as [i,j,...].
+func appendOrder(b []byte, o Order) []byte {
+	b = append(b, '[')
+	for i, v := range o {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // finish stamps the derived fields of a result for one specific request.

@@ -41,36 +41,93 @@ func ParseArith(s string) (Arith, error) {
 	return 0, fmt.Errorf("dls: unknown arithmetic %q (%s | %s)", s, ArithName(Float64), ArithName(Exact))
 }
 
-// affineWire is the JSON shape of an Affine extension.
-type affineWire struct {
+// WireRequest is the one JSON shape of a Request, for both directions:
+// Request.MarshalJSON encodes through it, Request.UnmarshalJSON decodes
+// into it, and a server decodes request bodies straight into it. Enum
+// fields are strings; empty strings mean the zero value, so marshalling
+// omits defaults and both spellings unmarshal identically. No field has
+// its own UnmarshalJSON, so encoding/json decodes a body in one pass
+// instead of re-scanning the bytes of every nested value.
+type WireRequest struct {
+	Platform *WirePlatform `json:"platform,omitempty"`
+	Strategy string        `json:"strategy"`
+	Model    string        `json:"model,omitempty"`
+	Arith    string        `json:"arith,omitempty"`
+	Eval     string        `json:"eval,omitempty"`
+	Send     []int         `json:"send,omitempty"`
+	Return   []int         `json:"return,omitempty"`
+	Affine   *WireAffine   `json:"affine,omitempty"`
+	Load     float64       `json:"load,omitempty"`
+}
+
+// WirePlatform is a Platform without its JSON methods: the worker list
+// decodes inline, and WireRequest.Request normalizes it afterwards.
+type WirePlatform Platform
+
+// WireAffine is the JSON shape of an Affine extension.
+type WireAffine struct {
 	In   []float64 `json:"in"`
 	Out  []float64 `json:"out"`
 	Comp []float64 `json:"comp"`
 }
 
-// requestWire is the JSON shape of a Request. Enum fields are strings;
-// empty strings mean the zero value, so marshalling omits defaults and
-// both spellings unmarshal identically.
-type requestWire struct {
-	Platform *Platform   `json:"platform,omitempty"`
-	Strategy string      `json:"strategy"`
-	Model    string      `json:"model,omitempty"`
-	Arith    string      `json:"arith,omitempty"`
-	Eval     string      `json:"eval,omitempty"`
-	Send     []int       `json:"send,omitempty"`
-	Return   []int       `json:"return,omitempty"`
-	Affine   *affineWire `json:"affine,omitempty"`
-	Load     float64     `json:"load,omitempty"`
+// Request converts the wire shape to a Request. It parses the enum
+// names, rejecting unknown ones, and normalizes the platform: unnamed
+// workers get their default names and the costs are validated. The
+// request takes over the wire's slices without copying. Full request
+// validation (strategy lookup, order shapes) stays with Solver.prepare.
+func (w *WireRequest) Request() (Request, error) {
+	model, err := ParseModel(w.Model)
+	if err != nil {
+		return Request{}, err
+	}
+	arith, err := ParseArith(w.Arith)
+	if err != nil {
+		return Request{}, err
+	}
+	evalMode := EvalAuto
+	if w.Eval != "" {
+		if evalMode, err = ParseEvalMode(w.Eval); err != nil {
+			return Request{}, err
+		}
+	}
+	plat := (*Platform)(w.Platform)
+	if plat != nil {
+		if err := plat.Normalize(); err != nil {
+			return Request{}, err
+		}
+	}
+	req := Request{
+		Platform: plat,
+		Strategy: w.Strategy,
+		Model:    model,
+		Arith:    arith,
+		Eval:     evalMode,
+		Send:     w.Send,
+		Return:   w.Return,
+		Affine:   (*Affine)(w.Affine),
+		Load:     w.Load,
+	}
+	// An empty order is no order. Marshalling omits both, so both decode
+	// to nil and every request has one canonical wire form.
+	if len(req.Send) == 0 {
+		req.Send = nil
+	}
+	if len(req.Return) == 0 {
+		req.Return = nil
+	}
+	return req, nil
 }
 
 // MarshalJSON encodes the request in the wire format. Zero-valued knobs
 // (one-port model, float64 arithmetic, auto eval, no load) are omitted.
 func (req Request) MarshalJSON() ([]byte, error) {
-	w := requestWire{
-		Platform: req.Platform,
+	w := WireRequest{
+		Platform: (*WirePlatform)(req.Platform),
 		Strategy: req.Strategy,
 		Send:     req.Send,
 		Return:   req.Return,
+		Affine:   (*WireAffine)(req.Affine),
 		Load:     req.Load,
 	}
 	if req.Model != OnePort {
@@ -82,46 +139,20 @@ func (req Request) MarshalJSON() ([]byte, error) {
 	if req.Eval != EvalAuto {
 		w.Eval = req.Eval.String()
 	}
-	if req.Affine != nil {
-		w.Affine = &affineWire{In: req.Affine.In, Out: req.Affine.Out, Comp: req.Affine.Comp}
-	}
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the wire format, rejecting unknown enum names.
-// The platform payload is validated by its own unmarshaller; full request
-// validation (strategy lookup, order shapes) stays with Solver.prepare.
+// UnmarshalJSON decodes the wire format: one pass into WireRequest, then
+// WireRequest.Request.
 func (req *Request) UnmarshalJSON(data []byte) error {
-	var w requestWire
+	var w WireRequest
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	model, err := ParseModel(w.Model)
+	r, err := w.Request()
 	if err != nil {
 		return err
 	}
-	arith, err := ParseArith(w.Arith)
-	if err != nil {
-		return err
-	}
-	evalMode := EvalAuto
-	if w.Eval != "" {
-		if evalMode, err = ParseEvalMode(w.Eval); err != nil {
-			return err
-		}
-	}
-	*req = Request{
-		Platform: w.Platform,
-		Strategy: w.Strategy,
-		Model:    model,
-		Arith:    arith,
-		Eval:     evalMode,
-		Send:     w.Send,
-		Return:   w.Return,
-		Load:     w.Load,
-	}
-	if w.Affine != nil {
-		req.Affine = &Affine{In: w.Affine.In, Out: w.Affine.Out, Comp: w.Affine.Comp}
-	}
+	*req = r
 	return nil
 }

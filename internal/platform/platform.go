@@ -27,6 +27,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/numeric"
@@ -56,12 +57,26 @@ type Platform struct {
 func New(workers ...Worker) *Platform {
 	p := &Platform{Workers: make([]Worker, len(workers))}
 	copy(p.Workers, workers)
+	p.defaultNames()
+	return p
+}
+
+// defaultNames labels every unnamed worker Pi, with i its 1-based index.
+func (p *Platform) defaultNames() {
 	for i := range p.Workers {
 		if p.Workers[i].Name == "" {
-			p.Workers[i].Name = fmt.Sprintf("P%d", i+1)
+			p.Workers[i].Name = "P" + strconv.Itoa(i+1)
 		}
 	}
-	return p
+}
+
+// Normalize finishes a platform decoded from a worker list: it labels
+// the unnamed workers Pi, as New does, and validates the result. It is
+// the last step of every decoder of the wire format: UnmarshalJSON here
+// and the request decoder of package dls.
+func (p *Platform) Normalize() error {
+	p.defaultNames()
+	return p.Validate()
 }
 
 // NewBus builds a bus platform: all workers share the communication costs c
@@ -145,9 +160,8 @@ func (p *Platform) IsBus() bool {
 }
 
 // HashFloats returns an FNV-1a hash over the exact float64 bit patterns of
-// the given slices, each prefixed with its length. It is the one place the
-// cost-hashing scheme lives: Fingerprint and the dls engine's cache keys
-// (which also hash affine cost slices) both build on it.
+// the given slices, each prefixed with its length. The dls engine's cache
+// keys hash affine cost slices with it.
 func HashFloats(slices ...[]float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -166,15 +180,31 @@ func HashFloats(slices ...[]float64) uint64 {
 // a hash over every worker's (C, W, D) costs, prefixed with the worker
 // count. Worker names are excluded — they never influence scheduling
 // mathematics — so two platforms that differ only in labels share a
-// fingerprint. Used as a cache key component by the dls engine.
+// fingerprint.
 func (p *Platform) Fingerprint() string {
-	cs := make([]float64, len(p.Workers))
-	ws := make([]float64, len(p.Workers))
-	ds := make([]float64, len(p.Workers))
-	for i, w := range p.Workers {
-		cs[i], ws[i], ds[i] = w.C, w.W, w.D
+	return string(p.AppendFingerprint(nil))
+}
+
+// AppendFingerprint appends Fingerprint to b without allocating: the
+// dls engine builds its cache keys on it. The hash takes one pass over
+// Workers, folding in each worker's C, W and D bit patterns.
+func (p *Platform) AppendFingerprint(b []byte) []byte {
+	h := fnv.New64a()
+	var buf [24]byte
+	h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(p.Workers))))
+	for _, w := range p.Workers {
+		word := binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(w.C))
+		word = binary.LittleEndian.AppendUint64(word, math.Float64bits(w.W))
+		h.Write(binary.LittleEndian.AppendUint64(word, math.Float64bits(w.D)))
 	}
-	return fmt.Sprintf("p%d-%016x", len(p.Workers), HashFloats(cs, ws, ds))
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(len(p.Workers)), 10)
+	b = append(b, '-')
+	sum := h.Sum64()
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	return b
 }
 
 // Mirror returns the platform with forward and return costs swapped
@@ -307,24 +337,12 @@ func (p *Platform) String() string {
 	return b.String()
 }
 
-// MarshalJSON implements json.Marshaler (value receiver would copy; the
-// default struct marshalling is sufficient, this exists for symmetry and
-// stability of the wire format).
-func (p *Platform) MarshalJSON() ([]byte, error) {
-	type alias Platform
-	return json.Marshal((*alias)(p))
-}
-
-// UnmarshalJSON implements json.Unmarshaler and validates the result.
+// UnmarshalJSON implements json.Unmarshaler: it decodes the worker list
+// and normalizes the result (default names, validation).
 func (p *Platform) UnmarshalJSON(data []byte) error {
 	type alias Platform
 	if err := json.Unmarshal(data, (*alias)(p)); err != nil {
 		return err
 	}
-	for i := range p.Workers {
-		if p.Workers[i].Name == "" {
-			p.Workers[i].Name = fmt.Sprintf("P%d", i+1)
-		}
-	}
-	return p.Validate()
+	return p.Normalize()
 }

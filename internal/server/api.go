@@ -21,12 +21,48 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"repro/dls"
 )
 
 // BatchRequest is the body of POST /v1/solve/batch.
 type BatchRequest struct {
 	Requests []dls.Request `json:"requests"`
+}
+
+// batchWire is the decode shape of a BatchRequest: its slots stay in
+// the dls wire shape, so the whole body decodes in one pass.
+type batchWire struct {
+	Requests []dls.WireRequest `json:"requests"`
+}
+
+// decodeSolve decodes a POST /v1/solve body. The body must be exactly one
+// JSON value: anything after it other than whitespace is an error.
+func decodeSolve(data []byte) (dls.Request, error) {
+	var wire dls.WireRequest
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return dls.Request{}, err
+	}
+	return wire.Request()
+}
+
+// decodeBatch decodes a POST /v1/solve/batch body, under the same rules
+// as decodeSolve. A slot that fails to convert fails the whole body.
+func decodeBatch(data []byte) ([]dls.Request, error) {
+	var batch batchWire
+	if err := json.Unmarshal(data, &batch); err != nil {
+		return nil, err
+	}
+	reqs := make([]dls.Request, len(batch.Requests))
+	for i := range batch.Requests {
+		var err error
+		if reqs[i], err = batch.Requests[i].Request(); err != nil {
+			return nil, fmt.Errorf("request %d: %w", i, err)
+		}
+	}
+	return reqs, nil
 }
 
 // SolveResponse is the wire form of one solved request.

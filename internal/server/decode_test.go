@@ -1,0 +1,266 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/dls"
+)
+
+// postRaw posts body verbatim and returns the status and response body.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// validSolve is a solvable /v1/solve body.
+const validSolve = `{"platform":{"workers":[{"c":0.05,"w":0.4,"d":0.025},{"c":0.1,"w":0.3,"d":0.05}]},"strategy":"inc-c"}`
+
+// TestServeDecodeBoundaries pins the boundary checks of request decoding
+// on both routes: every check the wire conversion makes answers 400, a
+// null slot is a per-slot failure, and a null enum is its default. The
+// batch route carries the same body as its only slot.
+func TestServeDecodeBoundaries(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	platform := `"platform":{"workers":[{"c":0.05,"w":0.4,"d":0.025}]}`
+	for _, tc := range []struct {
+		name  string
+		body  string
+		solve int // status on /v1/solve
+		batch int // status on /v1/solve/batch
+		slot  bool
+	}{
+		{"valid", validSolve, http.StatusOK, http.StatusOK, false},
+		{"unknown model", `{` + platform + `,"strategy":"inc-c","model":"three-port"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"unknown arith", `{` + platform + `,"strategy":"inc-c","arith":"decimal"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"unknown eval", `{` + platform + `,"strategy":"inc-c","eval":"magic"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"zero c", `{"platform":{"workers":[{"c":0,"w":0.4,"d":0.025}]},"strategy":"inc-c"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"negative c", `{"platform":{"workers":[{"c":-1,"w":0.4,"d":0.025}]},"strategy":"inc-c"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"no workers", `{"platform":{"workers":[]},"strategy":"inc-c"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"malformed", `{"strategy":`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"wrong type", `{"strategy":"inc-c","load":"ten"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"null", `null`, http.StatusUnprocessableEntity, http.StatusOK, true},
+		{"null model", `{` + platform + `,"strategy":"inc-c","model":null}`, http.StatusOK, http.StatusOK, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, body := postRaw(t, ts.URL+"/v1/solve", tc.body)
+			if status != tc.solve {
+				t.Errorf("/v1/solve: status %d, want %d: %s", status, tc.solve, body)
+			}
+			if tc.name == "null model" && status == http.StatusOK {
+				var out SolveResponse
+				if err := json.Unmarshal(body, &out); err != nil || out.Model != dls.ModelName(dls.OnePort) {
+					t.Errorf("/v1/solve: null model answered %s (%v), want the one-port default", body, err)
+				}
+			}
+			status, body = postRaw(t, ts.URL+"/v1/solve/batch", `{"requests":[`+tc.body+`]}`)
+			if status != tc.batch {
+				t.Fatalf("/v1/solve/batch: status %d, want %d: %s", status, tc.batch, body)
+			}
+			if status != http.StatusOK {
+				return
+			}
+			var out BatchResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if failed := len(out.Errors) == 1 && out.Errors[0] != "" && out.Results[0] == nil; failed != tc.slot {
+				t.Errorf("/v1/solve/batch: slot failed = %v, want %v: %s", failed, tc.slot, body)
+			}
+		})
+	}
+}
+
+// TestServeRejectsTrailingData: a body is exactly one JSON value. Data
+// after it, even a second complete request, is a 400 on both routes.
+func TestServeRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	batch := `{"requests":[` + validSolve + `]}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/solve", validSolve + ` xyz`},
+		{"/v1/solve", validSolve + ` {"strategy":"nope"}`},
+		{"/v1/solve", validSolve + validSolve},
+		{"/v1/solve/batch", batch + `]]]`},
+		{"/v1/solve/batch", batch + ` ` + batch},
+	} {
+		if status, body := postRaw(t, ts.URL+tc.path, tc.body); status != http.StatusBadRequest {
+			t.Errorf("%s %q: status %d, want 400: %s", tc.path, tc.body, status, body)
+		}
+	}
+	// Trailing whitespace is not data.
+	for path, body := range map[string]string{"/v1/solve": validSolve, "/v1/solve/batch": batch} {
+		if status, out := postRaw(t, ts.URL+path, body+" \n\t\r\n"); status != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d: %s", path, status, out)
+		}
+	}
+}
+
+// TestServeOversizedBody: a body over Config.MaxBody answers 413, the
+// status of the batch-count cap, on both routes; a body of exactly
+// MaxBody bytes is read.
+func TestServeOversizedBody(t *testing.T) {
+	const limit = 256
+	_, ts := newTestServer(t, Config{MaxBody: limit})
+	// Pad inside the value, so the JSON value itself crosses the cap.
+	pad := func(body string, n int) string { return body[:1] + strings.Repeat(" ", n-len(body)) + body[1:] }
+	batch := `{"requests":[` + validSolve + `]}`
+	for path, body := range map[string]string{"/v1/solve": validSolve, "/v1/solve/batch": batch} {
+		if status, out := postRaw(t, ts.URL+path, pad(body, limit)); status != http.StatusOK {
+			t.Errorf("%s at the cap: status %d: %s", path, status, out)
+		}
+		if status, out := postRaw(t, ts.URL+path, pad(body, limit+1)); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s over the cap: status %d, want 413: %s", path, status, out)
+		}
+	}
+}
+
+// decodeSeeds are the FuzzRequestJSON seeds of package dls plus
+// marshalled random requests and the bodies of the tests above.
+func decodeSeeds() [][]byte {
+	seeds := [][]byte{
+		[]byte(`{"strategy":"fifo"}`),
+		[]byte(`{"strategy":"scenario","model":"two-port","send":[1,0],"return":[0,1]}`),
+		[]byte(`{"platform":{"workers":[{"c":0.1,"w":0.5,"d":0.05}]},"strategy":"lifo","arith":"exact","load":10}`),
+		[]byte(`{"strategy":"fifo-affine","affine":{"in":[0.1],"out":[0.2],"comp":[0.3]}}`),
+		[]byte(validSolve),
+		[]byte(validSolve + ` xyz`),
+		[]byte(`null`),
+		[]byte(`{"platform":{"workers":[{"c":0,"w":1,"d":1}]},"strategy":"fifo","model":null}`),
+		[]byte(`{"platform":{"workers":[{"name":"x","c":1,"w":1,"d":1},{"c":2,"w":2,"d":2}]},"platform":null,"eval":"direct"}`),
+	}
+	rng := rand.New(rand.NewSource(5152))
+	for _, req := range chainBatchRequests(rng, 8) {
+		data, err := json.Marshal(req)
+		if err != nil {
+			panic(err)
+		}
+		seeds = append(seeds, data)
+	}
+	return seeds
+}
+
+// FuzzDecodeAgreement: on arbitrary bytes, the server's decode path and
+// json.Unmarshal into dls.Request accept and reject the same bodies and
+// agree on what they accept. A body that is one JSON value decodes as the
+// only slot of a batch to the same request, or fails there too.
+func FuzzDecodeAgreement(f *testing.F) {
+	for _, seed := range decodeSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := decodeSolve(data)
+		var want dls.Request
+		wantErr := json.Unmarshal(data, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeSolve error %v, json.Unmarshal error %v on %q", gotErr, wantErr, data)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodes differ on %q:\n  server: %+v\n  dls:    %+v", data, got, want)
+		}
+		if !json.Valid(data) {
+			return
+		}
+		slots, err := decodeBatch([]byte(`{"requests":[` + string(data) + `]}`))
+		if (err == nil) != (gotErr == nil) {
+			t.Fatalf("decodeBatch error %v, decodeSolve error %v on %q", err, gotErr, data)
+		}
+		if err == nil && (len(slots) != 1 || !reflect.DeepEqual(slots[0], got)) {
+			t.Fatalf("batch slot differs on %q:\n  batch: %+v\n  solve: %+v", data, slots, got)
+		}
+	})
+}
+
+// chainBatchRequests draws n requests shaped like the dlsbench
+// chain-batch workload: p = 8 or 12 on size-2000 matrix platforms, the
+// chain strategies with a load, a send order on fifo-order, and one
+// slot in eight repeating an earlier one.
+func chainBatchRequests(rng *rand.Rand, n int) []dls.Request {
+	strategies := []string{dls.StrategyIncC, dls.StrategyIncW, dls.StrategyDecC, dls.StrategyLIFO, dls.StrategyFIFOOrder}
+	reqs := make([]dls.Request, n)
+	for i := range reqs {
+		if i > 0 && rng.Float64() < 1.0/8 {
+			reqs[i] = reqs[rng.Intn(i)]
+			continue
+		}
+		p := 8 + 4*rng.Intn(2)
+		plat := dls.RandomSpeeds(rng, p, dls.Heterogeneous).Platform(dls.DefaultApp(2000))
+		reqs[i] = dls.Request{Platform: plat, Strategy: strategies[rng.Intn(len(strategies))], Load: 1000}
+		if reqs[i].Strategy == dls.StrategyFIFOOrder {
+			reqs[i].Send = dls.Order(rng.Perm(p))
+		}
+	}
+	return reqs
+}
+
+// batchSlots is the slot count of the decode and handler benchmarks,
+// the chain-batch body size.
+const batchSlots = 64
+
+func chainBatchBody(b *testing.B) []byte {
+	body, err := json.Marshal(BatchRequest{Requests: chainBatchRequests(rand.New(rand.NewSource(4254)), batchSlots)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDecodeBatch decodes a 64-slot chain-batch body, the handler's
+// decode step on its own. It reports the slot count, so allocs/op
+// divides into allocations per slot.
+func BenchmarkDecodeBatch(b *testing.B) {
+	body := chainBatchBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := decodeBatch(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(batchSlots, "slots")
+}
+
+// BenchmarkHandleBatch serves a 64-slot chain-batch body through
+// ServeHTTP without an admission window, every slot answered from the
+// cache: the handler layer (read, decode, admit, encode) with the
+// solver's work reduced to cache reads.
+func BenchmarkHandleBatch(b *testing.B) {
+	solver, err := dls.NewSolver(dls.WithCache(1024))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{Solver: solver, NoBatchWindow: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	body := chainBatchBody(b)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // fill the cache
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+}

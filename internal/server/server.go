@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -207,6 +208,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
 }
 
+// readBody reads the whole request body, at most Config.MaxBody bytes.
+// It answers a larger body with 413 and any other read failure with 400;
+// ok is false once it has answered.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (data []byte, ok bool) {
+	// Size the buffer from Content-Length, but never commit more than
+	// 1 MiB up front to a length the client has only claimed.
+	hint := min(max(r.ContentLength, 0), s.cfg.MaxBody, 1<<20)
+	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte cap", tooLarge.Limit)
+			return nil, false
+		}
+		writeError(w, http.StatusBadRequest, "reading request: %s", err)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
 // writeError writes an ErrorResponse.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
@@ -314,9 +335,12 @@ func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
 
 // handleSolve answers POST /v1/solve.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req dls.Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	data, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := decodeSolve(data)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %s", err)
 		return
 	}
@@ -352,18 +376,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // with whatever else is in flight. Slots that fail keep their error
 // message; if the whole batch was shed the response is a single 429.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var batch BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
+	data, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	reqs, err := decodeBatch(data)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding batch: %s", err)
 		return
 	}
-	if len(batch.Requests) == 0 {
+	if len(reqs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(batch.Requests) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d requests exceeds the %d cap", len(batch.Requests), s.cfg.MaxBatch)
+	if len(reqs) > s.cfg.MaxBatch {
+		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d requests exceeds the %d cap", len(reqs), s.cfg.MaxBatch)
 		return
 	}
 	ctx, cancel, err := requestContext(r)
@@ -382,12 +409,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// admission windows and dedup groups, so their stage timelines
 	// genuinely differ. No response writer — one header cannot carry
 	// every slot's trace id.
-	ctxs := make([]context.Context, len(batch.Requests))
-	finishTraces := make([]func(error), len(batch.Requests))
-	for i := range batch.Requests {
+	ctxs := make([]context.Context, len(reqs))
+	finishTraces := make([]func(error), len(reqs))
+	for i := range reqs {
 		ctxs[i], finishTraces[i] = s.traceRequest(ctx, r, nil, "/v1/solve/batch")
 	}
-	results, errs := s.batcher.SubmitBatch(ctxs, batch.Requests, class)
+	results, errs := s.batcher.SubmitBatch(ctxs, reqs, class)
 	for i, err := range errs {
 		finishTraces[i](err)
 		s.logRequest(ctxs[i], "/v1/solve/batch", begin, err)
