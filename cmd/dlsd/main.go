@@ -70,7 +70,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dlsd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
-		window      = fs.Duration("window", 2*time.Millisecond, "admission window; 0 disables micro-batching")
+		window      = fs.Duration("window", 2*time.Millisecond, "admission window while every drain worker is busy (an idle worker takes a window at once); 0 disables micro-batching")
 		windowSize  = fs.Int("window-size", 64, "flush a window early at this many requests")
 		queueCap    = fs.Int("queue", 1024, "admission queue bound; requests beyond it are shed with 429")
 		workers     = fs.Int("workers", 2, "windows solved concurrently")

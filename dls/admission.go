@@ -82,11 +82,12 @@ func ParseSLOClasses(spec string) ([]SLOClass, error) {
 // The policy has three levers, all driven by observed state rather than
 // fixed constants:
 //
-//   - Window delay: idle service ⇒ no waiting (MinDelay), backlog ⇒ wait
-//     longer so duplicates and chain-shaped company collapse into one
-//     SolveBatch. delay = Gain × backlog × estimated-window-cost,
-//     clamped to [MinDelay, MaxDelay] and to SlackFraction of the
-//     window-opening request's deadline slack.
+//   - Window delay: a window that cannot flush at once to an idle drain
+//     worker (see Batcher) waits longer the deeper the backlog, so
+//     duplicates and chain-shaped company collapse into one SolveBatch.
+//     delay = Gain × backlog × estimated-window-cost, clamped to
+//     [MinDelay, MaxDelay] and to SlackFraction of the window-opening
+//     request's deadline slack.
 //   - Window size: under backlog the early-flush threshold rises to
 //     MaxSize, maximizing dedup/prepass collapse exactly when throughput
 //     is the constraint; when drained it falls back to the configured
@@ -102,7 +103,7 @@ func ParseSLOClasses(spec string) ([]SLOClass, error) {
 // maintains (internal/stats.Histogram), so the policy calibrates itself
 // to the traffic it actually sees.
 type AdaptiveConfig struct {
-	// MinDelay is the window delay under no backlog. Default 100µs.
+	// MinDelay is the floor of the window delay. Default 100µs.
 	MinDelay time.Duration
 	// MaxDelay bounds the delay under backlog. Default 5ms.
 	MaxDelay time.Duration
@@ -158,18 +159,19 @@ type adaptive struct {
 	// groupsPerWindow is an EWMA of dedup groups per flushed window
 	// (float64 bits).
 	groupsPerWindow atomic.Uint64
-	// inFlight counts windows flushed but not yet completed (the
-	// backlog signal).
-	inFlight atomic.Int64
+	// inFlight is the owning Batcher's count of windows flushed but not
+	// yet answered (the backlog signal).
+	inFlight *atomic.Int64
 	// delayNs and sizeNow expose the latest decisions for metrics.
 	delayNs atomic.Int64
 	sizeNow atomic.Int64
 }
 
-func newAdaptive(cfg AdaptiveConfig, clock Clock) *adaptive {
+func newAdaptive(cfg AdaptiveConfig, clock Clock, inFlight *atomic.Int64) *adaptive {
 	return &adaptive{
 		cfg:       cfg.withDefaults(),
 		clock:     clock,
+		inFlight:  inFlight,
 		groupCost: stats.NewHistogram(stats.LatencyBounds()...),
 	}
 }

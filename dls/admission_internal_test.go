@@ -2,6 +2,7 @@ package dls
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -35,7 +36,7 @@ func TestAdaptiveConfigDefaults(t *testing.T) {
 }
 
 func TestAdaptiveWindowDelayBounds(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock())
+	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
 	now := time.Unix(0, 0)
 
 	// Fresh controller, no backlog: the delay floors at MinDelay.
@@ -64,7 +65,7 @@ func TestAdaptiveWindowDelayBounds(t *testing.T) {
 }
 
 func TestAdaptiveWindowSize(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock())
+	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
 	if got := a.windowSize(64); got != 64 {
 		t.Errorf("drained size = %d, want base 64", got)
 	}
@@ -79,7 +80,7 @@ func TestAdaptiveWindowSize(t *testing.T) {
 }
 
 func TestAdaptiveEstCompletion(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock())
+	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
 	now := time.Unix(100, 0)
 
 	// No observations: the estimate collapses to "now".
@@ -118,7 +119,7 @@ func TestAdaptiveEstCompletion(t *testing.T) {
 }
 
 func TestAdaptiveObserveSolveEWMA(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock())
+	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
 	if c := a.estGroupCost(); c != 0 {
 		t.Errorf("cold estGroupCost = %v, want 0", c)
 	}
@@ -135,7 +136,7 @@ func TestAdaptiveObserveSolveEWMA(t *testing.T) {
 	}
 
 	// Degenerate group counts clamp to one instead of corrupting the EWMA.
-	b := newAdaptive(AdaptiveConfig{}, SystemClock())
+	b := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
 	b.observeSolve(time.Millisecond, 0)
 	if g := b.state().GroupsPerWindow; g != 1 {
 		t.Errorf("zero-group observation GroupsPerWindow = %g, want 1", g)

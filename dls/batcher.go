@@ -33,9 +33,11 @@ var (
 
 // BatcherConfig configures an admission-window micro-batcher.
 type BatcherConfig struct {
-	// MaxDelay is the admission window: a flush happens at most MaxDelay
-	// after the first request of a window was admitted, trading up to that
-	// much latency for batch collapse. MaxDelay = 0 disables
+	// MaxDelay is the admission window while the drain workers are busy:
+	// a window that cannot flush at once to an idle worker (see Batcher)
+	// flushes at most MaxDelay after its first request was admitted,
+	// trading up to that much latency for batch collapse. A request that
+	// finds a worker idle never waits for it. MaxDelay = 0 disables
 	// micro-batching: Submit solves directly (bounded by QueueCap
 	// concurrent solves, shedding beyond), so a serving layer can expose
 	// batching as a knob that can be turned off.
@@ -53,7 +55,9 @@ type BatcherConfig struct {
 	QueueCap int
 	// Workers bounds how many flushed windows are solved concurrently
 	// (each window is one SolveBatch, which fans out over the solver's own
-	// worker pool). Default 2: one window solving, one filling.
+	// worker pool). It is also the admission policy's idleness test: while
+	// fewer than Workers windows are in flight, a filling window flushes
+	// at once instead of waiting out MaxDelay. Default 2.
 	Workers int
 	// Clock is the time source for the window timer, deadline propagation
 	// and SLO accounting. Nil means SystemClock(); internal/sim injects a
@@ -146,15 +150,21 @@ func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Att
 }
 
 // Batcher is an admission-window micro-batcher over one Solver: Submit
-// queues a request into a bounded window that is flushed — when the size
-// threshold is reached or the window delay has passed since the window
-// opened — as a single SolveBatch call, so chain-shaped requests arriving
-// together collapse into the engine's structure-of-arrays prepass and
-// duplicate requests dedupe against each other, instead of solving one by
-// one. Callers that can see their own concurrency (SolveStream) bypass
-// the window for requests travelling alone; the Batcher itself always
-// waits out the window, which is what makes its batch sizes stable under
-// load.
+// queues a request into a bounded window that is flushed as a single
+// SolveBatch call, so chain-shaped requests arriving together collapse
+// into the engine's structure-of-arrays prepass and duplicate requests
+// dedupe against each other, instead of solving one by one.
+//
+// Admission is work-conserving, like the paper's one-port master, which
+// never leaves its port idle while load waits to be sent: once a whole
+// queue entry (a Submit, or a SubmitBatch body) has joined the filling
+// window, the window flushes at once if fewer than Workers windows are in
+// flight and no further entry is already queued. Otherwise it flushes
+// when it reaches the size threshold or when the window delay has passed
+// since it opened. So a lone request never waits for company, and
+// windows grow only while every drain worker is busy — exactly when
+// batching pays. A window is in flight from its flush until its last
+// submission is answered (synchronous mode: until Window.Complete).
 //
 // SubmitBatch admits a whole batch body as one group: one queue entry,
 // admitted or shed whole, appended to windows in slot order (a body
@@ -192,6 +202,10 @@ type Batcher struct {
 	flushes chan []*submission
 	fill    atomic.Int64
 	wg      sync.WaitGroup // collector + drain workers
+	// inFlight counts flushed windows whose last submission is not yet
+	// answered: the admission policy's idleness signal and the adaptive
+	// controller's backlog.
+	inFlight atomic.Int64
 
 	// Synchronous mode state (OnWindow != nil); single-threaded by
 	// contract, no locking.
@@ -206,7 +220,7 @@ func (s *Solver) NewBatcher(cfg BatcherConfig) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{s: s, cfg: cfg, clock: cfg.Clock}
 	if cfg.Adaptive != nil && cfg.MaxDelay > 0 {
-		b.adapt = newAdaptive(*cfg.Adaptive, cfg.Clock)
+		b.adapt = newAdaptive(*cfg.Adaptive, cfg.Clock, &b.inFlight)
 	}
 	if cfg.OnWindow != nil {
 		return b // synchronous mode: the owner pumps
@@ -491,7 +505,7 @@ func (b *Batcher) Close() {
 			close(b.queue)
 		}
 		if b.cfg.OnWindow != nil && len(b.syncWin) > 0 {
-			b.flushSync()
+			b.flushSync(flushClose)
 		}
 	}
 	b.mu.Unlock()
@@ -568,30 +582,49 @@ func (b *Batcher) dropDoomed(win []*submission) []*submission {
 	return live
 }
 
-// countFlush runs the shared flush bookkeeping (counters, hooks,
-// adaptive backlog) for a window about to leave the collector, and
+// flushReason names what flushed a window.
+type flushReason int
+
+const (
+	flushIdle  flushReason = iota // a drain worker was free and nothing else was queued
+	flushSize                     // the window reached its size threshold
+	flushTimer                    // the window delay passed
+	flushClose                    // Close drained the filling window
+	numFlushReasons
+)
+
+var flushReasonNames = [numFlushReasons]string{"idle", "size", "timer", "close"}
+
+func (r flushReason) String() string { return flushReasonNames[r] }
+
+// idle reports whether a drain worker is free: fewer than Workers windows
+// are in flight.
+func (b *Batcher) idle() bool { return b.inFlight.Load() < int64(b.cfg.Workers) }
+
+// countFlush runs the shared flush bookkeeping (counters, hooks, the
+// in-flight count) for a window about to leave the collector, and
 // returns the window's id (the solver-wide flush sequence number, which
 // trace stages annotate).
-func (b *Batcher) countFlush(win []*submission) uint64 {
+func (b *Batcher) countFlush(win []*submission, reason flushReason) uint64 {
 	if b.cfg.OnFlush != nil {
 		b.cfg.OnFlush(len(win))
 	}
+	b.inFlight.Add(1)
+	b.s.flushes[reason].Add(1)
 	id := b.s.windows.Add(1)
 	if len(win) >= 2 {
 		b.s.batchedWindows.Add(1)
 		b.s.batchedRequests.Add(uint64(len(win)))
-	}
-	if b.adapt != nil {
-		b.adapt.inFlight.Add(1)
 	}
 	return id
 }
 
 // stageFlush records the admission stages of a flushed window on every
 // traced submission — queue_wait (submit → admission) and window_wait
-// (admission → this flush, annotated with the window id and fill) — and
-// stamps flushAt, where the solve stage picks up.
-func (b *Batcher) stageFlush(win []*submission, id uint64) {
+// (admission → this flush, annotated with the window id, its fill and
+// the flush reason, so a slow window_wait says whether the workers were
+// busy) — and stamps flushAt, where the solve stage picks up.
+func (b *Batcher) stageFlush(win []*submission, id uint64, reason flushReason) {
 	var now time.Time
 	for _, sub := range win {
 		if len(sub.traces) == 0 {
@@ -603,13 +636,13 @@ func (b *Batcher) stageFlush(win []*submission, id uint64) {
 		sub.flushAt = now
 		sub.stage("queue_wait", sub.submitAt, sub.admitAt)
 		sub.stage("window_wait", sub.admitAt, now,
-			obs.Uint64("window", id), obs.Int("fill", len(win)))
+			obs.Uint64("window", id), obs.Int("fill", len(win)), obs.String("flush", reason.String()))
 	}
 }
 
 // collect runs the admission loop: it gathers submissions into a window
-// and flushes when the window is full or when the window delay has
-// passed since the window opened.
+// and flushes it at once to an idle drain worker, or else when the window
+// is full or its delay has passed since it opened (see Batcher).
 func (b *Batcher) collect() {
 	defer b.wg.Done()
 	defer close(b.flushes)
@@ -620,29 +653,26 @@ func (b *Batcher) collect() {
 		timer   Timer
 		fire    <-chan time.Time
 	)
-	flush := func() {
+	flush := func(reason flushReason) {
 		if timer != nil {
 			timer.Stop()
 			timer, fire = nil, nil
 		}
 		flushAt = time.Time{}
 		win = b.dropDoomed(win)
-		if len(win) == 0 {
-			win = nil
-			b.fill.Store(0)
-			return
-		}
-		id := b.countFlush(win)
-		b.stageFlush(win, id)
-		b.flushes <- win
-		win = nil
 		b.fill.Store(0)
+		if len(win) > 0 {
+			id := b.countFlush(win, reason)
+			b.stageFlush(win, id, reason)
+			b.flushes <- win
+		}
+		win = nil
 	}
 	for {
 		select {
 		case subs, ok := <-b.queue:
 			if !ok {
-				flush()
+				flush(flushClose)
 				return
 			}
 			b.queued.Add(-int64(len(subs)))
@@ -666,18 +696,25 @@ func (b *Batcher) collect() {
 				b.fill.Store(int64(len(win)))
 				if len(win) == 1 {
 					size = b.windowSize()
-					delay := b.windowDelay(sub)
-					flushAt = b.clock.Now().Add(delay)
-					timer = b.clock.NewTimer(delay)
-					fire = timer.C()
+					flushAt = b.clock.Now().Add(b.windowDelay(sub))
 				}
 				if len(win) >= size {
-					flush()
+					flush(flushSize)
 				}
+			}
+			// The whole group is in: an idle drain worker takes the window
+			// now, unless another group is already waiting to join it.
+			switch {
+			case len(win) == 0:
+			case b.idle() && len(b.queue) == 0:
+				flush(flushIdle)
+			case timer == nil:
+				timer = b.clock.NewTimer(flushAt.Sub(b.clock.Now()))
+				fire = timer.C()
 			}
 		case <-fire:
 			timer, fire = nil, nil
-			flush()
+			flush(flushTimer)
 		}
 	}
 }
@@ -695,23 +732,32 @@ func (b *Batcher) drain() {
 // waits for a slower group it merely shared the window with. Submissions
 // whose context is already done are answered with their ctx.Err() without
 // solving; the batch context propagates the callers' deadlines and
-// cancellations (see windowContext). The adaptive controller still
-// observes the whole window, which is how long it held a drain worker.
+// cancellations (see windowContext). The window leaves the in-flight
+// count just before its last submission is answered, so a caller that
+// submits again on its answer already finds a worker idle. The adaptive
+// controller still observes the whole window, which is how long it held
+// a drain worker.
 func (b *Batcher) solveWindow(win []*submission) {
 	groups := 0
 	start := b.clock.Now()
-	defer func() {
-		if b.adapt != nil {
-			b.adapt.inFlight.Add(-1)
-			b.adapt.observeSolve(b.clock.Now().Sub(start), groups)
+	if b.adapt != nil {
+		defer func() { b.adapt.observeSolve(b.clock.Now().Sub(start), groups) }()
+	}
+	var unanswered atomic.Int64
+	unanswered.Store(int64(len(win)))
+	answer := func(sub *submission) {
+		// Direct-mode bodies were never counted in flight.
+		if unanswered.Add(-1) == 0 && !b.direct {
+			b.inFlight.Add(-1)
 		}
-	}()
+		close(sub.ready)
+	}
 	// A fresh slice: a direct-mode window is the caller's own body.
 	live := make([]*submission, 0, len(win))
 	for _, sub := range win {
 		if err := sub.ctx.Err(); err != nil {
 			sub.err = err
-			close(sub.ready)
+			answer(sub)
 			continue
 		}
 		live = append(live, sub)
@@ -741,7 +787,7 @@ func (b *Batcher) solveWindow(win []*submission) {
 			sub.stage("solve", sub.flushAt, b.clock.Now())
 		}
 		b.accountCompletion(sub, err)
-		close(sub.ready)
+		answer(sub)
 	})
 }
 

@@ -80,7 +80,9 @@ func TestBatcherClassResolution(t *testing.T) {
 // the window timer and the request's SLO-deadline context expire at the
 // same virtual instant. The submission must come back with
 // DeadlineExceeded (the deadline context was armed first) and the
-// batcher must stay fully serviceable afterwards.
+// batcher must stay fully serviceable afterwards. Both drain workers are
+// parked first: only a submission that finds them busy waits for the
+// window timer.
 func TestBatcherWindowExpiryAtRequestDeadline(t *testing.T) {
 	clk := sim.NewClock()
 	solver := mustSolver(t)
@@ -91,6 +93,12 @@ func TestBatcherWindowExpiryAtRequestDeadline(t *testing.T) {
 		Classes:  []dls.SLOClass{{Name: "exact", Deadline: 2 * time.Millisecond, Priority: 1}},
 	})
 	defer b.Close()
+	park, release := context.WithCancel(context.Background())
+	parked := parkWorkers(t, park, solver, b, 2)
+	defer func() {
+		release()
+		parked()
+	}()
 
 	req := dls.Request{Platform: testPlatform(), Strategy: dls.StrategyFIFO, Load: 100}
 	errc := make(chan error, 1)
@@ -114,7 +122,9 @@ func TestBatcherWindowExpiryAtRequestDeadline(t *testing.T) {
 	}
 
 	// The batcher still serves: a plain submission flushed by the next
-	// window timer solves normally.
+	// window timer solves normally. It must open that next window, so
+	// first let the collector flush the expired one.
+	waitFor(t, "the expired window to flush", func() bool { return solver.Stats().Windows == 3 })
 	resc := make(chan *dls.Result, 1)
 	go func() {
 		res, err := b.Submit(context.Background(), req)
@@ -127,6 +137,7 @@ func TestBatcherWindowExpiryAtRequestDeadline(t *testing.T) {
 		t.Fatal("follow-up window timer was not armed")
 	}
 	clk.Advance(2 * time.Millisecond)
+	release() // the workers drain the expired window, then solve this one
 	select {
 	case res := <-resc:
 		if res == nil {
@@ -179,8 +190,9 @@ func TestBatcherDirectModeShedsAtCap(t *testing.T) {
 }
 
 // TestBatcherCloseDrainsInFlightFlush races Close against a window that
-// has flushed but whose solve is still running: Close must block until
-// the window is answered (drain semantics), then return.
+// has flushed but is not yet answered: Close must block until the window
+// is answered (drain semantics), then return. The only drain worker is
+// parked first, so the submission waits for the window timer.
 func TestBatcherCloseDrainsInFlightFlush(t *testing.T) {
 	registerBlockingStrategy()
 	clk := sim.NewClock()
@@ -188,6 +200,7 @@ func TestBatcherCloseDrainsInFlightFlush(t *testing.T) {
 	b := solver.NewBatcher(dls.BatcherConfig{MaxDelay: time.Millisecond, MaxSize: 4, Workers: 1, Clock: clk})
 
 	ctx, cancel := context.WithCancel(context.Background())
+	parked := parkWorkers(t, ctx, solver, b, 1)
 	subErr := make(chan error, 1)
 	go func() {
 		_, err := b.Submit(ctx, dls.Request{Platform: testPlatform(), Strategy: "test-block"})
@@ -198,7 +211,7 @@ func TestBatcherCloseDrainsInFlightFlush(t *testing.T) {
 	}
 	clk.Advance(time.Millisecond)
 	waitFor(t, "the window to flush", func() bool {
-		return solver.Stats().Windows >= 1
+		return solver.Stats().Windows >= 2
 	})
 
 	closed := make(chan struct{})
@@ -221,6 +234,7 @@ func TestBatcherCloseDrainsInFlightFlush(t *testing.T) {
 	if err := <-subErr; err == nil {
 		t.Fatal("wedged submission reported success")
 	}
+	parked()
 	if _, err := b.Submit(context.Background(), dls.Request{}); !errors.Is(err, dls.ErrBatcherClosed) {
 		t.Errorf("Submit after Close = %v, want ErrBatcherClosed", err)
 	}
@@ -230,6 +244,8 @@ func TestBatcherCloseDrainsInFlightFlush(t *testing.T) {
 // directly: Offer/ExpireWindow/Complete under a virtual clock, checking
 // queue-cap shedding (with the OnShed hook seeing the owner tag), dedup
 // group counting, and per-class violation accounting against the clock.
+// Two windows (one per drain worker) are left uncompleted first, so the
+// offers below wait for ExpireWindow instead of flushing at once.
 func TestSyncBatcherAccounting(t *testing.T) {
 	clk := sim.NewClock()
 	solver := mustSolver(t)
@@ -243,7 +259,7 @@ func TestSyncBatcherAccounting(t *testing.T) {
 	b := solver.NewBatcher(dls.BatcherConfig{
 		MaxDelay: time.Millisecond,
 		MaxSize:  4,
-		QueueCap: 2,
+		QueueCap: 4, // 2 parked + 2 offered
 		Clock:    clk,
 		Classes:  []dls.SLOClass{{Name: "tight", Deadline: time.Millisecond, Priority: 1}},
 		OnWindow: func(w *dls.Window) { windows = append(windows, w) },
@@ -255,6 +271,17 @@ func TestSyncBatcherAccounting(t *testing.T) {
 	}
 
 	req := dls.Request{Platform: testPlatform(), Strategy: dls.StrategyIncC, Load: 100}
+	for i := 0; i < 2; i++ {
+		if _, err := b.Offer(context.Background(), req, "", "parked"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(windows) != 2 {
+		t.Fatalf("parking offers flushed %d windows, want 2 (one each)", len(windows))
+	}
+	windows = nil
+	base := solver.Stats()
+
 	p1, err := b.Offer(context.Background(), req, "tight", "a")
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +331,8 @@ func TestSyncBatcherAccounting(t *testing.T) {
 	if st.ViolationsByClass["tight"] != 1 {
 		t.Errorf("ViolationsByClass = %v, want tight:1", st.ViolationsByClass)
 	}
-	if st.Windows != 1 || st.BatchedWindows != 1 || st.BatchedRequests != 2 {
-		t.Errorf("window counters: %d/%d/%d", st.Windows, st.BatchedWindows, st.BatchedRequests)
+	if st.Windows-base.Windows != 1 || st.BatchedWindows-base.BatchedWindows != 1 || st.BatchedRequests-base.BatchedRequests != 2 {
+		t.Errorf("window counters: %d/%d/%d", st.Windows-base.Windows, st.BatchedWindows-base.BatchedWindows, st.BatchedRequests-base.BatchedRequests)
 	}
 
 	// A window completed inside its deadline adds no violation.

@@ -159,10 +159,15 @@ func TestSubmitBatchQueueDepthCountsSubmissions(t *testing.T) {
 func TestBatcherAnswersGroupEarly(t *testing.T) {
 	registerBlockingStrategy()
 	solver := mustSolver(t, dls.WithParallelism(2))
-	// MaxSize 2 and an hour-long timer: the two submissions flush together.
+	// MaxSize 2 and an hour-long timer: the two submissions flush together
+	// once they find the only drain worker parked.
 	b := solver.NewBatcher(dls.BatcherConfig{MaxDelay: time.Hour, MaxSize: 2, Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	park, release := context.WithCancel(context.Background())
+	defer release()
+	parked := parkWorkers(t, park, solver, b, 1)
+	base := solver.Stats()
 	blockErr := make(chan error, 1)
 	go func() {
 		_, err := b.Submit(ctx, dls.Request{Platform: testPlatform(), Strategy: "test-block"})
@@ -177,6 +182,9 @@ func TestBatcherAnswersGroupEarly(t *testing.T) {
 		res, err := b.Submit(ctx, dls.Request{Platform: testPlatform(), Strategy: dls.StrategyIncC})
 		chain <- answer{res, err}
 	}()
+	waitFor(t, "the two submissions to flush", func() bool { return solver.Stats().Windows > base.Windows })
+	release()
+	parked()
 	select {
 	case a := <-chain:
 		if a.err != nil || a.res == nil || a.res.Throughput <= 0 {
@@ -185,7 +193,7 @@ func TestBatcherAnswersGroupEarly(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("chain request not answered while the parked solve runs")
 	}
-	if st := solver.Stats(); st.Windows != 1 || st.BatchedWindows != 1 {
+	if st := solver.Stats(); st.Windows-base.Windows != 1 || st.BatchedWindows != 1 {
 		t.Fatalf("requests did not share one window: %+v", st)
 	}
 	select {

@@ -106,6 +106,9 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 		return fmt.Errorf("dls: Window.Complete: %d errors for %d submissions", len(errs), len(w.subs))
 	}
 	b := w.b
+	// Out of flight before any submission is answered, as in the
+	// goroutine mode.
+	b.inFlight.Add(-1)
 	var done time.Time
 	for i, sub := range w.subs {
 		if results != nil {
@@ -125,7 +128,6 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 	}
 	b.outstanding -= len(w.subs)
 	if b.adapt != nil {
-		b.adapt.inFlight.Add(-1)
 		b.adapt.observeSolve(b.clock.Now().Sub(w.flushed), w.groups)
 	}
 	return nil
@@ -134,7 +136,9 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 // Offer admits or sheds one submission now, without blocking: it is the
 // synchronous-mode counterpart of Submit. The returned Pending is
 // answered immediately on shed, or by Window.Complete after the window
-// carrying it is flushed. Admission is bounded by QueueCap outstanding
+// carrying it is flushed: at once when fewer than Workers windows are in
+// flight (handed to OnWindow, not yet completed), else at the size
+// threshold or ExpireWindow. Admission is bounded by QueueCap outstanding
 // (admitted, not yet completed) submissions; beyond it, and for
 // deadline-carrying requests the adaptive policy predicts cannot meet
 // their SLO, the submission is shed with ErrOverloaded /
@@ -181,8 +185,11 @@ func (b *Batcher) Offer(ctx context.Context, req Request, class string, tag any)
 		b.syncSize = b.windowSize()
 		b.syncDeadline = b.clock.Now().Add(b.windowDelay(sub))
 	}
-	if len(b.syncWin) >= b.syncSize {
-		b.flushSync()
+	switch {
+	case len(b.syncWin) >= b.syncSize:
+		b.flushSync(flushSize)
+	case b.idle():
+		b.flushSync(flushIdle)
 	}
 	return p, nil
 }
@@ -201,14 +208,14 @@ func (b *Batcher) WindowDeadline() (time.Time, bool) {
 // flushed through OnWindow regardless of fill.
 func (b *Batcher) ExpireWindow() {
 	if b.cfg.OnWindow != nil && len(b.syncWin) > 0 {
-		b.flushSync()
+		b.flushSync(flushTimer)
 	}
 }
 
 // flushSync flushes the filling window through OnWindow, applying the
 // same doomed-request shedding and flush bookkeeping as the goroutine
 // collector.
-func (b *Batcher) flushSync() {
+func (b *Batcher) flushSync(reason flushReason) {
 	win := b.dropDoomed(b.syncWin)
 	b.outstanding -= len(b.syncWin) - len(win)
 	b.syncWin = nil
@@ -217,8 +224,8 @@ func (b *Batcher) flushSync() {
 	if len(win) == 0 {
 		return
 	}
-	id := b.countFlush(win)
-	b.stageFlush(win, id)
+	id := b.countFlush(win, reason)
+	b.stageFlush(win, id, reason)
 	b.cfg.OnWindow(&Window{b: b, subs: win, groups: countGroups(win), flushed: b.clock.Now()})
 }
 

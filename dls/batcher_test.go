@@ -26,9 +26,9 @@ func chainStreamRequests(rng *rand.Rand, n int) []dls.Request {
 
 // TestSolveStreamTakesBatchPrepass pins the ROADMAP "Streaming prepass"
 // item: a burst of chain-shaped requests streamed within one admission
-// window must be answered by the SoA batch prepass (observable in Stats),
-// not by solo solves, and the results must be byte-identical to direct
-// Solve in the original order.
+// window while the drain workers are busy must be answered by the SoA
+// batch prepass (observable in Stats), not by solo solves, and the
+// results must be byte-identical to direct Solve in the original order.
 func TestSolveStreamTakesBatchPrepass(t *testing.T) {
 	rng := rand.New(rand.NewSource(9090))
 	reqs := chainStreamRequests(rng, 16)
@@ -36,19 +36,39 @@ func TestSolveStreamTakesBatchPrepass(t *testing.T) {
 	// into few windows.
 	solver := mustSolver(t, dls.WithParallelism(8), dls.WithStreamWindow(50*time.Millisecond))
 	in := make(chan dls.Request)
+	out := solver.SolveStream(context.Background(), in)
+	// Park both drain workers of the stream's batcher first, one window
+	// each: a burst that found a worker idle would flush at once instead
+	// of meeting in a window.
+	gate := openGate(t)
+	const parkers = 2
+	for i := uint64(1); i <= parkers; i++ {
+		in <- dls.Request{Platform: gate.platform, Strategy: gateStrategy}
+		waitFor(t, "a parking window to flush", func() bool { return solver.Stats().Windows == i })
+	}
 	go func() {
 		defer close(in)
 		for _, r := range reqs {
 			in <- r
 		}
 	}()
+	// The burst fills the slots the parkers leave and flushes on the
+	// window timer; then release the workers.
+	waitFor(t, "the burst window to flush", func() bool { return solver.Stats().Windows > parkers })
+	gate.release()
 	var got []dls.StreamResult
-	for sr := range solver.SolveStream(context.Background(), in) {
+	for sr := range out {
 		got = append(got, sr)
 	}
-	if len(got) != len(reqs) {
-		t.Fatalf("stream yielded %d results for %d requests", len(got), len(reqs))
+	if len(got) != parkers+len(reqs) {
+		t.Fatalf("stream yielded %d results for %d requests", len(got), parkers+len(reqs))
 	}
+	for _, sr := range got[:parkers] {
+		if !errors.Is(sr.Err, errGateReleased) {
+			t.Fatalf("parking request %d: %v, want errGateReleased", sr.Index, sr.Err)
+		}
+	}
+	got = got[parkers:]
 	st := solver.Stats()
 	if st.Windows == 0 {
 		t.Fatal("stream flushed no admission windows")
@@ -61,8 +81,8 @@ func TestSolveStreamTakesBatchPrepass(t *testing.T) {
 	}
 	solo := mustSolver(t)
 	for i, sr := range got {
-		if sr.Index != i {
-			t.Fatalf("stream out of order: position %d has index %d", i, sr.Index)
+		if sr.Index != parkers+i {
+			t.Fatalf("stream out of order: position %d has index %d", parkers+i, sr.Index)
 		}
 		if sr.Err != nil {
 			t.Fatalf("request %d failed: %v", i, sr.Err)
@@ -160,8 +180,7 @@ func TestSolveStreamErrorsStayRaw(t *testing.T) {
 	)
 	solver := mustSolver(t, dls.WithStreamWindow(10*time.Millisecond))
 	in := make(chan dls.Request, 2)
-	// Two copies so at least one travels through the batcher rather than
-	// the alone-in-stream solo path.
+	// Two copies, so the identity also survives a window they may share.
 	in <- dls.Request{Platform: bad, Strategy: dls.StrategyFIFO}
 	in <- dls.Request{Platform: bad, Strategy: dls.StrategyFIFO}
 	close(in)
@@ -190,6 +209,12 @@ func TestBatcherDedupesWindow(t *testing.T) {
 	// timer is only the fallback for straggling goroutines.
 	b := solver.NewBatcher(dls.BatcherConfig{MaxDelay: time.Second, MaxSize: 8})
 	defer b.Close()
+	// The burst must find every drain worker busy, or its first arrivals
+	// would flush at once, one window each.
+	park, release := context.WithCancel(context.Background())
+	defer release()
+	parked := parkWorkers(t, park, solver, b, 2)
+	base := solver.Stats()
 	var wg sync.WaitGroup
 	results := make([]*dls.Result, 8)
 	for i := 0; i < 8; i++ {
@@ -204,6 +229,9 @@ func TestBatcherDedupesWindow(t *testing.T) {
 			results[i] = res
 		}(i)
 	}
+	waitFor(t, "the burst window to flush", func() bool { return solver.Stats().Windows > base.Windows })
+	release()
+	parked()
 	wg.Wait()
 	st := solver.Stats()
 	if st.SolvesByStrategy[dls.StrategyFIFOExhaustive] != 1 {
@@ -239,6 +267,70 @@ var registerBlockingStrategy = sync.OnceFunc(func() {
 		panic(err)
 	}
 })
+
+// parkWorkers wedges n drain workers of b on the test-block strategy
+// until ctx ends: it submits n one-request windows one at a time, each
+// flushed at once to an idle worker, so later arrivals find the workers
+// busy and wait in a window. The returned function waits until the
+// parked submissions have been answered.
+func parkWorkers(t *testing.T, ctx context.Context, solver *dls.Solver, b *dls.Batcher, n int) (wait func()) {
+	t.Helper()
+	registerBlockingStrategy()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		before := solver.Stats().Windows
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.Submit(ctx, dls.Request{Platform: testPlatform(), Strategy: "test-block"})
+		}()
+		waitFor(t, "a parking window to flush", func() bool { return solver.Stats().Windows > before })
+	}
+	return wg.Wait
+}
+
+// gateStrategy parks until the gate registered for its request's
+// platform is released (see openGate), then fails with errGateReleased.
+// It wedges drain workers whose context is shared with the requests
+// under test (SolveStream), where test-block could not be released
+// alone.
+const gateStrategy = "test-gate"
+
+var (
+	errGateReleased = errors.New("test gate released")
+	// gates maps a gate's platform to its release channel.
+	gates                sync.Map
+	registerGateStrategy = sync.OnceFunc(func() {
+		err := dls.RegisterStrategy(gateStrategy, func(ctx context.Context, req dls.Request) (*dls.Result, error) {
+			ch, _ := gates.Load(req.Platform)
+			select {
+			case <-ch.(chan struct{}):
+				return nil, errGateReleased
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+		if err != nil {
+			panic(err)
+		}
+	})
+)
+
+// testGate is one gate: requests for platform under gateStrategy park
+// until release.
+type testGate struct {
+	platform *dls.Platform
+	release  func()
+}
+
+func openGate(t *testing.T) testGate {
+	registerGateStrategy()
+	p := testPlatform()
+	ch := make(chan struct{})
+	gates.Store(p, ch)
+	t.Cleanup(func() { gates.Delete(p) })
+	return testGate{platform: p, release: func() { close(ch) }}
+}
 
 // TestBatcherSheds: once the drain workers are wedged and the admission
 // queue is full, further submissions are rejected immediately with
@@ -324,8 +416,11 @@ func TestBatcherDirectModeBounds(t *testing.T) {
 func TestBatcherCloseDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(9094))
 	solver := mustSolver(t)
-	// A long window: only Close's drain can flush these.
+	// A long window: only Close's drain can flush these, once they have
+	// found every drain worker busy.
 	b := solver.NewBatcher(dls.BatcherConfig{MaxDelay: time.Hour, MaxSize: 1 << 20})
+	park, release := context.WithCancel(context.Background())
+	parked := parkWorkers(t, park, solver, b, 2)
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
 	for i := 0; i < 6; i++ {
@@ -345,12 +440,19 @@ func TestBatcherCloseDrains(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// Freed workers take no window by themselves: the filling one still
+	// waits for Close.
+	release()
+	parked()
 	b.Close()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("drained submission %d failed: %v", i, err)
 		}
+	}
+	if st := solver.Stats(); st.Flushes.Close != 1 {
+		t.Errorf("Close flushed %d windows, want 1: %+v", st.Flushes.Close, st.Flushes)
 	}
 	if _, err := b.Submit(context.Background(), dls.Request{}); !errors.Is(err, dls.ErrBatcherClosed) {
 		t.Errorf("submit after close: %v, want ErrBatcherClosed", err)

@@ -135,6 +135,8 @@ type Stats struct {
 	// that collapsed at least two requests into one SolveBatch, and
 	// BatchedRequests the requests that travelled in them.
 	Windows, BatchedWindows, BatchedRequests uint64
+	// Flushes splits Windows by what flushed each window.
+	Flushes WindowFlushes
 	// Shed counts submissions rejected by a batcher because its admission
 	// queue was full (load shedding), including the SLO sheds below.
 	Shed uint64
@@ -158,6 +160,20 @@ type Stats struct {
 	// AffineSearch is the cumulative affine subset-search instrumentation
 	// (process global, like PairSearch).
 	AffineSearch AffineSearchStats
+}
+
+// WindowFlushes counts flushed admission windows by reason.
+type WindowFlushes struct {
+	// Idle windows flushed at once: a drain worker was free and no other
+	// request was queued behind them.
+	Idle uint64
+	// Size windows reached their size threshold.
+	Size uint64
+	// Timer windows waited out their delay because every drain worker
+	// was busy.
+	Timer uint64
+	// Close windows were drained by Batcher.Close.
+	Close uint64
 }
 
 // PairSearchStats counts the exhaustive pair search's branch-and-bound
@@ -217,6 +233,7 @@ type Solver struct {
 
 	prepassGroups, prepassRequests           atomic.Uint64
 	windows, batchedWindows, batchedRequests atomic.Uint64
+	flushes                                  [numFlushReasons]atomic.Uint64
 	shed, shedSLO                            atomic.Uint64
 	shedByClass, violationsByClass           stats.CounterMap[string]
 }
@@ -312,8 +329,10 @@ func WithSearchParallelism(n int) Option {
 const DefaultStreamWindow = 2 * time.Millisecond
 
 // WithStreamWindow sets the admission window of SolveStream's micro-
-// batcher: requests arriving within d of each other are flushed as one
-// SolveBatch, so chain-shaped streams hit the SoA prepass. d = 0 disables
+// batcher: requests that find its drain workers busy and arrive within d
+// of each other are flushed as one SolveBatch, so chain-shaped streams
+// hit the SoA prepass (a request that finds a worker idle never waits for
+// d). d = 0 disables
 // stream micro-batching (each request solves on its own, the historical
 // behaviour); the default is DefaultStreamWindow.
 func WithStreamWindow(d time.Duration) Option {
@@ -355,6 +374,12 @@ func (s *Solver) Stats() Stats {
 		Shed:            s.shed.Load(),
 		ShedSLO:         s.shedSLO.Load(),
 		Degraded:        s.degraded.Load(),
+	}
+	st.Flushes = WindowFlushes{
+		Idle:  s.flushes[flushIdle].Load(),
+		Size:  s.flushes[flushSize].Load(),
+		Timer: s.flushes[flushTimer].Load(),
+		Close: s.flushes[flushClose].Load(),
 	}
 	if s.cache != nil {
 		st.Evictions = s.cache.evictions.Load()
@@ -848,15 +873,15 @@ type StreamResult struct {
 // on the returned channel in input order (a reorder buffer holds finished
 // results until their predecessors complete; admission is bounded, so one
 // slow request at the head cannot make the buffer grow past a small
-// multiple of the parallelism). Concurrent requests are solved through an
-// admission-window micro-batcher: arrivals within WithStreamWindow of
-// each other are flushed as one SolveBatch, so chain-shaped streams
-// collapse into the SoA batch prepass instead of solo solves. A request
-// travelling alone — nothing else in flight, so the window could not buy
-// company — skips the window and solves directly: sparse or sequential
-// streams pay no batching latency. At most WithParallelism requests are
-// in flight at once, as before the batcher. Results are identical on
-// either path — the prepass is pinned byte-identical to Solve — and the
+// multiple of the parallelism). Every request goes through an
+// admission-window micro-batcher, the same admission path dlsd serves
+// through: a request that finds a drain worker idle is solved at once,
+// so sparse or sequential streams pay no batching latency, while
+// arrivals within WithStreamWindow of each other that find the workers
+// busy are flushed as one SolveBatch, so chain-shaped streams collapse
+// into the SoA batch prepass instead of solo solves. At most
+// WithParallelism requests are in flight at once. Results are identical
+// either way — the prepass is pinned byte-identical to Solve — and the
 // output stays deterministic. The output channel closes after the last
 // result once reqs is closed. The caller must drain the output channel;
 // cancelling ctx makes remaining requests fail fast with ctx.Err().
@@ -883,26 +908,13 @@ func (s *Solver) SolveStream(ctx context.Context, reqs <-chan Request) <-chan St
 		for req := range reqs {
 			window <- struct{}{}
 			slots <- struct{}{}
-			// The feeder is the only slot producer, so observing exactly
-			// one occupied slot here means this request is alone in the
-			// stream right now (races only defer a request to the window,
-			// never lose one).
-			alone := len(slots) == 1
 			wg.Add(1)
-			go func(i int, r Request, alone bool) {
+			go func(i int, r Request) {
 				defer wg.Done()
-				var (
-					res *Result
-					err error
-				)
-				if alone {
-					res, err = s.Solve(ctx, r)
-				} else {
-					res, err = b.Submit(ctx, r)
-				}
+				res, err := b.Submit(ctx, r)
 				<-slots
 				done <- StreamResult{Index: i, Result: res, Err: err}
-			}(idx, req, alone)
+			}(idx, req)
 			idx++
 		}
 		wg.Wait()

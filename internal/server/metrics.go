@@ -58,6 +58,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Engine counters.
 	st := s.solver.Stats()
 	m.Counter("dlsd_windows_total", "Admission windows flushed.", st.Windows)
+	for _, f := range []struct {
+		reason string
+		n      uint64
+	}{{"idle", st.Flushes.Idle}, {"size", st.Flushes.Size}, {"timer", st.Flushes.Timer}, {"close", st.Flushes.Close}} {
+		m.Counter("dlsd_window_flushes_total", "Admission windows flushed, by reason: idle (a drain worker was free), size, timer (every worker busy) or close.",
+			f.n, stats.Label{Key: "reason", Value: f.reason})
+	}
 	m.Counter("dlsd_batched_windows_total", "Windows that collapsed >= 2 requests into one batch solve.", st.BatchedWindows)
 	m.Counter("dlsd_batched_requests_total", "Requests that travelled in multi-request windows.", st.BatchedRequests)
 	m.Counter("dlsd_shed_total", "Submissions shed because the admission queue was full.", st.Shed)

@@ -23,10 +23,11 @@ import (
 type Config struct {
 	// Solver is the shared engine. Required.
 	Solver *dls.Solver
-	// Window is the admission window: a solve request waits at most this
-	// long for company before its window is flushed as one SolveBatch.
-	// 0 disables micro-batching (every request solves on its own).
-	// Default 2ms.
+	// Window is the admission window: while every drain worker is busy,
+	// a solve request waits at most this long for company before its
+	// window is flushed as one SolveBatch. A request that finds a worker
+	// idle is flushed at once. 0 disables micro-batching (every request
+	// solves on its own). Default 2ms.
 	Window time.Duration
 	// WindowSize flushes a window early once it holds this many requests.
 	// Default 64.
@@ -34,8 +35,8 @@ type Config struct {
 	// QueueCap bounds the admission queue; requests beyond it are shed
 	// with 429. Default 1024.
 	QueueCap int
-	// Workers bounds how many flushed windows solve concurrently.
-	// Default 2.
+	// Workers bounds how many flushed windows solve concurrently; while
+	// fewer are in flight, windows flush at once. Default 2.
 	Workers int
 	// RetryAfter is the advisory delay stamped on 429 responses before
 	// the server has observed any window flushes; once traffic flows, the

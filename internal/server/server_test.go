@@ -291,22 +291,11 @@ func TestServeMetricsAndStrategies(t *testing.T) {
 		r.Body.Close()
 	}
 
-	// Drive concurrent chain-shaped traffic so windows batch and the
-	// prepass fires, then check the counters surface in /metrics.
-	var wg sync.WaitGroup
-	for _, req := range testRequests(rng, 3) {
-		wg.Add(1)
-		go func(req dls.Request) {
-			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/solve", req, nil)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("solve: status %d: %s", resp.StatusCode, body)
-			}
-		}(req)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
+	// Drive chain-shaped traffic as one batch body, so it is admitted as
+	// one group and shares a window even on an idle server, and the
+	// prepass fires; then check the counters surface in /metrics.
+	if resp, body := postJSON(t, ts.URL+"/v1/solve/batch", BatchRequest{Requests: testRequests(rng, 3)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve batch: status %d: %s", resp.StatusCode, body)
 	}
 
 	r, err := http.Get(ts.URL + "/metrics")
@@ -320,6 +309,8 @@ func TestServeMetricsAndStrategies(t *testing.T) {
 		"dlsd_http_requests_total{code=\"200\"}",
 		"dlsd_solve_latency_seconds_bucket",
 		"dlsd_windows_total",
+		"dlsd_window_flushes_total{reason=\"idle\"}",
+		"dlsd_window_flushes_total{reason=\"timer\"}",
 		"dlsd_batched_windows_total",
 		"dlsd_queue_depth",
 		"dlsd_solves_total",
@@ -345,8 +336,43 @@ func TestServeMetricsAndStrategies(t *testing.T) {
 	}
 }
 
+// parkServerWorkers wedges n drain workers of srv until ctx ends: it
+// posts n server-test-block solves one at a time, each flushed at once to
+// an idle worker, so later requests find the workers busy and wait in a
+// window. The returned function waits until the parked requests return.
+func parkServerWorkers(t *testing.T, ctx context.Context, srv *Server, url string, n int) (wait func()) {
+	t.Helper()
+	registerServerBlockStrategy()
+	data, err := json.Marshal(dls.Request{Platform: dls.RandomSpeeds(rand.New(rand.NewSource(4249)), 4, dls.Heterogeneous).Platform(dls.DefaultApp(100)), Strategy: "server-test-block"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		before := srv.solver.Stats().Windows
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/solve", bytes.NewReader(data))
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.solver.Stats().Windows == before {
+			if time.Now().After(deadline) {
+				t.Fatal("a parking request never flushed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return wg.Wait
+}
+
 // TestServeCloseDrains: Close answers a request still waiting in the
 // admission window before returning, and later submissions get 503.
+// Both drain workers are parked first, so the request waits in a window
+// instead of flushing at once.
 func TestServeCloseDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(4247))
 	p := dls.RandomSpeeds(rng, 5, dls.Heterogeneous).Platform(dls.DefaultApp(100))
@@ -361,6 +387,9 @@ func TestServeCloseDrains(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	park, release := context.WithCancel(context.Background())
+	defer release()
+	parked := parkServerWorkers(t, park, srv, ts.URL, 2)
 
 	done := make(chan *SolveResponse, 1)
 	go func() {
@@ -381,6 +410,10 @@ func TestServeCloseDrains(t *testing.T) {
 	for srv.batcher.Stats().WindowFill+srv.batcher.Stats().QueueDepth == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	// Freed workers take no window by themselves: the request still
+	// waits for Close.
+	release()
+	parked()
 	srv.Close()
 	select {
 	case out := <-done:

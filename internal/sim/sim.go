@@ -43,7 +43,8 @@ type Config struct {
 	// P is the worker count of each generated platform. Default 6.
 	P int
 	// SearchShare is the fraction of arrivals that are search-kind
-	// (exhaustive-order solves, ~100× a chain solve). Default 0.1.
+	// (exhaustive-order solves, ~100× a chain solve). The zero value runs
+	// a chain-only mix; dlssim's default is 0.1.
 	SearchShare float64
 	// ZipfS skews platform popularity (s > 1: rand.Zipf; else uniform).
 	// Default 1.1 — a hot head like a production key distribution.
