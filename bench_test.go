@@ -255,29 +255,46 @@ func benchExhaustivePlatform() *dls.Platform {
 }
 
 // BenchmarkBestFIFOExhaustive7 runs the p! FIFO order search at p = 7
-// through the engine under each evaluation backend. The auto and direct
-// tiers must produce the same winning order and loads as the simplex tier
-// (covered by the agreement tests in internal/eval); the benchmark tracks
-// the speedup of the tight-system path over the simplex-only path.
+// under each evaluation backend, with the engine's default search
+// parallelism. The auto and direct tiers must produce the same winning
+// order and loads as the simplex tier (covered by the agreement tests in
+// internal/eval); the benchmark tracks the speedup of the tight-system
+// path over the simplex-only path. The platform has a common z, so the
+// engine answers fifo-exhaustive on it from Theorem 1: the backends call
+// the sweep directly, and the theorem sub-benchmark times what dls.Solve
+// serves.
 func BenchmarkBestFIFOExhaustive7(b *testing.B) {
 	p := benchExhaustivePlatform()
-	ctx := context.Background()
+	ctx := core.ContextWithSearchParallelism(context.Background(), 0)
 	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalDirect, dls.EvalSimplex} {
 		b.Run(mode.String(), func(b *testing.B) {
-			req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive, Eval: mode}
 			var rho float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := dls.Solve(ctx, req)
+				s, _, err := core.BestFIFOExhaustiveEval(ctx, p, schedule.OnePort, mode)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rho = res.Throughput
+				rho = s.Throughput()
 			}
 			b.ReportMetric(rho, "rho")
 		})
 	}
+	b.Run("theorem", func(b *testing.B) {
+		req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive}
+		var rho float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := dls.Solve(ctx, req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rho = res.Throughput
+		}
+		b.ReportMetric(rho, "rho")
+	})
 }
 
 // BenchmarkBestFIFOExhaustive8 runs the p! FIFO order search at p = 8
@@ -285,21 +302,21 @@ func BenchmarkBestFIFOExhaustive7(b *testing.B) {
 // transposition-aware engine opened up (the per-scenario active-set reuse
 // and dual screening keep the search polynomial-feeling even though the
 // enumeration is factorial). Auto only: the simplex-only path takes
-// seconds at this size.
+// seconds at this size. It calls the sweep directly, since the engine
+// answers this common-z platform from Theorem 1.
 func BenchmarkBestFIFOExhaustive8(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))
 	p := dls.RandomSpeeds(rng, 8, dls.Heterogeneous).Platform(dls.DefaultApp(100))
-	ctx := context.Background()
-	req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive, Eval: dls.EvalAuto}
+	ctx := core.ContextWithSearchParallelism(context.Background(), 0)
 	var rho float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dls.Solve(ctx, req)
+		s, _, err := core.BestFIFOExhaustiveEval(ctx, p, schedule.OnePort, dls.EvalAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rho = res.Throughput
+		rho = s.Throughput()
 	}
 	b.ReportMetric(rho, "rho")
 }

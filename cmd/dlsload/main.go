@@ -364,9 +364,9 @@ type poolEntry struct {
 // workload pre-marshals the request pool: chain-shaped strategies (the
 // micro-batcher's best case), a broader mix including exhaustive searches
 // and explicit scenarios, or a search-only pool of factorial-order
-// requests whose solves are expensive enough to be solver-bound — the
-// workload where window deduplication (thundering-herd collapse) shows up
-// directly in throughput.
+// requests on platforms without a common z, whose solves are expensive
+// enough to be solver-bound — the workload where window deduplication
+// (thundering-herd collapse) shows up directly in throughput.
 func workload(rng *rand.Rand, mix string, p, platforms int) ([]poolEntry, error) {
 	var reqs []dls.Request
 	var kinds []string
@@ -394,6 +394,12 @@ func workload(rng *rand.Rand, mix string, p, platforms int) ([]poolEntry, error)
 			add(i, "chain", dls.Request{Platform: plat, Strategy: dls.StrategyScenario, Send: send, Return: send.Reverse()})
 			add(i, "chain", dls.Request{Platform: plat, Strategy: dls.StrategyFIFO, Model: dls.TwoPort})
 		case "search":
+			// Return speeds drawn independently of forward speeds: the
+			// platform has no common z, so the order searches run the p!
+			// sweep rather than answering from the theorems.
+			for k := range plat.Workers {
+				plat.Workers[k].D *= float64(1+rng.Intn(10)) / float64(1+rng.Intn(10))
+			}
 			add(i, "search", dls.Request{Platform: plat, Strategy: dls.StrategyFIFOExhaustive})
 			add(i, "search", dls.Request{Platform: plat, Strategy: dls.StrategyLIFOExhaustive})
 		default:

@@ -61,6 +61,28 @@ func TestWorkloadPools(t *testing.T) {
 	}
 }
 
+// TestSearchMixRunsTheSweep: the search mix's platforms have no common z,
+// so its order searches stay solver-bound instead of answering from the
+// theorems.
+func TestSearchMixRunsTheSweep(t *testing.T) {
+	pool, err := workload(rand.New(rand.NewSource(1)), "search", 7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pool) != 8 {
+		t.Fatalf("search pool has %d entries, want 8", len(pool))
+	}
+	for i, entry := range pool {
+		var req dls.Request
+		if err := json.Unmarshal(entry.body, &req); err != nil {
+			t.Fatalf("pool[%d] does not decode: %v", i, err)
+		}
+		if z, ok := req.Platform.Z(); ok {
+			t.Fatalf("pool[%d] (%s) has a common z = %g", i, req.Strategy, z)
+		}
+	}
+}
+
 // TestRunAgainstServer drives a real in-process dlsd for a short burst
 // and checks the report, the error gates and the batching gate.
 func TestRunAgainstServer(t *testing.T) {

@@ -3,17 +3,28 @@ package dls
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 )
 
+// degradePlatform has no common z (worker 3's d/c is 0.6, the others'
+// 0.5), so its order searches run the sweep, the path degradation guards.
 func degradePlatform() *Platform {
 	return NewPlatform(
 		Worker{C: 0.05, W: 0.30, D: 0.025},
 		Worker{C: 0.08, W: 0.20, D: 0.040},
-		Worker{C: 0.10, W: 0.50, D: 0.050},
+		Worker{C: 0.10, W: 0.50, D: 0.060},
 		Worker{C: 0.07, W: 0.25, D: 0.035},
 	)
+}
+
+// theoremPlatform is degradePlatform with a common z = 1/2: the order
+// searches take the theorem's order.
+func theoremPlatform() *Platform {
+	p := degradePlatform()
+	p.Workers[2].D = 0.050
+	return p
 }
 
 // warm seeds the solver's cost EWMA so degradation decisions are
@@ -214,5 +225,73 @@ func TestDegradedResultNotCached(t *testing.T) {
 	// The true optimum must be at least as good as the heuristic.
 	if res2.Throughput+1e-12 < res.Throughput {
 		t.Fatalf("exhaustive optimum %.12f worse than heuristic %.12f", res2.Throughput, res.Throughput)
+	}
+}
+
+// TestDegradeSkipsTheoremAnswer: an order search the theorems answer is
+// exact and fast, so a deadline-busting sweep estimate must not replace it
+// with a heuristic.
+func TestDegradeSkipsTheoremAnswer(t *testing.T) {
+	s, err := NewSolver(WithDegradation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := theoremPlatform()
+	for _, strategy := range []string{StrategyFIFOExhaustive, StrategyLIFOExhaustive} {
+		warm(s, strategy, plat.P(), time.Hour)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := s.Solve(ctx, Request{Platform: plat, Strategy: strategy})
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if res.Degraded {
+			t.Fatalf("%s: theorem answer degraded to %s", strategy, res.DegradedTo)
+		}
+		sweep, err := s.Solve(context.Background(), Request{Platform: plat, Strategy: strategy, Eval: EvalDirect})
+		if err != nil {
+			t.Fatalf("%s sweep: %v", strategy, err)
+		}
+		if math.Abs(res.Throughput-sweep.Throughput) > 1e-12*sweep.Throughput {
+			t.Fatalf("%s: theorem throughput %.17g, sweep %.17g", strategy, res.Throughput, sweep.Throughput)
+		}
+	}
+	st := s.Stats()
+	if st.Degraded != 0 || st.OrderSearch.Theorem != 2 || st.OrderSearch.Sweep != 2 {
+		t.Fatalf("Stats: degraded %d, order searches %+v; want 0, {Theorem:2 Sweep:2}", st.Degraded, st.OrderSearch)
+	}
+}
+
+// TestTheoremAnswersStayOutOfCostEstimate: the cost EWMA estimates the
+// sweep. Theorem answers of a few microseconds must not drag it down, or a
+// later request without a common z would run a sweep that busts its
+// deadline instead of degrading.
+func TestTheoremAnswersStayOutOfCostEstimate(t *testing.T) {
+	s, err := NewSolver(WithDegradation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := theoremPlatform()
+	warm(s, StrategyFIFOExhaustive, plat.P(), time.Hour)
+	// 30 cheap observations would pull a one-hour EWMA under 0.1 s.
+	for i := 0; i < 30; i++ {
+		if _, err := s.Solve(context.Background(), Request{Platform: plat, Strategy: StrategyFIFOExhaustive}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if est := s.SolveCostEstimate(StrategyFIFOExhaustive, plat.P()); est != time.Hour {
+		t.Fatalf("estimate after theorem answers = %v, want the sweep's 1h", est)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	res, err := s.Solve(ctx, Request{Platform: degradePlatform(), Strategy: StrategyFIFOExhaustive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded {
+		t.Fatal("sweep request with a deadline under the estimate did not degrade")
+	}
+	if st := s.Stats(); st.OrderSearch.Theorem != 30 || st.OrderSearch.Sweep != 0 {
+		t.Fatalf("order searches %+v, want {Theorem:30 Sweep:0}", st.OrderSearch)
 	}
 }

@@ -85,6 +85,11 @@ type Result struct {
 	// deduplicated against an identical request in the same batch) rather
 	// than recomputed.
 	Cached bool
+	// theorem marks an order search answered in the theorems' order (see
+	// orderSearch): the engine counts it apart from the sweep and keeps
+	// it out of the solve-cost estimate. It sits beside Cached, in the
+	// padding before DegradedTo, so it does not grow the struct.
+	theorem bool
 	// Degraded reports that the solver answered with a closed-form
 	// heuristic instead of running the requested exhaustive search,
 	// because the solve-cost estimate predicted the search would bust the
@@ -153,6 +158,9 @@ type Stats struct {
 	// DegradedByStrategy splits them by the heuristic actually used.
 	Degraded           uint64
 	DegradedByStrategy map[string]uint64
+	// OrderSearch splits the fifo-exhaustive and lifo-exhaustive solves
+	// by how they were answered.
+	OrderSearch OrderSearchStats
 	// PairSearch is the cumulative pair-search instrumentation (process
 	// global: every pair search in the process advances it, whichever
 	// Solver ran it).
@@ -174,6 +182,16 @@ type WindowFlushes struct {
 	Timer uint64
 	// Close windows were drained by Batcher.Close.
 	Close uint64
+}
+
+// OrderSearchStats counts FIFO and LIFO order searches by the path that
+// answered them.
+type OrderSearchStats struct {
+	// Theorem searches took the order the paper's theorems prove optimal:
+	// one sort and one scenario solve.
+	Theorem uint64
+	// Sweep searches evaluated all p! send orders.
+	Sweep uint64
 }
 
 // PairSearchStats counts the exhaustive pair search's branch-and-bound
@@ -230,6 +248,8 @@ type Solver struct {
 	solvesBy             stats.CounterMap[string]
 	degraded             atomic.Uint64
 	degradedBy           stats.CounterMap[string]
+	orderTheorem         atomic.Uint64
+	orderSweep           atomic.Uint64
 
 	prepassGroups, prepassRequests           atomic.Uint64
 	windows, batchedWindows, batchedRequests atomic.Uint64
@@ -374,6 +394,10 @@ func (s *Solver) Stats() Stats {
 		Shed:            s.shed.Load(),
 		ShedSLO:         s.shedSLO.Load(),
 		Degraded:        s.degraded.Load(),
+		OrderSearch: OrderSearchStats{
+			Theorem: s.orderTheorem.Load(),
+			Sweep:   s.orderSweep.Load(),
+		},
 	}
 	st.Flushes = WindowFlushes{
 		Idle:  s.flushes[flushIdle].Load(),
@@ -556,13 +580,17 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if res, ok := s.maybeDegrade(ctx, req); ok {
-		if obs.Enabled(ctx) {
-			obs.Annotate(ctx,
-				obs.String("degraded", "true"),
-				obs.String("degraded_to", res.DegradedTo))
+	// A theorem answer is exact and takes microseconds: it never degrades,
+	// and it stays out of the cost EWMA, which estimates the sweep.
+	if _, theorem := theoremOrder(req); !theorem {
+		if res, ok := s.maybeDegrade(ctx, req); ok {
+			if obs.Enabled(ctx) {
+				obs.Annotate(ctx,
+					obs.String("degraded", "true"),
+					obs.String("degraded_to", res.DegradedTo))
+			}
+			return res, nil
 		}
-		return res, nil
 	}
 	s.countSolve(req.Strategy)
 	start := time.Now()
@@ -574,7 +602,14 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 	if res == nil {
 		return nil, fmt.Errorf("dls: strategy %q returned neither result nor error", req.Strategy)
 	}
-	s.costs.observe(req.Strategy, req.Platform.P(), time.Since(start))
+	if res.theorem {
+		s.orderTheorem.Add(1)
+	} else {
+		if req.Strategy == StrategyFIFOExhaustive || req.Strategy == StrategyLIFOExhaustive {
+			s.orderSweep.Add(1)
+		}
+		s.costs.observe(req.Strategy, req.Platform.P(), time.Since(start))
+	}
 	if obs.Enabled(ctx) {
 		obs.StageAt(ctx, 1, "strategy", t0, obs.Now(ctx), obs.String("name", req.Strategy))
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Names of the built-in strategies: the one way to ask the engine for each
@@ -16,8 +17,11 @@ const (
 	// under the one-port model (requires a common z = d/c), the companion
 	// paper's optimal two-port FIFO under TwoPort.
 	StrategyFIFO = "fifo"
-	// StrategyLIFO is the optimal LIFO schedule (one-port; under TwoPort it
-	// coincides, every LIFO schedule being one-port feasible).
+	// StrategyLIFO is the LIFO schedule by non-decreasing c (one-port;
+	// under TwoPort it coincides, every LIFO schedule being one-port
+	// feasible). It is optimal among LIFO orders when the platform has a
+	// common z = d/c; without one it is a heuristic, and
+	// StrategyLIFOExhaustive finds the optimal LIFO order.
 	StrategyLIFO = "lifo"
 	// StrategyIncC is the INC_C heuristic: FIFO over all workers by
 	// non-decreasing c (optimal for z ≤ 1 by Theorem 1).
@@ -39,9 +43,19 @@ const (
 	// StrategyBusFIFO constructs the optimal one-port FIFO schedule on a bus
 	// platform via the constructive proof of Theorem 2.
 	StrategyBusFIFO = "bus-fifo"
-	// StrategyFIFOExhaustive searches all FIFO send orders (p ≤ 9).
+	// StrategyFIFOExhaustive answers with an optimal FIFO send order
+	// (p ≤ 9). Under EvalAuto, a one-port request on a platform whose
+	// d/c ratios are equal up to rounding takes Theorem 1's order, one
+	// sort and one scenario solve, with equal-c workers in index order.
+	// Every other request searches all p! send orders and returns the
+	// lexicographically least winner.
 	StrategyFIFOExhaustive = "fifo-exhaustive"
-	// StrategyLIFOExhaustive searches all LIFO send orders (p ≤ 9).
+	// StrategyLIFOExhaustive answers with an optimal LIFO send order
+	// (p ≤ 9). Under EvalAuto, a request on a platform whose d/c ratios
+	// are equal up to rounding takes the companion result's order
+	// (non-decreasing c, under either model), with equal-c workers in
+	// index order. Every other request searches all p! send orders and
+	// returns the lexicographically least winner.
 	StrategyLIFOExhaustive = "lifo-exhaustive"
 	// StrategyPairExhaustive searches all (σ1, σ2) permutation pairs
 	// (p ≤ 8; p ≤ 5 under exact arithmetic, whose flat loop runs
@@ -198,20 +212,8 @@ func init() {
 		}
 		return scheduleResult(s), nil
 	})
-	mustRegisterStrategy(StrategyFIFOExhaustive, func(ctx context.Context, req Request) (*Result, error) {
-		s, order, err := core.BestFIFOExhaustiveEval(ctx, req.Platform, req.Model, req.Eval)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schedule: s, Send: order, Return: order}, nil
-	})
-	mustRegisterStrategy(StrategyLIFOExhaustive, func(ctx context.Context, req Request) (*Result, error) {
-		s, order, err := core.BestLIFOExhaustiveEval(ctx, req.Platform, req.Model, req.Eval)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schedule: s, Send: order, Return: order.Reverse()}, nil
-	})
+	mustRegisterStrategy(StrategyFIFOExhaustive, orderSearch(false))
+	mustRegisterStrategy(StrategyLIFOExhaustive, orderSearch(true))
 	mustRegisterStrategy(StrategyPairExhaustive, func(ctx context.Context, req Request) (*Result, error) {
 		pr, err := core.BestPairExhaustiveEval(ctx, req.Platform, req.Model, req.Eval)
 		if err != nil {
@@ -242,4 +244,60 @@ func init() {
 		}
 		return &Result{Affine: ar, Send: ar.Send, Return: ar.Return}, nil
 	})
+}
+
+// orderSearch is the FIFO (lifo false) or LIFO order search. It answers
+// with an optimal send order. A request that theoremOrder covers is solved
+// once in the theorem's order, whose ties go to the lower worker index,
+// and records a "search" stage with backend=theorem. Every other request,
+// and one whose theorem schedule the float evaluator cannot verify (it
+// happens from z ≈ 1e5), runs the sweep over all p! send orders and gets
+// its lexicographically least winner.
+func orderSearch(lifo bool) StrategyFunc {
+	kind, search := "fifo-order", core.BestFIFOExhaustiveEval
+	if lifo {
+		kind, search = "lifo-order", core.BestLIFOExhaustiveEval
+	}
+	result := func(s *Schedule, send Order) *Result {
+		res := &Result{Schedule: s, Send: send, Return: send}
+		if lifo {
+			res.Return = send.Reverse()
+		}
+		return res
+	}
+	return func(ctx context.Context, req Request) (*Result, error) {
+		t0 := obs.Now(ctx)
+		if order, ok := theoremOrder(req); ok {
+			t1 := obs.Now(ctx)
+			res := result(nil, order)
+			s, err := core.SolveScenarioEvalContext(ctx, req.Platform, res.Send, res.Return, req.Model, req.Eval)
+			if err == nil {
+				if obs.Enabled(ctx) {
+					obs.StageAt(ctx, 1, "search", t0, t1,
+						obs.String("kind", kind),
+						obs.Int64("orders", 1),
+						obs.String("backend", "theorem"))
+				}
+				res.Schedule, res.theorem = s, true
+				return res, nil
+			}
+		}
+		s, send, err := search(ctx, req.Platform, req.Model, req.Eval)
+		if err != nil {
+			return nil, err
+		}
+		return result(s, send), nil
+	}
+}
+
+// theoremOrder reports the order core.TheoremOrder proves optimal for a
+// prepared fifo-exhaustive or lifo-exhaustive request under EvalAuto.
+// Explicit backends, other strategies and requests the theorems do not
+// cover report false.
+func theoremOrder(req Request) (Order, bool) {
+	lifo := req.Strategy == StrategyLIFOExhaustive
+	if !lifo && req.Strategy != StrategyFIFOExhaustive || req.Eval != EvalAuto {
+		return nil, false
+	}
+	return core.TheoremOrder(req.Platform, req.Model, lifo)
 }

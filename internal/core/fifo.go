@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/eval"
 	"repro/internal/platform"
@@ -10,14 +10,9 @@ import (
 
 // OptimalFIFO computes an optimal one-port FIFO schedule on a star platform
 // with a common ratio z = d_i/c_i, implementing Theorem 1 and Proposition 1:
-//
-//   - z < 1: enroll all workers sorted by non-decreasing c_i, solve the FIFO
-//     scenario; zero loads give the resource selection.
-//   - z > 1: solve the mirrored platform (c ↔ d, whose ratio is 1/z < 1) and
-//     flip the resulting schedule in time; initial messages then go out in
-//     non-increasing c_i order, as stated in Section 3.
-//   - z = 1: any ordering is optimal; non-decreasing c_i is used for
-//     determinism.
+// it enrolls all workers by non-decreasing c_i when z ≤ 1 and by
+// non-increasing c_i when z > 1 (see TheoremOrder), solves that FIFO
+// scenario, and lets zero loads give the resource selection.
 //
 // The returned schedule has horizon T = 1 and throughput equal to the
 // optimal FIFO throughput ρ*. It returns ErrNoCommonZ when the platform has
@@ -39,23 +34,60 @@ func OptimalFIFOEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, 
 	if !ok {
 		return nil, ErrNoCommonZ
 	}
-	if z <= 1 {
-		order := p.ByC()
-		return SolveScenarioEval(p, order, order, schedule.OnePort, mode)
+	order, _ := orderForZ(p, z, schedule.OnePort, false)
+	return SolveScenarioEval(p, order, order, schedule.OnePort, mode)
+}
+
+// theoremZUlps is how far apart, in units in the last place of the first
+// worker's ratio, the d/c ratios may sit for TheoremOrder to apply: a
+// ratio computed as (z·c)/c sits within one ulp of z. Platform.Z accepts
+// ratios up to numeric.RatioTol apart, but inside that band the sweep can
+// beat the theorem's order by about 1e-10 relative.
+const theoremZUlps = 4
+
+// TheoremOrder returns the send order that the paper's theorems prove
+// optimal among all FIFO (lifo false) or all LIFO (lifo true) send orders
+// of p under model, and reports whether one applies. It applies when every
+// worker's d/c ratio equals the first one's to within theoremZUlps ulps,
+// that is when p has a common z up to rounding:
+//
+//   - FIFO, one-port (Theorem 1): non-decreasing c for z ≤ 1, non-increasing
+//     c for z > 1 (Section 3's mirror argument). At z = 1 every order is
+//     optimal and non-decreasing c is used.
+//   - LIFO, either model (the companion result quoted in Section 5):
+//     non-decreasing c. Every LIFO schedule is one-port feasible, so the
+//     two models share the order.
+//
+// Two-port FIFO, an invalid platform and a platform without such a common
+// z report false. Workers with equal c keep index order, so among optimal
+// orders the answer is the one with ties at the lower worker index first.
+func TheoremOrder(p *platform.Platform, model schedule.Model, lifo bool) (platform.Order, bool) {
+	if p.Validate() != nil {
+		return nil, false
 	}
-	// z > 1: time-reversal reduction. The mirror has ratio 1/z < 1; its
-	// non-decreasing-c order is the original's non-decreasing-d order.
-	mirror := p.Mirror()
-	order := mirror.ByC()
-	ms, err := SolveScenarioEval(mirror, order, order, schedule.OnePort, mode)
-	if err != nil {
-		return nil, err
+	z := p.Workers[0].D / p.Workers[0].C
+	tol := theoremZUlps * 0x1p-52 * z // at least theoremZUlps ulps of z
+	for _, w := range p.Workers[1:] {
+		if !(math.Abs(w.D/w.C-z) <= tol) {
+			return nil, false
+		}
 	}
-	s := ms.Flipped()
-	if err := s.Check(p, schedule.OnePort); err != nil {
-		return nil, fmt.Errorf("core: internal error: flipped z>1 schedule fails verification: %w", err)
+	return orderForZ(p, z, model, lifo)
+}
+
+// orderForZ picks TheoremOrder's order for a platform whose common ratio
+// is z.
+func orderForZ(p *platform.Platform, z float64, model schedule.Model, lifo bool) (platform.Order, bool) {
+	switch {
+	case lifo:
+		return p.ByC(), true
+	case model != schedule.OnePort:
+		return nil, false
+	case z <= 1:
+		return p.ByC(), true
+	default:
+		return p.ByCDesc(), true
 	}
-	return s, nil
 }
 
 // FIFOWithOrder computes the optimal loads for the FIFO schedule that
@@ -65,12 +97,15 @@ func FIFOWithOrder(p *platform.Platform, order platform.Order, model schedule.Mo
 	return SolveScenario(p, order, order, model, arith)
 }
 
-// OptimalLIFO computes the optimal one-port LIFO schedule. Per the
-// companion results quoted in Section 5 (the optimal two-port LIFO schedule
-// of [7, 8] involves all processors sorted by non-decreasing c_i and is
-// automatically a one-port schedule, every LIFO schedule being one-port
-// feasible), it enrolls all workers by non-decreasing c_i and lets the
-// evaluator fix the loads; zero-load workers are pruned.
+// OptimalLIFO computes the one-port LIFO schedule that enrolls all workers
+// by non-decreasing c_i and lets the evaluator fix the loads; zero-load
+// workers are pruned. Per the companion results quoted in Section 5 (the
+// optimal two-port LIFO schedule of [7, 8] involves all processors sorted
+// by non-decreasing c_i and is automatically a one-port schedule, every
+// LIFO schedule being one-port feasible), this order is optimal among LIFO
+// orders when the platform has a common z = d/c. Without one it is only a
+// heuristic: on stars whose d is drawn independently of c, another LIFO
+// order wins on most platforms (the lifo-exhaustive search finds it).
 func OptimalLIFO(p *platform.Platform, arith Arith) (*schedule.Schedule, error) {
 	mode, err := evalMode(arith)
 	if err != nil {

@@ -115,6 +115,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m.Counter("dlsd_strategy_solves_total", "Strategy executions by strategy.",
 			st.SolvesByStrategy[name], stats.Label{Key: "strategy", Value: name})
 	}
+	for _, o := range []struct {
+		backend string
+		n       uint64
+	}{{"theorem", st.OrderSearch.Theorem}, {"sweep", st.OrderSearch.Sweep}} {
+		m.Counter("dlsd_order_searches_total", "FIFO and LIFO order searches, by what answered them: theorem (one sort, common z) or sweep (all p! orders).",
+			o.n, stats.Label{Key: "backend", Value: o.backend})
+	}
 	m.Counter("dlsd_pair_search_outer_pruned_total", "Send orders whose whole return-order tree was pruned at the root.", st.PairSearch.OuterPruned)
 	m.Counter("dlsd_pair_search_nodes_expanded_total", "Pair branch-and-bound nodes expanded.", st.PairSearch.NodesExpanded)
 	m.Counter("dlsd_pair_search_subtrees_pruned_total", "Return-order subtrees cut by the prefix bound.", st.PairSearch.SubtreesPruned)

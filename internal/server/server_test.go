@@ -432,3 +432,32 @@ func TestServeCloseDrains(t *testing.T) {
 	}
 	fmt.Fprint(io.Discard, "")
 }
+
+// TestOrderSearchMetrics: /metrics splits the order searches by what
+// answered them, so the theorem path's hit rate is visible.
+func TestOrderSearchMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	draw := func() *dls.Platform {
+		return dls.RandomSpeeds(rng, 5, dls.Heterogeneous).Platform(dls.DefaultApp(100))
+	}
+	_, ts := newTestServer(t, Config{Window: 2 * time.Millisecond})
+	for _, p := range []*dls.Platform{draw(), draw(), independentD(rng, draw())} {
+		if resp, body := postJSON(t, ts.URL+"/v1/solve", dls.Request{Platform: p, Strategy: dls.StrategyLIFOExhaustive}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	r, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	metrics, _ := io.ReadAll(r.Body)
+	for _, want := range []string{
+		"dlsd_order_searches_total{backend=\"theorem\"} 2\n",
+		"dlsd_order_searches_total{backend=\"sweep\"} 1\n",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

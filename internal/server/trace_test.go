@@ -36,10 +36,12 @@ func getDebugRequests(t *testing.T, base, query string) obs.DebugResponse {
 // partitioning the timeline, eval-backend and search attributing the
 // solve — visible under /debug/requests with the depth-0 stages summing
 // to the end-to-end duration within 5%, and per-stage histograms on
-// /metrics.
+// /metrics. The platform's return speeds are drawn independently of its
+// forward speeds, so it has no common z and the request runs the p! sweep
+// (TestTraceTheoremSearch covers the theorem path).
 func TestTraceEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := dls.RandomSpeeds(rng, 6, dls.Heterogeneous).Platform(dls.DefaultApp(100))
+	p := independentD(rng, dls.RandomSpeeds(rng, 7, dls.Heterogeneous).Platform(dls.DefaultApp(100)))
 	req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive}
 	_, ts := newTestServer(t, Config{Window: 20 * time.Millisecond, WindowSize: 8, Trace: true})
 
@@ -83,6 +85,9 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("stage %q at depth %d, want 1", name, depth)
 		}
 	}
+	if got := stageAttr(stages["search"], "backend"); got != "sweep" {
+		t.Errorf("search backend = %q, want sweep", got)
+	}
 
 	// The depth-0 stages partition the request timeline: their sum must
 	// reproduce the end-to-end duration to within 5% (handler overhead).
@@ -117,6 +122,66 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %s", series)
 		}
 	}
+}
+
+// TestTraceTheoremSearch: an order search on a platform with a common z
+// is answered from the theorem, and its trace says so: a "search" stage
+// with backend=theorem and one order, beside the strategy and
+// eval-backend stages.
+func TestTraceTheoremSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := dls.RandomSpeeds(rng, 6, dls.Heterogeneous).Platform(dls.DefaultApp(100))
+	_, ts := newTestServer(t, Config{Window: 20 * time.Millisecond, WindowSize: 8, Trace: true})
+	for _, strategy := range []string{dls.StrategyFIFOExhaustive, dls.StrategyLIFOExhaustive} {
+		resp, _ := postJSON(t, ts.URL+"/v1/solve", dls.Request{Platform: p, Strategy: strategy}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: solve status %d", strategy, resp.StatusCode)
+		}
+	}
+	debug := getDebugRequests(t, ts.URL, "?route=/v1/solve")
+	if len(debug.Recent) != 2 {
+		t.Fatalf("debug = %d recent traces, want 2", len(debug.Recent))
+	}
+	kinds := map[string]bool{}
+	for _, d := range debug.Recent {
+		stages := make(map[string]obs.StageData, len(d.Stages))
+		for _, st := range d.Stages {
+			stages[st.Name] = st
+		}
+		for _, name := range []string{"queue_wait", "window_wait", "solve", "strategy", "eval-backend", "search"} {
+			if _, found := stages[name]; !found {
+				t.Errorf("%s: stage %q missing from trace (got %v)", d.Attr("strategy"), name, stageNames(d))
+			}
+		}
+		search := stages["search"]
+		if search.Depth != 1 || stageAttr(search, "backend") != "theorem" || stageAttr(search, "orders") != "1" {
+			t.Errorf("%s: search stage %+v, want depth 1, backend=theorem, orders=1", d.Attr("strategy"), search)
+		}
+		kinds[stageAttr(search, "kind")] = true
+	}
+	if !kinds["fifo-order"] || !kinds["lifo-order"] {
+		t.Errorf("search kinds %v, want fifo-order and lifo-order", kinds)
+	}
+}
+
+// independentD redraws each worker's return cost independently of its
+// forward cost, so the platform has no common z and the order searches run
+// the sweep.
+func independentD(rng *rand.Rand, p *dls.Platform) *dls.Platform {
+	for i := range p.Workers {
+		p.Workers[i].D *= float64(1+rng.Intn(10)) / float64(1+rng.Intn(10))
+	}
+	return p
+}
+
+// stageAttr returns the value of a stage attribute, or "".
+func stageAttr(st obs.StageData, key string) string {
+	for _, a := range st.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
 }
 
 func stageNames(d obs.TraceData) []string {
