@@ -115,6 +115,10 @@ func (s *Solver) maybeDegrade(ctx context.Context, req Request) (*Result, bool) 
 	if est <= 0 || time.Until(deadline) >= est {
 		return nil, false
 	}
+	// A theorem answer is exact and takes microseconds: it never degrades.
+	if _, ok := theoremOrder(req); ok {
+		return nil, false
+	}
 	var (
 		best     *Result
 		bestName string

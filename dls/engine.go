@@ -85,11 +85,11 @@ type Result struct {
 	// deduplicated against an identical request in the same batch) rather
 	// than recomputed.
 	Cached bool
-	// theorem marks an order search answered in the theorems' order (see
-	// orderSearch): the engine counts it apart from the sweep and keeps
-	// it out of the solve-cost estimate. It sits beside Cached, in the
-	// padding before DegradedTo, so it does not grow the struct.
-	theorem bool
+	// order records which path answered an order search (see
+	// orderSearch): the engine counts the two apart and keeps theorem
+	// answers out of the solve-cost estimate. It sits beside Cached, in
+	// the padding before DegradedTo, so it does not grow the struct.
+	order orderPath
 	// Degraded reports that the solver answered with a closed-form
 	// heuristic instead of running the requested exhaustive search,
 	// because the solve-cost estimate predicted the search would bust the
@@ -580,17 +580,13 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// A theorem answer is exact and takes microseconds: it never degrades,
-	// and it stays out of the cost EWMA, which estimates the sweep.
-	if _, theorem := theoremOrder(req); !theorem {
-		if res, ok := s.maybeDegrade(ctx, req); ok {
-			if obs.Enabled(ctx) {
-				obs.Annotate(ctx,
-					obs.String("degraded", "true"),
-					obs.String("degraded_to", res.DegradedTo))
-			}
-			return res, nil
+	if res, ok := s.maybeDegrade(ctx, req); ok {
+		if obs.Enabled(ctx) {
+			obs.Annotate(ctx,
+				obs.String("degraded", "true"),
+				obs.String("degraded_to", res.DegradedTo))
 		}
+		return res, nil
 	}
 	s.countSolve(req.Strategy)
 	start := time.Now()
@@ -602,12 +598,15 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 	if res == nil {
 		return nil, fmt.Errorf("dls: strategy %q returned neither result nor error", req.Strategy)
 	}
-	if res.theorem {
+	switch res.order {
+	case orderByTheorem:
 		s.orderTheorem.Add(1)
-	} else {
-		if req.Strategy == StrategyFIFOExhaustive || req.Strategy == StrategyLIFOExhaustive {
-			s.orderSweep.Add(1)
-		}
+	case orderBySweep:
+		s.orderSweep.Add(1)
+	}
+	// A theorem answer takes microseconds: it stays out of the cost
+	// EWMA, which estimates the sweep.
+	if res.order != orderByTheorem {
 		s.costs.observe(req.Strategy, req.Platform.P(), time.Since(start))
 	}
 	if obs.Enabled(ctx) {

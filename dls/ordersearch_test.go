@@ -127,3 +127,32 @@ func TestOrderSearchTheoremFallsBackToSweep(t *testing.T) {
 		t.Fatalf("OrderSearch = %+v, want {Theorem:0 Sweep:1}", got)
 	}
 }
+
+// TestFIFOStrategyLargeZ: for z > 1 the fifo strategy solves the mirrored
+// platform and flips the schedule in time. On this z = 1e5 platform the
+// float evaluator cannot verify Theorem 1's order solved directly, but it
+// verifies the flipped mirror, so the strategy answers, and agrees with
+// exact arithmetic.
+func TestFIFOStrategyLargeZ(t *testing.T) {
+	const z = 1e5
+	p := dls.NewPlatform(
+		dls.Worker{C: 0.9, W: 0.4, D: 0.9 * z},
+		dls.Worker{C: 0.5, W: 1.4, D: 0.5 * z},
+		dls.Worker{C: 0.5, W: 1.8, D: 0.5 * z},
+	)
+	send := p.ByCDesc()
+	if _, err := core.SolveScenarioEval(p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
+		t.Fatal("Theorem 1's order verifies when solved directly: the mirror route is not exercised")
+	}
+	res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO})
+	if err != nil {
+		t.Fatalf("fifo: %v", err)
+	}
+	exact, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Arith: dls.Exact})
+	if err != nil {
+		t.Fatalf("fifo exact: %v", err)
+	}
+	if want := exact.Throughput; math.Abs(res.Throughput-want) > 1e-12*want {
+		t.Fatalf("throughput %.17g, exact %.17g", res.Throughput, want)
+	}
+}

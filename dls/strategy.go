@@ -258,8 +258,8 @@ func orderSearch(lifo bool) StrategyFunc {
 	if lifo {
 		kind, search = "lifo-order", core.BestLIFOExhaustiveEval
 	}
-	result := func(s *Schedule, send Order) *Result {
-		res := &Result{Schedule: s, Send: send, Return: send}
+	result := func(s *Schedule, send Order, path orderPath) *Result {
+		res := &Result{Schedule: s, Send: send, Return: send, order: path}
 		if lifo {
 			res.Return = send.Reverse()
 		}
@@ -269,7 +269,7 @@ func orderSearch(lifo bool) StrategyFunc {
 		t0 := obs.Now(ctx)
 		if order, ok := theoremOrder(req); ok {
 			t1 := obs.Now(ctx)
-			res := result(nil, order)
+			res := result(nil, order, orderByTheorem)
 			s, err := core.SolveScenarioEvalContext(ctx, req.Platform, res.Send, res.Return, req.Model, req.Eval)
 			if err == nil {
 				if obs.Enabled(ctx) {
@@ -278,7 +278,7 @@ func orderSearch(lifo bool) StrategyFunc {
 						obs.Int64("orders", 1),
 						obs.String("backend", "theorem"))
 				}
-				res.Schedule, res.theorem = s, true
+				res.Schedule = s
 				return res, nil
 			}
 		}
@@ -286,9 +286,18 @@ func orderSearch(lifo bool) StrategyFunc {
 		if err != nil {
 			return nil, err
 		}
-		return result(s, send), nil
+		return result(s, send, orderBySweep), nil
 	}
 }
+
+// orderPath records which path answered an order search.
+type orderPath uint8
+
+const (
+	notOrderSearch orderPath = iota // another strategy
+	orderByTheorem                  // one solve in the theorem's order
+	orderBySweep                    // the sweep over all p! send orders
+)
 
 // theoremOrder reports the order core.TheoremOrder proves optimal for a
 // prepared fifo-exhaustive or lifo-exhaustive request under EvalAuto.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/eval"
@@ -10,9 +11,16 @@ import (
 
 // OptimalFIFO computes an optimal one-port FIFO schedule on a star platform
 // with a common ratio z = d_i/c_i, implementing Theorem 1 and Proposition 1:
-// it enrolls all workers by non-decreasing c_i when z ≤ 1 and by
-// non-increasing c_i when z > 1 (see TheoremOrder), solves that FIFO
-// scenario, and lets zero loads give the resource selection.
+//
+//   - z < 1: enroll all workers sorted by non-decreasing c_i, solve the FIFO
+//     scenario; zero loads give the resource selection.
+//   - z > 1: solve the mirrored platform (c ↔ d, whose ratio is 1/z < 1) and
+//     flip the resulting schedule in time; initial messages then go out in
+//     non-increasing c_i order, as stated in Section 3. Solving that order
+//     directly is equivalent in exact arithmetic, but from z ≈ 1e5 the
+//     float evaluator verifies the flipped mirror more often.
+//   - z = 1: any ordering is optimal; non-decreasing c_i is used for
+//     determinism.
 //
 // The returned schedule has horizon T = 1 and throughput equal to the
 // optimal FIFO throughput ρ*. It returns ErrNoCommonZ when the platform has
@@ -34,8 +42,23 @@ func OptimalFIFOEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, 
 	if !ok {
 		return nil, ErrNoCommonZ
 	}
-	order, _ := orderForZ(p, z, schedule.OnePort, false)
-	return SolveScenarioEval(p, order, order, schedule.OnePort, mode)
+	if z <= 1 {
+		order := p.ByC()
+		return SolveScenarioEval(p, order, order, schedule.OnePort, mode)
+	}
+	// z > 1: time-reversal reduction. The mirror has ratio 1/z < 1; its
+	// non-decreasing-c order is the original's non-decreasing-d order.
+	mirror := p.Mirror()
+	order := mirror.ByC()
+	ms, err := SolveScenarioEval(mirror, order, order, schedule.OnePort, mode)
+	if err != nil {
+		return nil, err
+	}
+	s := ms.Flipped()
+	if err := s.Check(p, schedule.OnePort); err != nil {
+		return nil, fmt.Errorf("core: internal error: flipped z>1 schedule fails verification: %w", err)
+	}
+	return s, nil
 }
 
 // theoremZUlps is how far apart, in units in the last place of the first
@@ -72,12 +95,6 @@ func TheoremOrder(p *platform.Platform, model schedule.Model, lifo bool) (platfo
 			return nil, false
 		}
 	}
-	return orderForZ(p, z, model, lifo)
-}
-
-// orderForZ picks TheoremOrder's order for a platform whose common ratio
-// is z.
-func orderForZ(p *platform.Platform, z float64, model schedule.Model, lifo bool) (platform.Order, bool) {
 	switch {
 	case lifo:
 		return p.ByC(), true

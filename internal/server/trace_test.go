@@ -41,7 +41,7 @@ func getDebugRequests(t *testing.T, base, query string) obs.DebugResponse {
 // (TestTraceTheoremSearch covers the theorem path).
 func TestTraceEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := independentD(rng, dls.RandomSpeeds(rng, 7, dls.Heterogeneous).Platform(dls.DefaultApp(100)))
+	p := independentD(rng, dls.RandomSpeeds(rng, 6, dls.Heterogeneous).Platform(dls.DefaultApp(100)))
 	req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive}
 	_, ts := newTestServer(t, Config{Window: 20 * time.Millisecond, WindowSize: 8, Trace: true})
 
