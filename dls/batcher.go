@@ -83,11 +83,10 @@ type BatcherConfig struct {
 	// explicitly — Offer admits or sheds, WindowDeadline exposes the
 	// pending flush time, ExpireWindow fires it, and every flushed window
 	// is handed to OnWindow instead of the drain pool; the owner answers
-	// it with Window.Complete. The window bookkeeping, adaptive policy,
-	// SLO shedding and violation accounting are the same code the
-	// goroutine mode runs; only the channel/goroutine transport around
-	// them is absent. internal/sim replays millions of virtual arrivals
-	// through this surface.
+	// it with Window.Complete. Admission runs through the same core as
+	// the goroutine mode (see Batcher); only the channel/goroutine
+	// transport around it is absent. internal/sim replays millions of
+	// virtual arrivals through this surface.
 	OnWindow func(*Window)
 }
 
@@ -181,8 +180,14 @@ func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Att
 // observed backlog and solve cost, and requests that provably cannot meet
 // their SLO deadline are shed early; see AdaptiveConfig.
 //
-// A Batcher is safe for concurrent use. Close drains: admitted requests
-// are still solved and answered, then the workers exit.
+// One admission core, two transports: a single-threaded collector runs
+// the rules above, fed by a collect goroutine in goroutine mode, or by
+// the owner's Offer and ExpireWindow calls in synchronous mode (see
+// BatcherConfig.OnWindow).
+//
+// A Batcher is safe for concurrent use (synchronous mode: the owner
+// serializes calls). Close drains: admitted requests are still solved and
+// answered, then the workers exit.
 type Batcher struct {
 	s     *Solver
 	cfg   BatcherConfig
@@ -207,22 +212,24 @@ type Batcher struct {
 	// controller's backlog.
 	inFlight atomic.Int64
 
-	// Synchronous mode state (OnWindow != nil); single-threaded by
-	// contract, no locking.
-	syncWin      []*submission
-	syncDeadline time.Time
-	syncSize     int
-	outstanding  int
+	// col is the admission core: owned by the collect goroutine, or in
+	// synchronous mode by the owner's serialized calls.
+	col collector
+	// outstanding counts submissions in windows handed to OnWindow and
+	// not yet completed (synchronous mode; single-threaded, no locking).
+	outstanding int
 }
 
 // NewBatcher builds an admission-window micro-batcher over the solver.
 func (s *Solver) NewBatcher(cfg BatcherConfig) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{s: s, cfg: cfg, clock: cfg.Clock}
+	b.col.b = b
 	if cfg.Adaptive != nil && cfg.MaxDelay > 0 {
 		b.adapt = newAdaptive(*cfg.Adaptive, cfg.Clock, &b.inFlight)
 	}
 	if cfg.OnWindow != nil {
+		b.col.sink = b.handOff
 		return b // synchronous mode: the owner pumps
 	}
 	if cfg.MaxDelay <= 0 {
@@ -233,6 +240,7 @@ func (s *Solver) NewBatcher(cfg BatcherConfig) *Batcher {
 	// entries always fit and sends never block.
 	b.queue = make(chan []*submission, cfg.QueueCap)
 	b.flushes = make(chan []*submission, cfg.Workers)
+	b.col.sink = func(win []*submission) { b.flushes <- win }
 	b.wg.Add(1 + cfg.Workers)
 	go b.collect()
 	for w := 0; w < cfg.Workers; w++ {
@@ -269,24 +277,33 @@ func (b *Batcher) resolveClass(name string) (SLOClass, error) {
 	return SLOClass{}, fmt.Errorf("%w %q", ErrUnknownClass, name)
 }
 
-// newSubmission builds a submission under its class: the class deadline
-// (measured on the batcher clock) is merged into the context so the
-// solve is cancelled at the deadline, and recorded for SLO shedding and
-// violation accounting. A context that already carries an earlier
-// deadline keeps it.
-func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass) (*submission, context.CancelFunc) {
+// newSubmission builds a submission under its class, recording its
+// deadline (the class deadline on the batcher clock, else the context's)
+// for SLO shedding and violation accounting.
+func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass) *submission {
 	sub := &submission{ctx: ctx, req: req, class: class, ready: make(chan struct{})}
 	if ts := obs.Traces(ctx); len(ts) > 0 {
 		sub.traces = ts
 		sub.submitAt = b.clock.Now()
 	}
-	cancel := context.CancelFunc(func() {})
 	if class.Deadline > 0 {
 		sub.deadline = b.clock.Now().Add(class.Deadline)
-		sub.ctx, cancel = b.clock.ContextWithDeadline(ctx, sub.deadline)
 	} else if d, ok := ctx.Deadline(); ok {
 		sub.deadline = d
 	}
+	return sub
+}
+
+// submitCtx builds a goroutine-mode submission: the class deadline is
+// also merged into its context, so the solve is cancelled at the
+// deadline. A context that already carries an earlier deadline keeps it.
+func (b *Batcher) submitCtx(ctx context.Context, req Request, class SLOClass) (*submission, context.CancelFunc) {
+	sub := b.newSubmission(ctx, req, class)
+	if class.Deadline <= 0 {
+		return sub, func() {}
+	}
+	var cancel context.CancelFunc
+	sub.ctx, cancel = b.clock.ContextWithDeadline(ctx, sub.deadline)
 	return sub, cancel
 }
 
@@ -332,7 +349,7 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	if b.cfg.OnWindow != nil {
 		return nil, errSyncSubmit
 	}
-	sub, cancel := b.newSubmission(ctx, req, class)
+	sub, cancel := b.submitCtx(ctx, req, class)
 	defer cancel()
 	if err := b.admit([]*submission{sub}); err != nil {
 		return nil, err
@@ -383,7 +400,7 @@ func (b *Batcher) SubmitBatch(ctxs []context.Context, reqs []Request, class stri
 		}
 	}()
 	for i, req := range reqs {
-		subs[i], cancels[i] = b.newSubmission(ctxs[i], req, c)
+		subs[i], cancels[i] = b.submitCtx(ctxs[i], req, c)
 	}
 	if err := b.admit(subs); err != nil {
 		return fail(err)
@@ -475,22 +492,32 @@ func (b *Batcher) solveDirect(subs []*submission) {
 		return
 	}
 	sub := subs[0]
-	sub.res, sub.err = b.s.Solve(sub.ctx, sub.req)
-	if len(sub.traces) > 0 {
-		sub.stage("solve", start, b.clock.Now())
-	}
-	b.accountCompletion(sub, sub.err)
-	close(sub.ready)
+	res, err := b.s.Solve(sub.ctx, sub.req)
+	b.answer(nil, sub, res, err, true)
 }
 
-// accountCompletion records the SLO outcome of one answered submission.
-func (b *Batcher) accountCompletion(sub *submission, err error) {
-	if sub.deadline.IsZero() || err != nil {
-		return
+// answer answers sub with res and err. A solved submission also records
+// its solve stage (flush → now) and, on success, its SLO outcome: a late
+// answer counts as a violation of its class. An abandoned one, answered
+// with its ctx.Err() instead of being solved, does neither. unanswered
+// counts the unanswered submissions of the flushed window sub rides (nil
+// outside one, as in direct mode): the window leaves flight just before
+// its last answer, so a caller that submits again on its answer already
+// finds a worker idle.
+func (b *Batcher) answer(unanswered *atomic.Int64, sub *submission, res *Result, err error, solved bool) {
+	sub.res, sub.err = res, err
+	if solved {
+		if len(sub.traces) > 0 {
+			sub.stage("solve", sub.flushAt, b.clock.Now())
+		}
+		if err == nil && !sub.deadline.IsZero() && b.clock.Now().After(sub.deadline) {
+			b.s.violationsByClass.Add(sub.class.Name, 1)
+		}
 	}
-	if b.clock.Now().After(sub.deadline) {
-		b.s.violationsByClass.Add(sub.class.Name, 1)
+	if unanswered != nil && unanswered.Add(-1) == 0 {
+		b.inFlight.Add(-1)
 	}
+	close(sub.ready)
 }
 
 // Close stops admission and drains: every queued submission is still
@@ -504,8 +531,8 @@ func (b *Batcher) Close() {
 		if b.queue != nil {
 			close(b.queue)
 		}
-		if b.cfg.OnWindow != nil && len(b.syncWin) > 0 {
-			b.flushSync(flushClose)
+		if b.cfg.OnWindow != nil {
+			b.col.flush(flushClose)
 		}
 	}
 	b.mu.Unlock()
@@ -515,32 +542,11 @@ func (b *Batcher) Close() {
 
 // Stats returns the batcher's admission gauges.
 func (b *Batcher) Stats() BatcherStats {
+	depth := int(b.queued.Load())
 	if b.cfg.OnWindow != nil {
-		return BatcherStats{
-			QueueDepth: b.outstanding - len(b.syncWin),
-			WindowFill: len(b.syncWin),
-		}
+		depth = b.outstanding
 	}
-	return BatcherStats{
-		QueueDepth: int(b.queued.Load()),
-		WindowFill: int(b.fill.Load()),
-	}
-}
-
-// windowDelay decides the admission delay for a window opened by sub.
-func (b *Batcher) windowDelay(sub *submission) time.Duration {
-	if b.adapt != nil {
-		return b.adapt.windowDelay(b.clock.Now(), sub.deadline)
-	}
-	return b.cfg.MaxDelay
-}
-
-// windowSize decides the early-flush threshold for the current window.
-func (b *Batcher) windowSize() int {
-	if b.adapt != nil {
-		return b.adapt.windowSize(b.cfg.MaxSize)
-	}
-	return b.cfg.MaxSize
+	return BatcherStats{QueueDepth: depth, WindowFill: int(b.fill.Load())}
 }
 
 // admitOrShed applies the deadline-aware admission check to a collected
@@ -597,28 +603,6 @@ var flushReasonNames = [numFlushReasons]string{"idle", "size", "timer", "close"}
 
 func (r flushReason) String() string { return flushReasonNames[r] }
 
-// idle reports whether a drain worker is free: fewer than Workers windows
-// are in flight.
-func (b *Batcher) idle() bool { return b.inFlight.Load() < int64(b.cfg.Workers) }
-
-// countFlush runs the shared flush bookkeeping (counters, hooks, the
-// in-flight count) for a window about to leave the collector, and
-// returns the window's id (the solver-wide flush sequence number, which
-// trace stages annotate).
-func (b *Batcher) countFlush(win []*submission, reason flushReason) uint64 {
-	if b.cfg.OnFlush != nil {
-		b.cfg.OnFlush(len(win))
-	}
-	b.inFlight.Add(1)
-	b.s.flushes[reason].Add(1)
-	id := b.s.windows.Add(1)
-	if len(win) >= 2 {
-		b.s.batchedWindows.Add(1)
-		b.s.batchedRequests.Add(uint64(len(win)))
-	}
-	return id
-}
-
 // stageFlush records the admission stages of a flushed window on every
 // traced submission — queue_wait (submit → admission) and window_wait
 // (admission → this flush, annotated with the window id, its fill and
@@ -640,81 +624,124 @@ func (b *Batcher) stageFlush(win []*submission, id uint64, reason flushReason) {
 	}
 }
 
-// collect runs the admission loop: it gathers submissions into a window
-// and flushes it at once to an idle drain worker, or else when the window
-// is full or its delay has passed since it opened (see Batcher).
+// collector is the admission core both transports run. It owns the
+// filling window, its size threshold and its flush deadline; join admits
+// one queue entry and flush hands a window to the sink (the drain
+// workers' channel in goroutine mode, OnWindow in synchronous mode). It
+// is single-threaded: the collect goroutine owns it, or in synchronous
+// mode the owner's serialized calls.
+type collector struct {
+	b        *Batcher
+	win      []*submission
+	size     int
+	deadline time.Time // the open window's flush time
+	sink     func([]*submission)
+}
+
+// join admits one queue entry (a Submit or a SubmitBatch body) into
+// windows in slot order, flushing partway through whenever a window
+// fills. Once the whole entry is in, the window flushes at once if a
+// drain worker is idle (fewer than Workers windows in flight), unless
+// more entries are already queued to join it.
+func (c *collector) join(subs []*submission, more bool) {
+	b := c.b
+	for _, sub := range subs {
+		if err := sub.ctx.Err(); err != nil {
+			// Abandoned while queued; answer without admitting so the
+			// adaptive estimates only see live traffic.
+			b.answer(nil, sub, nil, err, false)
+			continue
+		}
+		if !b.admitOrShed(sub, c.deadline) {
+			continue
+		}
+		if len(sub.traces) > 0 {
+			sub.admitAt = b.clock.Now()
+		}
+		c.win = append(c.win, sub)
+		b.fill.Store(int64(len(c.win)))
+		if len(c.win) == 1 {
+			now := b.clock.Now()
+			c.size, c.deadline = b.cfg.MaxSize, now.Add(b.cfg.MaxDelay)
+			if b.adapt != nil {
+				c.size = b.adapt.windowSize(b.cfg.MaxSize)
+				c.deadline = now.Add(b.adapt.windowDelay(now, sub.deadline))
+			}
+		}
+		if len(c.win) >= c.size {
+			c.flush(flushSize)
+		}
+	}
+	if len(c.win) > 0 && !more && b.inFlight.Load() < int64(b.cfg.Workers) {
+		c.flush(flushIdle)
+	}
+}
+
+// flush sheds the window's doomed submissions, counts the flush (hook,
+// counters, the in-flight count), records its admission stages and hands
+// the survivors to the sink. No-op when no window is open.
+func (c *collector) flush(reason flushReason) {
+	if len(c.win) == 0 {
+		return
+	}
+	b := c.b
+	win := b.dropDoomed(c.win)
+	c.win, c.deadline = nil, time.Time{}
+	b.fill.Store(0)
+	if len(win) == 0 {
+		return
+	}
+	if b.cfg.OnFlush != nil {
+		b.cfg.OnFlush(len(win))
+	}
+	b.inFlight.Add(1)
+	b.s.flushes[reason].Add(1)
+	id := b.s.windows.Add(1)
+	if len(win) >= 2 {
+		b.s.batchedWindows.Add(1)
+		b.s.batchedRequests.Add(uint64(len(win)))
+	}
+	b.stageFlush(win, id, reason)
+	c.sink(win)
+}
+
+// collect is goroutine mode's transport around the collector: it feeds
+// it queue entries and window timer expiries, keeping one timer armed for
+// the open window's deadline.
 func (b *Batcher) collect() {
 	defer b.wg.Done()
 	defer close(b.flushes)
+	c := &b.col
 	var (
-		win     []*submission
-		size    int
-		flushAt time.Time
-		timer   Timer
-		fire    <-chan time.Time
+		timer Timer
+		fire  <-chan time.Time
+		armed time.Time
 	)
-	flush := func(reason flushReason) {
-		if timer != nil {
-			timer.Stop()
-			timer, fire = nil, nil
-		}
-		flushAt = time.Time{}
-		win = b.dropDoomed(win)
-		b.fill.Store(0)
-		if len(win) > 0 {
-			id := b.countFlush(win, reason)
-			b.stageFlush(win, id, reason)
-			b.flushes <- win
-		}
-		win = nil
-	}
 	for {
 		select {
 		case subs, ok := <-b.queue:
 			if !ok {
-				flush(flushClose)
+				if timer != nil {
+					timer.Stop()
+				}
+				c.flush(flushClose)
 				return
 			}
 			b.queued.Add(-int64(len(subs)))
-			// A group joins windows in slot order, flushing partway
-			// through whenever a window fills.
-			for _, sub := range subs {
-				if err := sub.ctx.Err(); err != nil {
-					// Abandoned while queued; answer without admitting so
-					// the adaptive estimates only see live traffic.
-					sub.err = err
-					close(sub.ready)
-					continue
-				}
-				if !b.admitOrShed(sub, flushAt) {
-					continue
-				}
-				if len(sub.traces) > 0 {
-					sub.admitAt = b.clock.Now()
-				}
-				win = append(win, sub)
-				b.fill.Store(int64(len(win)))
-				if len(win) == 1 {
-					size = b.windowSize()
-					flushAt = b.clock.Now().Add(b.windowDelay(sub))
-				}
-				if len(win) >= size {
-					flush(flushSize)
-				}
-			}
-			// The whole group is in: an idle drain worker takes the window
-			// now, unless another group is already waiting to join it.
-			switch {
-			case len(win) == 0:
-			case b.idle() && len(b.queue) == 0:
-				flush(flushIdle)
-			case timer == nil:
-				timer = b.clock.NewTimer(flushAt.Sub(b.clock.Now()))
-				fire = timer.C()
-			}
+			c.join(subs, len(b.queue) > 0)
 		case <-fire:
 			timer, fire = nil, nil
-			flush(flushTimer)
+			c.flush(flushTimer)
+		}
+		// Keep one timer armed for the open window's deadline.
+		if timer != nil && !armed.Equal(c.deadline) {
+			timer.Stop()
+			timer, fire = nil, nil
+		}
+		if timer == nil && len(c.win) > 0 {
+			armed = c.deadline
+			timer = b.clock.NewTimer(armed.Sub(b.clock.Now()))
+			fire = timer.C()
 		}
 	}
 }
@@ -743,21 +770,16 @@ func (b *Batcher) solveWindow(win []*submission) {
 	if b.adapt != nil {
 		defer func() { b.adapt.observeSolve(b.clock.Now().Sub(start), groups) }()
 	}
-	var unanswered atomic.Int64
-	unanswered.Store(int64(len(win)))
-	answer := func(sub *submission) {
-		// Direct-mode bodies were never counted in flight.
-		if unanswered.Add(-1) == 0 && !b.direct {
-			b.inFlight.Add(-1)
-		}
-		close(sub.ready)
+	var unanswered *atomic.Int64
+	if !b.direct { // direct-mode bodies are never counted in flight
+		unanswered = new(atomic.Int64)
+		unanswered.Store(int64(len(win)))
 	}
 	// A fresh slice: a direct-mode window is the caller's own body.
 	live := make([]*submission, 0, len(win))
 	for _, sub := range win {
 		if err := sub.ctx.Err(); err != nil {
-			sub.err = err
-			answer(sub)
+			b.answer(unanswered, sub, nil, err, false)
 			continue
 		}
 		live = append(live, sub)
@@ -781,13 +803,7 @@ func (b *Batcher) solveWindow(win []*submission) {
 		}
 	}
 	groups = b.s.solveBatchTraced(ctx, reqs, traces, func(i int, res *Result, err error) {
-		sub := live[i]
-		sub.res, sub.err = res, err
-		if len(sub.traces) > 0 {
-			sub.stage("solve", sub.flushAt, b.clock.Now())
-		}
-		b.accountCompletion(sub, err)
-		answer(sub)
+		b.answer(unanswered, live[i], res, err, true)
 	})
 }
 

@@ -2,23 +2,24 @@ package dls
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// This file is the synchronous (simulation) driving surface of Batcher,
-// active when BatcherConfig.OnWindow is set: no goroutines, no channels —
-// the owner delivers arrivals with Offer, fires the window timer with
-// ExpireWindow when its clock reaches WindowDeadline, and completes
-// flushed windows with Window.Complete at whatever (virtual) time the
-// service model dictates. Admission, window bookkeeping, the adaptive
-// policy, SLO shedding and violation accounting are the same code paths
-// the goroutine mode runs; only the transport differs. internal/sim
-// drives millions of virtual arrivals through this surface in seconds of
-// wall clock. The surface is intentionally single-threaded: the owner
-// must serialize all calls.
+// This file is the synchronous (simulation) transport of Batcher, active
+// when BatcherConfig.OnWindow is set. One admission core, two transports:
+// Offer, ExpireWindow, WindowDeadline and Close call the same collector
+// (join, idle rule, flush) that the goroutine mode's collect loop feeds
+// from its queue and timer, and Window.Complete answers through the same
+// helper as the drain workers. Only the transport differs: no goroutines
+// and no channels — the owner delivers arrivals with Offer, fires the
+// window timer with ExpireWindow when its clock reaches WindowDeadline,
+// and completes flushed windows with Window.Complete at whatever
+// (virtual) time its service model dictates. internal/sim drives millions
+// of virtual arrivals through this surface in seconds of wall clock. The
+// surface is single-threaded: the owner must serialize all calls.
 
 // Pending is the reply slot of one synchronously offered submission.
 type Pending struct{ sub *submission }
@@ -63,6 +64,9 @@ type Window struct {
 	subs    []*submission
 	groups  int
 	flushed time.Time
+	// unanswered counts the submissions Complete has not answered yet:
+	// zero once the window is completed.
+	unanswered atomic.Int64
 }
 
 // Size returns the number of submissions in the window.
@@ -92,7 +96,8 @@ func (w *Window) Tag(i int) any { return w.subs[i].tag }
 // simulator models cost, not solutions), deadline violations are counted
 // per class against the clock, and the adaptive controller observes the
 // window's service time (now - FlushedAt) over its dedup groups. Either
-// slice may be nil; non-nil slices must have length Size.
+// slice may be nil; non-nil slices must have length Size. A window is
+// completed once: a second Complete is an error and changes nothing.
 //
 // Unlike the goroutine mode, which answers each request as soon as its
 // dedup group is solved, Complete answers the whole window at once: the
@@ -105,26 +110,20 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 	if errs != nil && len(errs) != len(w.subs) {
 		return fmt.Errorf("dls: Window.Complete: %d errors for %d submissions", len(errs), len(w.subs))
 	}
+	if w.unanswered.Load() == 0 {
+		return errors.New("dls: Window.Complete: window already completed")
+	}
 	b := w.b
-	// Out of flight before any submission is answered, as in the
-	// goroutine mode.
-	b.inFlight.Add(-1)
-	var done time.Time
 	for i, sub := range w.subs {
+		var res *Result
+		var err error
 		if results != nil {
-			sub.res = results[i]
+			res = results[i]
 		}
 		if errs != nil {
-			sub.err = errs[i]
+			err = errs[i]
 		}
-		if len(sub.traces) > 0 {
-			if done.IsZero() {
-				done = b.clock.Now()
-			}
-			sub.stage("solve", sub.flushAt, done)
-		}
-		b.accountCompletion(sub, sub.err)
-		close(sub.ready)
+		b.answer(&w.unanswered, sub, res, err, true)
 	}
 	b.outstanding -= len(w.subs)
 	if b.adapt != nil {
@@ -134,14 +133,15 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 }
 
 // Offer admits or sheds one submission now, without blocking: it is the
-// synchronous-mode counterpart of Submit. The returned Pending is
-// answered immediately on shed, or by Window.Complete after the window
-// carrying it is flushed: at once when fewer than Workers windows are in
-// flight (handed to OnWindow, not yet completed), else at the size
-// threshold or ExpireWindow. Admission is bounded by QueueCap outstanding
-// (admitted, not yet completed) submissions; beyond it, and for
-// deadline-carrying requests the adaptive policy predicts cannot meet
-// their SLO, the submission is shed with ErrOverloaded /
+// synchronous-mode counterpart of Submit, and joins the filling window
+// through the same admission step. The returned Pending is answered
+// immediately on shed or when ctx is already done, or by Window.Complete
+// after the window carrying it is flushed: at once when fewer than
+// Workers windows are in flight (handed to OnWindow, not yet completed),
+// else at the size threshold or ExpireWindow. Admission is bounded by
+// QueueCap outstanding (admitted, not yet completed) submissions; beyond
+// it, and for deadline-carrying requests the adaptive policy predicts
+// cannot meet their SLO, the submission is shed with ErrOverloaded /
 // ErrSLOUnmeetable exactly like the goroutine mode. tag is attached
 // before any shed or flush can observe the submission (see Pending.Tag
 // and BatcherConfig.OnShed) — Offer can flush a full window before it
@@ -157,76 +157,40 @@ func (b *Batcher) Offer(ctx context.Context, req Request, class string, tag any)
 	if err != nil {
 		return nil, err
 	}
-	sub := &submission{ctx: ctx, req: req, class: c, ready: make(chan struct{}), tag: tag}
-	if ts := obs.Traces(ctx); len(ts) > 0 {
-		// Synchronous admission is immediate: submit and admit coincide,
-		// so queue_wait is zero and window_wait spans Offer → flush.
-		sub.traces = ts
-		sub.submitAt = b.clock.Now()
-		sub.admitAt = sub.submitAt
-	}
-	if c.Deadline > 0 {
-		sub.deadline = b.clock.Now().Add(c.Deadline)
-	} else if d, ok := ctx.Deadline(); ok {
-		sub.deadline = d
-	}
-	p := &Pending{sub: sub}
-	if b.outstanding >= b.cfg.QueueCap {
+	sub := b.newSubmission(ctx, req, c)
+	sub.tag = tag
+	if b.outstanding+len(b.col.win) >= b.cfg.QueueCap {
 		b.recordShed(sub, ErrOverloaded)
-		return p, nil
+	} else {
+		b.col.join([]*submission{sub}, false)
 	}
-	if !b.admitOrShed(sub, b.syncDeadline) {
-		return p, nil
-	}
-	b.outstanding++
-	b.syncWin = append(b.syncWin, sub)
-	b.fill.Store(int64(len(b.syncWin)))
-	if len(b.syncWin) == 1 {
-		b.syncSize = b.windowSize()
-		b.syncDeadline = b.clock.Now().Add(b.windowDelay(sub))
-	}
-	switch {
-	case len(b.syncWin) >= b.syncSize:
-		b.flushSync(flushSize)
-	case b.idle():
-		b.flushSync(flushIdle)
-	}
-	return p, nil
+	return &Pending{sub: sub}, nil
 }
 
 // WindowDeadline returns the flush time of the currently filling window;
 // ok is false when no window is open. The owner is expected to call
 // ExpireWindow when its clock reaches the deadline.
 func (b *Batcher) WindowDeadline() (time.Time, bool) {
-	if b.cfg.OnWindow == nil || len(b.syncWin) == 0 {
+	if b.cfg.OnWindow == nil || len(b.col.win) == 0 {
 		return time.Time{}, false
 	}
-	return b.syncDeadline, true
+	return b.col.deadline, true
 }
 
 // ExpireWindow fires the window timer: the filling window, if any, is
 // flushed through OnWindow regardless of fill.
 func (b *Batcher) ExpireWindow() {
-	if b.cfg.OnWindow != nil && len(b.syncWin) > 0 {
-		b.flushSync(flushTimer)
+	if b.cfg.OnWindow != nil {
+		b.col.flush(flushTimer)
 	}
 }
 
-// flushSync flushes the filling window through OnWindow, applying the
-// same doomed-request shedding and flush bookkeeping as the goroutine
-// collector.
-func (b *Batcher) flushSync(reason flushReason) {
-	win := b.dropDoomed(b.syncWin)
-	b.outstanding -= len(b.syncWin) - len(win)
-	b.syncWin = nil
-	b.syncDeadline = time.Time{}
-	b.fill.Store(0)
-	if len(win) == 0 {
-		return
-	}
-	id := b.countFlush(win, reason)
-	b.stageFlush(win, id, reason)
-	b.cfg.OnWindow(&Window{b: b, subs: win, groups: countGroups(win), flushed: b.clock.Now()})
+// handOff is the synchronous sink: a flushed window goes to OnWindow.
+func (b *Batcher) handOff(win []*submission) {
+	w := &Window{b: b, subs: win, groups: countGroups(win), flushed: b.clock.Now()}
+	w.unanswered.Store(int64(len(win)))
+	b.outstanding += len(win)
+	b.cfg.OnWindow(w)
 }
 
 // countGroups counts the deduplicated problems of a window — the number
