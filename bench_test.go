@@ -406,60 +406,79 @@ func BenchmarkBestPairExhaustive4(b *testing.B) {
 }
 
 // benchPairPlatform draws the heterogeneous reference platform of the
-// pair-search benchmarks (the CI pruning gate watches the p = 6 instance).
+// pair-search benchmarks (TestPairPruningGate watches the p = 6 instance).
 func benchPairPlatform(n int) *dls.Platform {
 	rng := rand.New(rand.NewSource(63))
 	return dls.RandomSpeeds(rng, n, dls.Heterogeneous).Platform(dls.DefaultApp(100))
 }
 
+// pairCutFraction is the fraction of generated return-order children the
+// prefix bound cut over an interval of pair searches.
+func pairCutFraction(before, after core.PairStats) float64 {
+	pruned := after.SubtreesPruned - before.SubtreesPruned
+	children := pruned + (after.NodesExpanded - before.NodesExpanded) + (after.LeavesEvaluated - before.LeavesEvaluated)
+	if children == 0 {
+		return 0
+	}
+	return float64(pruned) / float64(children)
+}
+
 // reportPairPruning attaches the branch-and-bound instrumentation of the
 // measured interval as benchmark metrics: subtrees cut per op and the
-// fraction of generated return-order children that were cut (the CI bench
-// job fails when the counter stops advancing — the bound silently stopped
-// firing). See BENCH.md for how to read the counters.
+// fraction of generated return-order children that were cut. See BENCH.md
+// for how to read the counters.
 func reportPairPruning(b *testing.B, before, after core.PairStats) {
-	pruned := after.SubtreesPruned - before.SubtreesPruned
-	nodes := after.NodesExpanded - before.NodesExpanded
-	leaves := after.LeavesEvaluated - before.LeavesEvaluated
-	outer := after.OuterPruned - before.OuterPruned
-	b.ReportMetric(float64(pruned)/float64(b.N), "pruned-subtrees/op")
-	b.ReportMetric(float64(outer)/float64(b.N), "pruned-outer/op")
-	if children := pruned + nodes + leaves; children > 0 {
-		b.ReportMetric(float64(pruned)/float64(children), "pruned-frac")
+	b.ReportMetric(float64(after.SubtreesPruned-before.SubtreesPruned)/float64(b.N), "pruned-subtrees/op")
+	b.ReportMetric(float64(after.OuterPruned-before.OuterPruned)/float64(b.N), "pruned-outer/op")
+	if frac := pairCutFraction(before, after); frac > 0 {
+		b.ReportMetric(frac, "pruned-frac")
 	}
 }
 
-// BenchmarkBestPairExhaustive5 compares the two pair-search algorithms at
-// p = 5 under the auto backend: the flat double loop (send-prefix reuse +
-// whole-inner-loop SendBound pruning, the PR 3 search) against the
-// branch-and-bound recursion over return-order prefixes. The acceptance
-// criterion of the search-core refactor is bb ≥ 3× faster than flat here.
+// TestPairPruningGate checks that the pair branch-and-bound's subtree
+// pruning fires on the p = 6 reference platform. A zero counter means the
+// prefix bound silently stopped cutting return-order subtrees (the search
+// would still be correct, just far slower); more than half of the
+// generated return-order children must be cut. The serial search makes
+// both counts deterministic.
+func TestPairPruningGate(t *testing.T) {
+	ctx := core.ContextWithSearchParallelism(context.Background(), 1)
+	before := core.PairStatsSnapshot()
+	if _, err := core.BestPairExhaustiveEval(ctx, benchPairPlatform(6), schedule.OnePort, eval.Auto); err != nil {
+		t.Fatal(err)
+	}
+	after := core.PairStatsSnapshot()
+	pruned, frac := after.SubtreesPruned-before.SubtreesPruned, pairCutFraction(before, after)
+	t.Logf("BestPairExhaustive6: %d subtrees pruned, cut fraction %.3f", pruned, frac)
+	if pruned == 0 {
+		t.Fatal("subtree-pruning counter is zero: the return-prefix bound stopped firing")
+	}
+	if frac <= 0.5 {
+		t.Fatalf("return-order subtree cut fraction fell to %.3f <= 50%% on the reference platform", frac)
+	}
+}
+
+// BenchmarkBestPairExhaustive5 runs the pair branch-and-bound at p = 5
+// under the auto backend.
 func BenchmarkBestPairExhaustive5(b *testing.B) {
 	p := benchPairPlatform(5)
 	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		algo core.PairAlgo
-	}{{"flat", core.PairFlat}, {"bb", core.PairBB}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var rho float64
-			before := core.PairStatsSnapshot()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pr, err := core.BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, tc.algo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rho = pr.Schedule.Throughput()
+	b.Run("bb", func(b *testing.B) {
+		var rho float64
+		before := core.PairStatsSnapshot()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pr, err := core.BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(rho, "rho")
-			if tc.algo == core.PairBB {
-				reportPairPruning(b, before, core.PairStatsSnapshot())
-			}
-		})
-	}
+			rho = pr.Schedule.Throughput()
+		}
+		b.StopTimer()
+		b.ReportMetric(rho, "rho")
+		reportPairPruning(b, before, core.PairStatsSnapshot())
+	})
 }
 
 // benchPairParallel runs the pair branch-and-bound on p at the given
@@ -467,7 +486,7 @@ func BenchmarkBestPairExhaustive5(b *testing.B) {
 // every parallel result bitwise against the serial one — the scaling curve
 // in BENCH_pr7.json is only meaningful if the work done is identical.
 func benchPairParallel(b *testing.B, p *dls.Platform, workers []int) {
-	serial, err := core.BestPairExhaustiveAlgo(context.Background(), p, schedule.OnePort, eval.Auto, core.PairBB)
+	serial, err := core.BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,7 +499,7 @@ func benchPairParallel(b *testing.B, p *dls.Platform, workers []int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pr, err := core.BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, core.PairBB)
+				pr, err := core.BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 				if err != nil {
 					b.Fatal(err)
 				}

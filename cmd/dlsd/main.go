@@ -132,13 +132,11 @@ func run(args []string) error {
 		QueueCap:      *queueCap,
 		Workers:       *workers,
 		RetryAfter:    *retryAfter,
+		Adaptive:      *adaptive,
 		Trace:         *trace,
 		TraceRing:     *traceRing,
 		TraceSlowest:  *traceSlowest,
 		Log:           lg,
-	}
-	if *adaptive {
-		scfg.Adaptive = &dls.AdaptiveConfig{}
 	}
 	if *sloClasses != "" {
 		if scfg.Classes, err = dls.ParseSLOClasses(*sloClasses); err != nil {

@@ -15,9 +15,9 @@
 // schedule subcommand prints the optimal loads, throughput and per-worker
 // timeline; bus evaluates the Theorem 2 closed form; brute searches all
 // permutation pairs (small platforms, cancellable via -timeout) with the
-// pair-exhaustive strategy, which runs branch-and-bound in float64 and the
-// flat search under -exact; random emits a platform JSON drawn from the
-// paper's generator families; strategies lists the registry.
+// pair-exhaustive strategy's branch-and-bound, unpruned under -exact;
+// random emits a platform JSON drawn from the paper's generator families;
+// strategies lists the registry.
 package main
 
 import (

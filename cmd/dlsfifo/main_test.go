@@ -136,8 +136,8 @@ func TestCmdBrute(t *testing.T) {
 }
 
 // TestCmdBruteExact runs brute under exact arithmetic, where the
-// pair-exhaustive strategy takes the flat search (the branch-and-bound's
-// float64 bounds cannot certify exact comparisons).
+// pair-exhaustive branch-and-bound prunes nothing (its float64 bounds
+// cannot certify exact comparisons).
 func TestCmdBruteExact(t *testing.T) {
 	path := writePlatform(t)
 	if err := cmdBrute([]string{"-platform", path, "-exact"}); err != nil {

@@ -103,10 +103,8 @@ func main() {
 		WindowSize:  *windowSize,
 		QueueCap:    *queue,
 		Drain:       *drain,
+		Adaptive:    *adaptive,
 		Failures:    crashPlan,
-	}
-	if *adaptive {
-		cfg.Adaptive = &dls.AdaptiveConfig{}
 	}
 
 	if *compare {
@@ -183,14 +181,14 @@ func overallShedRate(r *sim.Report) float64 {
 
 func runCompare(cfg sim.Config, sc sim.Scenario, tracePath, gateClass string, maxP99, minImprove float64, jsonOut string) {
 	fixed := cfg
-	fixed.Adaptive = nil
+	fixed.Adaptive = false
 	fixed.Process = rebuild(sc, tracePath)
 	fixedRep, err := runOnce(fixed, sc)
 	if err != nil {
 		fatal(err)
 	}
 	adap := cfg
-	adap.Adaptive = &dls.AdaptiveConfig{}
+	adap.Adaptive = true
 	adap.Process = rebuild(sc, tracePath)
 	adapRep, err := runOnce(adap, sc)
 	if err != nil {

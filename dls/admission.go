@@ -74,10 +74,10 @@ func ParseSLOClasses(spec string) ([]SLOClass, error) {
 	return out, nil
 }
 
-// AdaptiveConfig turns on the SLO-aware adaptive admission window. The
-// policy was designed and validated against the internal/sim
-// discrete-event simulator (see cmd/dlssim and the sim-smoke CI gate);
-// the zero value of every knob picks the simulation-tuned default.
+// Adaptive admission (BatcherConfig.Adaptive) is the SLO-aware adaptive
+// admission window. The policy was designed and validated against the
+// internal/sim discrete-event simulator (see cmd/dlssim and the sim-smoke
+// CI gate), which also tuned its constants below.
 //
 // The policy has three levers, all driven by observed state rather than
 // fixed constants:
@@ -85,13 +85,13 @@ func ParseSLOClasses(spec string) ([]SLOClass, error) {
 //   - Window delay: a window that cannot flush at once to an idle drain
 //     worker (see Batcher) waits longer the deeper the backlog, so
 //     duplicates and chain-shaped company collapse into one SolveBatch.
-//     delay = Gain × backlog × estimated-window-cost, clamped to
-//     [MinDelay, MaxDelay] and to SlackFraction of the window-opening
-//     request's deadline slack.
+//     delay = adaptiveGain × backlog × estimated-window-cost, clamped to
+//     [adaptiveMinDelay, adaptiveMaxDelay] and to adaptiveSlackFraction of
+//     the window-opening request's deadline slack.
 //   - Window size: under backlog the early-flush threshold rises to
-//     MaxSize, maximizing dedup/prepass collapse exactly when throughput
-//     is the constraint; when drained it falls back to the configured
-//     base size so latency stays bounded by the timer.
+//     adaptiveMaxSize, maximizing dedup/prepass collapse exactly when
+//     throughput is the constraint; when drained it falls back to the
+//     configured base size so latency stays bounded by the timer.
 //   - Deadline-aware shedding: a request whose estimated completion
 //     (remaining window wait + queued windows ahead + its own solve)
 //     already exceeds its SLO deadline is shed at admission — and again
@@ -102,56 +102,32 @@ func ParseSLOClasses(spec string) ([]SLOClass, error) {
 // Cost estimates come from a per-group solve-cost histogram the batcher
 // maintains (internal/stats.Histogram), so the policy calibrates itself
 // to the traffic it actually sees.
-type AdaptiveConfig struct {
-	// MinDelay is the floor of the window delay. Default 100µs.
-	MinDelay time.Duration
-	// MaxDelay bounds the delay under backlog. Default 5ms.
-	MaxDelay time.Duration
-	// MaxSize bounds the early-flush threshold under backlog (the
-	// batcher's configured MaxSize is the no-backlog base). Default 512.
-	MaxSize int
-	// Gain scales backlog pressure into window delay. Default 1.0.
-	Gain float64
-	// SlackFraction caps the window delay at this fraction of the
-	// opening request's remaining deadline slack. Default 0.25.
-	SlackFraction float64
-	// CostQuantile is the solve-cost histogram quantile used for
-	// completion estimates. Default 0.5: the estimate already stacks a
-	// full window cost on top of the backlog term, so the median keeps
-	// the SLO shed decision near-unbiased — a high quantile here sheds
-	// requests that would have met their deadline.
-	CostQuantile float64
-}
+const (
+	// adaptiveMinDelay is the floor of the window delay.
+	adaptiveMinDelay = 100 * time.Microsecond
+	// adaptiveMaxDelay bounds the delay under backlog.
+	adaptiveMaxDelay = 5 * time.Millisecond
+	// adaptiveMaxSize bounds the early-flush threshold under backlog (the
+	// batcher's configured MaxSize is the no-backlog base).
+	adaptiveMaxSize = 512
+	// adaptiveGain scales backlog pressure into window delay.
+	adaptiveGain = 1.0
+	// adaptiveSlackFraction caps the window delay at this fraction of the
+	// opening request's remaining deadline slack.
+	adaptiveSlackFraction = 0.25
+	// adaptiveCostQuantile is the solve-cost histogram quantile used for
+	// completion estimates. The estimate already stacks a full window cost
+	// on top of the backlog term, so the median keeps the SLO shed
+	// decision near-unbiased — a high quantile here sheds requests that
+	// would have met their deadline.
+	adaptiveCostQuantile = 0.5
+)
 
-// withDefaults fills the zero fields.
-func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = 100 * time.Microsecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 5 * time.Millisecond
-	}
-	if cfg.MaxSize <= 0 {
-		cfg.MaxSize = 512
-	}
-	if cfg.Gain <= 0 {
-		cfg.Gain = 1.0
-	}
-	if cfg.SlackFraction <= 0 {
-		cfg.SlackFraction = 0.25
-	}
-	if cfg.CostQuantile <= 0 {
-		cfg.CostQuantile = 0.5
-	}
-	return cfg
-}
-
-// adaptive is the controller state behind AdaptiveConfig. The window
+// adaptive is the controller state of adaptive admission. The window
 // decisions (delay, size) are made on the collector goroutine (or the
 // synchronous driver); the observations arrive from drain workers and
 // Stats readers, so everything shared is atomic.
 type adaptive struct {
-	cfg   AdaptiveConfig
 	clock Clock
 
 	// groupCost observes per-dedup-group solve seconds.
@@ -167,9 +143,8 @@ type adaptive struct {
 	sizeNow atomic.Int64
 }
 
-func newAdaptive(cfg AdaptiveConfig, clock Clock, inFlight *atomic.Int64) *adaptive {
+func newAdaptive(clock Clock, inFlight *atomic.Int64) *adaptive {
 	return &adaptive{
-		cfg:       cfg.withDefaults(),
 		clock:     clock,
 		inFlight:  inFlight,
 		groupCost: stats.NewHistogram(stats.LatencyBounds()...),
@@ -203,7 +178,7 @@ func (a *adaptive) estGroupCost() time.Duration {
 	if a.groupCost.Count() == 0 {
 		return 0
 	}
-	return time.Duration(a.groupCost.Quantile(a.cfg.CostQuantile) * float64(time.Second))
+	return time.Duration(a.groupCost.Quantile(adaptiveCostQuantile) * float64(time.Second))
 }
 
 // estWindowCost estimates one window's solve time from the EWMA group
@@ -220,15 +195,15 @@ func (a *adaptive) estWindowCost() time.Duration {
 // request with the given absolute deadline (zero = none).
 func (a *adaptive) windowDelay(now time.Time, deadline time.Time) time.Duration {
 	backlog := a.inFlight.Load()
-	d := time.Duration(a.cfg.Gain * float64(backlog) * float64(a.estWindowCost()))
-	if d < a.cfg.MinDelay {
-		d = a.cfg.MinDelay
+	d := time.Duration(adaptiveGain * float64(backlog) * float64(a.estWindowCost()))
+	if d < adaptiveMinDelay {
+		d = adaptiveMinDelay
 	}
-	if d > a.cfg.MaxDelay {
-		d = a.cfg.MaxDelay
+	if d > adaptiveMaxDelay {
+		d = adaptiveMaxDelay
 	}
 	if !deadline.IsZero() {
-		slack := time.Duration(a.cfg.SlackFraction * float64(deadline.Sub(now)))
+		slack := time.Duration(adaptiveSlackFraction * float64(deadline.Sub(now)))
 		if slack < 0 {
 			slack = 0
 		}
@@ -241,12 +216,12 @@ func (a *adaptive) windowDelay(now time.Time, deadline time.Time) time.Duration 
 }
 
 // windowSize decides the early-flush threshold given the batcher's base
-// size: under backlog the window grows toward MaxSize so the flush
+// size: under backlog the window grows toward adaptiveMaxSize so the flush
 // collapses as many duplicates as possible; drained, it stays at base.
 func (a *adaptive) windowSize(base int) int {
 	size := base
 	if a.inFlight.Load() > 0 {
-		size = a.cfg.MaxSize
+		size = adaptiveMaxSize
 	}
 	if size < base {
 		size = base

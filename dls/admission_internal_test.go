@@ -8,40 +8,33 @@ import (
 )
 
 func TestAdaptiveConfigDefaults(t *testing.T) {
-	cfg := AdaptiveConfig{}.withDefaults()
-	if cfg.MinDelay != 100*time.Microsecond {
-		t.Errorf("MinDelay = %v, want 100µs", cfg.MinDelay)
+	if adaptiveMinDelay != 100*time.Microsecond {
+		t.Errorf("adaptiveMinDelay = %v, want 100µs", adaptiveMinDelay)
 	}
-	if cfg.MaxDelay != 5*time.Millisecond {
-		t.Errorf("MaxDelay = %v, want 5ms", cfg.MaxDelay)
+	if adaptiveMaxDelay != 5*time.Millisecond {
+		t.Errorf("adaptiveMaxDelay = %v, want 5ms", adaptiveMaxDelay)
 	}
-	if cfg.MaxSize != 512 {
-		t.Errorf("MaxSize = %d, want 512", cfg.MaxSize)
+	if adaptiveMaxSize != 512 {
+		t.Errorf("adaptiveMaxSize = %d, want 512", adaptiveMaxSize)
 	}
-	if cfg.Gain != 1.0 {
-		t.Errorf("Gain = %g, want 1", cfg.Gain)
+	if adaptiveGain != 1.0 {
+		t.Errorf("adaptiveGain = %g, want 1", adaptiveGain)
 	}
-	if cfg.SlackFraction != 0.25 {
-		t.Errorf("SlackFraction = %g, want 0.25", cfg.SlackFraction)
+	if adaptiveSlackFraction != 0.25 {
+		t.Errorf("adaptiveSlackFraction = %g, want 0.25", adaptiveSlackFraction)
 	}
-	if cfg.CostQuantile != 0.5 {
-		t.Errorf("CostQuantile = %g, want 0.5", cfg.CostQuantile)
-	}
-
-	// Explicit values survive.
-	set := AdaptiveConfig{MinDelay: time.Millisecond, MaxSize: 64, CostQuantile: 0.75}.withDefaults()
-	if set.MinDelay != time.Millisecond || set.MaxSize != 64 || set.CostQuantile != 0.75 {
-		t.Errorf("explicit knobs overwritten: %+v", set)
+	if adaptiveCostQuantile != 0.5 {
+		t.Errorf("adaptiveCostQuantile = %g, want 0.5", adaptiveCostQuantile)
 	}
 }
 
 func TestAdaptiveWindowDelayBounds(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
+	a := newAdaptive(SystemClock(), new(atomic.Int64))
 	now := time.Unix(0, 0)
 
 	// Fresh controller, no backlog: the delay floors at MinDelay.
-	if d := a.windowDelay(now, time.Time{}); d != a.cfg.MinDelay {
-		t.Errorf("idle delay = %v, want MinDelay %v", d, a.cfg.MinDelay)
+	if d := a.windowDelay(now, time.Time{}); d != adaptiveMinDelay {
+		t.Errorf("idle delay = %v, want MinDelay %v", d, adaptiveMinDelay)
 	}
 
 	// Heavy backlog with observed costs: clamped at MaxDelay.
@@ -49,8 +42,8 @@ func TestAdaptiveWindowDelayBounds(t *testing.T) {
 		a.observeSolve(10*time.Millisecond, 1)
 	}
 	a.inFlight.Store(1000)
-	if d := a.windowDelay(now, time.Time{}); d != a.cfg.MaxDelay {
-		t.Errorf("backlogged delay = %v, want MaxDelay %v", d, a.cfg.MaxDelay)
+	if d := a.windowDelay(now, time.Time{}); d != adaptiveMaxDelay {
+		t.Errorf("backlogged delay = %v, want MaxDelay %v", d, adaptiveMaxDelay)
 	}
 
 	// A near deadline caps the delay at SlackFraction of the slack.
@@ -65,7 +58,7 @@ func TestAdaptiveWindowDelayBounds(t *testing.T) {
 }
 
 func TestAdaptiveWindowSize(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
+	a := newAdaptive(SystemClock(), new(atomic.Int64))
 	if got := a.windowSize(64); got != 64 {
 		t.Errorf("drained size = %d, want base 64", got)
 	}
@@ -80,7 +73,7 @@ func TestAdaptiveWindowSize(t *testing.T) {
 }
 
 func TestAdaptiveEstCompletion(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
+	a := newAdaptive(SystemClock(), new(atomic.Int64))
 	now := time.Unix(100, 0)
 
 	// No observations: the estimate collapses to "now".
@@ -119,7 +112,7 @@ func TestAdaptiveEstCompletion(t *testing.T) {
 }
 
 func TestAdaptiveObserveSolveEWMA(t *testing.T) {
-	a := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
+	a := newAdaptive(SystemClock(), new(atomic.Int64))
 	if c := a.estGroupCost(); c != 0 {
 		t.Errorf("cold estGroupCost = %v, want 0", c)
 	}
@@ -136,7 +129,7 @@ func TestAdaptiveObserveSolveEWMA(t *testing.T) {
 	}
 
 	// Degenerate group counts clamp to one instead of corrupting the EWMA.
-	b := newAdaptive(AdaptiveConfig{}, SystemClock(), new(atomic.Int64))
+	b := newAdaptive(SystemClock(), new(atomic.Int64))
 	b.observeSolve(time.Millisecond, 0)
 	if g := b.state().GroupsPerWindow; g != 1 {
 		t.Errorf("zero-group observation GroupsPerWindow = %g, want 1", g)

@@ -44,7 +44,7 @@ type BatcherConfig struct {
 	MaxDelay time.Duration
 	// MaxSize flushes a window early once it holds this many requests.
 	// Default 64. Under Adaptive admission this is the no-backlog base
-	// size; the effective threshold grows toward Adaptive.MaxSize when
+	// size; the effective threshold grows toward adaptiveMaxSize when
 	// the drain workers are behind.
 	MaxSize int
 	// QueueCap bounds admission, counted in submissions (a SubmitBatch
@@ -66,10 +66,14 @@ type BatcherConfig struct {
 	// Classes are the SLO classes SubmitSLO and SubmitBatch resolve
 	// against. Optional; plain Submit works regardless.
 	Classes []SLOClass
-	// Adaptive, when set, replaces the fixed MaxDelay/MaxSize window with
-	// the SLO-aware adaptive policy (see AdaptiveConfig). MaxDelay must
-	// be > 0 (the adaptive policy is meaningless in direct mode).
-	Adaptive *AdaptiveConfig
+	// Adaptive replaces the fixed MaxDelay/MaxSize window with the
+	// SLO-aware adaptive policy: while every drain worker is busy, the
+	// window delay (100µs to 5ms) and size (up to 512) grow with the
+	// observed backlog and solve cost, and requests whose estimated
+	// completion already misses their SLO deadline are shed at admission.
+	// MaxDelay must be > 0 (the adaptive policy is meaningless in direct
+	// mode).
+	Adaptive bool
 	// OnFlush, when set, observes the size of every flushed window (a
 	// metrics hook; called from the collector goroutine, must not block).
 	OnFlush func(size int)
@@ -178,7 +182,7 @@ func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Att
 //
 // With BatcherConfig.Adaptive set, the window delay and size adapt to
 // observed backlog and solve cost, and requests that provably cannot meet
-// their SLO deadline are shed early; see AdaptiveConfig.
+// their SLO deadline are shed early; see BatcherConfig.Adaptive.
 //
 // One admission core, two transports: a single-threaded collector runs
 // the rules above, fed by a collect goroutine in goroutine mode, or by
@@ -225,8 +229,8 @@ func (s *Solver) NewBatcher(cfg BatcherConfig) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{s: s, cfg: cfg, clock: cfg.Clock}
 	b.col.b = b
-	if cfg.Adaptive != nil && cfg.MaxDelay > 0 {
-		b.adapt = newAdaptive(*cfg.Adaptive, cfg.Clock, &b.inFlight)
+	if cfg.Adaptive && cfg.MaxDelay > 0 {
+		b.adapt = newAdaptive(cfg.Clock, &b.inFlight)
 	}
 	if cfg.OnWindow != nil {
 		b.col.sink = b.handOff

@@ -138,7 +138,7 @@ func FuzzBatcherSync(f *testing.F) {
 			OnShed:   func(string, any, error) { shed++ },
 		}
 		if cfgByte&0x80 != 0 {
-			cfg.Adaptive = &dls.AdaptiveConfig{}
+			cfg.Adaptive = true
 		}
 		b := solver.NewBatcher(cfg)
 		classes := []string{"", "tight", "standard", ""}

@@ -330,18 +330,18 @@ func TestPairExhaustiveSearch(t *testing.T) {
 	if d := res.Throughput - ref.Throughput; d > 1e-9*(1+ref.Throughput) || d < -1e-9*(1+ref.Throughput) {
 		t.Errorf("exact throughput %.12g != float64 %.12g", res.Throughput, ref.Throughput)
 	}
-	algo := ""
+	// Exact search runs the branch-and-bound with pruning off: no cut, all
+	// (4!)² return-order leaves scored.
+	attrs := map[string]string{}
 	for _, st := range tr.Snapshot().Stages {
 		if st.Name == "search" {
 			for _, a := range st.Attrs {
-				if a.Key == "algo" {
-					algo = a.Value
-				}
+				attrs[a.Key] = a.Value
 			}
 		}
 	}
-	if algo != "flat" {
-		t.Errorf("exact pair-exhaustive search ran algo %q, want the flat loop", algo)
+	if attrs["pruned"] != "0" || attrs["leaves"] != "576" {
+		t.Errorf("exact pair-exhaustive search annotated pruned=%q leaves=%q, want 0 and 576", attrs["pruned"], attrs["leaves"])
 	}
 
 	big := dls.RandomSpeeds(rng, 7, dls.Heterogeneous).Platform(dls.DefaultApp(100))

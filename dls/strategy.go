@@ -58,11 +58,11 @@ const (
 	// returns the lexicographically least winner.
 	StrategyLIFOExhaustive = "lifo-exhaustive"
 	// StrategyPairExhaustive searches all (σ1, σ2) permutation pairs
-	// (p ≤ 8; p ≤ 5 under exact arithmetic, whose flat loop runs
-	// unpruned) — the general problem whose complexity the paper leaves
-	// open. The search picks its algorithm from the arithmetic: the
-	// return-order branch-and-bound for float64 backends, the flat double
-	// loop under exact arithmetic.
+	// (p ≤ 8; p ≤ 5 under exact arithmetic) — the general problem whose
+	// complexity the paper leaves open — with the return-order
+	// branch-and-bound. Exact arithmetic runs the same search with
+	// seeding and pruning off, since no float64 bound can certify an exact
+	// comparison: every one of the (p!)² leaves is an exact LP solve.
 	StrategyPairExhaustive = "pair-exhaustive"
 	// StrategyFIFOAffine searches participant subsets (p ≤ 20) for the best
 	// one-port FIFO schedule under the affine cost model of Request.Affine,

@@ -250,23 +250,38 @@ type AffineStats struct {
 	BoundSolves uint64
 }
 
-var (
-	affineNodesExpanded  atomic.Uint64
-	affineSubtreesPruned atomic.Uint64
-	affineLeavesEval     atomic.Uint64
-	affineBoundSolves    atomic.Uint64
-)
+// affineCounters holds the AffineStats counters as atomics: one
+// process-global set behind AffineStatsSnapshot and one per search, which
+// its traced span annotates (see pairCounters).
+type affineCounters struct {
+	nodes, pruned, leaves, boundSolves atomic.Uint64
+}
+
+var affineTotals affineCounters
+
+func (c *affineCounters) snapshot() AffineStats {
+	return AffineStats{
+		NodesExpanded:   c.nodes.Load(),
+		SubtreesPruned:  c.pruned.Load(),
+		LeavesEvaluated: c.leaves.Load(),
+		BoundSolves:     c.boundSolves.Load(),
+	}
+}
+
+// add flushes one worker's local counts into the global and the
+// per-search counters.
+func (c *affineCounters) add(nodes, pruned, leaves, boundSolves uint64) {
+	for _, t := range [...]*affineCounters{&affineTotals, c} {
+		t.nodes.Add(nodes)
+		t.pruned.Add(pruned)
+		t.leaves.Add(leaves)
+		t.boundSolves.Add(boundSolves)
+	}
+}
 
 // AffineStatsSnapshot returns the cumulative affine-search counters.
 // Callers interested in one search subtract two snapshots.
-func AffineStatsSnapshot() AffineStats {
-	return AffineStats{
-		NodesExpanded:   affineNodesExpanded.Load(),
-		SubtreesPruned:  affineSubtreesPruned.Load(),
-		LeavesEvaluated: affineLeavesEval.Load(),
-		BoundSolves:     affineBoundSolves.Load(),
-	}
-}
+func AffineStatsSnapshot() AffineStats { return affineTotals.snapshot() }
 
 // BestFIFOAffine searches for the best one-port FIFO schedule under the
 // affine model: workers are kept in non-decreasing-c order (the linear
@@ -318,33 +333,28 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 	}
 	winner := newSearchCore(ctx)
 	sorted := p.ByC()
-	// As with the pair counters, the deltas are against process-global
-	// atomics and so approximate under concurrent solves.
 	traced := obs.Enabled(ctx)
 	t0 := obs.Now(ctx)
-	var before AffineStats
-	if traced {
-		before = AffineStatsSnapshot()
-	}
+	var counts affineCounters
 	var err error
 	if algo == AffineBB {
-		err = affineSearchBB(ctx, winner, p, aff, sorted)
+		err = affineSearchBB(ctx, winner, p, aff, sorted, &counts)
 	} else {
-		err = affineSearchFlat(winner, p, aff, arith, sorted)
+		err = affineSearchFlat(winner, p, aff, arith, sorted, &counts)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if traced {
-		after := AffineStatsSnapshot()
+		st := counts.snapshot()
 		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
 			obs.String("kind", "affine-subset"),
 			obs.String("algo", algo.String()),
 			obs.Int("workers", searchParallelism(ctx)),
-			obs.Uint64("nodes", after.NodesExpanded-before.NodesExpanded),
-			obs.Uint64("pruned", after.SubtreesPruned-before.SubtreesPruned),
-			obs.Uint64("leaves", after.LeavesEvaluated-before.LeavesEvaluated),
-			obs.Uint64("bound_solves", after.BoundSolves-before.BoundSolves))
+			obs.Uint64("nodes", st.NodesExpanded),
+			obs.Uint64("pruned", st.SubtreesPruned),
+			obs.Uint64("leaves", st.LeavesEvaluated),
+			obs.Uint64("bound_solves", st.BoundSolves))
 	}
 	if len(winner.best) == 0 {
 		// Even single workers cannot start within the horizon.
@@ -451,9 +461,11 @@ func solveAffineRho(prob *lp.Problem, arith Arith, q int) (float64, bool, error)
 // one scenario LP each, feasible results offered to the core under the
 // shared tie rule. The order scratch is reused across masks and the
 // context is polled on the core's throttled counter.
-func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith Arith, sorted platform.Order) error {
+func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith Arith, sorted platform.Order, counts *affineCounters) error {
 	n := p.P()
 	order := make(platform.Order, 0, n)
+	var leaves uint64
+	defer func() { counts.add(0, 0, leaves, 0) }()
 	for mask := 1; mask < 1<<n; mask++ {
 		if err := core.poll(); err != nil {
 			return err
@@ -468,7 +480,7 @@ func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith 
 		if err != nil {
 			return err
 		}
-		affineLeavesEval.Add(1)
+		leaves++
 		if feasible {
 			core.offer(rho, order, nil)
 		}
@@ -483,7 +495,7 @@ func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith 
 // exclude-edge bounds, so a hopeless prefix is dropped without descending —
 // and then recurses include-first below the prefix, pruning against the
 // shared incumbent. Counter flushes happen once per worker.
-func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, aff Affine, sorted platform.Order) error {
+func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, aff Affine, sorted platform.Order, counts *affineCounters) error {
 	n := len(sorted)
 	depth := 0
 	for depth < n-1 && 1<<depth < 4*searchParallelism(ctx) {
@@ -492,7 +504,7 @@ func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platfor
 	total := int64(1) << depth
 	run := func(core *searchCore, next func() (int64, bool)) error {
 		bb := &affineBB{
-			core: core, p: p, aff: aff, sorted: sorted, n: n,
+			core: core, p: p, aff: aff, sorted: sorted, n: n, counts: counts,
 			included: make(platform.Order, 0, n),
 			cand:     make(platform.Order, 0, n),
 			charged:  make([]bool, p.P()),
@@ -513,7 +525,8 @@ func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platfor
 
 // affineBB is one worker's branch-and-bound state: the shared search core,
 // the live include stack, bound scratch, and locally accumulated counters
-// (flushed to the global atomics once per search).
+// (flushed once per worker into the global atomics and the search's own
+// counts).
 type affineBB struct {
 	core   *searchCore
 	p      *platform.Platform
@@ -524,16 +537,12 @@ type affineBB struct {
 	included platform.Order // live include stack, a subsequence of sorted
 	cand     platform.Order // bound scratch: included ++ undecided tail
 	charged  []bool         // bound scratch, indexed by worker
+	counts   *affineCounters
 
 	nodes, pruned, leaves, boundSolves uint64
 }
 
-func (b *affineBB) flush() {
-	affineNodesExpanded.Add(b.nodes)
-	affineSubtreesPruned.Add(b.pruned)
-	affineLeavesEval.Add(b.leaves)
-	affineBoundSolves.Add(b.boundSolves)
-}
+func (b *affineBB) flush() { b.counts.add(b.nodes, b.pruned, b.leaves, b.boundSolves) }
 
 // searchPrefix replays rank's include (bit 0) / exclude (bit 1) decisions
 // for the first depth workers, then recurses below. Exclude decisions

@@ -22,14 +22,15 @@ import (
 // and from 7 to 8 (with the order limit moving 8 → 9) when the
 // work-stealing pool spread the searches over all cores and the incremental
 // factorisation cut the per-node bound to O(q²). Exact-rational pair
-// searches keep the historical cap: they run the flat loop with seeding and
-// pruning disabled (float64 bounds cannot certify exact comparisons), so
-// (7!)² exact simplex solves would take days where the fail-fast error
-// takes microseconds.
+// searches keep the historical cap: they run the same branch-and-bound with
+// seeding and pruning off (float64 bounds cannot certify exact
+// comparisons), so every one of the (p!)² leaves is an exact simplex solve —
+// (7!)² of them would take days where the fail-fast error takes
+// microseconds.
 const (
 	maxExhaustiveOrder     = 9
 	maxExhaustivePair      = 8
-	maxExhaustivePairExact = 5 // ExactRational: unpruned flat loop only
+	maxExhaustivePairExact = 5 // ExactRational: the unpruned search
 )
 
 // pruneSlack is the relative safety margin of the searches' upper-bound
@@ -69,14 +70,13 @@ var disablePairSeeding bool
 
 // PairStats is a snapshot of the pair searches' cumulative
 // instrumentation, kept as process-global atomics (searches may run
-// concurrently; each search accumulates locally and flushes once). The
+// concurrently; each worker accumulates locally and flushes once). The
 // counters make the branch-and-bound's effectiveness observable — the
-// bench CI job fails if SubtreesPruned stops advancing on the reference
-// platform, i.e. if the bound silently stopped firing.
+// pruning gate test fails if SubtreesPruned stops advancing on the
+// reference platform, i.e. if the bound silently stopped firing.
 type PairStats struct {
 	// OuterPruned counts send orders whose entire return-order tree was
-	// skipped: the flat search's SendBound prunes and the B&B's root-node
-	// bound prunes land here.
+	// skipped because the root-node bound could not beat the incumbent.
 	OuterPruned uint64
 	// NodesExpanded counts branch-and-bound nodes whose children were
 	// generated (including the per-σ1 roots).
@@ -90,53 +90,40 @@ type PairStats struct {
 	LeavesEvaluated uint64
 }
 
-var (
-	pairOuterPruned    atomic.Uint64
-	pairNodesExpanded  atomic.Uint64
-	pairSubtreesPruned atomic.Uint64
-	pairLeavesEval     atomic.Uint64
-)
+// pairCounters holds the PairStats counters as atomics. One process-global
+// set backs PairStatsSnapshot; every search also owns a set of its own,
+// which its traced span annotates, so concurrent searches never count each
+// other's nodes.
+type pairCounters struct {
+	outerPruned, nodes, pruned, leaves atomic.Uint64
+}
+
+var pairTotals pairCounters
+
+func (c *pairCounters) snapshot() PairStats {
+	return PairStats{
+		OuterPruned:     c.outerPruned.Load(),
+		NodesExpanded:   c.nodes.Load(),
+		SubtreesPruned:  c.pruned.Load(),
+		LeavesEvaluated: c.leaves.Load(),
+	}
+}
+
+// add flushes one worker's local counts into the global and the
+// per-search counters.
+func (c *pairCounters) add(outerPruned, nodes, pruned, leaves uint64) {
+	for _, t := range [...]*pairCounters{&pairTotals, c} {
+		t.outerPruned.Add(outerPruned)
+		t.nodes.Add(nodes)
+		t.pruned.Add(pruned)
+		t.leaves.Add(leaves)
+	}
+}
 
 // PairStatsSnapshot returns the cumulative pair-search counters. Callers
-// interested in one search (benchmarks, the CI pruning gate) subtract two
-// snapshots.
-func PairStatsSnapshot() PairStats {
-	return PairStats{
-		OuterPruned:     pairOuterPruned.Load(),
-		NodesExpanded:   pairNodesExpanded.Load(),
-		SubtreesPruned:  pairSubtreesPruned.Load(),
-		LeavesEvaluated: pairLeavesEval.Load(),
-	}
-}
-
-// PairAlgo selects how the pair search explores the return-order space of
-// each send order.
-type PairAlgo int
-
-const (
-	// PairAuto picks the branch-and-bound recursion for every float64
-	// backend and the flat double loop under ExactRational (whose exact
-	// comparisons the float64 bounds cannot certify).
-	PairAuto PairAlgo = iota
-	// PairBB forces the branch-and-bound recursion over σ2 prefixes.
-	PairBB
-	// PairFlat forces the flat p!×p! double loop (the PR 3 search,
-	// retained for agreement testing and as the exact-arithmetic path).
-	PairFlat
-)
-
-// String names the algorithm ("auto", "bb", "flat").
-func (a PairAlgo) String() string {
-	switch a {
-	case PairAuto:
-		return "auto"
-	case PairBB:
-		return "bb"
-	case PairFlat:
-		return "flat"
-	}
-	return fmt.Sprintf("PairAlgo(%d)", int(a))
-}
+// interested in one search (benchmarks, the pruning gate test) subtract
+// two snapshots.
+func PairStatsSnapshot() PairStats { return pairTotals.snapshot() }
 
 // forEachPermutation invokes fn with every permutation of {0..n-1},
 // enumerated by the Steinhaus–Johnson–Trotter algorithm: each emitted
@@ -541,33 +528,17 @@ func BestPairExhaustiveContext(ctx context.Context, p *platform.Platform, model 
 }
 
 // BestPairExhaustiveEval is the cancellable pair search with an explicit
-// evaluation backend, exploring with the default algorithm (PairAuto:
-// branch-and-bound for float64 backends, the flat loop under
-// ExactRational).
+// evaluation backend. The incumbent is seeded first — the FIFO and LIFO
+// return orders of every send permutation, batch-evaluated up front in
+// structure-of-arrays lockstep — and then every send order's return orders
+// are explored as a tree, committing the last returner first and
+// discarding every subtree whose prefix relaxation (eval.ReturnPrefix)
+// cannot beat the incumbent.
+//
+// Under ExactRational the seeds and the bounds (float64 computations)
+// could not certify exact comparisons, so seeding is off and the bound
+// never fires: the same search scores all (p!)² leaves with exact LPs.
 func BestPairExhaustiveEval(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode) (*PairResult, error) {
-	return BestPairExhaustiveAlgo(ctx, p, model, mode, PairAuto)
-}
-
-// BestPairExhaustiveAlgo is the pair search with an explicit exploration
-// algorithm. Both algorithms share the incumbent seeding (the FIFO and
-// LIFO return orders of every send permutation, batch-evaluated up front
-// in structure-of-arrays lockstep, raise the incumbent before any
-// exploration) and agree on the reported optimum to floating-point noise;
-// they differ in how the p! return orders of a send order are covered:
-//
-//   - PairFlat evaluates every return order against the shared send-prefix
-//     system (eval.Session.FixedSend), skipping whole inner loops whose
-//     send-order relaxation (eval.Session.SendBound) cannot beat the
-//     incumbent;
-//   - PairBB explores return orders as a tree, committing the last
-//     returner first, and discards every subtree whose prefix relaxation
-//     (eval.ReturnPrefix) cannot beat the incumbent — pruning WITHIN inner
-//     loops, which is what lifts the worker ceiling from 5 to 7.
-//
-// Seeding and pruning are disabled under ExactRational, where the seeds
-// and the bounds (float64 computations) could not certify exact
-// comparisons; PairBB is rejected there for the same reason.
-func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode, algo PairAlgo) (*PairResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -578,58 +549,29 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 	if mode == eval.ExactRational && n > maxExhaustivePairExact {
 		return nil, fmt.Errorf("core: exact-rational pair search limited to %d workers (no pruning certifies exact comparisons), platform has %d", maxExhaustivePairExact, n)
 	}
-	switch algo {
-	case PairAuto:
-		if mode == eval.ExactRational {
-			algo = PairFlat
-		} else {
-			algo = PairBB
-		}
-	case PairBB:
-		if mode == eval.ExactRational {
-			return nil, fmt.Errorf("core: the branch-and-bound pair search requires a float64 evaluation backend (the prefix bounds cannot certify exact-rational comparisons); pair-exhaustive with exact arithmetic runs the flat search")
-		}
-	case PairFlat:
-		// Always available.
-	default:
-		return nil, fmt.Errorf("core: unknown pair-search algorithm %v", algo)
+	winner := newSearchCore(ctx)
+	traced := obs.Enabled(ctx)
+	t0 := obs.Now(ctx)
+	seed := mode != eval.ExactRational && !disablePairSeeding
+	if err := seedPairIncumbent(ctx, winner, p, model, n, seed); err != nil {
+		return nil, err
+	}
+	var counts pairCounters
+	if err := pairSearchBB(ctx, winner, p, model, mode, n, &counts); err != nil {
+		return nil, err
+	}
+	if traced {
+		st := counts.snapshot()
+		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
+			obs.String("kind", "pair"),
+			obs.Int("workers", searchParallelism(ctx)),
+			obs.Uint64("nodes", st.NodesExpanded),
+			obs.Uint64("pruned", st.SubtreesPruned),
+			obs.Uint64("outer_pruned", st.OuterPruned),
+			obs.Uint64("leaves", st.LeavesEvaluated))
 	}
 	sess := eval.GetSession()
 	defer sess.Release()
-	winner := newSearchCore(ctx)
-	prune := mode != eval.ExactRational
-	// The pair counters are process-global, so under concurrent solves the
-	// snapshot delta may include another search's nodes; the annotation is a
-	// magnitude indicator, not an exact per-request count.
-	traced := obs.Enabled(ctx)
-	t0 := obs.Now(ctx)
-	var before PairStats
-	if traced {
-		before = PairStatsSnapshot()
-	}
-	if err := seedPairIncumbent(ctx, winner, p, model, n, prune && !disablePairSeeding); err != nil {
-		return nil, err
-	}
-	var err error
-	if algo == PairBB {
-		err = pairSearchBB(ctx, winner, p, model, mode, n)
-	} else {
-		err = pairSearchFlat(winner, sess, p, model, mode, n, prune)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if traced {
-		after := PairStatsSnapshot()
-		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
-			obs.String("kind", "pair"),
-			obs.String("algo", algo.String()),
-			obs.Int("workers", searchParallelism(ctx)),
-			obs.Uint64("nodes", after.NodesExpanded-before.NodesExpanded),
-			obs.Uint64("pruned", after.SubtreesPruned-before.SubtreesPruned),
-			obs.Uint64("outer_pruned", after.OuterPruned-before.OuterPruned),
-			obs.Uint64("leaves", after.LeavesEvaluated-before.LeavesEvaluated))
-	}
 	bestSend, bestRet := winner.best, winner.bestRet
 	evalStart := obs.Now(ctx)
 	best, err := sess.Evaluate(eval.Scenario{Platform: p, Send: bestSend, Return: bestRet, Model: model}, mode)
@@ -642,52 +584,14 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 	return &PairResult{Schedule: best, Send: bestSend, Return: bestRet}, nil
 }
 
-// pairSearchFlat is the flat double loop: for each send order the
-// send-prefix half of the tight system is assembled once
-// (eval.Session.FixedSend) and shared by all p! return orders, and a send
-// order whose return-order-independent relaxation (eval.Session.SendBound)
-// cannot beat the incumbent skips its entire inner loop.
-func pairSearchFlat(core *searchCore, sess *eval.Session, p *platform.Platform, model schedule.Model, mode eval.Mode, n int, prune bool) error {
-	return forEachPermutation(n, func(sendPerm []int, _ int) error {
-		if err := core.ctx.Err(); err != nil {
-			return err
-		}
-		send := platform.Order(sendPerm)
-		if prune && core.bestRho > 0 {
-			bound, err := sess.SendBound(p, send, model)
-			if err != nil {
-				return err
-			}
-			if core.prunable(bound) {
-				pairOuterPruned.Add(1)
-				return nil // no σ2 under this σ1 can beat the incumbent
-			}
-		}
-		fixed, err := sess.FixedSend(p, send, model, mode)
-		if err != nil {
-			return err
-		}
-		return forEachPermutation(n, func(retPerm []int, _ int) error {
-			if err := core.poll(); err != nil {
-				return err
-			}
-			rho, err := fixed.Throughput(retPerm)
-			if err != nil {
-				return err
-			}
-			core.offer(rho, send, platform.Order(retPerm))
-			return nil
-		})
-	})
-}
-
 // pairSearchBB drives the branch-and-bound over the work-stealing pool:
 // send orders are tasks identified by their SJT rank, initially dealt to
 // the workers as contiguous blocks; each worker runs a pruned prefix
 // recursion over return orders per send order with its own pooled session
 // and ReturnPrefix, pruning against the shared incumbent. Counter flushes
-// happen exactly once per worker, including on cancellation.
-func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, model schedule.Model, mode eval.Mode, n int) error {
+// into the global and the per-search counts happen exactly once per
+// worker, including on cancellation.
+func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, model schedule.Model, mode eval.Mode, n int, counts *pairCounters) error {
 	run := func(core *searchCore, next func() (int64, bool)) error {
 		sess := eval.GetSession()
 		defer sess.Release()
@@ -695,7 +599,7 @@ func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform,
 		if err != nil {
 			return err
 		}
-		bb := &pairBB{core: core, rp: rp, q: n}
+		bb := &pairBB{core: core, rp: rp, q: n, counts: counts}
 		defer bb.flush()
 		perm := make([]int, n)
 		pos := make([]int, n)
@@ -715,28 +619,24 @@ func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform,
 }
 
 // pairBB is one branch-and-bound run: the shared search core, the eval
-// prefix state and locally accumulated counters (flushed to the global
-// atomics once per search).
+// prefix state and locally accumulated counters (flushed once per worker
+// into the global atomics and the search's own counts).
 type pairBB struct {
-	core *searchCore
-	rp   *eval.ReturnPrefix
-	send platform.Order
-	q    int
+	core   *searchCore
+	rp     *eval.ReturnPrefix
+	send   platform.Order
+	q      int
+	counts *pairCounters
 
 	outerPruned, nodes, pruned, leaves uint64
 }
 
-func (b *pairBB) flush() {
-	pairOuterPruned.Add(b.outerPruned)
-	pairNodesExpanded.Add(b.nodes)
-	pairSubtreesPruned.Add(b.pruned)
-	pairLeavesEval.Add(b.leaves)
-}
+func (b *pairBB) flush() { b.counts.add(b.outerPruned, b.nodes, b.pruned, b.leaves) }
 
 // searchSend explores the return-order tree of one send order: root bound,
 // then the pruned prefix recursion. A send order whose root relaxation —
-// the same one SendBound solves as an LP, here one triangular system —
-// cannot beat the incumbent skips its whole tree.
+// the send-order relaxation, here one triangular system — cannot beat the
+// incumbent skips its whole tree.
 func (b *pairBB) searchSend(send platform.Order) error {
 	if err := b.core.poll(); err != nil {
 		return err

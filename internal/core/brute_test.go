@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -146,56 +147,11 @@ func TestPairSeedsNeverExceedOptimum(t *testing.T) {
 	}
 }
 
-// TestPairSeedingIncreasesPruning runs the flat pair search with and
-// without incumbent seeding on 50 random platforms, via the package test
-// hooks: the result must be identical either way, per-platform pruning
-// must never decrease with seeds, and across the sample seeding must prune
-// strictly more inner loops (the whole point of evaluating the two chain
-// scenarios first). The flat algorithm is pinned because its inner-loop
-// prunes are monotone in the incumbent; the branch-and-bound trades many
-// deep cuts for fewer shallow ones, so its seeding property is a work
-// bound instead (see TestPairBBSeedingReducesWork).
-func TestPairSeedingIncreasesPruning(t *testing.T) {
-	rng := rand.New(rand.NewSource(654))
-	totalSeeded, totalUnseeded := uint64(0), uint64(0)
-	for trial := 0; trial < 50; trial++ {
-		n := 3 + rng.Intn(2)
-		p := randomPairPlatform(rng, n)
-
-		run := func(disable bool) (*PairResult, uint64) {
-			disablePairSeeding = disable
-			defer func() { disablePairSeeding = false }()
-			before := PairStatsSnapshot()
-			pr, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.Auto, PairFlat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after := PairStatsSnapshot()
-			return pr, after.OuterPruned - before.OuterPruned
-		}
-		seeded, prunedSeeded := run(false)
-		unseeded, prunedUnseeded := run(true)
-
-		if s, u := seeded.Schedule.Throughput(), unseeded.Schedule.Throughput(); s != u {
-			t.Fatalf("trial %d: seeding changed the optimum: %.17g != %.17g", trial, s, u)
-		}
-		if prunedSeeded < prunedUnseeded {
-			t.Fatalf("trial %d: seeding reduced pruning: %d < %d", trial, prunedSeeded, prunedUnseeded)
-		}
-		totalSeeded += prunedSeeded
-		totalUnseeded += prunedUnseeded
-	}
-	if totalSeeded <= totalUnseeded {
-		t.Fatalf("seeding did not increase pruning across the sample: %d (seeded) vs %d (unseeded)",
-			totalSeeded, totalUnseeded)
-	}
-}
-
-// TestPairBBSeedingReducesWork is the branch-and-bound counterpart of the
-// seeding test: the optimum must be identical with and without seeds, and
-// across the sample the seeded searches must expand strictly fewer nodes
-// and evaluate strictly fewer leaves — the incumbent from the batch seeds
-// lets the prefix bound cut subtrees from the very first send order.
+// TestPairBBSeedingReducesWork pins the incumbent seeding: the optimum
+// must be identical with and without seeds, and across the sample the
+// seeded searches must expand strictly fewer nodes and evaluate strictly
+// fewer leaves — the incumbent from the batch seeds lets the prefix bound
+// cut subtrees from the very first send order.
 func TestPairBBSeedingReducesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(655))
 	var seededWork, unseededWork uint64
@@ -207,7 +163,7 @@ func TestPairBBSeedingReducesWork(t *testing.T) {
 			disablePairSeeding = disable
 			defer func() { disablePairSeeding = false }()
 			before := PairStatsSnapshot()
-			pr, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.Auto, PairBB)
+			pr, err := BestPairExhaustiveEval(t.Context(), p, schedule.OnePort, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,14 +184,72 @@ func TestPairBBSeedingReducesWork(t *testing.T) {
 	}
 }
 
+// forEachLexPermutation calls fn with every permutation of {0..n-1} in
+// lexicographic order. The slice is reused between calls.
+func forEachLexPermutation(n int, fn func(perm []int)) {
+	perm := make([]int, 0, n)
+	used := make([]bool, n)
+	var rec func()
+	rec = func() {
+		if len(perm) == n {
+			fn(perm)
+			return
+		}
+		for v := 0; v < n; v++ {
+			if used[v] {
+				continue
+			}
+			used[v] = true
+			perm = append(perm, v)
+			rec()
+			perm = perm[:len(perm)-1]
+			used[v] = false
+		}
+	}
+	rec()
+}
+
+// pairOracle is the reference pair search: a plain double loop that scores
+// every (σ1, σ2) with Session.Throughput — no return-prefix state, no
+// bound, no seeding. The loops run in lexicographic order and only a
+// strictly better throughput replaces the best, so among equal throughputs
+// the lexicographically smallest (σ1, σ2) wins, the search's own tie rule.
+// The winner is evaluated through Session.Evaluate, as the search does.
+func pairOracle(t *testing.T, p *platform.Platform, model schedule.Model, mode eval.Mode) *PairResult {
+	t.Helper()
+	sess := eval.NewSession()
+	n := p.P()
+	best := -1.0
+	var bestSend, bestRet platform.Order
+	forEachLexPermutation(n, func(send []int) {
+		forEachLexPermutation(n, func(ret []int) {
+			rho, err := sess.Throughput(eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rho > best {
+				best = rho
+				bestSend = append(bestSend[:0], send...)
+				bestRet = append(bestRet[:0], ret...)
+			}
+		})
+	})
+	sched, err := sess.Evaluate(eval.Scenario{Platform: p, Send: bestSend, Return: bestRet, Model: model}, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &PairResult{Schedule: sched, Send: bestSend, Return: bestRet}
+}
+
 // TestPairBBAgreesWithFlat pins the branch-and-bound pair search against
-// the flat double loop: on random platforms across models the two must
-// agree on the optimal throughput, the derived makespan and the winning
-// schedule's canonicalised loads to 1e-9, and — whenever the optimum is
-// not a floating-point tie — on the winning (σ1, σ2) pair itself. Both
-// algorithms prune with a 1e-12 relative margin, so two pairs within that
-// margin of each other are legitimately interchangeable winners; in that
-// case the loads of both reported schedules must still agree.
+// the flat double-loop oracle: on random platforms across models the two
+// must agree on the optimal throughput, the derived makespan and the
+// winning schedule's canonicalised loads to 1e-9, and — whenever the
+// optimum is not a floating-point tie — on the winning (σ1, σ2) pair
+// itself. The search prunes with a relative margin and certifies leaves
+// through its own float64 arithmetic, so two pairs within rounding of each
+// other are legitimately interchangeable winners; in that case both pairs
+// must still achieve the same optimum.
 func TestPairBBAgreesWithFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	const load = 1000.0
@@ -246,14 +260,11 @@ func TestPairBBAgreesWithFlat(t *testing.T) {
 		if trial%5 == 4 {
 			model = schedule.TwoPort
 		}
-		bb, err := BestPairExhaustiveAlgo(t.Context(), p, model, eval.Auto, PairBB)
+		bb, err := BestPairExhaustiveEval(t.Context(), p, model, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := BestPairExhaustiveAlgo(t.Context(), p, model, eval.Auto, PairFlat)
-		if err != nil {
-			t.Fatal(err)
-		}
+		flat := pairOracle(t, p, model, eval.Auto)
 		rb, rf := bb.Schedule.Throughput(), flat.Schedule.Throughput()
 		tol := 1e-9 * (1 + rb + rf)
 		if d := rb - rf; d > tol || d < -tol {
@@ -262,10 +273,10 @@ func TestPairBBAgreesWithFlat(t *testing.T) {
 		if d := load/rb - load/rf; d > 1e-9*(1+load/rb) || d < -1e-9*(1+load/rb) {
 			t.Fatalf("trial %d: makespan disagreement: bb %.12g != flat %.12g", trial, load/rb, load/rf)
 		}
-		sameOrders := fmt.Sprint(bb.Send) == fmt.Sprint(flat.Send) && fmt.Sprint(bb.Return) == fmt.Sprint(flat.Return)
+		sameOrders := ordersEqual(bb.Send, flat.Send) && ordersEqual(bb.Return, flat.Return)
 		if !sameOrders {
-			// A tie within the pruning margin: both pairs must achieve the
-			// same optimum (re-evaluated through the simplex to decouple the
+			// A tie within rounding: both pairs must achieve the same
+			// optimum (re-evaluated through the simplex to decouple the
 			// check from the search's own arithmetic).
 			sess := eval.NewSession()
 			vb, err := sess.Throughput(eval.Scenario{Platform: p, Send: bb.Send, Return: bb.Return, Model: model}, eval.Simplex)
@@ -280,18 +291,117 @@ func TestPairBBAgreesWithFlat(t *testing.T) {
 				t.Fatalf("trial %d: winners differ beyond a tie: bb (σ1=%v σ2=%v)=%.12g, flat (σ1=%v σ2=%v)=%.12g",
 					trial, bb.Send, bb.Return, vb, flat.Send, flat.Return, vf)
 			}
+			continue // tie winners may enroll different workers
 		}
 		// Canonicalised loads (Evaluate pins degenerate optima to the
 		// lex-min vertex) of the two reported schedules.
 		for i := range bb.Schedule.Alpha {
 			a, b := bb.Schedule.Alpha[i], flat.Schedule.Alpha[i]
-			if !sameOrders {
-				continue // tie winners may enroll different workers
-			}
 			if d := a - b; d > 1e-9*(1+a+b) || d < -1e-9*(1+a+b) {
 				t.Fatalf("trial %d: load of worker %d: bb %.12g != flat %.12g", trial, i, a, b)
 			}
 		}
+	}
+}
+
+// exactPairCase is one seeded platform and port model of the exact pair
+// tests.
+type exactPairCase struct {
+	p     *platform.Platform
+	model schedule.Model
+}
+
+// exactPairCases are the seeded p = 3–4 platforms of the exact pair tests,
+// each under both port models. Exact trials stay at p ≤ 4: every leaf is a
+// rational simplex solve, and a serial p = 5 search takes tens of seconds.
+func exactPairCases() []exactPairCase {
+	var out []exactPairCase
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, n := range []int{3, 4} {
+			for _, model := range []schedule.Model{schedule.OnePort, schedule.TwoPort} {
+				out = append(out, exactPairCase{randomPairPlatform(rand.New(rand.NewSource(seed)), n), model})
+			}
+		}
+	}
+	return out
+}
+
+// TestPairBBExactMatchesOracle is the exact-arithmetic acceptance check:
+// under ExactRational the search prunes nothing (no float64 bound may
+// certify an exact comparison) and scores every leaf with the exact LP, so
+// its winning (σ1, σ2), throughput bits and loads must equal the oracle's
+// bit for bit, and its counters must show all (p!)² leaves and no cut.
+func TestPairBBExactMatchesOracle(t *testing.T) {
+	for i, tc := range exactPairCases() {
+		before := PairStatsSnapshot()
+		got, err := BestPairExhaustiveEval(ContextWithSearchParallelism(t.Context(), 1), tc.p, tc.model, eval.ExactRational)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := PairStatsSnapshot()
+		want := pairOracle(t, tc.p, tc.model, eval.ExactRational)
+		if !ordersEqual(got.Send, want.Send) || !ordersEqual(got.Return, want.Return) {
+			t.Fatalf("case %d (%v): search won (σ1=%v σ2=%v), oracle (σ1=%v σ2=%v)\n%s",
+				i, tc.model, got.Send, got.Return, want.Send, want.Return, tc.p)
+		}
+		if g, w := math.Float64bits(got.Schedule.Throughput()), math.Float64bits(want.Schedule.Throughput()); g != w {
+			t.Fatalf("case %d (%v): throughput bits %x, oracle %x", i, tc.model, g, w)
+		}
+		if !bitsEqual(scheduleBits(got.Schedule), scheduleBits(want.Schedule)) {
+			t.Fatalf("case %d (%v): α %v, oracle %v", i, tc.model, got.Schedule.Alpha, want.Schedule.Alpha)
+		}
+		f := uint64(factorial(tc.p.P()))
+		if pruned := after.SubtreesPruned - before.SubtreesPruned; pruned != 0 {
+			t.Errorf("case %d: exact search pruned %d subtrees", i, pruned)
+		}
+		if outer := after.OuterPruned - before.OuterPruned; outer != 0 {
+			t.Errorf("case %d: exact search pruned %d send orders", i, outer)
+		}
+		if leaves := after.LeavesEvaluated - before.LeavesEvaluated; leaves != f*f {
+			t.Errorf("case %d: exact search scored %d leaves, want (p!)² = %d", i, leaves, f*f)
+		}
+	}
+}
+
+// TestPairBBExactParallelByteIdentical runs the exact search at search
+// parallelism 1, 2 and 4: orders, throughput and load bits must not
+// depend on the worker count.
+func TestPairBBExactParallelByteIdentical(t *testing.T) {
+	for i, tc := range exactPairCases()[2:4] { // seed 1, p = 4, both models
+		var ref *PairResult
+		for _, w := range []int{1, 2, 4} {
+			got, err := BestPairExhaustiveEval(ContextWithSearchParallelism(t.Context(), w), tc.p, tc.model, eval.ExactRational)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !ordersEqual(got.Send, ref.Send) || !ordersEqual(got.Return, ref.Return) ||
+				!bitsEqual(scheduleBits(got.Schedule), scheduleBits(ref.Schedule)) {
+				t.Fatalf("case %d (%v) at %d workers: (σ1=%v σ2=%v α=%v), serial (σ1=%v σ2=%v α=%v)",
+					i, tc.model, w, got.Send, got.Return, got.Schedule.Alpha, ref.Send, ref.Return, ref.Schedule.Alpha)
+			}
+		}
+	}
+}
+
+// TestPairBBExactCancellation checks that a deadline stops an unpruned
+// exact p = 5 search — (5!)² rational simplex solves, tens of seconds
+// serially — promptly.
+func TestPairBBExactCancellation(t *testing.T) {
+	p := randomPairPlatform(rand.New(rand.NewSource(5)), 5)
+	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.ExactRational)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expected context.DeadlineExceeded, got %v (after %v)", err, elapsed)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("cancellation took %v, the exact search is not polling the context", elapsed)
 	}
 }
 
@@ -309,26 +419,13 @@ func TestPairBBCancellationInsideRecursion(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
 	defer cancel()
 	start := time.Now()
-	_, err := BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, PairBB)
+	_, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected context.DeadlineExceeded, got %v (after %v)", err, elapsed)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v, the recursion is not polling the context", elapsed)
-	}
-}
-
-// TestPairBBRejectsExact pins the algorithm/backend compatibility rule:
-// the float64 prefix bounds cannot certify exact-rational comparisons.
-func TestPairBBRejectsExact(t *testing.T) {
-	p := randomPairPlatform(rand.New(rand.NewSource(1)), 3)
-	if _, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.ExactRational, PairBB); err == nil {
-		t.Fatal("pair-bb accepted the exact-rational backend")
-	}
-	// PairAuto must route exact requests to the flat loop instead.
-	if _, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.ExactRational, PairAuto); err != nil {
-		t.Fatalf("PairAuto with exact backend: %v", err)
 	}
 }
 

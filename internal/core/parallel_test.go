@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -64,14 +65,14 @@ func TestParallelSearchMatchesSerialByteIdentical(t *testing.T) {
 		// every worker count ranks to steal (5! = 120 send orders).
 		n := 3 + trial%3
 		p := randomPairPlatform(rng, n)
-		serial, err := BestPairExhaustiveAlgo(context.Background(), p, schedule.OnePort, eval.Auto, PairBB)
+		serial, err := BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sBits := scheduleBits(serial.Schedule)
 		for _, w := range workerCounts {
 			ctx := ContextWithSearchParallelism(context.Background(), w)
-			got, err := BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, PairBB)
+			got, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +179,7 @@ func TestParallelPairSearchCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(ContextWithSearchParallelism(context.Background(), 4), 500*time.Microsecond)
 	defer cancel()
 	start := time.Now()
-	_, err := BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, PairBB)
+	_, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected context.DeadlineExceeded, got %v (after %v)", err, elapsed)
@@ -209,5 +210,84 @@ func TestRankDequeStealHalf(t *testing.T) {
 	}
 	if _, ok := d.pop(); ok {
 		t.Fatal("pop from an empty deque succeeded")
+	}
+}
+
+// searchSpanAttrs runs search under a fresh trace at search parallelism 1
+// and returns the attributes of its "search" span.
+func searchSpanAttrs(t *testing.T, search func(ctx context.Context) error) map[string]string {
+	tr := obs.NewTrace("search", "test", time.Now)
+	if err := search(obs.ContextWithTrace(ContextWithSearchParallelism(context.Background(), 1), tr)); err != nil {
+		t.Error(err)
+		return nil
+	}
+	attrs := map[string]string{}
+	for _, st := range tr.Snapshot().Stages {
+		if st.Name == "search" {
+			for _, a := range st.Attrs {
+				attrs[a.Key] = a.Value
+			}
+		}
+	}
+	return attrs
+}
+
+// TestTracedSearchCountsArePerSearch pins the search spans' counters to
+// their own search: two pair searches, then two affine searches, run
+// concurrently, and each span must carry exactly the counts the same
+// search annotates when run alone (at parallelism 1 the counts are
+// deterministic). Counts taken as deltas of the process-global counters
+// would include the other search's nodes.
+func TestTracedSearchCountsArePerSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	pairSearch := func(p *platform.Platform) func(ctx context.Context) error {
+		return func(ctx context.Context) error {
+			_, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
+			return err
+		}
+	}
+	affineSearch := func(p *platform.Platform, aff Affine) func(ctx context.Context) error {
+		return func(ctx context.Context) error {
+			_, err := BestFIFOAffineContext(ctx, p, aff, Float64)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		searches [2]func(ctx context.Context) error
+		keys     []string
+	}{
+		{"pair", [2]func(ctx context.Context) error{
+			pairSearch(randomPairPlatform(rng, 5)), pairSearch(randomPairPlatform(rng, 5)),
+		}, []string{"nodes", "pruned", "outer_pruned", "leaves"}},
+		{"affine", [2]func(ctx context.Context) error{
+			affineSearch(randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)),
+			affineSearch(randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)),
+		}, []string{"nodes", "pruned", "leaves", "bound_solves"}},
+	} {
+		var solo [2]map[string]string
+		for i, search := range tc.searches {
+			solo[i] = searchSpanAttrs(t, search)
+		}
+		var together [2]map[string]string
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i, search := range tc.searches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				together[i] = searchSpanAttrs(t, search)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range tc.searches {
+			for _, k := range tc.keys {
+				if solo[i][k] == "" || together[i][k] != solo[i][k] {
+					t.Errorf("%s search %d: concurrent span %s=%q, alone %q", tc.name, i, k, together[i][k], solo[i][k])
+				}
+			}
+		}
 	}
 }

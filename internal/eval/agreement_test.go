@@ -199,39 +199,6 @@ func TestExhaustiveSearchBackendAgreement(t *testing.T) {
 	}
 }
 
-// TestPairSearchPrefixReuseAgreement checks the FixedSend fast path (the
-// pair search's per-prefix reuse) against fresh evaluations.
-func TestPairSearchPrefixReuseAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		p := randomAgreementPlatform(rng)
-		if p.P() > 5 {
-			continue
-		}
-		n := p.P()
-		send := platform.Order(rng.Perm(n))
-		sess := NewSession()
-		fixed, err := sess.FixedSend(p, send, schedule.OnePort, Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 6; k++ {
-			ret := platform.Order(rng.Perm(n))
-			got, err := fixed.Throughput(ret)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := NewSession().Throughput(Scenario{Platform: p, Send: send, Return: ret, Model: schedule.OnePort}, Simplex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !agreeEq(got, want) {
-				t.Errorf("trial %d σ2=%v: FixedSend %.12g != simplex %.12g", trial, ret, got, want)
-			}
-		}
-	}
-}
-
 // TestSendBoundIsUpperBound validates the pair-search pruning bound: for
 // every return order the bound must dominate the scenario optimum.
 func TestSendBoundIsUpperBound(t *testing.T) {
@@ -244,7 +211,7 @@ func TestSendBoundIsUpperBound(t *testing.T) {
 		n := p.P()
 		send := platform.Order(rng.Perm(n))
 		sess := NewSession()
-		bound, err := sess.SendBound(p, send, schedule.OnePort)
+		bound, err := sendBound(p, send, schedule.OnePort)
 		if err != nil {
 			t.Fatal(err)
 		}

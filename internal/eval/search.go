@@ -38,14 +38,15 @@ import (
 // whenever the tight candidate certifies, making most leaf evaluations
 // free.
 //
-// With nothing committed the relaxation coincides with Session.SendBound's
-// LP (each row keeps only the send prefix, w and the worker's own d), but
-// it is solved here through the tight-system machinery of PR 2/3 instead
-// of a fresh simplex per send order: the root system is lower triangular
-// (a LIFO-shaped chain), deeper systems are one LU factorisation, and the
-// transpose solve reuses the cached-dual certificate logic — any
-// non-negative dual vector of the relaxation bounds the subtree by weak
-// duality even when the primal candidate is infeasible.
+// With nothing committed the relaxation is the send-order relaxation
+// (each row keeps only the send prefix, w and the worker's own d; the
+// tests pin it against that LP), solved through the tight-system
+// machinery instead of a fresh simplex per send order: the root system is
+// lower triangular (a LIFO-shaped chain), deeper systems are one LU
+// factorisation, and the transpose solve reuses the cached-dual
+// certificate logic — any non-negative dual vector of the relaxation
+// bounds the subtree by weak duality even when the primal candidate is
+// infeasible.
 
 // ReturnPrefix is the per-σ1 state of the return-order branch-and-bound.
 // It owns its matrix and factorisation scratch (no aliasing with the
@@ -111,8 +112,9 @@ type ReturnPrefix struct {
 
 // NewReturnPrefix prepares a return-order branch-and-bound state for
 // repeated use over send orders of the full platform (Reset fixes each
-// σ1). The float64 tight-system bounds cannot certify exact-rational
-// comparisons, so ExactRational is rejected.
+// σ1). Under ExactRational the float64 tight-system bounds cannot certify
+// exact comparisons, so Bound never reports one and LeafThroughput solves
+// every leaf's LP in rational arithmetic: the search prunes nothing.
 func (s *Session) NewReturnPrefix(p *platform.Platform, model schedule.Model, mode Mode) (*ReturnPrefix, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -122,9 +124,6 @@ func (s *Session) NewReturnPrefix(p *platform.Platform, model schedule.Model, mo
 	}
 	if !mode.Valid() {
 		return nil, fmt.Errorf("eval: unknown mode %d", int(mode))
-	}
-	if mode == ExactRational {
-		return nil, fmt.Errorf("eval: return-prefix bounds are float64 computations and cannot certify exact-rational comparisons")
 	}
 	q := p.P()
 	stack := func() [][]float64 {
@@ -577,7 +576,13 @@ func (rp *ReturnPrefix) refine() bool {
 // values must be pure functions of the orders — bit-for-bit independent of
 // the Push/Pop trajectory — for the parallel searches to reproduce the
 // serial result byte-identically.
+//
+// Under ExactRational ok is always false: no float64 bound may prune or
+// certify an exact comparison.
 func (rp *ReturnPrefix) Bound() (bound float64, exact, ok bool) {
+	if rp.mode == ExactRational {
+		return 0, false, false
+	}
 	if !rp.incremental || len(rp.tail) == rp.q {
 		return rp.boundScratch()
 	}
@@ -819,15 +824,20 @@ func (rp *ReturnPrefix) ReturnOrder() platform.Order {
 // LeafThroughput evaluates the fully committed return order exactly when
 // Bound could not certify the leaf: the active-set descent over the
 // already-assembled full tight matrix (port-bound and resource-selection
-// vertices), then the simplex. Mirrors FixedSend.Throughput's tiers.
+// vertices), then the simplex. The Simplex and ExactRational modes solve
+// the scenario LP directly, the latter in rational arithmetic.
 func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 	if len(rp.tail) != rp.q {
 		return 0, fmt.Errorf("eval: LeafThroughput on a partial return prefix (%d of %d committed)", len(rp.tail), rp.q)
 	}
 	s := rp.sess
 	sc := Scenario{Platform: rp.p, Send: rp.send, Return: rp.ReturnOrder(), Model: rp.model}
-	if rp.mode == Simplex {
+	switch rp.mode {
+	case Simplex:
 		_, rho, err := s.simplexLoads(sc)
+		return rho, err
+	case ExactRational:
+		_, rho, err := s.exactLoads(sc)
 		return rho, err
 	}
 	// tightSearchOn reads the session's retPos table (worker → return

@@ -1,13 +1,67 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/lp"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
+
+// sendBound is the LP reference of the send-order relaxation, the root of
+// the return-prefix relaxation: an upper bound on the optimal throughput
+// over EVERY return order sharing the given send order, from the LP whose
+// per-worker rows keep only the send prefix, the computation term and the
+// worker's own return message,
+//
+//	Σ_{send pos ≤ s} α_j·c_j + α_i·(w_i + d_i) ≤ 1,
+//
+// with the port constraint(s) unchanged. Any σ2's per-worker constraint
+// only adds further d terms on the left, so the relaxation is valid for
+// all σ2 simultaneously.
+func sendBound(p *platform.Platform, send platform.Order, model schedule.Model) (float64, error) {
+	if err := validate(Scenario{Platform: p, Send: send, Return: send, Model: model}); err != nil {
+		return 0, err
+	}
+	prob := lp.NewMaximize()
+	for range send {
+		prob.AddVar("", 1)
+	}
+	var coefs []lp.Coef
+	for si, i := range send {
+		coefs = coefs[:0]
+		for t, j := range send[:si+1] {
+			coefs = append(coefs, lp.Coef{Var: t, Value: p.Workers[j].C})
+		}
+		w := p.Workers[i]
+		coefs = append(coefs, lp.Coef{Var: si, Value: w.W + w.D})
+		prob.AddConstraint("", coefs, lp.LE, 1)
+	}
+	port := func(cost func(platform.Worker) float64) {
+		coefs = coefs[:0]
+		for t, j := range send {
+			coefs = append(coefs, lp.Coef{Var: t, Value: cost(p.Workers[j])})
+		}
+		prob.AddConstraint("", coefs, lp.LE, 1)
+	}
+	if model == schedule.TwoPort {
+		port(func(w platform.Worker) float64 { return w.C })
+		port(func(w platform.Worker) float64 { return w.D })
+	} else {
+		port(func(w platform.Worker) float64 { return w.C + w.D })
+	}
+	sol, err := prob.Solve()
+	if err != nil {
+		return 0, err
+	}
+	if sol.Status != lp.Optimal {
+		return 0, fmt.Errorf("send-bound LP terminated %v", sol.Status)
+	}
+	return sol.Objective, nil
+}
 
 // The return-prefix bound property test: on 240 random platforms across
 // every shape family, the bound must be admissible — it never understates
@@ -98,6 +152,51 @@ func TestReturnPrefixBoundAdmissibleAndMonotone(t *testing.T) {
 	}
 }
 
+// TestReturnPrefixExactLeaves pins the exact mode of the return-prefix
+// state: Bound never reports a bound (no float64 value may prune or
+// certify an exact comparison), and every leaf's throughput is the exact
+// LP optimum Session.Throughput reports under ExactRational, bit for bit.
+func TestReturnPrefixExactLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(2719))
+	for trial := 0; trial < 6; trial++ {
+		n := 3 + trial%2
+		ws := make([]platform.Worker, n)
+		for i := range ws {
+			ws[i] = platform.Worker{C: 0.02 + 0.2*rng.Float64(), W: 0.05 + 0.5*rng.Float64(), D: 0.01 + 0.3*rng.Float64()}
+		}
+		p := platform.New(ws...)
+		model := schedule.OnePort
+		if trial >= 3 {
+			model = schedule.TwoPort
+		}
+		rp, err := NewSession().NewReturnPrefix(p, model, ExactRational)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := platform.Order(rng.Perm(n))
+		if err := rp.Reset(send); err != nil {
+			t.Fatal(err)
+		}
+		for _, pos := range rng.Perm(n) {
+			rp.Push(pos)
+			if _, _, ok := rp.Bound(); ok {
+				t.Fatalf("trial %d: exact Bound reported a float64 bound at depth %d", trial, rp.Depth())
+			}
+		}
+		got, err := rp.LeafThroughput()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewSession().Throughput(Scenario{Platform: p, Send: send, Return: rp.ReturnOrder(), Model: model}, ExactRational)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: exact leaf %.17g != exact scenario %.17g", trial, got, want)
+		}
+	}
+}
+
 // TestReturnPrefixBoundMatchesSendBound pins the root of the prefix
 // relaxation to the existing send-order relaxation: with nothing
 // committed, both relax each worker row to its send prefix, own
@@ -115,7 +214,7 @@ func TestReturnPrefixBoundMatchesSendBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := sess.SendBound(p, send, schedule.OnePort)
+		sb, err := sendBound(p, send, schedule.OnePort)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,10 @@ import (
 )
 
 // Session holds the scratch buffers of one evaluation pipeline: the tight
-// system matrix, pivot indices, load/dual vectors and the cached send base
-// of a FixedSend. Sessions make batch and exhaustive evaluation allocate
-// O(1) per scenario. A Session is NOT safe for concurrent use; obtain one
+// system matrix, pivot indices and load/dual vectors. Sessions make batch
+// and exhaustive evaluation allocate O(1) per scenario; the pair search's
+// return-order branch-and-bound (ReturnPrefix) keeps its own matrices and
+// borrows a session only for its leaf evaluations. A Session is NOT safe for concurrent use; obtain one
 // per goroutine via NewSession or the pool-backed GetSession/Release pair.
 type Session struct {
 	alpha      []float64    // candidate loads, by enrolled position
@@ -21,7 +22,6 @@ type Session struct {
 	u, v       []float64    // FIFO dual chain decomposition / expanded loads
 	a          []float64    // candidate system / LU factors (clobbered by solves)
 	work       []float64    // q×q assembled system kept intact across candidates
-	base       []float64    // FixedSend: return-order-independent half of the system
 	piv        []int        // LU row swaps
 	retPos     []int        // worker index → return position
 	mask       []int        // send position → enrolled index (active-set search)
@@ -102,7 +102,7 @@ var sessionPool = sync.Pool{New: func() any { return NewSession() }}
 func GetSession() *Session { return sessionPool.Get().(*Session) }
 
 // Release returns the session to the pool. The session must not be used
-// afterwards (nor any FixedSend derived from it).
+// afterwards (nor any ReturnPrefix derived from it).
 func (s *Session) Release() { sessionPool.Put(s) }
 
 // grow returns *buf resized to n, reusing its capacity when possible.
@@ -335,155 +335,6 @@ func buildSchedule(sc Scenario, alpha []float64) (*schedule.Schedule, error) {
 		return nil, fmt.Errorf("eval: internal error: computed schedule fails verification: %w", err)
 	}
 	return out, nil
-}
-
-// --- Pair-search support --------------------------------------------------
-
-// FixedSend evaluates many return orders against one fixed send order,
-// reusing the send-prefix half of the tight system across calls (the
-// (p!)² pair search re-derives nothing it shares between return orders).
-// A Session supports one active FixedSend at a time; creating a new one
-// invalidates the previous.
-type FixedSend struct {
-	sess  *Session
-	sc    Scenario // Return is set per Throughput call
-	exact bool
-}
-
-// FixedSend prepares repeated evaluations sharing a send order. The mode
-// tiers like loads: tight system first (from the cached base), simplex
-// fallback; Simplex and ExactRational modes skip the tight attempt.
-func (s *Session) FixedSend(p *platform.Platform, send platform.Order, model schedule.Model, mode Mode) (*FixedSend, error) {
-	sc := Scenario{Platform: p, Send: send, Return: send, Model: model}
-	if err := validate(sc); err != nil {
-		return nil, err
-	}
-	if !mode.Valid() {
-		return nil, fmt.Errorf("eval: unknown mode %d", int(mode))
-	}
-	f := &FixedSend{sess: s, sc: sc, exact: mode == ExactRational}
-	if mode == Simplex || mode == ExactRational {
-		s.base = s.base[:0] // mark "no tight base": Throughput goes to the LP
-	} else {
-		q := len(send)
-		buildTightBase(grow(&s.base, q*q), p, send)
-	}
-	return f, nil
-}
-
-// Throughput evaluates one return order against the fixed send order. The
-// return order must be a permutation of the send order (checked without
-// allocating); the tight path reuses the cached send base, cascades to the
-// port-bound vertices, and falls back to the simplex.
-func (f *FixedSend) Throughput(ret platform.Order) (float64, error) {
-	sc := f.sc
-	sc.Return = ret
-	s := f.sess
-	if f.exact {
-		return s.Throughput(sc, ExactRational)
-	}
-	if len(s.base) == 0 {
-		return s.Throughput(sc, Simplex)
-	}
-	if err := s.checkReturnOrder(sc.Platform.P(), sc.Send, ret); err != nil {
-		return 0, err
-	}
-	q := len(sc.Send)
-	full := grow(&s.work, q*q)
-	copy(full, s.base)
-	s.addReturnTerms(full, sc.Platform, sc.Send, ret)
-	if alpha, ok := s.tightSearchOn(sc, full, false, -1); ok {
-		return sum(alpha), nil
-	}
-	_, rho, err := s.simplexLoads(sc)
-	return rho, err
-}
-
-// checkReturnOrder verifies that ret is a permutation of send using the
-// session's position scratch (no allocation): every send worker must
-// appear in ret exactly once.
-func (s *Session) checkReturnOrder(n int, send, ret platform.Order) error {
-	if len(ret) != len(send) {
-		return fmt.Errorf("eval: send order has %d workers, return order %d", len(send), len(ret))
-	}
-	pos := growInt(&s.retPos, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for k, i := range ret {
-		if i < 0 || i >= n {
-			return fmt.Errorf("eval: order references worker %d outside platform of %d workers", i, n)
-		}
-		if pos[i] >= 0 {
-			return fmt.Errorf("eval: worker %d appears twice in return order", i)
-		}
-		pos[i] = k
-	}
-	for _, i := range send {
-		if pos[i] < 0 {
-			return fmt.Errorf("eval: worker %d in send order but not in return order", i)
-		}
-	}
-	return nil
-}
-
-// SendBound returns an upper bound on the optimal throughput over EVERY
-// return order sharing the given send order: the optimum of the relaxed LP
-// whose per-worker rows keep only the send prefix, the computation term
-// and the worker's own return message,
-//
-//	Σ_{send pos ≤ s} α_j·c_j + α_i·(w_i + d_i) ≤ 1,
-//
-// with the port constraint(s) unchanged. Any σ2's per-worker constraint
-// only adds further d terms on the left, so the relaxation is valid for
-// all σ2 simultaneously. The pair-exhaustive search uses it to skip whole
-// p!-sized inner loops whose bound cannot beat the incumbent.
-func (s *Session) SendBound(p *platform.Platform, send platform.Order, model schedule.Model) (float64, error) {
-	sc := Scenario{Platform: p, Send: send, Return: send, Model: model}
-	if err := validate(sc); err != nil {
-		return 0, err
-	}
-	q := len(send)
-	prob := lp.NewMaximize()
-	for range send {
-		prob.AddVar("", 1)
-	}
-	coefs := make([]lp.Coef, 0, q+1)
-	for si, i := range send {
-		coefs = coefs[:0]
-		for t, j := range send[:si+1] {
-			coefs = append(coefs, lp.Coef{Var: t, Value: p.Workers[j].C})
-		}
-		w := p.Workers[i]
-		coefs = append(coefs, lp.Coef{Var: si, Value: w.W + w.D})
-		prob.AddConstraint("", coefs, lp.LE, 1)
-	}
-	port := make([]lp.Coef, 0, 2*q)
-	switch model {
-	case schedule.TwoPort:
-		for t, j := range send {
-			port = append(port, lp.Coef{Var: t, Value: p.Workers[j].C})
-		}
-		prob.AddConstraint("", port, lp.LE, 1)
-		port = port[:0]
-		for t, j := range send {
-			port = append(port, lp.Coef{Var: t, Value: p.Workers[j].D})
-		}
-		prob.AddConstraint("", port, lp.LE, 1)
-	default:
-		for t, j := range send {
-			port = append(port, lp.Coef{Var: t, Value: p.Workers[j].C + p.Workers[j].D})
-		}
-		prob.AddConstraint("", port, lp.LE, 1)
-	}
-	sol, err := prob.Solve()
-	if err != nil {
-		return 0, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("eval: send-bound LP terminated %v (internal error)", sol.Status)
-	}
-	return sol.Objective, nil
 }
 
 // ExactObjective solves the scenario LP in exact rational arithmetic and

@@ -152,8 +152,8 @@ func (s *Session) busFIFO(p *platform.Platform, send platform.Order) ([]float64,
 
 // buildTightBase fills dst (q×q, row-major) with the return-order-
 // independent half of the tight system: the send-prefix c terms and the
-// diagonal w terms. The FixedSend pair-search path shares one base across
-// every return order of a send permutation.
+// diagonal w terms. ReturnPrefix.Reset starts every send order's
+// return-order tree from it.
 func buildTightBase(dst []float64, p *platform.Platform, send platform.Order) {
 	q := len(send)
 	for s := 0; s < q; s++ {

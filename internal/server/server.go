@@ -49,9 +49,9 @@ type Config struct {
 	// Classes are the SLO classes accepted via the X-SLO-Class header.
 	// Default: dls.DefaultSLOClasses.
 	Classes []dls.SLOClass
-	// Adaptive, when set, runs the adaptive SLO-aware admission policy
-	// instead of the fixed Window/WindowSize.
-	Adaptive *dls.AdaptiveConfig
+	// Adaptive runs the adaptive SLO-aware admission policy instead of the
+	// fixed Window/WindowSize.
+	Adaptive bool
 	// MaxBatch caps the request count of one /v1/solve/batch call.
 	// Default 1024.
 	MaxBatch int

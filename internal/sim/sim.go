@@ -59,8 +59,8 @@ type Config struct {
 	WindowSize int
 	QueueCap   int
 	Drain      int
-	// Adaptive, when set, enables the adaptive admission policy.
-	Adaptive *dls.AdaptiveConfig
+	// Adaptive enables the adaptive admission policy.
+	Adaptive bool
 
 	// Failures injects replica crashes (see Failure and ParseFailures):
 	// in-flight windows fail with ErrReplicaCrashed, arrivals during the
@@ -794,7 +794,7 @@ func (s *simulator) logf(format string, args ...any) {
 
 func (s *simulator) report() *Report {
 	mode := "fixed"
-	if s.cfg.Adaptive != nil {
+	if s.cfg.Adaptive {
 		mode = "adaptive"
 	}
 	rep := &Report{

@@ -12,8 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/dls"
 )
 
 func burstProcess() *MMPP {
@@ -30,7 +28,7 @@ func TestRunDeterminism(t *testing.T) {
 			Seed:        seed,
 			MaxArrivals: 20000,
 			Process:     burstProcess(),
-			Adaptive:    &dls.AdaptiveConfig{},
+			Adaptive:    true,
 			Log:         &log,
 		})
 		if err != nil {
@@ -123,7 +121,7 @@ func TestAdaptiveBeatsFixedOnBurst(t *testing.T) {
 		t.Helper()
 		cfg := Config{Seed: 42, MaxArrivals: 100000, Process: burstProcess(), SearchShare: searchShare}
 		if adaptive {
-			cfg.Adaptive = &dls.AdaptiveConfig{}
+			cfg.Adaptive = true
 		}
 		rep, err := Run(cfg)
 		if err != nil {
@@ -200,7 +198,7 @@ func TestRunMillionArrivals(t *testing.T) {
 			Seed:        1,
 			MaxArrivals: 1_000_000,
 			Process:     burstProcess(),
-			Adaptive:    &dls.AdaptiveConfig{},
+			Adaptive:    true,
 			Log:         hw,
 		})
 		if err != nil {
