@@ -267,19 +267,7 @@ func BenchmarkBestFIFOExhaustive7(b *testing.B) {
 	p := benchExhaustivePlatform()
 	ctx := core.ContextWithSearchParallelism(context.Background(), 0)
 	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalDirect, dls.EvalSimplex} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var rho float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, _, err := core.BestFIFOExhaustiveEval(ctx, p, schedule.OnePort, mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rho = s.Throughput()
-			}
-			b.ReportMetric(rho, "rho")
-		})
+		b.Run(mode.String(), fifoSweepBench(ctx, p, mode))
 	}
 	b.Run("theorem", func(b *testing.B) {
 		req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive}
@@ -295,6 +283,43 @@ func BenchmarkBestFIFOExhaustive7(b *testing.B) {
 		}
 		b.ReportMetric(rho, "rho")
 	})
+}
+
+// fifoSweepBench is one backend's sub-benchmark of
+// BenchmarkBestFIFOExhaustive7: the p! FIFO sweep on p under mode.
+func fifoSweepBench(ctx context.Context, p *dls.Platform, mode dls.EvalMode) func(*testing.B) {
+	return func(b *testing.B) {
+		var rho float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, _, err := core.BestFIFOExhaustiveEval(ctx, p, schedule.OnePort, mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rho = s.Throughput()
+		}
+		b.ReportMetric(rho, "rho")
+	}
+}
+
+// TestFIFOExhaustiveAllocGate guards the sync.Pool discipline of the
+// exhaustive loop: BenchmarkBestFIFOExhaustive7/auto, with the engine's
+// default search parallelism, evaluates 5040 scenarios per search. The
+// search may allocate O(1) setup (sweep state, the winner's verified
+// schedule), so fewer than 5040 allocations per search means no scenario
+// allocates.
+func TestFIFOExhaustiveAllocGate(t *testing.T) {
+	ctx := core.ContextWithSearchParallelism(context.Background(), 0)
+	res := testing.Benchmark(fifoSweepBench(ctx, benchExhaustivePlatform(), dls.EvalAuto))
+	if res.N == 0 {
+		t.Fatal("BestFIFOExhaustive7/auto failed")
+	}
+	allocs := res.AllocsPerOp()
+	t.Logf("BestFIFOExhaustive7/auto: %d allocs/op (%.4f per scenario)", allocs, float64(allocs)/5040)
+	if allocs >= 5040 {
+		t.Fatal("per-scenario allocations detected in the exhaustive loop")
+	}
 }
 
 // BenchmarkBestFIFOExhaustive8 runs the p! FIFO order search at p = 8

@@ -324,14 +324,15 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithSearchParallelism sets how many workers the exhaustive order-space
-// searches (brute, brute-lifo, brute-pair) use WITHIN one request: the
-// permutation space is split by SJT rank across a worker pool (work
-// stealing for the pair branch-and-bound, static ranges for the order
-// sweeps). n ≤ 0 — the default — uses one worker per CPU; n == 1 forces
-// the serial search. The search result is byte-identical for every
-// setting: worker count changes wall-clock time and nothing else. This is
-// independent of WithParallelism, which fans out ACROSS requests.
+// WithSearchParallelism sets how many workers the exhaustive searches
+// (fifo-exhaustive, lifo-exhaustive, pair-exhaustive, fifo-affine) use
+// WITHIN one request: the search space is split across a worker pool
+// (work stealing for the pair and affine branch-and-bounds, static SJT
+// rank ranges for the order sweeps). n ≤ 0 — the default — uses one
+// worker per CPU; n == 1 forces the serial search. The search result is
+// byte-identical for every setting: worker count changes wall-clock time
+// and nothing else. This is independent of WithParallelism, which fans
+// out ACROSS requests.
 func WithSearchParallelism(n int) Option {
 	return func(s *Solver) error {
 		if n <= 0 {
@@ -749,72 +750,36 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 	return len(order)
 }
 
-// chainScenario reports whether a prepared request is chain-shaped — its
-// strategy resolves to one fixed FIFO (σ2 = σ1) or LIFO (σ2 = reverse σ1)
-// scenario solvable by the closed-form chains under the tiered Auto
-// pipeline in float64 — and derives its send order. The order derivations
-// deliberately mirror the strategies in strategy.go (and OptimalLIFOEval
-// in internal/core); TestSolveBatchChainPrepassMatchesSolve pins the two
-// paths to identical results for every strategy listed here, so a drift
-// in either side fails the suite.
-func chainScenario(req Request) (send Order, lifo, ok bool) {
-	if req.Eval != EvalAuto || req.Arith != Float64 {
-		return nil, false, false
+// chainShape reports whether the scenario (send, ret) is one of the two
+// shapes eval.Batch evaluates: FIFO (ret = send) or LIFO (ret = reverse
+// send). Like the evaluator, it calls a one-worker scenario FIFO.
+func chainShape(send, ret Order) (lifo, ok bool) {
+	n := len(send)
+	if n == 0 || len(ret) != n {
+		return false, false
 	}
-	switch req.Strategy {
-	case StrategyIncC:
-		return req.Platform.ByC(), false, true
-	case StrategyIncW:
-		return req.Platform.ByW(), false, true
-	case StrategyDecC:
-		return req.Platform.ByCDesc(), false, true
-	case StrategyFIFOOrder:
-		return req.Send, false, true
-	case StrategyLIFOOrder:
-		return req.Send, true, true
-	case StrategyLIFO:
-		// The optimal one-port LIFO schedule enrolls everyone by
-		// non-decreasing c; the two-port variant routes differently.
-		if req.Model != OnePort {
-			return nil, false, false
-		}
-		return req.Platform.ByC(), true, true
-	case StrategyScenario:
-		if len(req.Send) == 0 || len(req.Send) != len(req.Return) {
-			return nil, false, false
-		}
-		fifo, rev := true, true
-		n := len(req.Send)
-		for k := 0; k < n; k++ {
-			if req.Return[k] != req.Send[k] {
-				fifo = false
-			}
-			if req.Return[k] != req.Send[n-1-k] {
-				rev = false
-			}
-		}
-		switch {
-		case fifo:
-			return req.Send, false, true
-		case rev:
-			return req.Send, true, true
-		}
+	fifo, rev := true, true
+	for k := range n {
+		fifo = fifo && ret[k] == send[k]
+		rev = rev && ret[k] == send[n-1-k]
 	}
-	return nil, false, false
+	return !fifo, fifo || rev
 }
 
 // chainPrepass collapses chain-shaped requests of the same scenario size
 // into eval.Batch lockstep evaluations: the lanes' platform columns are
 // laid out structure-of-arrays and the closed-form load and dual chains
-// run across all lanes at each position step. Certified lanes produce
-// verified schedules identical to what their strategies would compute
-// (same tiers, same canonicalisation), and fan out to their duplicate
-// requests exactly like pool-solved groups; lanes whose chain certificate
-// fails — port-bound or resource-selecting optima — are left for the
-// normal path. Returns the certified groups with their leaders' results;
-// the caller fans them out. A done context (cancelled, or a WithTimeout
-// deadline that already expired) skips the prepass entirely so every
-// request uniformly reports ctx.Err() from the pool path.
+// run across all lanes at each position step. A float64 EvalAuto request
+// joins when its strategy has an order rule and the rule's scenario is a
+// FIFO or LIFO chain. Certified lanes produce the bitwise answer of the
+// strategy's own solve (same scenario, same tiers, same canonicalisation;
+// TestSolveBatchChainPrepassMatchesSolve pins it) and fan out to their
+// duplicate requests exactly like pool-solved groups; lanes whose chain
+// certificate fails — port-bound or resource-selecting optima — are left
+// for the normal path. Returns the certified groups with their leaders'
+// results; the caller fans them out. A done context (cancelled, or a
+// WithTimeout deadline that already expired) skips the prepass entirely so
+// every request uniformly reports ctx.Err() from the pool path.
 func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*group, groupCtx func(*group) context.Context) map[*group]*Result {
 	if ctx.Err() != nil {
 		return nil
@@ -827,8 +792,13 @@ func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*
 	byKey := make(map[batchKey][]lane)
 	for _, g := range order {
 		req := prepared[g.leader]
-		send, lifo, ok := chainScenario(req)
-		if !ok || len(send) == 0 {
+		rule, ok := orderRules[req.Strategy]
+		if !ok || req.Eval != EvalAuto || req.Arith != Float64 {
+			continue
+		}
+		send, ret := rule(req)
+		lifo, ok := chainShape(send, ret)
+		if !ok {
 			continue
 		}
 		if s.cache != nil && s.cache.has(g.key) {
@@ -915,10 +885,11 @@ type StreamResult struct {
 // busy are flushed as one SolveBatch, so chain-shaped streams collapse
 // into the SoA batch prepass instead of solo solves. At most
 // WithParallelism requests are in flight at once. Results are identical
-// either way — the prepass is pinned byte-identical to Solve — and the
-// output stays deterministic. The output channel closes after the last
-// result once reqs is closed. The caller must drain the output channel;
-// cancelling ctx makes remaining requests fail fast with ctx.Err().
+// either way — a prepass answer is bitwise the solo Solve's, pinned by
+// TestSolveBatchChainPrepassMatchesSolve — and the output stays
+// deterministic. The output channel closes after the last result once
+// reqs is closed. The caller must drain the output channel; cancelling ctx
+// makes remaining requests fail fast with ctx.Err().
 func (s *Solver) SolveStream(ctx context.Context, reqs <-chan Request) <-chan StreamResult {
 	out := make(chan StreamResult, s.parallelism)
 	done := make(chan StreamResult, s.parallelism)

@@ -109,7 +109,7 @@ func TestOrderSearchTheoremFallsBackToSweep(t *testing.T) {
 		dls.Worker{C: 1, W: 0.44, D: z},
 	)
 	send := p.ByCDesc() // Theorem 1's order for z > 1
-	if _, err := core.SolveScenarioEval(p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
+	if _, err := core.SolveScenario(context.Background(), p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
 		t.Fatal("the theorem's schedule verifies: the fallback is not exercised")
 	}
 	// A serial sweep: at this z the range-split sweep fails verification
@@ -141,7 +141,7 @@ func TestFIFOStrategyLargeZ(t *testing.T) {
 		dls.Worker{C: 0.5, W: 1.8, D: 0.5 * z},
 	)
 	send := p.ByCDesc()
-	if _, err := core.SolveScenarioEval(p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
+	if _, err := core.SolveScenario(context.Background(), p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
 		t.Fatal("Theorem 1's order verifies when solved directly: the mirror route is not exercised")
 	}
 	res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO})

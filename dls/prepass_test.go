@@ -2,8 +2,11 @@ package dls
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -27,49 +30,90 @@ func prepassRequests(rng *rand.Rand, platforms int) []Request {
 	return reqs
 }
 
-// TestSolveBatchChainPrepassMatchesSolve: every request of a batch that
-// the SoA chain prepass answers must carry the same throughput and loads
-// as an individual Solve of the same request (which runs the strategy).
+// TestSolveBatchChainPrepassMatchesSolve: every answer of a batch, the
+// ones the SoA chain prepass certifies included, must be bitwise identical
+// to a solo Solve of the same request (which runs the strategy): the same
+// throughput bits, loads and orders, under both port models. A dlsd answer,
+// and what the cache keeps, must not depend on whether the request shared
+// an admission window.
 func TestSolveBatchChainPrepassMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(8080))
-	reqs := prepassRequests(rng, 4)
-	solver, err := NewSolver(WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := solver.SolveBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	single, err := NewSolver()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, req := range reqs {
-		want, err := single.Solve(context.Background(), req)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		got := results[i]
-		if got == nil {
-			t.Fatalf("request %d: no batch result", i)
-		}
-		if math.Abs(got.Throughput-want.Throughput) > 1e-9*(1+got.Throughput+want.Throughput) {
-			t.Errorf("request %d (%s): batch throughput %.12g != solve %.12g", i, req.Strategy, got.Throughput, want.Throughput)
-		}
-		if got.Schedule == nil || want.Schedule == nil {
-			t.Fatalf("request %d: missing schedule", i)
-		}
-		for w := range want.Schedule.Alpha {
-			if diff := got.Schedule.Alpha[w] - want.Schedule.Alpha[w]; math.Abs(diff) > 1e-9*(1+want.Throughput) {
-				t.Errorf("request %d (%s): load of worker %d: batch %.12g != solve %.12g",
-					i, req.Strategy, w, got.Schedule.Alpha[w], want.Schedule.Alpha[w])
+	for _, model := range []Model{OnePort, TwoPort} {
+		for seed := int64(1); seed <= 40; seed++ {
+			reqs := prepassRequests(rand.New(rand.NewSource(seed)), 6)
+			for i := range reqs {
+				reqs[i].Model = model
+			}
+			solver, err := NewSolver(WithParallelism(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := solver.SolveBatch(context.Background(), reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if solver.Stats().PrepassGroups == 0 {
+				t.Fatalf("%v seed %d: the prepass answered nothing", model, seed)
+			}
+			for i, req := range reqs {
+				want, err := single.Solve(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%v seed %d request %d: %v", model, seed, i, err)
+				}
+				if diff := answerDiff(results[i], want); diff != "" {
+					t.Errorf("%v seed %d request %d (%s): batch %s", model, seed, i, req.Strategy, diff)
+				}
 			}
 		}
-		if req.Load > 0 && math.Abs(got.Makespan-want.Makespan) > 1e-9*(1+want.Makespan) {
-			t.Errorf("request %d: batch makespan %.12g != solve %.12g", i, got.Makespan, want.Makespan)
+	}
+}
+
+// TestSolveBatchPrepassAnswersTwoPortLIFO: under TwoPort the lifo strategy
+// is the chain (ByC, ByC reversed) like any other fixed-scenario strategy,
+// so the prepass answers it.
+func TestSolveBatchPrepassAnswersTwoPortLIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(8084))
+	var reqs []Request
+	for i := 0; i < 4; i++ {
+		p := RandomSpeeds(rng, 6, Heterogeneous).Platform(DefaultApp(100))
+		reqs = append(reqs, Request{Platform: p, Strategy: StrategyLIFO, Model: TwoPort})
+	}
+	solver, err := NewSolver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solver.SolveBatch(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if st := solver.Stats(); st.PrepassGroups != uint64(len(reqs)) {
+		t.Fatalf("PrepassGroups = %d, want %d", st.PrepassGroups, len(reqs))
+	}
+}
+
+// answerDiff describes how got differs from want in the bits that make up
+// an answer (throughput, makespan, loads, orders), or returns "".
+func answerDiff(got, want *Result) string {
+	switch {
+	case got == nil || got.Schedule == nil || want.Schedule == nil:
+		return "answer or schedule missing"
+	case math.Float64bits(got.Throughput) != math.Float64bits(want.Throughput):
+		return fmt.Sprintf("throughput %.17g != solve %.17g", got.Throughput, want.Throughput)
+	case math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan):
+		return fmt.Sprintf("makespan %.17g != solve %.17g", got.Makespan, want.Makespan)
+	case !slices.Equal(got.Send, want.Send) || !slices.Equal(got.Return, want.Return):
+		return fmt.Sprintf("orders %v/%v != solve %v/%v", got.Send, got.Return, want.Send, want.Return)
+	case len(got.Schedule.Alpha) != len(want.Schedule.Alpha):
+		return "load vectors differ in length"
+	}
+	for w, a := range want.Schedule.Alpha {
+		if math.Float64bits(got.Schedule.Alpha[w]) != math.Float64bits(a) {
+			return fmt.Sprintf("load of worker %d %.17g != solve %.17g", w, got.Schedule.Alpha[w], a)
 		}
 	}
+	return ""
 }
 
 // TestSolveBatchChainPrepassStats: prepass-answered groups still count as
@@ -173,4 +217,66 @@ func TestSolveBatchPrepassHonoursCancellation(t *testing.T) {
 			t.Errorf("request %d produced a result under a cancelled context", i)
 		}
 	}
+}
+
+// FuzzPrepassMatchesSolve: a batch of 2–8 requests enrolling the same
+// number of workers (1–12), each drawn from the order-rule strategies
+// under either model, on platforms whose costs span ratios up to 1e±6,
+// with random Send/Return orders where the strategy reads them, must get
+// from SolveBatch exactly what per-request Solve gives: the same failure,
+// or the same bits.
+func FuzzPrepassMatchesSolve(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(5), uint8(0))
+	f.Add(int64(2), uint8(6), uint8(11), uint8(6))
+	f.Add(int64(3), uint8(3), uint8(0), uint8(3))
+	names := slices.Sorted(maps.Keys(orderRules))
+	single, err := NewSolver()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, lanes, workers, spread uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		p := 1 + int(workers%12)
+		half := float64(spread%7) / 2 // costs in [10^-half, 10^half]
+		cost := func() float64 { return math.Pow(10, half*(2*rng.Float64()-1)) }
+		reqs := make([]Request, 2+int(lanes%7))
+		for i := range reqs {
+			ws := make([]Worker, p)
+			for k := range ws {
+				ws[k] = Worker{C: cost(), W: cost(), D: cost()}
+			}
+			req := Request{
+				Platform: NewPlatform(ws...),
+				Strategy: names[rng.Intn(len(names))],
+				Model:    []Model{OnePort, TwoPort}[rng.Intn(2)],
+			}
+			send := Order(rng.Perm(p))
+			switch req.Strategy {
+			case StrategyFIFOOrder, StrategyLIFOOrder:
+				req.Send = send
+			case StrategyScenario:
+				req.Send = send
+				req.Return = []Order{send, send.Reverse(), Order(rng.Perm(p))}[rng.Intn(3)]
+			}
+			reqs[i] = req
+		}
+		solver, err := NewSolver(WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, _ := solver.SolveBatch(context.Background(), reqs)
+		for i, req := range reqs {
+			want, err := single.Solve(context.Background(), req)
+			switch {
+			case err != nil && results[i] != nil:
+				t.Errorf("request %d (%s, %v): Solve failed (%v), the batch answered", i, req.Strategy, req.Model, err)
+			case err == nil && results[i] == nil:
+				t.Errorf("request %d (%s, %v): the batch failed, Solve answered", i, req.Strategy, req.Model)
+			case err == nil:
+				if diff := answerDiff(results[i], want); diff != "" {
+					t.Errorf("request %d (%s, %v): batch %s", i, req.Strategy, req.Model, diff)
+				}
+			}
+		}
+	})
 }

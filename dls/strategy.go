@@ -138,70 +138,61 @@ func scheduleResult(s *Schedule) *Result {
 	return &Result{Schedule: s, Send: s.SendOrder, Return: s.ReturnOrder}
 }
 
+// orderRule derives, from a prepared request, the one (σ1, σ2) scenario of
+// the Section 2.3 LP that a fixed-scenario strategy solves.
+type orderRule func(req Request) (send, ret Order)
+
+// orderRules holds the order rule of every fixed-scenario strategy. The
+// strategy's solve and SolveBatch's chain prepass both read it, so the two
+// cannot disagree on which scenario a request asks for.
+var orderRules = map[string]orderRule{
+	StrategyLIFO: func(req Request) (Order, Order) {
+		o := req.Platform.ByC()
+		return o, o.Reverse()
+	},
+	StrategyIncC:      fifoBy((*Platform).ByC),
+	StrategyIncW:      fifoBy((*Platform).ByW),
+	StrategyDecC:      fifoBy((*Platform).ByCDesc),
+	StrategyFIFOOrder: func(req Request) (Order, Order) { return req.Send, req.Send },
+	StrategyLIFOOrder: func(req Request) (Order, Order) { return req.Send, req.Send.Reverse() },
+	StrategyScenario:  func(req Request) (Order, Order) { return req.Send, req.Return },
+}
+
+// fifoBy is the rule of a FIFO strategy whose order sorts the platform.
+func fifoBy(order func(*Platform) Order) orderRule {
+	return func(req Request) (Order, Order) {
+		o := order(req.Platform)
+		return o, o
+	}
+}
+
+// solveScenario solves one (σ1, σ2) scenario of a prepared request.
+func solveScenario(ctx context.Context, req Request, send, ret Order) (*Result, error) {
+	s, err := core.SolveScenario(ctx, req.Platform, send, ret, req.Model, req.Eval)
+	if err != nil {
+		return nil, err
+	}
+	return scheduleResult(s), nil
+}
+
 func init() {
-	mustRegisterStrategy(StrategyFIFO, func(_ context.Context, req Request) (*Result, error) {
-		var (
-			s   *Schedule
-			err error
-		)
+	for name, rule := range orderRules {
+		mustRegisterStrategy(name, func(ctx context.Context, req Request) (*Result, error) {
+			send, ret := rule(req)
+			return solveScenario(ctx, req, send, ret)
+		})
+	}
+	mustRegisterStrategy(StrategyFIFO, func(ctx context.Context, req Request) (*Result, error) {
 		if req.Model == TwoPort {
-			s, err = core.OptimalFIFOTwoPortEval(req.Platform, req.Eval)
-		} else {
-			s, err = core.OptimalFIFOEval(req.Platform, req.Eval)
+			o := req.Platform.ByC()
+			return solveScenario(ctx, req, o, o)
 		}
+		s, err := core.OptimalFIFO(req.Platform, req.Eval)
 		if err != nil {
 			return nil, err
 		}
 		return scheduleResult(s), nil
 	})
-	mustRegisterStrategy(StrategyLIFO, func(_ context.Context, req Request) (*Result, error) {
-		var (
-			s   *Schedule
-			err error
-		)
-		if req.Model == TwoPort {
-			s, err = core.OptimalLIFOTwoPortEval(req.Platform, req.Eval)
-		} else {
-			s, err = core.OptimalLIFOEval(req.Platform, req.Eval)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return scheduleResult(s), nil
-	})
-	// The fixed-order strategies all funnel into the eval pipeline through
-	// one scenario solve; orderOf derives (σ1, σ2) from the request.
-	scenario := func(orderOf func(Request) (Order, Order, error)) StrategyFunc {
-		return func(ctx context.Context, req Request) (*Result, error) {
-			send, ret, err := orderOf(req)
-			if err != nil {
-				return nil, err
-			}
-			s, err := core.SolveScenarioEvalContext(ctx, req.Platform, send, ret, req.Model, req.Eval)
-			if err != nil {
-				return nil, err
-			}
-			return scheduleResult(s), nil
-		}
-	}
-	fifoBy := func(order func(*Platform) Order) func(Request) (Order, Order, error) {
-		return func(req Request) (Order, Order, error) {
-			o := order(req.Platform)
-			return o, o, nil
-		}
-	}
-	mustRegisterStrategy(StrategyIncC, scenario(fifoBy((*Platform).ByC)))
-	mustRegisterStrategy(StrategyIncW, scenario(fifoBy((*Platform).ByW)))
-	mustRegisterStrategy(StrategyDecC, scenario(fifoBy((*Platform).ByCDesc)))
-	mustRegisterStrategy(StrategyFIFOOrder, scenario(func(req Request) (Order, Order, error) {
-		return req.Send, req.Send, nil
-	}))
-	mustRegisterStrategy(StrategyLIFOOrder, scenario(func(req Request) (Order, Order, error) {
-		return req.Send, req.Send.Reverse(), nil
-	}))
-	mustRegisterStrategy(StrategyScenario, scenario(func(req Request) (Order, Order, error) {
-		return req.Send, req.Return, nil
-	}))
 	mustRegisterStrategy(StrategyBusFIFO, func(_ context.Context, req Request) (*Result, error) {
 		if req.Model != OnePort {
 			return nil, fmt.Errorf("dls: strategy %q: Theorem 2's constructive schedule is one-port only", StrategyBusFIFO)
@@ -270,7 +261,7 @@ func orderSearch(lifo bool) StrategyFunc {
 		if order, ok := theoremOrder(req); ok {
 			t1 := obs.Now(ctx)
 			res := result(nil, order, orderByTheorem)
-			s, err := core.SolveScenarioEvalContext(ctx, req.Platform, res.Send, res.Return, req.Model, req.Eval)
+			s, err := core.SolveScenario(ctx, req.Platform, res.Send, res.Return, req.Model, req.Eval)
 			if err == nil {
 				if obs.Enabled(ctx) {
 					obs.StageAt(ctx, 1, "search", t0, t1,

@@ -26,7 +26,8 @@ import (
 // the right-hand sides), but resource selection becomes the hard part: an
 // enrolled worker consumes its latencies even with α = 0, and the paper
 // cites Legrand, Yang and Casanova for the NP-hardness of the affine
-// star problem. BestFIFOAffine therefore enumerates participant subsets.
+// star problem. BestFIFOAffineContext therefore enumerates participant
+// subsets.
 
 // Affine holds the per-worker fixed costs of the affine model, aligned
 // with the platform's worker indices. Zero values reduce the model to the
@@ -146,7 +147,7 @@ type AffineResult struct {
 // SolveScenarioAffine computes the optimal loads of an affine-model
 // scenario. Unlike the linear model, zero-α workers are NOT pruned: their
 // fixed costs have already been charged by enrolling them, so the caller
-// (and BestFIFOAffine) must treat the enrolled set as given.
+// (and BestFIFOAffineContext) must treat the enrolled set as given.
 func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Order, model schedule.Model, arith Arith) (*AffineResult, error) {
 	prob, err := ScenarioLPAffine(p, aff, send, ret, model)
 	if err != nil {
@@ -191,16 +192,17 @@ func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Or
 	return res, nil
 }
 
-// maxAffineSubsets bounds the 2^p subset search of BestFIFOAffine. The cap
-// rose from 16 to 20 when the branch-and-bound lattice search replaced the
-// flat mask loop: the drop-the-fixed-costs bound prunes whole half-lattices,
-// so the explored subset count stays far below 2^p on float64 backends.
+// maxAffineSubsets bounds the 2^p subset search of BestFIFOAffineContext.
+// The cap rose from 16 to 20 when the branch-and-bound lattice search
+// replaced the flat mask loop: the drop-the-fixed-costs bound prunes whole
+// half-lattices, so the explored subset count stays far below 2^p on
+// float64 backends.
 // Exact-rational searches still run the unpruned flat loop (float bounds
 // cannot certify exact comparisons) and pay the full 2^p exact solves.
 const maxAffineSubsets = 20
 
-// AffineAlgo selects how BestFIFOAffine explores the participant-subset
-// lattice.
+// AffineAlgo selects how BestFIFOAffineContext explores the
+// participant-subset lattice.
 type AffineAlgo int
 
 const (
@@ -283,18 +285,13 @@ func (c *affineCounters) add(nodes, pruned, leaves, boundSolves uint64) {
 // Callers interested in one search subtract two snapshots.
 func AffineStatsSnapshot() AffineStats { return affineTotals.snapshot() }
 
-// BestFIFOAffine searches for the best one-port FIFO schedule under the
-// affine model: workers are kept in non-decreasing-c order (the linear
+// BestFIFOAffineContext searches for the best one-port FIFO schedule under
+// the affine model: workers are kept in non-decreasing-c order (the linear
 // model's Theorem 1 order, a heuristic here) and the participant subsets
 // are searched exhaustively, since with fixed costs the optimal enrolled
 // set is no longer given by the LP's support — the problem the paper cites
-// as NP-hard. Limited to p ≤ 20.
-func BestFIFOAffine(p *platform.Platform, aff Affine, arith Arith) (*AffineResult, error) {
-	return BestFIFOAffineContext(context.Background(), p, aff, arith)
-}
-
-// BestFIFOAffineContext is BestFIFOAffine with cancellation and — through
-// ContextWithSearchParallelism — a parallel lattice search. It runs
+// as NP-hard. Limited to p ≤ 20. It honours cancellation and — through
+// ContextWithSearchParallelism — runs a parallel lattice search, with
 // AffineAuto: branch-and-bound for float64, the flat loop for Exact.
 func BestFIFOAffineContext(ctx context.Context, p *platform.Platform, aff Affine, arith Arith) (*AffineResult, error) {
 	return BestFIFOAffineAlgo(ctx, p, aff, arith, AffineAuto)

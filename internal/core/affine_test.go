@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/eval"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -16,7 +17,7 @@ func TestAffineZeroReducesToLinear(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 4, 0.5)
 		order := p.ByC()
-		linear, err := SolveScenario(p, order, order, schedule.OnePort, Float64)
+		linear, err := SolveScenario(context.Background(), p, order, order, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestAffineResourceSelectionShrinksWithLatency(t *testing.T) {
 		for i := range aff.In {
 			aff.In[i], aff.Out[i] = lat, lat/2
 		}
-		best, err := BestFIFOAffine(p, aff, Float64)
+		best, err := BestFIFOAffineContext(context.Background(), p, aff, Float64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestAffineBestSubsetBeatsFullEnrollment(t *testing.T) {
 	)
 	aff := ZeroAffine(2)
 	aff.In[1], aff.Out[1] = 0.3, 0.3
-	best, err := BestFIFOAffine(p, aff, Float64)
+	best, err := BestFIFOAffineContext(context.Background(), p, aff, Float64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +152,15 @@ func TestAffineValidation(t *testing.T) {
 		t.Error("unknown arithmetic must be rejected")
 	}
 	big := randomStar(rand.New(rand.NewSource(203)), maxAffineSubsets+1, 0.5)
-	if _, err := BestFIFOAffine(big, ZeroAffine(maxAffineSubsets+1), Float64); err == nil {
+	if _, err := BestFIFOAffineContext(context.Background(), big, ZeroAffine(maxAffineSubsets+1), Float64); err == nil {
 		t.Error("oversized affine search must be rejected")
 	}
-	if _, err := BestFIFOAffine(platform.New(), Affine{}, Float64); err == nil {
+	if _, err := BestFIFOAffineContext(context.Background(), platform.New(), Affine{}, Float64); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
 	mismatch := ZeroAffine(2)
-	if _, err := BestFIFOAffine(p, mismatch, Float64); err == nil {
-		t.Error("dimension mismatch must be rejected in BestFIFOAffine")
+	if _, err := BestFIFOAffineContext(context.Background(), p, mismatch, Float64); err == nil {
+		t.Error("dimension mismatch must be rejected in BestFIFOAffineContext")
 	}
 }
 
@@ -354,7 +355,7 @@ func BenchmarkBestFIFOAffine8(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BestFIFOAffine(p, aff, Float64); err != nil {
+		if _, err := BestFIFOAffineContext(context.Background(), p, aff, Float64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -322,21 +322,12 @@ func mergeWorkers(dst *searchCore, workers []*searchCore) {
 	}
 }
 
-// BestFIFOExhaustive tries every FIFO send order over all workers,
+// BestFIFOExhaustiveContext tries every FIFO send order over all workers,
 // evaluating the scenario for each, and returns the best schedule together
 // with the winning order. It is the optimality oracle used to validate
 // Theorem 1 on small platforms, and the fallback when the platform has no
-// common z.
-func BestFIFOExhaustive(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BestFIFOExhaustiveEval(context.Background(), p, model, mode)
-}
-
-// BestFIFOExhaustiveContext is BestFIFOExhaustive with cancellation: the
-// factorial search aborts with ctx.Err() as soon as the context is done.
+// common z. The factorial search aborts with ctx.Err() as soon as the
+// context is done.
 func BestFIFOExhaustiveContext(ctx context.Context, p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
 	mode, err := evalMode(arith)
 	if err != nil {
@@ -351,16 +342,8 @@ func BestFIFOExhaustiveEval(ctx context.Context, p *platform.Platform, model sch
 	return bestOrderExhaustive(ctx, p, model, mode, false)
 }
 
-// BestLIFOExhaustive tries every LIFO send order (results in reverse).
-func BestLIFOExhaustive(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BestLIFOExhaustiveEval(context.Background(), p, model, mode)
-}
-
-// BestLIFOExhaustiveContext is BestLIFOExhaustive with cancellation.
+// BestLIFOExhaustiveContext tries every LIFO send order (results in
+// reverse), with cancellation.
 func BestLIFOExhaustiveContext(ctx context.Context, p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
 	mode, err := evalMode(arith)
 	if err != nil {
@@ -507,18 +490,13 @@ type PairResult struct {
 	Return   platform.Order
 }
 
-// BestPairExhaustive searches every (σ1, σ2) permutation pair over all
-// workers — the general scheduling problem whose complexity the paper
+// BestPairExhaustiveContext searches every (σ1, σ2) permutation pair over
+// all workers — the general scheduling problem whose complexity the paper
 // leaves open (and conjectures NP-hard). Limited to small platforms; used
 // to probe how far the optimal FIFO/LIFO schedules sit from the
-// unrestricted optimum.
-func BestPairExhaustive(p *platform.Platform, model schedule.Model, arith Arith) (*PairResult, error) {
-	return BestPairExhaustiveContext(context.Background(), p, model, arith)
-}
-
-// BestPairExhaustiveContext is BestPairExhaustive with cancellation: the
-// search polls the context throughout — including inside the return-order
-// recursion — and aborts with ctx.Err() once it is done.
+// unrestricted optimum. The search polls the context throughout —
+// including inside the return-order recursion — and aborts with ctx.Err()
+// once it is done.
 func BestPairExhaustiveContext(ctx context.Context, p *platform.Platform, model schedule.Model, arith Arith) (*PairResult, error) {
 	mode, err := evalMode(arith)
 	if err != nil {

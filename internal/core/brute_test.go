@@ -125,7 +125,7 @@ func TestPairSeedsNeverExceedOptimum(t *testing.T) {
 			t.Fatal(err)
 		}
 		maxSeed := core.bestRho
-		pr, err := BestPairExhaustive(p, schedule.OnePort, Float64)
+		pr, err := BestPairExhaustiveContext(context.Background(), p, schedule.OnePort, Float64)
 		if err != nil {
 			t.Fatal(err)
 		}

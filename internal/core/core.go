@@ -1,25 +1,27 @@
 // Package core implements the scheduling theory of RR-5738: fixed
 // communication scenarios (Section 2.3), the optimal one-port FIFO
-// schedule on a star (Theorem 1 and Proposition 1), the optimal one-port
-// LIFO schedule, the closed-form optimal FIFO throughput on a bus
-// (Theorem 2) with its constructive two-port→one-port transformation, the
-// INC_C / INC_W heuristics of Section 5, and exhaustive searches used as
-// optimality oracles on small platforms.
+// schedule on a star (Theorem 1 and Proposition 1), the theorems' optimal
+// FIFO and LIFO send orders, the closed-form optimal FIFO throughput on a
+// bus (Theorem 2) with its constructive two-port→one-port transformation,
+// and exhaustive searches used as optimality oracles on small platforms.
+// The Section 5 heuristics (INC_C, INC_W, LIFO by c) are single scenarios:
+// callers pick their orders and call SolveScenario.
 //
 // All scenario evaluation is delegated to the internal/eval pipeline: a
 // tiered evaluator that uses closed-form load recurrences and a direct
 // tight-system solver where their optimality certificates hold, and the
-// simplex (float64 or exact rational) otherwise. Entry points accept
-// either an Arith (the historical float64/exact switch) or, in their
-// *Eval variants, an explicit eval.Mode selecting the backend.
+// simplex (float64 or exact rational) otherwise. Scenario solves and the
+// *Eval searches take an eval.Mode selecting the backend; the *Context
+// searches and OnePortPenalty take an Arith (the float64/exact switch).
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/eval"
-	"repro/internal/lp"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -64,36 +66,22 @@ func evalMode(arith Arith) (eval.Mode, error) {
 // return/forward ratio z = d_i/c_i, in which case Theorem 1 does not apply.
 var ErrNoCommonZ = errors.New("core: platform has no common ratio z = d/c; Theorem 1 does not apply (use the fifo-exhaustive or scenario strategy)")
 
-// ScenarioLP builds the linear program of Section 2.3 for a fixed
-// scenario. It delegates to the eval pipeline, the single place that
-// constructs these programs; callers needing the raw LP (exact identity
-// tests, diagnostics) go through here.
-func ScenarioLP(p *platform.Platform, send, ret platform.Order, model schedule.Model) (*lp.Problem, error) {
-	return eval.ScenarioLP(eval.Scenario{Platform: p, Send: send, Return: ret, Model: model})
-}
-
 // SolveScenario computes the optimal loads for a fixed scenario and returns
 // the resulting schedule with horizon T = 1. Workers that receive zero load
 // in the optimum are pruned from the schedule's orders, implementing the
 // paper's resource selection (Proposition 1). The schedule is verified
-// against the feasibility checker before being returned.
-func SolveScenario(p *platform.Platform, send, ret platform.Order, model schedule.Model, arith Arith) (*schedule.Schedule, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, err
+// against the feasibility checker before being returned. When a trace
+// rides ctx, the evaluation records an "eval-backend" stage naming the
+// tier that produced the answer.
+func SolveScenario(ctx context.Context, p *platform.Platform, send, ret platform.Order, model schedule.Model, mode eval.Mode) (*schedule.Schedule, error) {
+	sc := eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}
+	if !obs.Enabled(ctx) {
+		return eval.Evaluate(sc, mode)
 	}
-	return SolveScenarioEval(p, send, ret, model, mode)
-}
-
-// SolveScenarioEval is SolveScenario with an explicit evaluation backend.
-func SolveScenarioEval(p *platform.Platform, send, ret platform.Order, model schedule.Model, mode eval.Mode) (*schedule.Schedule, error) {
-	return eval.Evaluate(eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}, mode)
-}
-
-// ExactThroughput solves the scenario LP in rational arithmetic and returns
-// the exact optimal throughput as a string "num/den" together with its
-// float64 value. It is used by tests that verify closed forms as exact
-// identities.
-func ExactThroughput(p *platform.Platform, send, ret platform.Order, model schedule.Model) (float64, string, error) {
-	return eval.ExactObjective(eval.Scenario{Platform: p, Send: send, Return: ret, Model: model})
+	sess := eval.GetSession()
+	defer sess.Release()
+	t0 := obs.Now(ctx)
+	s, err := sess.Evaluate(sc, mode)
+	recordEvalBackend(ctx, sess, mode, t0)
+	return s, err
 }

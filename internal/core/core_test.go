@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/lp"
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -30,7 +32,7 @@ func randomStar(rng *rand.Rand, p int, z float64) *platform.Platform {
 func TestSingleWorkerClosedForm(t *testing.T) {
 	// One worker: ρ = 1/(c+w+d) (its row dominates the port constraint).
 	p := platform.New(platform.Worker{C: 0.2, W: 0.5, D: 0.1})
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestSingleWorkerCommBound(t *testing.T) {
 	// Tiny compute: the port constraint cannot bind with one worker
 	// (row = c+w+d ≥ c+d), so ρ = 1/(c+w+d) still.
 	p := platform.New(platform.Worker{C: 0.4, W: 1e-6, D: 0.2})
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestTwoWorkerHandComputed(t *testing.T) {
 		platform.Worker{C: 0.1, W: 0.4, D: 0.05},
 		platform.Worker{C: 0.1, W: 0.4, D: 0.05},
 	)
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestTwoWorkerHandComputed(t *testing.T) {
 func TestScenarioLPShape(t *testing.T) {
 	p := randomStar(rand.New(rand.NewSource(1)), 5, 0.5)
 	order := p.ByC()
-	prob, err := ScenarioLP(p, order, order, schedule.OnePort)
+	prob, err := eval.ScenarioLP(eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestScenarioLPShape(t *testing.T) {
 	if prob.NumRows() != 6 { // 5 worker rows + 1 port row
 		t.Errorf("NumRows = %d, want 6", prob.NumRows())
 	}
-	prob2, err := ScenarioLP(p, order, order, schedule.TwoPort)
+	prob2, err := eval.ScenarioLP(eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.TwoPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +130,13 @@ func TestScenarioLPValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ScenarioLP(p, tc.send, tc.ret, tc.model); err == nil {
+			if _, err := eval.ScenarioLP(eval.Scenario{Platform: p, Send: tc.send, Return: tc.ret, Model: tc.model}); err == nil {
 				t.Error("want error")
 			}
 		})
 	}
 	bad := platform.New(platform.Worker{C: -1, W: 1, D: 1})
-	if _, err := ScenarioLP(bad, platform.Order{0}, platform.Order{0}, schedule.OnePort); err == nil {
+	if _, err := eval.ScenarioLP(eval.Scenario{Platform: bad, Send: platform.Order{0}, Return: platform.Order{0}, Model: schedule.OnePort}); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
 }
@@ -142,7 +144,10 @@ func TestScenarioLPValidation(t *testing.T) {
 func TestSolveScenarioBadArith(t *testing.T) {
 	p := randomStar(rand.New(rand.NewSource(3)), 2, 0.5)
 	o := platform.Identity(2)
-	if _, err := SolveScenario(p, o, o, schedule.OnePort, Arith(42)); err == nil {
+	if _, err := SolveScenario(context.Background(), p, o, o, schedule.OnePort, eval.Mode(42)); err == nil {
+		t.Error("unknown eval mode must be rejected")
+	}
+	if _, err := OnePortPenalty(p, Arith(42)); err == nil {
 		t.Error("unknown arithmetic must be rejected")
 	}
 	if Float64.String() != "float64" || Exact.String() != "exact" || Arith(9).String() == "" {
@@ -153,7 +158,7 @@ func TestSolveScenarioBadArith(t *testing.T) {
 func TestOptimalFIFOSendOrderSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := randomStar(rng, 7, 0.5)
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +179,7 @@ func TestOptimalFIFOSendOrderSorted(t *testing.T) {
 func TestOptimalFIFOZGreaterOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomStar(rng, 6, 2.5) // z = 2.5 > 1
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +195,7 @@ func TestOptimalFIFOZGreaterOne(t *testing.T) {
 	}
 	// Mirror symmetry: the optimal throughput on the mirror platform is the
 	// same (time reversal is an involution).
-	m, err := OptimalFIFO(p.Mirror(), Float64)
+	m, err := OptimalFIFO(p.Mirror(), eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +209,17 @@ func TestOptimalFIFONoCommonZ(t *testing.T) {
 		platform.Worker{C: 1, W: 1, D: 0.5},
 		platform.Worker{C: 1, W: 1, D: 0.9},
 	)
-	if _, err := OptimalFIFO(p, Float64); err != ErrNoCommonZ {
+	if _, err := OptimalFIFO(p, eval.Auto); err != ErrNoCommonZ {
 		t.Errorf("want ErrNoCommonZ, got %v", err)
 	}
 }
 
 func TestOptimalFIFOInvalidPlatform(t *testing.T) {
-	if _, err := OptimalFIFO(platform.New(), Float64); err == nil {
+	if _, err := OptimalFIFO(platform.New(), eval.Auto); err == nil {
 		t.Error("empty platform must be rejected")
 	}
-	if _, err := OptimalLIFO(platform.New(), Float64); err == nil {
-		t.Error("empty platform must be rejected by OptimalLIFO")
+	if _, err := SolveScenario(context.Background(), platform.New(), nil, nil, schedule.OnePort, eval.Auto); err == nil {
+		t.Error("empty platform must be rejected by SolveScenario")
 	}
 }
 
@@ -222,16 +227,16 @@ func TestHeuristicsReturnVerifiedSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := randomStar(rng, 6, 0.5)
 	for _, tc := range []struct {
-		name string
-		run  func() (*schedule.Schedule, error)
+		name      string
+		send, ret platform.Order
 	}{
-		{"IncC", func() (*schedule.Schedule, error) { return IncC(p, schedule.OnePort, Float64) }},
-		{"IncW", func() (*schedule.Schedule, error) { return IncW(p, schedule.OnePort, Float64) }},
-		{"DecC", func() (*schedule.Schedule, error) { return DecC(p, schedule.OnePort, Float64) }},
-		{"OptimalLIFO", func() (*schedule.Schedule, error) { return OptimalLIFO(p, Float64) }},
+		{"IncC", p.ByC(), p.ByC()},
+		{"IncW", p.ByW(), p.ByW()},
+		{"DecC", p.ByCDesc(), p.ByCDesc()},
+		{"OptimalLIFO", p.ByC(), p.ByC().Reverse()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := tc.run()
+			s, err := SolveScenario(context.Background(), p, tc.send, tc.ret, schedule.OnePort, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,11 +254,11 @@ func TestIncCEqualsOptimalFIFOWhenZBelowOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 5, 0.3+0.5*rng.Float64())
-		opt, err := OptimalFIFO(p, Float64)
+		opt, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := IncC(p, schedule.OnePort, Float64)
+		inc, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +275,11 @@ func TestLIFOOnePortConstraintRedundant(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 4, 0.2+rng.Float64())
 		order := p.ByC()
-		one, err := LIFOWithOrder(p, order, schedule.OnePort, Float64)
+		one, err := SolveScenario(context.Background(), p, order, order.Reverse(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := LIFOWithOrder(p, order, schedule.TwoPort, Float64)
+		two, err := SolveScenario(context.Background(), p, order, order.Reverse(), schedule.TwoPort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +288,7 @@ func TestLIFOOnePortConstraintRedundant(t *testing.T) {
 				trial, one.Throughput(), two.Throughput())
 		}
 		if !one.IsLIFO() {
-			t.Error("LIFOWithOrder must return a LIFO schedule")
+			t.Error("the LIFO scenario must return a LIFO schedule")
 		}
 	}
 }
@@ -293,11 +298,11 @@ func TestTwoPortAtLeastOnePort(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 5, 0.5)
 		order := p.ByC()
-		one, err := SolveScenario(p, order, order, schedule.OnePort, Float64)
+		one, err := SolveScenario(context.Background(), p, order, order, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := SolveScenario(p, order, order, schedule.TwoPort, Float64)
+		two, err := SolveScenario(context.Background(), p, order, order, schedule.TwoPort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +317,7 @@ func TestOnePortCommunicationBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 6, 0.5)
-		s, err := OptimalFIFO(p, Float64)
+		s, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +338,7 @@ func TestIdleOnlyAtLastParticipant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		p := randomStar(rng, 6, 0.5)
-		s, err := OptimalFIFO(p, Exact)
+		s, err := OptimalFIFO(p, eval.ExactRational)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +359,7 @@ func TestIdleOnlyAtLastParticipant(t *testing.T) {
 
 func TestMakespanForLoad(t *testing.T) {
 	p := platform.New(platform.Worker{C: 0.2, W: 0.5, D: 0.1})
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,15 +372,15 @@ func TestMakespanForLoad(t *testing.T) {
 func TestExactThroughputString(t *testing.T) {
 	p := platform.New(platform.Worker{C: 0.25, W: 0.5, D: 0.25})
 	o := platform.Identity(1)
-	f, s, err := ExactThroughput(p, o, o, schedule.OnePort)
+	f, s, err := eval.ExactObjective(eval.Scenario{Platform: p, Send: o, Return: o, Model: schedule.OnePort})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ρ = 1/(0.25+0.5+0.25) = 1 exactly.
 	if f != 1 || s != "1" {
-		t.Errorf("ExactThroughput = (%g, %q), want (1, \"1\")", f, s)
+		t.Errorf("ExactObjective = (%g, %q), want (1, \"1\")", f, s)
 	}
-	if _, _, err := ExactThroughput(p, platform.Order{}, platform.Order{}, schedule.OnePort); err == nil {
+	if _, _, err := eval.ExactObjective(eval.Scenario{Platform: p, Send: platform.Order{}, Return: platform.Order{}, Model: schedule.OnePort}); err == nil {
 		t.Error("invalid order must be rejected")
 	}
 }
@@ -388,7 +393,7 @@ func TestSolveScenarioPrunesZeroLoads(t *testing.T) {
 		platform.Worker{C: 1e6, W: 0.1, D: 5e5},
 	)
 	order := p.ByC()
-	s, err := SolveScenario(p, order, order, schedule.OnePort, Float64)
+	s, err := SolveScenario(context.Background(), p, order, order, schedule.OnePort, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +425,7 @@ func BenchmarkOptimalFIFO11Workers(b *testing.B) {
 	p := randomStar(rng, 11, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimalFIFO(p, Float64); err != nil {
+		if _, err := OptimalFIFO(p, eval.Auto); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -431,7 +436,7 @@ func BenchmarkOptimalFIFOExact11Workers(b *testing.B) {
 	p := randomStar(rng, 11, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimalFIFO(p, Exact); err != nil {
+		if _, err := OptimalFIFO(p, eval.ExactRational); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -442,7 +447,7 @@ func BenchmarkOptimalLIFO11Workers(b *testing.B) {
 	p := randomStar(rng, 11, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := OptimalLIFO(p, Float64); err != nil {
+		if _, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.OnePort, eval.Auto); err != nil {
 			b.Fatal(err)
 		}
 	}

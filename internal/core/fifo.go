@@ -25,16 +25,7 @@ import (
 // The returned schedule has horizon T = 1 and throughput equal to the
 // optimal FIFO throughput ρ*. It returns ErrNoCommonZ when the platform has
 // no common z.
-func OptimalFIFO(p *platform.Platform, arith Arith) (*schedule.Schedule, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, err
-	}
-	return OptimalFIFOEval(p, mode)
-}
-
-// OptimalFIFOEval is OptimalFIFO with an explicit evaluation backend.
-func OptimalFIFOEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, error) {
+func OptimalFIFO(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -44,13 +35,13 @@ func OptimalFIFOEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, 
 	}
 	if z <= 1 {
 		order := p.ByC()
-		return SolveScenarioEval(p, order, order, schedule.OnePort, mode)
+		return eval.Evaluate(eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}, mode)
 	}
 	// z > 1: time-reversal reduction. The mirror has ratio 1/z < 1; its
 	// non-decreasing-c order is the original's non-decreasing-d order.
 	mirror := p.Mirror()
 	order := mirror.ByC()
-	ms, err := SolveScenarioEval(mirror, order, order, schedule.OnePort, mode)
+	ms, err := eval.Evaluate(eval.Scenario{Platform: mirror, Send: order, Return: order, Model: schedule.OnePort}, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -105,71 +96,6 @@ func TheoremOrder(p *platform.Platform, model schedule.Model, lifo bool) (platfo
 	default:
 		return p.ByCDesc(), true
 	}
-}
-
-// FIFOWithOrder computes the optimal loads for the FIFO schedule that
-// enrolls the given workers in the given send (and, FIFO, return) order.
-// Unlike OptimalFIFO it does not require a common z and does not reorder.
-func FIFOWithOrder(p *platform.Platform, order platform.Order, model schedule.Model, arith Arith) (*schedule.Schedule, error) {
-	return SolveScenario(p, order, order, model, arith)
-}
-
-// OptimalLIFO computes the one-port LIFO schedule that enrolls all workers
-// by non-decreasing c_i and lets the evaluator fix the loads; zero-load
-// workers are pruned. Per the companion results quoted in Section 5 (the
-// optimal two-port LIFO schedule of [7, 8] involves all processors sorted
-// by non-decreasing c_i and is automatically a one-port schedule, every
-// LIFO schedule being one-port feasible), this order is optimal among LIFO
-// orders when the platform has a common z = d/c. Without one it is only a
-// heuristic: on stars whose d is drawn independently of c, another LIFO
-// order wins on most platforms (the lifo-exhaustive search finds it).
-func OptimalLIFO(p *platform.Platform, arith Arith) (*schedule.Schedule, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, err
-	}
-	return OptimalLIFOEval(p, mode)
-}
-
-// OptimalLIFOEval is OptimalLIFO with an explicit evaluation backend.
-func OptimalLIFOEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	order := p.ByC()
-	return SolveScenarioEval(p, order, order.Reverse(), schedule.OnePort, mode)
-}
-
-// LIFOWithOrder computes the optimal loads for the LIFO schedule whose send
-// order is the given order (results return in reverse order).
-func LIFOWithOrder(p *platform.Platform, order platform.Order, model schedule.Model, arith Arith) (*schedule.Schedule, error) {
-	return SolveScenario(p, order, order.Reverse(), model, arith)
-}
-
-// The Section 5 heuristics. Each enrolls all workers in a fixed order and
-// lets the scenario evaluator compute loads (and deselect workers).
-
-// IncC is the INC_C heuristic: a FIFO schedule ordered by non-decreasing
-// c_i (fastest-communicating workers first). By Theorem 1 this is optimal
-// among one-port FIFO schedules whenever z ≤ 1.
-func IncC(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, error) {
-	order := p.ByC()
-	return SolveScenario(p, order, order, model, arith)
-}
-
-// IncW is the INC_W heuristic: a FIFO schedule ordered by non-decreasing
-// w_i (fastest-computing workers first). The paper uses it as the
-// strawman showing that ordering by computation speed is suboptimal.
-func IncW(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, error) {
-	order := p.ByW()
-	return SolveScenario(p, order, order, model, arith)
-}
-
-// DecC is a FIFO schedule ordered by non-increasing c_i: the optimal FIFO
-// send order when z > 1 (Section 3's mirror argument).
-func DecC(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, error) {
-	order := p.ByCDesc()
-	return SolveScenario(p, order, order, model, arith)
 }
 
 // MakespanForLoad converts a throughput-form schedule (T = 1, ρ = Σα) into

@@ -52,7 +52,7 @@ func checkTheoremAgainstSweep(t *testing.T, p *platform.Platform, tc theoremCase
 		// schedules; with no sweep answer there is nothing to compare.
 		return
 	}
-	got, err := SolveScenarioEval(p, order, ret, tc.model, eval.Auto)
+	got, err := SolveScenario(context.Background(), p, order, ret, tc.model, eval.Auto)
 	if err == nil && math.Abs(got.Throughput()-want.Throughput()) <= theoremAgreementTol*want.Throughput() {
 		return
 	}
@@ -67,8 +67,8 @@ func checkTheoremAgainstSweep(t *testing.T, p *platform.Platform, tc theoremCase
 	if tc.lifo {
 		sweepRet = sweepOrder.Reverse()
 	}
-	ge, _, gerr := ExactThroughput(p, order, ret, tc.model)
-	we, _, werr := ExactThroughput(p, sweepOrder, sweepRet, tc.model)
+	ge, _, gerr := eval.ExactObjective(eval.Scenario{Platform: p, Send: order, Return: ret, Model: tc.model})
+	we, _, werr := eval.ExactObjective(eval.Scenario{Platform: p, Send: sweepOrder, Return: sweepRet, Model: tc.model})
 	if gerr != nil || werr != nil {
 		t.Fatalf("%s: exact throughputs: %v, %v", tc.name, gerr, werr)
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/eval"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -33,11 +35,11 @@ func TestTheorem1AgainstExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	for trial := 0; trial < 12; trial++ {
 		p := randomStar(rng, 5, 0.2+0.7*rng.Float64())
-		opt, err := OptimalFIFO(p, Float64)
+		opt, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, order, err := BestFIFOExhaustive(p, schedule.OnePort, Float64)
+		best, order, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +58,11 @@ func TestTheorem1AgainstExhaustiveZGreaterOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 8; trial++ {
 		p := randomStar(rng, 4, 1.2+2*rng.Float64())
-		opt, err := OptimalFIFO(p, Float64)
+		opt, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, _, err := BestFIFOExhaustive(p, schedule.OnePort, Float64)
+		best, _, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func TestZEqualsOneOrderIrrelevant(t *testing.T) {
 	// workers has no importance — every full order gives the same optimum.
 	rng := rand.New(rand.NewSource(102))
 	p := randomStar(rng, 4, 1.0)
-	ref, err := OptimalFIFO(p, Float64)
+	ref, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestZEqualsOneOrderIrrelevant(t *testing.T) {
 	count := 0
 	forEach := func(perm []int, _ int) error {
 		order := platform.Order(perm).Clone()
-		s, err := FIFOWithOrder(p, order, schedule.OnePort, Float64)
+		s, err := SolveScenario(context.Background(), p, order, order, schedule.OnePort, eval.Auto)
 		if err != nil {
 			return err
 		}
@@ -108,7 +110,7 @@ func TestLemma1AtMostOneIdle(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 15; trial++ {
 		p := randomStar(rng, 5, 0.5)
-		s, err := OptimalFIFO(p, Exact)
+		s, err := OptimalFIFO(p, eval.ExactRational)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +136,7 @@ func TestTheorem2MatchesLP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := OptimalFIFO(p, Float64)
+		s, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +158,7 @@ func TestTheorem2ExactIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := platform.Identity(p.P())
-		prob, err := ScenarioLP(p, order, order, schedule.OnePort)
+		prob, err := eval.ScenarioLP(eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,11 +288,11 @@ func TestBusFIFODominatesAllPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
 	for trial := 0; trial < 4; trial++ {
 		p := randomBus(rng, 3, true)
-		fifo, err := OptimalFIFO(p, Exact)
+		fifo, err := OptimalFIFO(p, eval.ExactRational)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, err := BestPairExhaustive(p, schedule.OnePort, Exact)
+		pair, err := BestPairExhaustiveContext(context.Background(), p, schedule.OnePort, Exact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +300,7 @@ func TestBusFIFODominatesAllPairs(t *testing.T) {
 			t.Errorf("trial %d: pair (%v, %v) beats FIFO on a bus: %g > %g",
 				trial, pair.Send, pair.Return, pair.Schedule.Throughput(), fifo.Throughput())
 		}
-		lifo, err := OptimalLIFO(p, Exact)
+		lifo, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.OnePort, eval.ExactRational)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,11 +325,11 @@ func TestStarLIFOCanBeatFIFO(t *testing.T) {
 			ws[i] = platform.Worker{C: c, W: 0.2 + 0.8*rng.Float64(), D: z * c}
 		}
 		p := platform.New(ws...)
-		fifo, err := OptimalFIFO(p, Float64)
+		fifo, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lifo, err := OptimalLIFO(p, Float64)
+		lifo, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +353,7 @@ func TestBusLIFOClosedFormMatchesLP(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := platform.Identity(p.P())
-		s, err := LIFOWithOrder(p, order, schedule.OnePort, Float64)
+		s, err := SolveScenario(context.Background(), p, order, order.Reverse(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,15 +370,15 @@ func TestBestPairDominatesFixedDisciplines(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
 	for trial := 0; trial < 5; trial++ {
 		p := randomStar(rng, 3, 0.5)
-		pair, err := BestPairExhaustive(p, schedule.OnePort, Float64)
+		pair, err := BestPairExhaustiveContext(context.Background(), p, schedule.OnePort, Float64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fifo, err := OptimalFIFO(p, Float64)
+		fifo, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lifo, err := OptimalLIFO(p, Float64)
+		lifo, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,16 +397,16 @@ func TestBestLIFOExhaustiveMatchesOptimalLIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 8; trial++ {
 		p := randomStar(rng, 4, 0.2+0.7*rng.Float64())
-		opt, err := OptimalLIFO(p, Float64)
+		opt, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, order, err := BestLIFOExhaustive(p, schedule.OnePort, Float64)
+		best, order, err := BestLIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !approxEq(best.Throughput(), opt.Throughput()) {
-			t.Errorf("trial %d: OptimalLIFO %g != exhaustive LIFO best %g (order %v)",
+			t.Errorf("trial %d: LIFO by c %g != exhaustive LIFO best %g (order %v)",
 				trial, opt.Throughput(), best.Throughput(), order)
 		}
 	}
@@ -436,24 +438,24 @@ func TestForEachPermutationCounts(t *testing.T) {
 
 func TestExhaustiveLimits(t *testing.T) {
 	big := randomStar(rand.New(rand.NewSource(110)), maxExhaustiveOrder+1, 0.5)
-	if _, _, err := BestFIFOExhaustive(big, schedule.OnePort, Float64); err == nil {
+	if _, _, err := BestFIFOExhaustiveEval(context.Background(), big, schedule.OnePort, eval.Auto); err == nil {
 		t.Error("exhaustive FIFO must refuse oversized platforms")
 	}
 	med := randomStar(rand.New(rand.NewSource(111)), maxExhaustivePair+1, 0.5)
-	if _, err := BestPairExhaustive(med, schedule.OnePort, Float64); err == nil {
+	if _, err := BestPairExhaustiveContext(context.Background(), med, schedule.OnePort, Float64); err == nil {
 		t.Error("exhaustive pair search must refuse oversized platforms")
 	}
 	// Exact arithmetic keeps the historical cap: the flat loop runs
 	// unpruned there, so the branch-and-bound's larger ceiling must not
 	// admit a days-long (p!)² exact simplex enumeration.
 	exactBig := randomStar(rand.New(rand.NewSource(112)), maxExhaustivePairExact+1, 0.5)
-	if _, err := BestPairExhaustive(exactBig, schedule.OnePort, Exact); err == nil {
+	if _, err := BestPairExhaustiveContext(context.Background(), exactBig, schedule.OnePort, Exact); err == nil {
 		t.Error("exact-rational pair search must refuse platforms beyond the unpruned cap")
 	}
-	if _, _, err := BestFIFOExhaustive(platform.New(), schedule.OnePort, Float64); err == nil {
+	if _, _, err := BestFIFOExhaustiveEval(context.Background(), platform.New(), schedule.OnePort, eval.Auto); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
-	if _, err := BestPairExhaustive(platform.New(), schedule.OnePort, Float64); err == nil {
+	if _, err := BestPairExhaustiveContext(context.Background(), platform.New(), schedule.OnePort, Float64); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
 }
@@ -466,7 +468,7 @@ func TestResourceSelectionDropsHopelessWorker(t *testing.T) {
 	// x = 1 is never used).
 	app := platform.DefaultApp(400)
 	p := platform.Fig14Speeds(1).Platform(app)
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +486,7 @@ func TestResourceSelectionKeepsUsefulWorker(t *testing.T) {
 	// With x = 3 the fourth worker becomes (mildly) useful: Figure 14(b).
 	app := platform.DefaultApp(400)
 	p := platform.Fig14Speeds(3).Platform(app)
-	s, err := OptimalFIFO(p, Float64)
+	s, err := OptimalFIFO(p, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,12 +509,12 @@ func TestQuickFloatMatchesExactOnScenarios(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomStar(rng, 1+rng.Intn(5), 0.1+0.8*rng.Float64())
 		order := p.ByC()
-		fs, err := SolveScenario(p, order, order, schedule.OnePort, Float64)
+		fs, err := SolveScenario(context.Background(), p, order, order, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Logf("float: %v", err)
 			return false
 		}
-		es, err := SolveScenario(p, order, order, schedule.OnePort, Exact)
+		es, err := SolveScenario(context.Background(), p, order, order, schedule.OnePort, eval.ExactRational)
 		if err != nil {
 			t.Logf("exact: %v", err)
 			return false
@@ -540,7 +542,7 @@ func BenchmarkBestFIFOExhaustive5(b *testing.B) {
 	p := randomStar(rng, 5, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := BestFIFOExhaustive(p, schedule.OnePort, Float64); err != nil {
+		if _, _, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/obs"
-	"repro/internal/platform"
-	"repro/internal/schedule"
 )
 
 // Tracing hooks: when a trace rides the context (internal/obs), the
@@ -18,20 +16,6 @@ import (
 // nodes expanded, subtrees pruned). With no trace on the context every
 // hook is a no-op costing one context lookup.
 
-// evaluateTraced evaluates sc on a pooled session and records the
-// eval-backend stage attributing the tier that produced the answer.
-func evaluateTraced(ctx context.Context, sc eval.Scenario, mode eval.Mode) (*schedule.Schedule, error) {
-	if !obs.Enabled(ctx) {
-		return eval.Evaluate(sc, mode)
-	}
-	sess := eval.GetSession()
-	defer sess.Release()
-	t0 := obs.Now(ctx)
-	s, err := sess.Evaluate(sc, mode)
-	recordEvalBackend(ctx, sess, mode, t0)
-	return s, err
-}
-
 // recordEvalBackend records one eval-backend stage from the session's
 // last-backend attribution, bracketed by t0 and the context time source.
 func recordEvalBackend(ctx context.Context, sess *eval.Session, mode eval.Mode, t0 time.Time) {
@@ -40,12 +24,4 @@ func recordEvalBackend(ctx context.Context, sess *eval.Session, mode eval.Mode, 
 		obs.String("mode", mode.String()),
 		obs.String("backend", backend),
 		obs.Bool("fallback", fallback))
-}
-
-// SolveScenarioEvalContext is SolveScenarioEval with tracing: when a
-// trace rides ctx, the evaluation records an "eval-backend" stage naming
-// the tier that actually produced the answer. The computation is
-// identical to SolveScenarioEval.
-func SolveScenarioEvalContext(ctx context.Context, p *platform.Platform, send, ret platform.Order, model schedule.Model, mode eval.Mode) (*schedule.Schedule, error) {
-	return evaluateTraced(ctx, eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}, mode)
 }

@@ -1,75 +1,30 @@
 package core
 
 import (
-	"repro/internal/eval"
+	"context"
+
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
 
-// This file exposes the companion-paper results (Beaumont, Marchal,
-// Robert, "Scheduling divisible loads with return messages on
-// heterogeneous master-worker platforms", HiPC 2005 / LIP RR-2005-21) used
-// as baselines in Section 4 and Section 5: the two-port model, where the
-// master may send to one worker while receiving from another.
-//
-// The companion paper characterises the optimal two-port FIFO and LIFO
-// schedules with workers sorted by non-decreasing c. This module follows
-// that ordering and, like the one-port path, delegates the loads to the
-// scenario LP; the ordering claim is cross-checked against exhaustive
-// search over all orders in the theory tests.
-
-// OptimalFIFOTwoPort computes the optimal two-port FIFO schedule: all
-// workers considered in non-decreasing c order, loads (and resource
-// selection) by the scenario evaluator under the two-port model.
-func OptimalFIFOTwoPort(p *platform.Platform, arith Arith) (*schedule.Schedule, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, err
-	}
-	return OptimalFIFOTwoPortEval(p, mode)
-}
-
-// OptimalFIFOTwoPortEval is OptimalFIFOTwoPort with an explicit
-// evaluation backend.
-func OptimalFIFOTwoPortEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	order := p.ByC()
-	return SolveScenarioEval(p, order, order, schedule.TwoPort, mode)
-}
-
-// OptimalLIFOTwoPort computes the optimal two-port LIFO schedule in
-// non-decreasing c order. As the paper notes in Section 5, every LIFO
-// schedule already obeys the one-port model, so this equals OptimalLIFO;
-// it is exposed for symmetry with the companion-paper baselines.
-func OptimalLIFOTwoPort(p *platform.Platform, arith Arith) (*schedule.Schedule, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, err
-	}
-	return OptimalLIFOTwoPortEval(p, mode)
-}
-
-// OptimalLIFOTwoPortEval is OptimalLIFOTwoPort with an explicit
-// evaluation backend.
-func OptimalLIFOTwoPortEval(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	order := p.ByC()
-	return SolveScenarioEval(p, order, order.Reverse(), schedule.TwoPort, mode)
-}
-
 // OnePortPenalty quantifies the cost of the one-port restriction for FIFO
 // scheduling on a platform: the ratio ρ_two-port / ρ_one-port ≥ 1. It is
-// the headline comparison between this paper and its companion.
+// the headline comparison between this paper and its companion (Beaumont,
+// Marchal, Robert, "Scheduling divisible loads with return messages on
+// heterogeneous master-worker platforms", HiPC 2005), whose optimal
+// two-port FIFO schedule enrolls the workers by non-decreasing c. Both
+// sides solve that order, the one-port side being the INC_C heuristic.
 func OnePortPenalty(p *platform.Platform, arith Arith) (float64, error) {
-	one, err := IncC(p, schedule.OnePort, arith)
+	mode, err := evalMode(arith)
 	if err != nil {
 		return 0, err
 	}
-	two, err := OptimalFIFOTwoPort(p, arith)
+	order := p.ByC()
+	one, err := SolveScenario(context.TODO(), p, order, order, schedule.OnePort, mode)
+	if err != nil {
+		return 0, err
+	}
+	two, err := SolveScenario(context.TODO(), p, order, order, schedule.TwoPort, mode)
 	if err != nil {
 		return 0, err
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/eval"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -15,11 +17,11 @@ func TestTwoPortFIFOSortedOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(300))
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 5, 0.15+0.8*rng.Float64())
-		opt, err := OptimalFIFOTwoPort(p, Float64)
+		opt, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC(), schedule.TwoPort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, order, err := BestFIFOExhaustive(p, schedule.TwoPort, Float64)
+		best, order, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.TwoPort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +37,11 @@ func TestTwoPortLIFOEqualsOnePortLIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for trial := 0; trial < 10; trial++ {
 		p := randomStar(rng, 5, 0.2+0.7*rng.Float64())
-		one, err := OptimalLIFO(p, Float64)
+		one, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := OptimalLIFOTwoPort(p, Float64)
+		two, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC().Reverse(), schedule.TwoPort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +94,8 @@ func TestOnePortPenaltyErrors(t *testing.T) {
 	if _, err := OnePortPenalty(platform.New(), Float64); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
-	if _, err := OptimalFIFOTwoPort(platform.New(), Float64); err == nil {
-		t.Error("invalid platform must be rejected")
-	}
-	if _, err := OptimalLIFOTwoPort(platform.New(), Float64); err == nil {
-		t.Error("invalid platform must be rejected")
+	if _, err := SolveScenario(context.Background(), platform.New(), nil, nil, schedule.TwoPort, eval.Auto); err == nil {
+		t.Error("invalid platform must be rejected under TwoPort")
 	}
 }
 
@@ -106,11 +105,11 @@ func TestQuickTwoPortSandwich(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomBus(rng, 1+rng.Intn(5), true)
-		one, err := OptimalFIFO(p, Float64)
+		one, err := OptimalFIFO(p, eval.Auto)
 		if err != nil {
 			return false
 		}
-		two, err := OptimalFIFOTwoPort(p, Float64)
+		two, err := SolveScenario(context.Background(), p, p.ByC(), p.ByC(), schedule.TwoPort, eval.Auto)
 		if err != nil {
 			return false
 		}

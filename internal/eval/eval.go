@@ -5,7 +5,8 @@
 //
 // # Backends
 //
-// A single [Evaluator] interface is implemented by three tiered backends:
+// [Evaluate] and [Session.Evaluate] run three backends, tiered under [Auto]
+// or pinned one at a time by the other [Mode] values:
 //
 //   - closed form — O(p) load recurrences for FIFO (σ2 = σ1) and LIFO
 //     (σ2 = reverse σ1) scenarios. These are the all-constraints-tight
@@ -136,42 +137,6 @@ var (
 	// certificate (resource selection or a binding port constraint).
 	ErrNotTight = errors.New("eval: tight closed-form candidate is not the LP optimum")
 )
-
-// Evaluator evaluates fixed scenarios. The pipeline values returned by
-// New are cheap to create, reuse internal scratch buffers across calls and
-// are NOT safe for concurrent use; use one per goroutine, or the
-// pool-backed package-level Evaluate.
-type Evaluator interface {
-	// Name identifies the backend ("auto", "closed-form", ...).
-	Name() string
-	// Evaluate computes the optimal loads of the scenario and returns the
-	// resulting schedule with horizon T = 1, zero-load workers pruned from
-	// the orders (resource selection) and the result verified against the
-	// independent feasibility checker.
-	Evaluate(sc Scenario) (*schedule.Schedule, error)
-}
-
-// pipeline binds a mode to a scratch session, implementing Evaluator.
-type pipeline struct {
-	mode Mode
-	sess *Session
-}
-
-// New returns an Evaluator for the given mode. New(ClosedForm),
-// New(Direct) and New(Simplex) expose the three backends individually;
-// New(Auto) is their tiered composition.
-func New(mode Mode) (Evaluator, error) {
-	if !mode.Valid() {
-		return nil, fmt.Errorf("eval: unknown mode %d", int(mode))
-	}
-	return &pipeline{mode: mode, sess: NewSession()}, nil
-}
-
-func (p *pipeline) Name() string { return p.mode.String() }
-
-func (p *pipeline) Evaluate(sc Scenario) (*schedule.Schedule, error) {
-	return p.sess.Evaluate(sc, p.mode)
-}
 
 // Evaluate solves one scenario with the given mode using a pooled scratch
 // session. It is safe for concurrent use.

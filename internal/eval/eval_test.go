@@ -43,20 +43,15 @@ func TestModeParseAndString(t *testing.T) {
 	}
 }
 
-func TestEvaluatorInterface(t *testing.T) {
+// TestEvaluateModesAgree: every mode, tiered or pinned to one backend,
+// answers a FIFO scenario with the same verified optimum.
+func TestEvaluateModesAgree(t *testing.T) {
 	p := testStar()
 	order := p.ByC()
 	sc := Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}
 	var ref float64
 	for _, mode := range []Mode{Auto, ClosedForm, Direct, Simplex, ExactRational} {
-		ev, err := New(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Name() != mode.String() {
-			t.Errorf("Name() = %q, want %q", ev.Name(), mode.String())
-		}
-		s, err := ev.Evaluate(sc)
+		s, err := Evaluate(sc, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -69,8 +64,8 @@ func TestEvaluatorInterface(t *testing.T) {
 			t.Errorf("%v: schedule fails verification: %v", mode, err)
 		}
 	}
-	if _, err := New(Mode(42)); err == nil {
-		t.Error("New must reject unknown modes")
+	if _, err := Evaluate(sc, Mode(42)); err == nil {
+		t.Error("Evaluate must reject unknown modes")
 	}
 }
 

@@ -63,13 +63,18 @@ func (s *Session) fifoTight(p *platform.Platform, send platform.Order) ([]float6
 	q := len(send)
 	alpha := grow(&s.alpha, q)
 	alpha[0] = 1
-	// First row: α_0·(c_0 + w_0) + Σ_j α_j·d_j = 1.
-	denom := wc[send[0]].cw + wc[send[0]].d
+	// First row: α_0·(c_0 + w_0) + Σ_j α_j·d_j = 1. The sums run in the
+	// order of kern's FIFO chain, with the same explicit conversions
+	// against fused multiply-add, so a solo evaluation and a Batch lane
+	// agree to the bit.
+	sd := wc[send[0]].d
 	for k := 1; k < q; k++ {
-		a := alpha[k-1] * wc[send[k-1]].wd * wc[send[k]].invCW
+		a := alpha[k-1] * wc[send[k-1]].wd
+		a = float64(a * wc[send[k]].invCW)
 		alpha[k] = a
-		denom += a * wc[send[k]].d
+		sd += float64(a * wc[send[k]].d)
 	}
+	denom := wc[send[0]].cw + sd
 	if denom <= 0 || math.IsNaN(denom) || math.IsInf(denom, 0) {
 		return nil, false
 	}

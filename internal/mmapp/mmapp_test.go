@@ -1,13 +1,16 @@
 package mmapp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/platform"
 	"repro/internal/rounding"
+	"repro/internal/schedule"
 )
 
 func relErr(a, b float64) float64 { return math.Abs(a-b) / math.Max(math.Abs(b), 1e-300) }
@@ -83,7 +86,7 @@ func TestMatchesLPPredictionExactly(t *testing.T) {
 		app := platform.DefaultApp(size)
 		plat := sp.Platform(app)
 
-		sched, err := core.OptimalFIFO(plat, core.Float64)
+		sched, err := core.OptimalFIFO(plat, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +119,7 @@ func TestLIFOMatchesLPPrediction(t *testing.T) {
 	sp := platform.RandomSpeeds(rng, 6, platform.Heterogeneous)
 	app := platform.DefaultApp(120)
 	plat := sp.Platform(app)
-	sched, err := core.OptimalLIFO(plat, core.Float64)
+	sched, err := core.SolveScenario(context.Background(), plat, plat.ByC(), plat.ByC().Reverse(), schedule.OnePort, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestRoundedLoadsCloseToPrediction(t *testing.T) {
 	sp := platform.RandomSpeeds(rng, 5, platform.Heterogeneous)
 	app := platform.DefaultApp(100)
 	plat := sp.Platform(app)
-	sched, err := core.OptimalFIFO(plat, core.Float64)
+	sched, err := core.OptimalFIFO(plat, eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +268,7 @@ func BenchmarkRun11Workers(b *testing.B) {
 	sp := platform.RandomSpeeds(rng, 11, platform.Heterogeneous)
 	app := platform.DefaultApp(100)
 	plat := sp.Platform(app)
-	sched, err := core.OptimalFIFO(plat, core.Float64)
+	sched, err := core.OptimalFIFO(plat, eval.Auto)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/mmapp"
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -80,7 +81,7 @@ func TestOneRoundMatchesSimulator(t *testing.T) {
 		app := platform.DefaultApp(size)
 		sp := platform.RandomSpeeds(rng, 5, platform.Heterogeneous)
 		plat := sp.Platform(app)
-		sched, err := core.OptimalFIFO(plat, core.Float64)
+		sched, err := core.OptimalFIFO(plat, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,6 +235,23 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	b.ReportMetric(batchSlots, "slots")
 }
 
+// TestDecodeBatchAllocGate: decoding a 64-slot chain-batch body
+// (BenchmarkDecodeBatch) must stay under 24 allocations per slot. The
+// one-pass wire decoder needs about 18; a nested UnmarshalJSON back on the
+// request path re-scans and re-allocates every slot and costs about 32.
+// Allocation counts are deterministic, so the gate cannot flap.
+func TestDecodeBatchAllocGate(t *testing.T) {
+	res := testing.Benchmark(BenchmarkDecodeBatch)
+	if res.N == 0 {
+		t.Fatal("BenchmarkDecodeBatch failed")
+	}
+	per := float64(res.AllocsPerOp()) / res.Extra["slots"]
+	t.Logf("DecodeBatch: %.1f allocs per slot", per)
+	if per >= 24 {
+		t.Fatal("request decoding reached 24 allocations per slot")
+	}
+}
+
 // BenchmarkHandleBatch serves a 64-slot chain-batch body through
 // ServeHTTP without an admission window, every slot answered from the
 // cache: the handler layer (read, decode, admit, encode) with the
