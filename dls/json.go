@@ -45,9 +45,9 @@ func ParseArith(s string) (Arith, error) {
 // Request.MarshalJSON encodes through it, Request.UnmarshalJSON decodes
 // into it, and a server decodes request bodies straight into it. Enum
 // fields are strings; empty strings mean the zero value, so marshalling
-// omits defaults and both spellings unmarshal identically. No field has
-// its own UnmarshalJSON, so encoding/json decodes a body in one pass
-// instead of re-scanning the bytes of every nested value.
+// omits defaults and both spellings unmarshal identically. DecodeWireRequest
+// is the decoder of the shape; the type has no JSON methods, so
+// encoding/json into it is the reference that decoder is tested against.
 type WireRequest struct {
 	Platform *WirePlatform `json:"platform,omitempty"`
 	Strategy string        `json:"strategy"`
@@ -142,11 +142,11 @@ func (req Request) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the wire format: one pass into WireRequest, then
-// WireRequest.Request.
+// UnmarshalJSON decodes the wire format: one pass into WireRequest
+// (DecodeWireRequest), then WireRequest.Request.
 func (req *Request) UnmarshalJSON(data []byte) error {
-	var w WireRequest
-	if err := json.Unmarshal(data, &w); err != nil {
+	w, err := DecodeWireRequest(data)
+	if err != nil {
 		return err
 	}
 	r, err := w.Request()

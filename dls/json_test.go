@@ -122,9 +122,13 @@ func TestRequestJSONRejects(t *testing.T) {
 	}
 }
 
-// FuzzRequestJSON feeds arbitrary bytes through the decoder; everything
-// that decodes must re-encode and decode back to the same request (the
-// wire format has one canonical form per value).
+// FuzzRequestJSON feeds arbitrary bytes through the request decoder. It
+// must agree with the reference, encoding/json into dls.WireRequest
+// followed by WireRequest.Request: the same bodies accepted, the same
+// WireRequest and Request decoded, directly (DecodeWireRequest) and
+// through Request.UnmarshalJSON. Everything that decodes must re-encode
+// and decode back to the same request (the wire format has one canonical
+// form per value).
 func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"strategy":"fifo"}`))
 	f.Add([]byte(`{"strategy":"scenario","model":"two-port","send":[1,0],"return":[0,1]}`))
@@ -139,9 +143,29 @@ func FuzzRequestJSON(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var wantWire dls.WireRequest
+		wantErr := json.Unmarshal(data, &wantWire)
+		gotWire, gotErr := dls.DecodeWireRequest(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeWireRequest error %v, encoding/json error %v on %q", gotErr, wantErr, data)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(gotWire, wantWire) {
+			t.Fatalf("wire decodes differ on %q:\n  codec:         %+v\n  encoding/json: %+v", data, gotWire, wantWire)
+		}
+		want, wantErr := wantWire.Request()
 		var req dls.Request
-		if err := json.Unmarshal(data, &req); err != nil {
-			t.Skip()
+		gotErr = json.Unmarshal(data, &req)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("Request.UnmarshalJSON error %v, reference error %v on %q", gotErr, wantErr, data)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(req, want) {
+			t.Fatalf("requests differ on %q:\n  UnmarshalJSON: %+v\n  reference:     %+v", data, req, want)
 		}
 		re, err := json.Marshal(req)
 		if err != nil {

@@ -21,7 +21,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/dls"
@@ -32,17 +31,11 @@ type BatchRequest struct {
 	Requests []dls.Request `json:"requests"`
 }
 
-// batchWire is the decode shape of a BatchRequest: its slots stay in
-// the dls wire shape, so the whole body decodes in one pass.
-type batchWire struct {
-	Requests []dls.WireRequest `json:"requests"`
-}
-
 // decodeSolve decodes a POST /v1/solve body. The body must be exactly one
 // JSON value: anything after it other than whitespace is an error.
 func decodeSolve(data []byte) (dls.Request, error) {
-	var wire dls.WireRequest
-	if err := json.Unmarshal(data, &wire); err != nil {
+	wire, err := dls.DecodeWireRequest(data)
+	if err != nil {
 		return dls.Request{}, err
 	}
 	return wire.Request()
@@ -51,14 +44,13 @@ func decodeSolve(data []byte) (dls.Request, error) {
 // decodeBatch decodes a POST /v1/solve/batch body, under the same rules
 // as decodeSolve. A slot that fails to convert fails the whole body.
 func decodeBatch(data []byte) ([]dls.Request, error) {
-	var batch batchWire
-	if err := json.Unmarshal(data, &batch); err != nil {
+	wires, err := dls.DecodeWireBatch(data)
+	if err != nil {
 		return nil, err
 	}
-	reqs := make([]dls.Request, len(batch.Requests))
-	for i := range batch.Requests {
-		var err error
-		if reqs[i], err = batch.Requests[i].Request(); err != nil {
+	reqs := make([]dls.Request, len(wires))
+	for i := range wires {
+		if reqs[i], err = wires[i].Request(); err != nil {
 			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
@@ -102,8 +94,8 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// resultResponse converts an engine result to the wire form. Floats pass
-// through encoding/json's shortest-round-trip formatting, so a client
+// resultResponse converts an engine result to the wire form. Floats are
+// written in their shortest round-trip form (encoder.float), so a client
 // decoding the response recovers bit-identical values.
 func resultResponse(res *dls.Result) *SolveResponse {
 	out := &SolveResponse{

@@ -155,35 +155,88 @@ func decodeSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzDecodeAgreement: on arbitrary bytes, the server's decode path and
-// json.Unmarshal into dls.Request accept and reject the same bodies and
-// agree on what they accept. A body that is one JSON value decodes as the
-// only slot of a batch to the same request, or fails there too.
+// oracleBatch is the batch body's shape for encoding/json, the reference
+// decoder.
+type oracleBatch struct {
+	Requests []dls.WireRequest `json:"requests"`
+}
+
+// FuzzDecodeAgreement: on arbitrary bytes, the server's decoders accept
+// exactly what encoding/json into the dls wire shapes accepts, and leave
+// the same WireRequest values and the same converted Requests behind.
+// Every input is tried as a /v1/solve body, as a /v1/solve/batch body,
+// and, when it is one JSON value, as the only slot of a batch body. The
+// committed corpus holds one input per rule of encoding/json the decoder
+// must match.
 func FuzzDecodeAgreement(f *testing.F) {
 	for _, seed := range decodeSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gotErr := decodeSolve(data)
-		var want dls.Request
-		wantErr := json.Unmarshal(data, &want)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("decodeSolve error %v, json.Unmarshal error %v on %q", gotErr, wantErr, data)
-		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodes differ on %q:\n  server: %+v\n  dls:    %+v", data, got, want)
-		}
-		if !json.Valid(data) {
-			return
-		}
-		slots, err := decodeBatch([]byte(`{"requests":[` + string(data) + `]}`))
-		if (err == nil) != (gotErr == nil) {
-			t.Fatalf("decodeBatch error %v, decodeSolve error %v on %q", err, gotErr, data)
-		}
-		if err == nil && (len(slots) != 1 || !reflect.DeepEqual(slots[0], got)) {
-			t.Fatalf("batch slot differs on %q:\n  batch: %+v\n  solve: %+v", data, slots, got)
+		checkSolveAgreement(t, data)
+		checkBatchAgreement(t, data)
+		if json.Valid(data) {
+			checkBatchAgreement(t, []byte(`{"requests":[`+string(data)+`]}`))
 		}
 	})
+}
+
+// checkSolveAgreement compares the /v1/solve decode of data with
+// encoding/json into dls.WireRequest followed by WireRequest.Request.
+func checkSolveAgreement(t *testing.T, data []byte) {
+	t.Helper()
+	var want dls.WireRequest
+	wantErr := json.Unmarshal(data, &want)
+	got, gotErr := dls.DecodeWireRequest(data)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("DecodeWireRequest error %v, encoding/json error %v on %q", gotErr, wantErr, data)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wire decodes differ on %q:\n  codec:         %+v\n  encoding/json: %+v", data, got, want)
+	}
+	wantReq, wantErr := want.Request()
+	gotReq, gotErr := decodeSolve(data)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("decodeSolve error %v, reference error %v on %q", gotErr, wantErr, data)
+	}
+	if gotErr == nil && !reflect.DeepEqual(gotReq, wantReq) {
+		t.Fatalf("requests differ on %q:\n  server:    %+v\n  reference: %+v", data, gotReq, wantReq)
+	}
+}
+
+// checkBatchAgreement compares the /v1/solve/batch decode of data with
+// encoding/json into oracleBatch followed by WireRequest.Request on every
+// slot.
+func checkBatchAgreement(t *testing.T, data []byte) {
+	t.Helper()
+	var want oracleBatch
+	wantErr := json.Unmarshal(data, &want)
+	got, gotErr := dls.DecodeWireBatch(data)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("DecodeWireBatch error %v, encoding/json error %v on %q", gotErr, wantErr, data)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want.Requests) {
+		t.Fatalf("batch wire decodes differ on %q:\n  codec:         %+v\n  encoding/json: %+v", data, got, want.Requests)
+	}
+	wantReqs := make([]dls.Request, len(want.Requests))
+	for i := range want.Requests {
+		if wantReqs[i], wantErr = want.Requests[i].Request(); wantErr != nil {
+			break
+		}
+	}
+	gotReqs, gotErr := decodeBatch(data)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("decodeBatch error %v, reference error %v on %q", gotErr, wantErr, data)
+	}
+	if gotErr == nil && !reflect.DeepEqual(gotReqs, wantReqs) {
+		t.Fatalf("batch requests differ on %q:\n  server:    %+v\n  reference: %+v", data, gotReqs, wantReqs)
+	}
 }
 
 // chainBatchRequests draws n requests shaped like the dlsbench
@@ -236,19 +289,26 @@ func BenchmarkDecodeBatch(b *testing.B) {
 }
 
 // TestDecodeBatchAllocGate: decoding a 64-slot chain-batch body
-// (BenchmarkDecodeBatch) must stay under 24 allocations per slot. The
-// one-pass wire decoder needs about 18; a nested UnmarshalJSON back on the
-// request path re-scans and re-allocates every slot and costs about 32.
-// Allocation counts are deterministic, so the gate cannot flap.
+// (BenchmarkDecodeBatch) must stay under 24 allocations per slot, the
+// bound encoding/json's reflective decode into the wire shape met with
+// about 18. The hand-written decoder makes 152 per body, about 2.4 per
+// slot (the slot's platform, its worker slice and the odd send order; the
+// batch's slices), and the tighter bound holds it at that count plus
+// one. Allocation counts are deterministic, so the gate cannot flap;
+// under the race detector sync.Pool drops a random share of its items, so
+// only the loose bound applies there.
 func TestDecodeBatchAllocGate(t *testing.T) {
 	res := testing.Benchmark(BenchmarkDecodeBatch)
 	if res.N == 0 {
 		t.Fatal("BenchmarkDecodeBatch failed")
 	}
 	per := float64(res.AllocsPerOp()) / res.Extra["slots"]
-	t.Logf("DecodeBatch: %.1f allocs per slot", per)
+	t.Logf("DecodeBatch: %d allocs per body, %.2f per slot", res.AllocsPerOp(), per)
 	if per >= 24 {
 		t.Fatal("request decoding reached 24 allocations per slot")
+	}
+	if !raceEnabled && res.AllocsPerOp() > 153 {
+		t.Fatal("request decoding exceeded 153 allocations per 64-slot body")
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -202,12 +201,31 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 	return cw.ResponseWriter.Write(b)
 }
 
-// writeJSON writes a JSON body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v as the JSON body of a response with the given
+// status. The body is encoded before anything is written, so a value
+// that cannot be encoded answers 500 with an ErrorResponse instead of the
+// intended status with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v response) {
+	buf := bodies.Get().(*[]byte)
+	body, err := v.appendJSON((*buf)[:0])
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = (&ErrorResponse{Error: "encoding response: " + err.Error()}).appendJSON(body)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
+	w.Write(body) //nolint:errcheck // client gone = nothing to do
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodies.Put(buf)
+	}
 }
+
+// bodies recycles response buffers; one larger than maxPooledBody, from
+// an unusually large batch, is left to the garbage collector.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
 
 // readBody reads the whole request body, at most Config.MaxBody bytes.
 // It answers a larger body with 413 and any other read failure with 400;
@@ -231,7 +249,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (data []byte, 
 
 // writeError writes an ErrorResponse.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, status, &ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // requestContext derives the solve context: the HTTP request context,
@@ -450,7 +468,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // logRequest emits one structured line per solve submission (Config.Log):
@@ -477,7 +495,7 @@ func (s *Server) logRequest(ctx context.Context, route string, begin time.Time, 
 
 // handleStrategies answers GET /v1/strategies.
 func (s *Server) handleStrategies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, StrategiesResponse{Strategies: dls.Strategies()})
+	writeJSON(w, http.StatusOK, &StrategiesResponse{Strategies: dls.Strategies()})
 }
 
 // handleHealthz answers GET /healthz.
