@@ -281,11 +281,11 @@ func (b *Batcher) resolveClass(name string) (SLOClass, error) {
 	return SLOClass{}, fmt.Errorf("%w %q", ErrUnknownClass, name)
 }
 
-// newSubmission builds a submission under its class, recording its
-// deadline (the class deadline on the batcher clock, else the context's)
-// for SLO shedding and violation accounting.
-func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass) *submission {
-	sub := &submission{ctx: ctx, req: req, class: class, ready: make(chan struct{})}
+// initSubmission fills sub as a submission under its class, recording
+// its deadline (the class deadline on the batcher clock, else the
+// context's) for SLO shedding and violation accounting.
+func (b *Batcher) initSubmission(sub *submission, ctx context.Context, req Request, class SLOClass) {
+	*sub = submission{ctx: ctx, req: req, class: class, ready: make(chan struct{})}
 	if ts := obs.Traces(ctx); len(ts) > 0 {
 		sub.traces = ts
 		sub.submitAt = b.clock.Now()
@@ -295,20 +295,19 @@ func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass
 	} else if d, ok := ctx.Deadline(); ok {
 		sub.deadline = d
 	}
-	return sub
 }
 
-// submitCtx builds a goroutine-mode submission: the class deadline is
-// also merged into its context, so the solve is cancelled at the
+// submitCtx fills sub as a goroutine-mode submission: the class deadline
+// is also merged into its context, so the solve is cancelled at the
 // deadline. A context that already carries an earlier deadline keeps it.
-func (b *Batcher) submitCtx(ctx context.Context, req Request, class SLOClass) (*submission, context.CancelFunc) {
-	sub := b.newSubmission(ctx, req, class)
+func (b *Batcher) submitCtx(sub *submission, ctx context.Context, req Request, class SLOClass) context.CancelFunc {
+	b.initSubmission(sub, ctx, req, class)
 	if class.Deadline <= 0 {
-		return sub, func() {}
+		return func() {}
 	}
 	var cancel context.CancelFunc
 	sub.ctx, cancel = b.clock.ContextWithDeadline(ctx, sub.deadline)
-	return sub, cancel
+	return cancel
 }
 
 // recordShed counts one shed submission (per class too) and answers it.
@@ -353,7 +352,8 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	if b.cfg.OnWindow != nil {
 		return nil, errSyncSubmit
 	}
-	sub, cancel := b.submitCtx(ctx, req, class)
+	sub := new(submission)
+	cancel := b.submitCtx(sub, ctx, req, class)
 	defer cancel()
 	if err := b.admit([]*submission{sub}); err != nil {
 		return nil, err
@@ -396,6 +396,9 @@ func (b *Batcher) SubmitBatch(ctxs []context.Context, reqs []Request, class stri
 	if len(reqs) == 0 {
 		return results, errs
 	}
+	// One block holds the body's submissions; each keeps its own ready
+	// channel.
+	block := make([]submission, len(reqs))
 	subs := make([]*submission, len(reqs))
 	cancels := make([]context.CancelFunc, len(reqs))
 	defer func() {
@@ -404,7 +407,8 @@ func (b *Batcher) SubmitBatch(ctxs []context.Context, reqs []Request, class stri
 		}
 	}()
 	for i, req := range reqs {
-		subs[i], cancels[i] = b.submitCtx(ctxs[i], req, c)
+		subs[i] = &block[i]
+		cancels[i] = b.submitCtx(subs[i], ctxs[i], req, c)
 	}
 	if err := b.admit(subs); err != nil {
 		return fail(err)

@@ -157,7 +157,8 @@ func (b *Batcher) Offer(ctx context.Context, req Request, class string, tag any)
 	if err != nil {
 		return nil, err
 	}
-	sub := b.newSubmission(ctx, req, c)
+	sub := new(submission)
+	b.initSubmission(sub, ctx, req, c)
 	sub.tag = tag
 	if b.outstanding+len(b.col.win) >= b.cfg.QueueCap {
 		b.recordShed(sub, ErrOverloaded)

@@ -1,7 +1,9 @@
 package dls
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -49,5 +51,56 @@ func TestCacheKeyAllocs(t *testing.T) {
 	req := Request{Platform: p, Strategy: StrategyFIFOOrder, Send: p.ByC(), Affine: &zero}
 	if n := testing.AllocsPerRun(100, func() { _ = req.cacheKey() }); n > 1 {
 		t.Errorf("cacheKey allocates %.0f times, want 1", n)
+	}
+}
+
+// TestResultClone: a clone equals its original, shares no memory with
+// it, and copies a linear result in three allocations whose orders
+// cannot grow into each other.
+func TestResultClone(t *testing.T) {
+	p := RandomSpeeds(rand.New(rand.NewSource(2)), 6, Heterogeneous).Platform(DefaultApp(2000))
+	zero := ZeroAffine(6)
+	for _, req := range []Request{
+		{Platform: p, Strategy: StrategyLIFO, Load: 100},
+		{Platform: p, Strategy: StrategyFIFOAffine, Affine: &zero},
+	} {
+		res, err := Solve(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.clone()
+		if !reflect.DeepEqual(c, res) {
+			t.Fatalf("%s: clone differs:\n%+v\n%+v", req.Strategy, c, res)
+		}
+		var orders []Order
+		if s := c.Schedule; s != nil {
+			orders = append(orders, s.SendOrder, s.ReturnOrder)
+			for i := range s.Alpha {
+				s.Alpha[i]++
+			}
+		}
+		if a := c.Affine; a != nil {
+			orders = append(orders, a.Send, a.Return)
+			for i := range a.Alpha {
+				a.Alpha[i]++
+			}
+		}
+		orders = append(orders, c.Send, c.Return)
+		for _, o := range orders {
+			if cap(o) != len(o) {
+				t.Errorf("%s: cloned order %v has spare capacity %d", req.Strategy, o, cap(o)-len(o))
+			}
+			for i := range o {
+				o[i] = -1
+			}
+		}
+		if back, _ := Solve(context.Background(), req); !reflect.DeepEqual(back, res) {
+			t.Errorf("%s: writing to the clone changed the original", req.Strategy)
+		}
+		if res.Schedule != nil {
+			if n := testing.AllocsPerRun(100, func() { _ = res.clone() }); n != 3 {
+				t.Errorf("cloning a linear result allocates %.0f times, want 3", n)
+			}
+		}
 	}
 }

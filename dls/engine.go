@@ -99,14 +99,33 @@ type Result struct {
 	DegradedTo string
 }
 
-// clone returns a deep copy so cached results stay immutable.
+// clone returns a deep copy so cached results stay immutable. The cache
+// clones every linear result it stores and serves, so that copy is packed
+// into three allocations: one block holding both the Result and its
+// Schedule (they live and die together), one backing array for the four
+// orders (each capped at its length, so an append cannot spill into its
+// neighbour) and the loads.
 func (r *Result) clone() *Result {
-	c := *r
-	if r.Schedule != nil {
-		c.Schedule = r.Schedule.Clone()
+	var c *Result
+	if s := r.Schedule; s != nil {
+		blk := &struct {
+			res   Result
+			sched Schedule
+		}{*r, *s}
+		ints := make(Order, len(s.SendOrder)+len(s.ReturnOrder)+len(r.Send)+len(r.Return))
+		blk.sched.SendOrder, ints = carve(ints, s.SendOrder)
+		blk.sched.ReturnOrder, ints = carve(ints, s.ReturnOrder)
+		blk.res.Send, ints = carve(ints, r.Send)
+		blk.res.Return, _ = carve(ints, r.Return)
+		blk.sched.Alpha = append([]float64(nil), s.Alpha...)
+		blk.res.Schedule = &blk.sched
+		c = &blk.res
+	} else {
+		cp := *r
+		cp.Send = r.Send.Clone()
+		cp.Return = r.Return.Clone()
+		c = &cp
 	}
-	c.Send = r.Send.Clone()
-	c.Return = r.Return.Clone()
 	if r.Affine != nil {
 		a := *r.Affine
 		a.Send = r.Affine.Send.Clone()
@@ -114,7 +133,14 @@ func (r *Result) clone() *Result {
 		a.Alpha = append([]float64(nil), r.Affine.Alpha...)
 		c.Affine = &a
 	}
-	return &c
+	return c
+}
+
+// carve copies o to the front of buf and returns the copy, capped at its
+// length, and the rest of buf.
+func carve(buf, o Order) (Order, Order) {
+	n := copy(buf, o)
+	return buf[:n:n], buf[n:]
 }
 
 // Stats are cumulative counters of one Solver's activity. The snapshot is
@@ -537,13 +563,21 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var key string
+	if s.cache != nil {
+		key = req.cacheKey()
+	}
+	return s.solvePrepared(ctx, req, fn, key)
+}
+
+// solvePrepared is Solve for a request prepare has already resolved to
+// fn; key is its cache key, read only when the solver has a cache.
+func (s *Solver) solvePrepared(ctx context.Context, req Request, fn StrategyFunc, key string) (*Result, error) {
 	traced := obs.Enabled(ctx)
 	if traced {
 		obs.Annotate(ctx, obs.String("strategy", req.Strategy))
 	}
-	var key string
 	if s.cache != nil {
-		key = req.cacheKey()
 		if res, ok := s.cache.get(key); ok {
 			s.hits.Add(1)
 			if traced {
@@ -656,7 +690,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 	order := make([]*group, 0, len(reqs))
 	prepared := make([]Request, len(reqs))
 	for i, req := range reqs {
-		p, _, err := s.prepare(req)
+		p, fn, err := s.prepare(req)
 		if err != nil {
 			answer(i, nil, err)
 			continue
@@ -665,7 +699,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 		key := p.cacheKey()
 		g, ok := groups[key]
 		if !ok {
-			g = &group{leader: i, key: key}
+			g = &group{leader: i, key: key, fn: fn}
 			groups[key] = g
 			order = append(order, g)
 		}
@@ -734,7 +768,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 		go func() {
 			defer wg.Done()
 			for g := range jobs {
-				res, err := s.Solve(groupCtx(g), reqs[g.leader])
+				res, err := s.solvePrepared(groupCtx(g), prepared[g.leader], g.fn, g.key)
 				answerGroup(g, res, err)
 			}
 		}()
@@ -858,10 +892,12 @@ type batchKey struct {
 }
 
 // group is one deduplicated SolveBatch problem: the first request index
-// holding its cache key and every index it answers.
+// holding its cache key, the strategy prepare resolved for it, and every
+// index it answers.
 type group struct {
 	leader  int
 	key     string
+	fn      StrategyFunc
 	indices []int
 }
 

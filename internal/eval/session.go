@@ -305,7 +305,8 @@ func (s *Session) exactLoads(sc Scenario) ([]float64, float64, error) {
 }
 
 // buildSchedule converts loads (by send position) into a verified
-// canonical schedule, pruning zero-load workers from both orders.
+// canonical schedule, pruning zero-load workers from both orders. The two
+// orders share one backing array of their exact combined length.
 func buildSchedule(sc Scenario, alpha []float64) (*schedule.Schedule, error) {
 	p := sc.Platform
 	out := &schedule.Schedule{
@@ -315,22 +316,36 @@ func buildSchedule(sc Scenario, alpha []float64) (*schedule.Schedule, error) {
 	for k, i := range sc.Send {
 		out.Alpha[i] = alpha[k]
 	}
-	// Prune zero-load workers from both orders (resource selection).
+	// Prune zero-load workers from both orders (resource selection): the
+	// send order keeps exactly the loads left non-zero here.
+	sends, returns := 0, 0
 	for _, i := range sc.Send {
 		if out.Alpha[i] <= numeric.LoadEps {
 			out.Alpha[i] = 0
 			continue
 		}
-		out.SendOrder = append(out.SendOrder, i)
+		sends++
+	}
+	if sends == 0 {
+		return nil, fmt.Errorf("eval: LP assigned zero load to every worker (degenerate platform?)")
 	}
 	for _, i := range sc.Return {
 		if out.Alpha[i] > 0 {
-			out.ReturnOrder = append(out.ReturnOrder, i)
+			returns++
 		}
 	}
-	if len(out.SendOrder) == 0 {
-		return nil, fmt.Errorf("eval: LP assigned zero load to every worker (degenerate platform?)")
+	orders := make(platform.Order, 0, sends+returns)
+	for _, i := range sc.Send {
+		if out.Alpha[i] != 0 {
+			orders = append(orders, i)
+		}
 	}
+	for _, i := range sc.Return {
+		if out.Alpha[i] > 0 {
+			orders = append(orders, i)
+		}
+	}
+	out.SendOrder, out.ReturnOrder = orders[:sends:sends], orders[sends:]
 	if err := out.Check(p, sc.Model); err != nil {
 		return nil, fmt.Errorf("eval: internal error: computed schedule fails verification: %w", err)
 	}

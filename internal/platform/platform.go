@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -265,24 +265,34 @@ func (o Order) Valid(n int) bool {
 // index for determinism). Theorem 1: this is the optimal FIFO order for
 // z < 1.
 func (p *Platform) ByC() Order {
-	o := Identity(p.P())
-	sort.SliceStable(o, func(a, b int) bool { return p.Workers[o[a]].C < p.Workers[o[b]].C })
-	return o
+	return p.sortedBy(func(a, b *Worker) bool { return a.C < b.C })
 }
 
 // ByCDesc returns worker indices sorted by non-increasing C, the optimal
 // FIFO send order when z > 1.
 func (p *Platform) ByCDesc() Order {
-	o := Identity(p.P())
-	sort.SliceStable(o, func(a, b int) bool { return p.Workers[o[a]].C > p.Workers[o[b]].C })
-	return o
+	return p.sortedBy(func(a, b *Worker) bool { return a.C > b.C })
 }
 
 // ByW returns worker indices sorted by non-decreasing W (the INC_W
 // heuristic's order: fastest-computing workers first).
 func (p *Platform) ByW() Order {
+	return p.sortedBy(func(a, b *Worker) bool { return a.W < b.W })
+}
+
+// sortedBy stably sorts the worker indices by less, keeping index order
+// among workers neither precedes.
+func (p *Platform) sortedBy(less func(a, b *Worker) bool) Order {
 	o := Identity(p.P())
-	sort.SliceStable(o, func(a, b int) bool { return p.Workers[o[a]].W < p.Workers[o[b]].W })
+	slices.SortStableFunc(o, func(i, j int) int {
+		switch {
+		case less(&p.Workers[i], &p.Workers[j]):
+			return -1
+		case less(&p.Workers[j], &p.Workers[i]):
+			return 1
+		}
+		return 0
+	})
 	return o
 }
 

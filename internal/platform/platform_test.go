@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -365,6 +367,32 @@ func TestQuickByCSorted(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickOrderRulesMatchSliceStable: the order rules give the orders
+// sort.SliceStable gives, ties included, on platforms whose costs are
+// drawn from three values (p up to 48, past the stable sort's 20-element
+// insertion blocks).
+func TestQuickOrderRulesMatchSliceStable(t *testing.T) {
+	ref := func(p *Platform, less func(a, b Worker) bool) Order {
+		o := Identity(p.P())
+		sort.SliceStable(o, func(a, b int) bool { return less(p.Workers[o[a]], p.Workers[o[b]]) })
+		return o
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ws := make([]Worker, 1+rng.Intn(48))
+		for i := range ws {
+			ws[i] = Worker{C: float64(1 + rng.Intn(3)), W: float64(1 + rng.Intn(3)), D: 1}
+		}
+		p := New(ws...)
+		return slices.Equal(p.ByC(), ref(p, func(a, b Worker) bool { return a.C < b.C })) &&
+			slices.Equal(p.ByCDesc(), ref(p, func(a, b Worker) bool { return a.C > b.C })) &&
+			slices.Equal(p.ByW(), ref(p, func(a, b Worker) bool { return a.W < b.W }))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -177,9 +177,17 @@ type WorkerTimeline struct {
 // master communications are surfaced by Check.
 func (s *Schedule) Timeline(p *platform.Platform) []WorkerTimeline {
 	tl := make([]WorkerTimeline, len(s.SendOrder))
+	s.timeline(p, tl, make([]int, p.P()))
+	return tl
+}
+
+// timeline writes the event dates into tl (one entry per send position),
+// using pos (one zeroed entry per platform worker) as the worker →
+// position index. A worker of the return order missing from the send
+// order reads position 0, as a map lookup would.
+func (s *Schedule) timeline(p *platform.Platform, tl []WorkerTimeline, pos []int) {
 	// Forward communications, back-to-back from t = 0.
 	t := 0.0
-	pos := make(map[int]int, len(s.SendOrder)) // worker -> position in tl
 	for k, i := range s.SendOrder {
 		w := p.Workers[i]
 		dur := s.Alpha[i] * w.C
@@ -202,7 +210,6 @@ func (s *Schedule) Timeline(p *platform.Platform) []WorkerTimeline {
 		tl[k].Idle = tl[k].ReturnStart - tl[k].CompEnd
 		t += dur
 	}
-	return tl
 }
 
 // String renders the schedule compactly.
@@ -228,7 +235,10 @@ func leq(a, b, scale float64) bool { return a <= b+relTol*(1+math.Abs(scale)) }
 
 // Check verifies that the schedule is feasible on platform p under the
 // given model. It returns nil if every constraint holds (within a relative
-// tolerance) and a descriptive error for the first violation found.
+// tolerance) and a descriptive error for the first violation found. It
+// allocates nothing for a valid schedule on a platform of at most 32
+// workers (its scratch lives on the stack); only an error message, or a
+// larger platform, reaches the heap.
 //
 // Checked constraints:
 //   - structural: orders are permutations of the same enrolled set, every
@@ -242,8 +252,9 @@ func (s *Schedule) Check(p *platform.Platform, model Model) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if len(s.Alpha) != p.P() {
-		return fmt.Errorf("schedule: Alpha has %d entries for %d workers", len(s.Alpha), p.P())
+	n := p.P()
+	if len(s.Alpha) != n {
+		return fmt.Errorf("schedule: Alpha has %d entries for %d workers", len(s.Alpha), n)
 	}
 	if s.T <= 0 || math.IsNaN(s.T) || math.IsInf(s.T, 0) {
 		return fmt.Errorf("schedule: horizon T = %g must be positive and finite", s.T)
@@ -253,42 +264,48 @@ func (s *Schedule) Check(p *platform.Platform, model Model) error {
 			return fmt.Errorf("schedule: alpha[%d] = %g must be finite and >= 0", i, a)
 		}
 	}
-	// Orders: valid subsets, same set.
-	inSend := make(map[int]bool, len(s.SendOrder))
+	// Orders: valid subsets, same set. seen[i] holds worker i's
+	// membership bits.
+	const inSend, inReturn = 1, 2
+	var seenArr [64]uint8
+	seen := scratch(seenArr[:], n)
 	for _, i := range s.SendOrder {
-		if i < 0 || i >= p.P() {
+		if i < 0 || i >= n {
 			return fmt.Errorf("schedule: send order references worker %d outside platform", i)
 		}
-		if inSend[i] {
+		if seen[i]&inSend != 0 {
 			return fmt.Errorf("schedule: worker %d appears twice in send order", i)
 		}
-		inSend[i] = true
+		seen[i] |= inSend
 	}
-	inReturn := make(map[int]bool, len(s.ReturnOrder))
 	for _, i := range s.ReturnOrder {
-		if i < 0 || i >= p.P() {
+		if i < 0 || i >= n {
 			return fmt.Errorf("schedule: return order references worker %d outside platform", i)
 		}
-		if inReturn[i] {
+		if seen[i]&inReturn != 0 {
 			return fmt.Errorf("schedule: worker %d appears twice in return order", i)
 		}
-		inReturn[i] = true
+		seen[i] |= inReturn
 	}
-	if len(inSend) != len(inReturn) {
-		return fmt.Errorf("schedule: send order has %d workers, return order %d", len(inSend), len(inReturn))
+	// Neither order repeats a worker, so their lengths count the sets.
+	if len(s.SendOrder) != len(s.ReturnOrder) {
+		return fmt.Errorf("schedule: send order has %d workers, return order %d", len(s.SendOrder), len(s.ReturnOrder))
 	}
-	for i := range inSend {
-		if !inReturn[i] {
+	for _, i := range s.SendOrder {
+		if seen[i]&inReturn == 0 {
 			return fmt.Errorf("schedule: worker %d in send order but not in return order", i)
 		}
 	}
 	for i, a := range s.Alpha {
-		if a > 0 && !inSend[i] {
+		if a > 0 && seen[i]&inSend == 0 {
 			return fmt.Errorf("schedule: worker %d has load %g but is not enrolled in the orders", i, a)
 		}
 	}
 
-	tl := s.Timeline(p)
+	var tlArr [32]WorkerTimeline
+	var posArr [32]int
+	tl := scratch(tlArr[:], len(s.SendOrder))
+	s.timeline(p, tl, scratch(posArr[:], n))
 	for _, wt := range tl {
 		w := p.Workers[wt.Worker]
 		name := w.Name
@@ -304,51 +321,69 @@ func (s *Schedule) Check(p *platform.Platform, model Model) error {
 		}
 	}
 
-	// Master-port constraints via interval disjointness.
-	type interval struct {
-		start, end float64
-		kind       string
-		worker     int
-	}
-	var sends, returns []interval
+	// Master-port constraints via interval disjointness: the sends, then
+	// the returns, in send order.
+	var ivArr [64]interval
+	iv := scratch(ivArr[:], 2*len(tl))[:0]
 	for _, wt := range tl {
 		if wt.SendEnd > wt.SendStart {
-			sends = append(sends, interval{wt.SendStart, wt.SendEnd, "send", wt.Worker})
+			iv = append(iv, interval{wt.SendStart, wt.SendEnd, wt.Worker, false})
 		}
+	}
+	sends := len(iv)
+	for _, wt := range tl {
 		if wt.ReturnEnd > wt.ReturnStart {
-			returns = append(returns, interval{wt.ReturnStart, wt.ReturnEnd, "return", wt.Worker})
+			iv = append(iv, interval{wt.ReturnStart, wt.ReturnEnd, wt.Worker, true})
 		}
 	}
-	overlap := func(a, b interval) bool {
-		return a.start < b.end-relTol*(1+s.T) && b.start < a.end-relTol*(1+s.T)
-	}
-	checkDisjoint := func(xs []interval) error {
-		for i := 0; i < len(xs); i++ {
-			for j := i + 1; j < len(xs); j++ {
-				if overlap(xs[i], xs[j]) {
-					return fmt.Errorf("schedule: master port conflict: %s to/from worker %d [%g,%g] overlaps %s of worker %d [%g,%g]",
-						xs[i].kind, xs[i].worker, xs[i].start, xs[i].end,
-						xs[j].kind, xs[j].worker, xs[j].start, xs[j].end)
-				}
-			}
-		}
-		return nil
-	}
+	tol := relTol * (1 + s.T)
 	switch model {
 	case OnePort:
-		all := append(append([]interval(nil), sends...), returns...)
-		if err := checkDisjoint(all); err != nil {
-			return err
-		}
+		return disjoint(iv, tol)
 	case TwoPort:
-		if err := checkDisjoint(sends); err != nil {
+		if err := disjoint(iv[:sends], tol); err != nil {
 			return err
 		}
-		if err := checkDisjoint(returns); err != nil {
-			return err
+		return disjoint(iv[sends:], tol)
+	}
+	return fmt.Errorf("schedule: unknown model %v", model)
+}
+
+// scratch returns buf[:n] when n fits in buf, else a fresh slice. Check
+// passes freshly declared (zeroed) arrays as buf, so both are zeroed.
+func scratch[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// interval is one master transfer: a send, or a return when ret is set.
+type interval struct {
+	start, end float64
+	worker     int
+	ret        bool
+}
+
+func (v interval) kind() string {
+	if v.ret {
+		return "return"
+	}
+	return "send"
+}
+
+// disjoint reports the first pair of xs, in (i, j > i) order, that
+// overlaps by more than tol.
+func disjoint(xs []interval, tol float64) error {
+	for i := range xs {
+		for j := i + 1; j < len(xs); j++ {
+			a, b := xs[i], xs[j]
+			if a.start < b.end-tol && b.start < a.end-tol {
+				return fmt.Errorf("schedule: master port conflict: %s to/from worker %d [%g,%g] overlaps %s of worker %d [%g,%g]",
+					a.kind(), a.worker, a.start, a.end,
+					b.kind(), b.worker, b.start, b.end)
+			}
 		}
-	default:
-		return fmt.Errorf("schedule: unknown model %v", model)
 	}
 	return nil
 }

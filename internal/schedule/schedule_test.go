@@ -2,8 +2,10 @@ package schedule
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,6 +157,24 @@ func TestCheckStructuralErrors(t *testing.T) {
 			}
 		})
 	}
+
+	// Workers 3 and 2 are sent to but never heard back from: the message
+	// names the first of them in send order, on every call.
+	t.Run("two missing from return", func(t *testing.T) {
+		p := platform.NewBus(0.1, 0.05, 0.2, 0.2, 0.2, 0.2, 0.2)
+		s := &Schedule{
+			SendOrder:   platform.Order{3, 0, 2},
+			ReturnOrder: platform.Order{0, 1, 4},
+			Alpha:       []float64{1, 0, 1, 1, 0},
+			T:           10,
+		}
+		const want = "schedule: worker 3 in send order but not in return order"
+		for range 20 {
+			if err := s.Check(p, OnePort); err == nil || err.Error() != want {
+				t.Fatalf("want %q, got %v", want, err)
+			}
+		}
+	})
 }
 
 func TestCheckUnknownModel(t *testing.T) {
@@ -455,4 +475,325 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := back.Check(twoWorkerPlatform(), OnePort); err != nil {
 		t.Errorf("deserialized schedule infeasible: %v", err)
 	}
+}
+
+// feasibleChain builds a FIFO schedule on n random workers with unit
+// loads and a horizon long enough for every send, computation and
+// return to run in sequence, so it is valid under both models.
+func feasibleChain(n int) (*platform.Platform, *Schedule) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	ws := make([]platform.Worker, n)
+	s := &Schedule{SendOrder: platform.Identity(n), ReturnOrder: platform.Identity(n), Alpha: make([]float64, n)}
+	for i := range ws {
+		ws[i] = platform.Worker{C: 0.05 + rng.Float64(), W: 0.05 + rng.Float64(), D: 0.05 + rng.Float64()}
+		s.Alpha[i] = 1
+		s.T += ws[i].C + ws[i].W + ws[i].D
+	}
+	return platform.New(ws...), s
+}
+
+func TestCheckAllocs(t *testing.T) {
+	p, s := feasibleChain(12)
+	for _, m := range []Model{OnePort, TwoPort} {
+		if err := s.Check(p, m); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.Check(p, m) }); n != 0 {
+			t.Errorf("%v: Check allocated %v times per valid p = 12 schedule", m, n)
+		}
+	}
+}
+
+// checkOracle is the map-based checker Check replaced, kept verbatim
+// (with its own timeline) as the reference FuzzCheckAgreement compares
+// against. Its "not in return order" message names whichever missing
+// worker map iteration reaches first.
+func checkOracle(s *Schedule, p *platform.Platform, model Model) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if len(s.Alpha) != p.P() {
+		return fmt.Errorf("schedule: Alpha has %d entries for %d workers", len(s.Alpha), p.P())
+	}
+	if s.T <= 0 || math.IsNaN(s.T) || math.IsInf(s.T, 0) {
+		return fmt.Errorf("schedule: horizon T = %g must be positive and finite", s.T)
+	}
+	for i, a := range s.Alpha {
+		if a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("schedule: alpha[%d] = %g must be finite and >= 0", i, a)
+		}
+	}
+	// Orders: valid subsets, same set.
+	inSend := make(map[int]bool, len(s.SendOrder))
+	for _, i := range s.SendOrder {
+		if i < 0 || i >= p.P() {
+			return fmt.Errorf("schedule: send order references worker %d outside platform", i)
+		}
+		if inSend[i] {
+			return fmt.Errorf("schedule: worker %d appears twice in send order", i)
+		}
+		inSend[i] = true
+	}
+	inReturn := make(map[int]bool, len(s.ReturnOrder))
+	for _, i := range s.ReturnOrder {
+		if i < 0 || i >= p.P() {
+			return fmt.Errorf("schedule: return order references worker %d outside platform", i)
+		}
+		if inReturn[i] {
+			return fmt.Errorf("schedule: worker %d appears twice in return order", i)
+		}
+		inReturn[i] = true
+	}
+	if len(inSend) != len(inReturn) {
+		return fmt.Errorf("schedule: send order has %d workers, return order %d", len(inSend), len(inReturn))
+	}
+	for i := range inSend {
+		if !inReturn[i] {
+			return fmt.Errorf("schedule: worker %d in send order but not in return order", i)
+		}
+	}
+	for i, a := range s.Alpha {
+		if a > 0 && !inSend[i] {
+			return fmt.Errorf("schedule: worker %d has load %g but is not enrolled in the orders", i, a)
+		}
+	}
+
+	tl := timelineOracle(s, p)
+	for _, wt := range tl {
+		w := p.Workers[wt.Worker]
+		name := w.Name
+		if !leq(0, wt.SendStart, s.T) {
+			return fmt.Errorf("schedule: %s send starts at %g < 0", name, wt.SendStart)
+		}
+		if !leq(wt.CompEnd, wt.ReturnStart, s.T) {
+			return fmt.Errorf("schedule: %s return starts at %g before computation ends at %g (idle %g < 0)",
+				name, wt.ReturnStart, wt.CompEnd, wt.Idle)
+		}
+		if !leq(wt.ReturnEnd, s.T, s.T) {
+			return fmt.Errorf("schedule: %s return ends at %g after horizon %g", name, wt.ReturnEnd, s.T)
+		}
+	}
+
+	// Master-port constraints via interval disjointness.
+	type interval struct {
+		start, end float64
+		kind       string
+		worker     int
+	}
+	var sends, returns []interval
+	for _, wt := range tl {
+		if wt.SendEnd > wt.SendStart {
+			sends = append(sends, interval{wt.SendStart, wt.SendEnd, "send", wt.Worker})
+		}
+		if wt.ReturnEnd > wt.ReturnStart {
+			returns = append(returns, interval{wt.ReturnStart, wt.ReturnEnd, "return", wt.Worker})
+		}
+	}
+	overlap := func(a, b interval) bool {
+		return a.start < b.end-relTol*(1+s.T) && b.start < a.end-relTol*(1+s.T)
+	}
+	checkDisjoint := func(xs []interval) error {
+		for i := 0; i < len(xs); i++ {
+			for j := i + 1; j < len(xs); j++ {
+				if overlap(xs[i], xs[j]) {
+					return fmt.Errorf("schedule: master port conflict: %s to/from worker %d [%g,%g] overlaps %s of worker %d [%g,%g]",
+						xs[i].kind, xs[i].worker, xs[i].start, xs[i].end,
+						xs[j].kind, xs[j].worker, xs[j].start, xs[j].end)
+				}
+			}
+		}
+		return nil
+	}
+	switch model {
+	case OnePort:
+		all := append(append([]interval(nil), sends...), returns...)
+		if err := checkDisjoint(all); err != nil {
+			return err
+		}
+	case TwoPort:
+		if err := checkDisjoint(sends); err != nil {
+			return err
+		}
+		if err := checkDisjoint(returns); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("schedule: unknown model %v", model)
+	}
+	return nil
+}
+
+// timelineOracle is the map-based timeline checkOracle derives its
+// event dates with.
+func timelineOracle(s *Schedule, p *platform.Platform) []WorkerTimeline {
+	tl := make([]WorkerTimeline, len(s.SendOrder))
+	// Forward communications, back-to-back from t = 0.
+	t := 0.0
+	pos := make(map[int]int, len(s.SendOrder)) // worker -> position in tl
+	for k, i := range s.SendOrder {
+		w := p.Workers[i]
+		dur := s.Alpha[i] * w.C
+		tl[k] = WorkerTimeline{Worker: i, SendStart: t, SendEnd: t + dur}
+		tl[k].CompEnd = tl[k].SendEnd + s.Alpha[i]*w.W
+		t += dur
+		pos[i] = k
+	}
+	// Return communications, back-to-back ending at t = T.
+	total := 0.0
+	for _, i := range s.ReturnOrder {
+		total += s.Alpha[i] * p.Workers[i].D
+	}
+	t = s.T - total
+	for _, i := range s.ReturnOrder {
+		k := pos[i]
+		dur := s.Alpha[i] * p.Workers[i].D
+		tl[k].ReturnStart = t
+		tl[k].ReturnEnd = t + dur
+		tl[k].Idle = tl[k].ReturnStart - tl[k].CompEnd
+		t += dur
+	}
+	return tl
+}
+
+// fuzzSchedule decodes one FuzzCheckAgreement input.
+//
+//   - n % 81 is the worker count (0 fails validation); costs come from
+//     seed. mode bits 0-1 pick the model (2 and 3 are unknown), bit 2
+//     makes worker 0's W zero, bit 3 drops one Alpha entry, and bits 4-5
+//     shape σ2: decoded from ret (0, 3), σ2 = σ1 (1), σ2 reversed (2).
+//   - Each byte of send and ret is a worker index in [-1, p], so both
+//     ends are out of range.
+//   - Worker i's load comes from byte alpha[i % len(alpha)]: its low
+//     nibble picks 0, -1, NaN, +Inf, -0, 1e-300, the smallest subnormal
+//     or one of nine multiples of a scale its high nibble sets.
+//   - tmode % 3 picks T: t itself, the tightest horizon the orders and
+//     loads allow, or that horizon times 1 + t.
+func fuzzSchedule(n, mode uint8, send, ret, alpha []byte, tmode uint8, t float64, seed int64) (*platform.Platform, *Schedule, Model) {
+	np := int(n) % 81
+	rng := rand.New(rand.NewSource(seed))
+	ws := make([]platform.Worker, np)
+	for i := range ws {
+		ws[i] = platform.Worker{C: 0.05 + rng.Float64(), W: 0.05 + rng.Float64(), D: 0.05 + rng.Float64()}
+	}
+	if mode&4 != 0 && np > 0 {
+		ws[0].W = 0
+	}
+	p := platform.New(ws...)
+	order := func(bs []byte) platform.Order {
+		o := make(platform.Order, len(bs))
+		for k, b := range bs {
+			o[k] = int(b)%(np+2) - 1
+		}
+		return o
+	}
+	s := &Schedule{SendOrder: order(send)}
+	switch mode >> 4 & 3 {
+	case 1:
+		s.ReturnOrder = s.SendOrder.Clone()
+	case 2:
+		s.ReturnOrder = s.SendOrder.Reverse()
+	default:
+		s.ReturnOrder = order(ret)
+	}
+	na := np
+	if mode&8 != 0 && na > 0 {
+		na--
+	}
+	s.Alpha = make([]float64, na)
+	for i := range s.Alpha {
+		if len(alpha) == 0 {
+			break
+		}
+		b := alpha[i%len(alpha)]
+		switch code := b & 15; code {
+		case 0:
+		case 1:
+			s.Alpha[i] = -1
+		case 2:
+			s.Alpha[i] = math.NaN()
+		case 3:
+			s.Alpha[i] = math.Inf(1)
+		case 4:
+			s.Alpha[i] = math.Copysign(0, -1)
+		case 5:
+			s.Alpha[i] = 1e-300
+		case 6:
+			s.Alpha[i] = math.SmallestNonzeroFloat64
+		default:
+			s.Alpha[i] = float64(code-6) * float64(b>>4+1) / 16
+		}
+	}
+	s.T = t
+	if tmode%3 != 0 {
+		s.T = tightHorizon(p, s, Model(mode&3))
+		if tmode%3 == 2 {
+			s.T *= 1 + t
+		}
+	}
+	return p, s, Model(mode & 3)
+}
+
+// tightHorizon is the smallest T at which every return of s starts after
+// its computation ends (and, one-port, after the last send), looking
+// only at in-range order entries and loads.
+func tightHorizon(p *platform.Platform, s *Schedule, model Model) float64 {
+	load := func(i int) (platform.Worker, float64, bool) {
+		if i < 0 || i >= p.P() || i >= len(s.Alpha) {
+			return platform.Worker{}, 0, false
+		}
+		return p.Workers[i], s.Alpha[i], true
+	}
+	compEnd := make(map[int]float64)
+	sent := 0.0
+	for _, i := range s.SendOrder {
+		if w, a, ok := load(i); ok {
+			sent += a * w.C
+			compEnd[i] = sent + a*w.W
+		}
+	}
+	T, suffix := 0.0, 0.0
+	for k := len(s.ReturnOrder) - 1; k >= 0; k-- {
+		i := s.ReturnOrder[k]
+		if w, a, ok := load(i); ok {
+			suffix += a * w.D
+			T = math.Max(T, compEnd[i]+suffix)
+		}
+	}
+	if model == OnePort {
+		T = math.Max(T, sent+suffix)
+	}
+	return T
+}
+
+// FuzzCheckAgreement holds Check to checkOracle: the same verdict and
+// the same message on every input, except that where several send-order
+// workers are missing from the return order, Check names the first of
+// them in send order.
+func FuzzCheckAgreement(f *testing.F) {
+	f.Add(uint8(4), uint8(0x10), []byte{1, 2, 3, 4}, []byte{}, []byte{0x17}, uint8(1), 0.0, int64(1))
+	f.Add(uint8(12), uint8(0x21), []byte("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c"), []byte{}, []byte{0x28, 0x19}, uint8(2), 1e-9, int64(7))
+	f.Fuzz(func(t *testing.T, n, mode uint8, send, ret, alpha []byte, tmode uint8, tv float64, seed int64) {
+		p, s, model := fuzzSchedule(n, mode, send, ret, alpha, tmode, tv, seed)
+		got, want := s.Check(p, model), checkOracle(s, p, model)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("Check = %v, oracle = %v on %v", got, want, s)
+		}
+		if got == nil || got.Error() == want.Error() {
+			return
+		}
+		const missing = " in send order but not in return order"
+		if !strings.HasSuffix(want.Error(), missing) {
+			t.Fatalf("Check = %q, oracle = %q on %v", got, want, s)
+		}
+		first := -1
+		for _, i := range s.SendOrder {
+			if !slices.Contains(s.ReturnOrder, i) {
+				first = i
+				break
+			}
+		}
+		if w := fmt.Sprintf("schedule: worker %d%s", first, missing); got.Error() != w {
+			t.Fatalf("Check = %q, want %q (oracle %q)", got, w, want)
+		}
+	})
 }

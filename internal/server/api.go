@@ -97,8 +97,8 @@ type ErrorResponse struct {
 // resultResponse converts an engine result to the wire form. Floats are
 // written in their shortest round-trip form (encoder.float), so a client
 // decoding the response recovers bit-identical values.
-func resultResponse(res *dls.Result) *SolveResponse {
-	out := &SolveResponse{
+func resultResponse(res *dls.Result) SolveResponse {
+	out := SolveResponse{
 		Strategy:   res.Strategy,
 		Model:      dls.ModelName(res.Model),
 		Arith:      dls.ArithName(res.Arith),

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -265,10 +267,10 @@ func chainBatchRequests(rng *rand.Rand, n int) []dls.Request {
 // the chain-batch body size.
 const batchSlots = 64
 
-func chainBatchBody(b *testing.B) []byte {
+func chainBatchBody(tb testing.TB) []byte {
 	body, err := json.Marshal(BatchRequest{Requests: chainBatchRequests(rand.New(rand.NewSource(4254)), batchSlots)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return body
 }
@@ -312,32 +314,126 @@ func TestDecodeBatchAllocGate(t *testing.T) {
 	}
 }
 
+// batchServer builds a server over a fresh solver with the given cache
+// capacity and returns a function that posts one batch body through
+// ServeHTTP and fails unless it is answered 200. With noWindow the
+// server solves without an admission window; otherwise it keeps dlsd's
+// default 2 ms window. The server closes when tb ends.
+func batchServer(tb testing.TB, cache int, noWindow bool) (*dls.Solver, func(body []byte)) {
+	solver, err := dls.NewSolver(dls.WithCache(cache))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := New(Config{Solver: solver, NoBatchWindow: noWindow})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(srv.Close)
+	return solver, func(body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// handleBatchHit returns the serve step of BenchmarkHandleBatch: a
+// 64-slot chain-batch body through a windowless server whose cache
+// already holds every slot's answer.
+func handleBatchHit(tb testing.TB) func() {
+	_, serve := batchServer(tb, 1024, true)
+	body := chainBatchBody(tb)
+	serve(body) // fill the cache
+	return func() { serve(body) }
+}
+
+// handleBatchMiss returns the serve step of BenchmarkHandleBatchMiss:
+// each call posts the next of 256 distinct 64-slot bodies, about 14k
+// distinct problems, to a server with dlsd's default window and 4096-entry
+// cache, so every slot misses and the chain prepass builds, verifies and
+// caches its answer. One pass over the bodies fills the cache first, so
+// each slot served afterwards also evicts an entry.
+func handleBatchMiss(tb testing.TB) func() {
+	solver, serve := batchServer(tb, 4096, false)
+	bodies := make([][]byte, 256)
+	for i := range bodies {
+		var err error
+		bodies[i], err = json.Marshal(BatchRequest{Requests: chainBatchRequests(rand.New(rand.NewSource(int64(i))), batchSlots)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, body := range bodies {
+		serve(body)
+	}
+	tb.Cleanup(func() {
+		if st := solver.Stats(); st.Hits > 0 {
+			tb.Errorf("%d cache hits: the bodies must miss", st.Hits)
+		}
+	})
+	i := 0
+	return func() {
+		serve(bodies[i%len(bodies)])
+		i++
+	}
+}
+
 // BenchmarkHandleBatch serves a 64-slot chain-batch body through
 // ServeHTTP without an admission window, every slot answered from the
 // cache: the handler layer (read, decode, admit, encode) with the
 // solver's work reduced to cache reads.
 func BenchmarkHandleBatch(b *testing.B) {
-	solver, err := dls.NewSolver(dls.WithCache(1024))
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := New(Config{Solver: solver, NoBatchWindow: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	body := chainBatchBody(b)
-	serve := func() {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve/batch", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
-	}
-	serve() // fill the cache
-	b.SetBytes(int64(len(body)))
+	serve := handleBatchHit(b)
+	b.SetBytes(int64(len(chainBatchBody(b))))
 	b.ReportAllocs()
 	for b.Loop() {
 		serve()
+	}
+}
+
+// BenchmarkHandleBatchMiss is the cache-missing chain-batch shape
+// (handleBatchMiss): the handler layer over the engine's miss path.
+func BenchmarkHandleBatchMiss(b *testing.B) {
+	serve := handleBatchMiss(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+}
+
+// TestHandleBatchAllocGate holds the allocations per 64-slot body of
+// BenchmarkHandleBatch (hit) and BenchmarkHandleBatchMiss (miss) to their
+// counts plus one. Two things outside the code under test move those
+// counts, so both are pinned while counting: the solver's pool starts one
+// goroutine per worker, and its size follows GOMAXPROCS (pinned to 2);
+// and with the collector running the counts drift by up to 10 per body
+// with collection timing (most likely sync.Pool shedding the pooled
+// decoders, buffers and evaluator sessions), so the collector is off for
+// the 100 counted bodies (at most about 40 MB). Under the race detector sync.Pool also
+// drops items at random, so there only the loose bounds apply: the counts
+// before the schedule checker, the order copies and the result clones
+// stopped allocating per slot.
+func TestHandleBatchAllocGate(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		serve        func(testing.TB) func()
+		bound, loose float64
+	}{
+		{"hit", handleBatchHit, 696, 1223},
+		{"miss", handleBatchMiss, 1312, 3165},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			serve := c.serve(t)
+			if !raceEnabled {
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			}
+			n := testing.AllocsPerRun(100, serve)
+			t.Logf("%s: %.0f allocs per 64-slot body", c.name, n)
+			if n > c.loose || !raceEnabled && n > c.bound {
+				t.Fatalf("%s: %.0f allocs per 64-slot body, bound %.0f (loose %.0f)", c.name, n, c.bound, c.loose)
+			}
+		})
 	}
 }

@@ -143,9 +143,11 @@ func chainBatchResponse(tb testing.TB) *BatchResponse {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	block := make([]SolveResponse, len(results))
 	resp := &BatchResponse{Results: make([]*SolveResponse, len(results))}
 	for i, res := range results {
-		resp.Results[i] = resultResponse(res)
+		block[i] = resultResponse(res)
+		resp.Results[i] = &block[i]
 	}
 	return resp
 }

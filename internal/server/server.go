@@ -386,7 +386,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.latency.Observe(time.Since(begin).Seconds())
-	writeJSON(w, http.StatusOK, resultResponse(res))
+	out := resultResponse(res)
+	writeJSON(w, http.StatusOK, &out)
 }
 
 // handleBatch answers POST /v1/solve/batch: the body is admitted to the
@@ -439,6 +440,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.logRequest(ctxs[i], "/v1/solve/batch", begin, err)
 	}
 
+	// The answered slots are filled in one block; Results points into it.
+	block := make([]SolveResponse, len(results))
 	resp := BatchResponse{Results: make([]*SolveResponse, len(results))}
 	allShed, anyErr, anyOK := true, false, false
 	for i, res := range results {
@@ -450,7 +453,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		allShed, anyOK = false, true
-		resp.Results[i] = resultResponse(res)
+		block[i] = resultResponse(res)
+		resp.Results[i] = &block[i]
 	}
 	if anyOK {
 		s.latency.Observe(time.Since(begin).Seconds())
