@@ -439,6 +439,12 @@ func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mo
 	reversed := make(platform.Order, n) // scratch for the LIFO return order
 	var sweep *eval.Sweep
 	useSweep := mode == eval.Auto
+	// An order the sweep cannot certify has already been through the full
+	// chain descent that Auto would run again, so only the simplex is left.
+	missMode := mode
+	if useSweep {
+		missMode = eval.Simplex
+	}
 	return forEachPermutationRange(n, lo, hi, func(perm []int, swapped int) error {
 		if err := core.poll(); err != nil {
 			return err
@@ -462,8 +468,6 @@ func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mo
 				core.offer(rho, platform.Order(perm), nil)
 				return nil
 			}
-			// Certificate failure: this permutation's optimum is not the
-			// all-tight chain; evaluate it through the full tiers below.
 		}
 		sc.Send = perm
 		if lifo {
@@ -474,7 +478,7 @@ func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mo
 		} else {
 			sc.Return = perm
 		}
-		rho, err := sess.ThroughputTrusted(sc, mode)
+		rho, err := sess.ThroughputTrusted(sc, missMode)
 		if err != nil {
 			return err
 		}

@@ -55,35 +55,43 @@ func ordersEqual(a, b platform.Order) bool {
 // issue pins: across 240 random platforms, the pair branch-and-bound and
 // the FIFO/LIFO sweeps must return byte-identical results — the same
 // orders, the same load vector bit patterns, the same horizon bits — at
-// 2, 4 and 8 workers as the serial search does, on every platform.
+// 2, 4 and 8 workers as the serial search does, on every platform. Even
+// trials repeat the pair search and the FIFO sweep under the two-port
+// model, whose scenarios take the evaluator's two-port paths.
 func TestParallelSearchMatchesSerialByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7171))
 	const trials = 240
 	workerCounts := []int{2, 4, 8}
 	for trial := 0; trial < trials; trial++ {
+		models := []schedule.Model{schedule.OnePort}
+		if trial%2 == 0 {
+			models = append(models, schedule.TwoPort)
+		}
 		// Pair search: sizes 3-5 keep 240 trials fast while still giving
 		// every worker count ranks to steal (5! = 120 send orders).
 		n := 3 + trial%3
 		p := randomPairPlatform(rng, n)
-		serial, err := BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sBits := scheduleBits(serial.Schedule)
-		for _, w := range workerCounts {
-			ctx := ContextWithSearchParallelism(context.Background(), w)
-			got, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
+		for _, model := range models {
+			serial, err := BestPairExhaustiveEval(context.Background(), p, model, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ordersEqual(got.Send, serial.Send) || !ordersEqual(got.Return, serial.Return) {
-				t.Fatalf("trial %d workers %d: pair search returned (σ1=%v σ2=%v), serial has (σ1=%v σ2=%v)\n%s",
-					trial, w, got.Send, got.Return, serial.Send, serial.Return, p)
-			}
-			if !bitsEqual(scheduleBits(got.Schedule), sBits) {
-				t.Fatalf("trial %d workers %d: pair schedule diverges bitwise from serial\nparallel: T=%x α=%v\nserial:   T=%x α=%v\n%s",
-					trial, w, math.Float64bits(got.Schedule.T), got.Schedule.Alpha,
-					math.Float64bits(serial.Schedule.T), serial.Schedule.Alpha, p)
+			sBits := scheduleBits(serial.Schedule)
+			for _, w := range workerCounts {
+				ctx := ContextWithSearchParallelism(context.Background(), w)
+				got, err := BestPairExhaustiveEval(ctx, p, model, eval.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ordersEqual(got.Send, serial.Send) || !ordersEqual(got.Return, serial.Return) {
+					t.Fatalf("trial %d workers %d %v: pair search returned (σ1=%v σ2=%v), serial has (σ1=%v σ2=%v)\n%s",
+						trial, w, model, got.Send, got.Return, serial.Send, serial.Return, p)
+				}
+				if !bitsEqual(scheduleBits(got.Schedule), sBits) {
+					t.Fatalf("trial %d workers %d %v: pair schedule diverges bitwise from serial\nparallel: T=%x α=%v\nserial:   T=%x α=%v\n%s",
+						trial, w, model, math.Float64bits(got.Schedule.T), got.Schedule.Alpha,
+						math.Float64bits(serial.Schedule.T), serial.Schedule.Alpha, p)
+				}
 			}
 		}
 
@@ -95,25 +103,27 @@ func TestParallelSearchMatchesSerialByteIdentical(t *testing.T) {
 		if lifo {
 			search = BestLIFOExhaustiveEval
 		}
-		serialSched, serialOrder, err := search(context.Background(), p, schedule.OnePort, eval.Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sBits = scheduleBits(serialSched)
-		for _, w := range workerCounts {
-			ctx := ContextWithSearchParallelism(context.Background(), w)
-			gotSched, gotOrder, err := search(ctx, p, schedule.OnePort, eval.Auto)
+		for _, model := range models {
+			serialSched, serialOrder, err := search(context.Background(), p, model, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ordersEqual(gotOrder, serialOrder) {
-				t.Fatalf("trial %d workers %d lifo=%v: sweep returned σ=%v, serial has σ=%v\n%s",
-					trial, w, lifo, gotOrder, serialOrder, p)
-			}
-			if !bitsEqual(scheduleBits(gotSched), sBits) {
-				t.Fatalf("trial %d workers %d lifo=%v: sweep schedule diverges bitwise from serial\nparallel: T=%x α=%v\nserial:   T=%x α=%v\n%s",
-					trial, w, lifo, math.Float64bits(gotSched.T), gotSched.Alpha,
-					math.Float64bits(serialSched.T), serialSched.Alpha, p)
+			sBits := scheduleBits(serialSched)
+			for _, w := range workerCounts {
+				ctx := ContextWithSearchParallelism(context.Background(), w)
+				gotSched, gotOrder, err := search(ctx, p, model, eval.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ordersEqual(gotOrder, serialOrder) {
+					t.Fatalf("trial %d workers %d lifo=%v %v: sweep returned σ=%v, serial has σ=%v\n%s",
+						trial, w, lifo, model, gotOrder, serialOrder, p)
+				}
+				if !bitsEqual(scheduleBits(gotSched), sBits) {
+					t.Fatalf("trial %d workers %d lifo=%v %v: sweep schedule diverges bitwise from serial\nparallel: T=%x α=%v\nserial:   T=%x α=%v\n%s",
+						trial, w, lifo, model, math.Float64bits(gotSched.T), gotSched.Alpha,
+						math.Float64bits(serialSched.T), serialSched.Alpha, p)
+				}
 			}
 		}
 	}

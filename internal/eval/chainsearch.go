@@ -273,11 +273,6 @@ func (r *chainOptRecord) set(E []int, alpha, lam []float64, mu float64, slackWor
 	r.rho = sum(alpha)
 }
 
-// disableDupBranch switches off the duplicate-cost branch-and-certify of
-// chainSearch. Test hook only: the regression test compares descent
-// failures with and without the branch on repeated-cost platforms.
-var disableDupBranch bool
-
 // chainSearch runs the active-set descent for FIFO and LIFO scenarios
 // using the O(m) chains for every candidate. Per level, over the enrolled
 // subsequence:
@@ -299,39 +294,21 @@ func (s *Session) chainSearch(sc Scenario, lifo bool, rec *chainOptRecord, initE
 	// heuristic (certificates make a wrong drop slow, never wrong): the
 	// first attempt sheds the most port-hungry worker, and if that descent
 	// bottoms out uncertified a second attempt follows the port vertices'
-	// load hints instead, with each retry running only when the policies
-	// actually diverged. Platforms with repeated (c, d) pairs add a third
-	// axis: the "most port-hungry" criterion ties exactly between
-	// duplicates, and the arbitrary first-index pick can strand the descent
-	// on the wrong twin — when a tie was seen, the branch-and-certify
-	// passes re-run the descent preferring the OTHER duplicate, closing the
-	// gap that used to fall back to the simplex.
-	alpha, ok, ambiguous, dupTie := s.chainDescent(sc, lifo, rec, initE, false, false)
+	// load hints instead, running only when the policies actually diverged.
+	alpha, ok, ambiguous := s.chainDescent(sc, lifo, rec, initE, false)
 	if !ok && ambiguous {
-		var dup2 bool
-		alpha, ok, _, dup2 = s.chainDescent(sc, lifo, rec, initE, true, false)
-		dupTie = dupTie || dup2
-	}
-	if !ok && dupTie && !disableDupBranch {
-		var amb3 bool
-		alpha, ok, amb3, _ = s.chainDescent(sc, lifo, rec, initE, false, true)
-		if !ok && (ambiguous || amb3) {
-			alpha, ok, _, _ = s.chainDescent(sc, lifo, rec, initE, true, true)
-		}
+		alpha, ok, _ = s.chainDescent(sc, lifo, rec, initE, true)
 	}
 	return alpha, ok
 }
 
 // chainDescent is one greedy descent pass; see chainSearch. It reports
-// whether any level's drop choice was policy-dependent (ambiguous) and
-// whether a port-greedy drop tied between workers with identical (c, d)
-// pairs (dupTie); dupAlt resolves such ties towards the second duplicate
-// instead of the first.
-func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, initE []int, preferLoadHint, dupAlt bool) ([]float64, bool, bool, bool) {
+// whether any level's drop choice was policy-dependent (ambiguous).
+func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, initE []int, preferLoadHint bool) ([]float64, bool, bool) {
 	p := sc.Platform
 	q := len(sc.Send)
 	top := q
-	ambiguous, dupTie := false, false
+	ambiguous := false
 	enrolled := growInt(&s.enrolled, q)
 	if initE == nil {
 		for i := range enrolled {
@@ -366,7 +343,7 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 			alpha, chainOK = s.fifoTight(p, subOrder)
 		}
 		if !chainOK {
-			return nil, false, ambiguous, dupTie // degenerate chain; let the simplex decide
+			return nil, false, ambiguous // degenerate chain; let the simplex decide
 		}
 		portOK := lifo || portFeasible(p, subOrder, alpha, sc.Model)
 		var hint int
@@ -380,7 +357,7 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 			if rec != nil {
 				rec.set(E, alpha, s.lam[:m], 0, -1)
 			}
-			return expand(E, alpha), true, ambiguous, dupTie
+			return expand(E, alpha), true, ambiguous
 		}
 		// Port-bound vertices: one-port FIFO only, and only when the dual
 		// chain is clean — a negative chain multiplier means resource
@@ -395,7 +372,7 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 					if rec != nil {
 						rec.set(E, va, s.lam[:m], mu, subOrder[k])
 					}
-					return expand(E, va), true, ambiguous, dupTie
+					return expand(E, va), true, ambiguous
 				}
 				// Prefer the hint of the least infeasible vertex: its
 				// structure sits closest to the optimum's.
@@ -433,30 +410,12 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 			if preferLoadHint && loadHint >= 0 {
 				drop = loadHint
 			}
-			// Repeated (c, d) pairs tie the drop criteria exactly; the
-			// duplicates differ only in w and send rank, either of which
-			// can be the one resource selection wants gone. Whatever
-			// candidate the pass's policy chose, record whether it has a
-			// twin and, on the branch-and-certify passes, divert the drop
-			// to that twin — applied after the load-hint override so the
-			// (loadHint, dupAlt) pass explores a genuinely different path
-			// from the loadHint one.
-			dw := &wc[subOrder[drop]]
-			for r, i := range subOrder {
-				if r != drop && wc[i].c == dw.c && wc[i].d == dw.d {
-					dupTie = true
-					if dupAlt {
-						drop = r
-					}
-					break
-				}
-			}
 		case loadHint >= 0:
 			drop = loadHint
 		}
 		copy(enrolled[drop:], enrolled[drop+1:m])
 	}
-	return nil, false, ambiguous, dupTie
+	return nil, false, ambiguous
 }
 
 // chainDroppedOK verifies the full-LP certificate parts that concern the

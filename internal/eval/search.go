@@ -846,7 +846,7 @@ func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 	for k, i := range sc.Return {
 		retPos[i] = k
 	}
-	if alpha, ok := s.tightSearchOn(sc, rp.r, true, -1); ok {
+	if alpha, ok := s.tightSearchOn(sc, rp.r, true); ok {
 		return sum(alpha), nil
 	}
 	_, rho, err := s.simplexLoads(sc)

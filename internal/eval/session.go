@@ -14,30 +14,22 @@ import (
 // system matrix, pivot indices and load/dual vectors. Sessions make batch
 // and exhaustive evaluation allocate O(1) per scenario; the pair search's
 // return-order branch-and-bound (ReturnPrefix) keeps its own matrices and
-// borrows a session only for its leaf evaluations. A Session is NOT safe for concurrent use; obtain one
-// per goroutine via NewSession or the pool-backed GetSession/Release pair.
+// borrows a session only for its leaf evaluations. A Session is NOT safe
+// for concurrent use; obtain one per goroutine via NewSession or the
+// pool-backed GetSession/Release pair. Backend reports which tier
+// answered the most recent evaluation.
 type Session struct {
-	alpha      []float64    // candidate loads, by enrolled position
-	lam        []float64    // dual multipliers
-	u, v       []float64    // FIFO dual chain decomposition / expanded loads
-	a          []float64    // candidate system / LU factors (clobbered by solves)
-	work       []float64    // q×q assembled system kept intact across candidates
-	piv        []int        // LU row swaps
-	retPos     []int        // worker index → return position
-	mask       []int        // send position → enrolled index (active-set search)
-	enrolled   []int        // active-set descent: enrolled send positions
-	sub        []int        // enrolled subsequence as worker indices (chain search)
-	d0, dT, dM []float64    // (T, μ)-parameterised dual chain of a port vertex
-	slackBuf   [1]slackSpec // active-set descent: slack row of the current candidate
-
-	// simplexFallbacks counts loadsResolved calls that exhausted every
-	// tight-system tier and fell back to the simplex; twoPortDualCerts and
-	// twoPortDroppedCerts count certificates produced by the two-port
-	// rescue passes (dual-first re-descent / dropped-row stand-ins).
-	// Unexported diagnostics for the two-port regression tests.
-	simplexFallbacks    uint64
-	twoPortDualCerts    uint64
-	twoPortDroppedCerts uint64
+	alpha      []float64 // candidate loads, by enrolled position
+	lam        []float64 // dual multipliers
+	u, v       []float64 // FIFO dual chain decomposition / expanded loads
+	a          []float64 // candidate system / LU factors (clobbered by solves)
+	work       []float64 // q×q assembled system kept intact across candidates
+	piv        []int     // LU row swaps
+	retPos     []int     // worker index → return position
+	mask       []int     // send position → enrolled index (active-set search)
+	enrolled   []int     // active-set descent: enrolled send positions
+	sub        []int     // enrolled subsequence as worker indices (chain search)
+	d0, dT, dM []float64 // (T, μ)-parameterised dual chain of a port vertex
 
 	// lastBackend names the tier that actually produced the most recent
 	// loadsResolved answer ("closed-form", "direct", "simplex", "exact");
@@ -211,49 +203,28 @@ func (s *Session) loadsResolved(sc Scenario, mode Mode) ([]float64, float64, err
 			return nil, 0, ErrNotApplicable
 		}
 	case Direct:
-		if alpha, ok := s.generalTight(sc); ok {
+		if alpha, ok := s.tightSearch(sc); ok {
 			s.lastBackend = "direct"
 			return alpha, sum(alpha), nil
 		}
 	case Auto:
-		// Tiering: the chain-based active-set descent where the shape
-		// admits it (O(p) per level, at most one LU candidate), the
-		// full-scan LU search for general pairs, the simplex whenever no
-		// certificate holds (degeneracy, a descent that guessed wrong).
+		// Tiering: the chain-based active-set descent for FIFO and LIFO
+		// (O(p) per level, no LU), the LU active-set search for general
+		// pairs, the simplex whenever no certificate holds (degeneracy, a
+		// descent that guessed wrong).
 		switch kind {
-		case kindFIFO:
-			if alpha, ok := s.chainSearch(sc, false, nil, nil); ok {
+		case kindFIFO, kindLIFO:
+			if alpha, ok := s.chainSearch(sc, kind == kindLIFO, nil, nil); ok {
 				s.lastBackend = "closed-form"
 				return alpha, sum(alpha), nil
-			}
-			// The chain search scans port-bound vertices under the one-port
-			// model only; two-port port-bound optima need the LU vertex
-			// enumeration before the simplex is warranted.
-			if sc.Model == schedule.TwoPort {
-				if alpha, ok := s.generalTight(sc); ok {
-					s.lastBackend = "direct"
-					return alpha, sum(alpha), nil
-				}
-			}
-		case kindLIFO:
-			if alpha, ok := s.chainSearch(sc, true, nil, nil); ok {
-				s.lastBackend = "closed-form"
-				return alpha, sum(alpha), nil
-			}
-			if sc.Model == schedule.TwoPort {
-				if alpha, ok := s.generalTight(sc); ok {
-					s.lastBackend = "direct"
-					return alpha, sum(alpha), nil
-				}
 			}
 		default:
-			if alpha, ok := s.generalTight(sc); ok {
+			if alpha, ok := s.tightSearch(sc); ok {
 				s.lastBackend = "direct"
 				return alpha, sum(alpha), nil
 			}
 		}
 	}
-	s.simplexFallbacks++
 	s.lastBackend, s.lastFallback = "simplex", true
 	return s.simplexLoads(sc)
 }

@@ -271,57 +271,10 @@ func luSolveTranspose(a []float64, piv []int, q int, b []float64) {
 	}
 }
 
-// slackKind selects which tight row stands in for a slack worker row in an
-// active-set candidate.
-type slackKind uint8
-
-const (
-	slackPortRow    slackKind = iota // the tight one-port row Σ α·(c+d) = 1
-	slackDroppedRow                  // a dropped worker's tight constraint row
-)
-
-// slackSpec names one slack worker row of a candidate: row (an index
-// within the enrolled set E) is replaced by a different tight row — the
-// one-port row (slackPortRow), or the constraint row of a dropped worker
-// (slackDroppedRow; dpos is that worker's send position).
-//
-// The two-port model contributes no port-row specs, because neither of its
-// port rows can ever be tight at an optimum with positive loads: the last
-// enrolled sender's worker row contains the full send prefix Σ α·c plus
-// its own strictly positive w and d terms, so it dominates the send row,
-// and symmetrically the first enrolled returner's row contains the full
-// Σ α·d and dominates the receive row. What the two-port model does admit
-// — with no port row available to absorb a slack worker row — are
-// degenerate vertices where an enrolled worker idles while a DROPPED
-// worker's row is tight; slackDroppedRow covers exactly those.
-type slackSpec struct {
-	row  int
-	kind slackKind
-	dpos int // slackDroppedRow only: send position of the standing-in row
-}
-
-// slackAt reports whether enrolled row r is a slack row of the candidate,
-// and which tight row stands in for it.
-func slackAt(slacks []slackSpec, r int) (slackSpec, bool) {
-	for _, sp := range slacks {
-		if sp.row == r {
-			return sp, true
-		}
-	}
-	return slackSpec{}, false
-}
-
-// disableTwoPortRescue switches off the two-port rescue passes of the
-// active-set search (the dual-first re-descent and the dropped-row vertex
-// enumeration), reverting the two-port descent to the single one-port-style
-// greedy pass. Test hook only: the regression test compares simplex
-// fallbacks with and without the rescues.
-var disableTwoPortRescue bool
-
-// tightReject explains why a tight candidate was refused, steering the
-// next tier: port overruns move on to the port-bound vertices, anything
-// else (negative load, negative dual, singular system) indicates resource
-// selection or degeneracy and goes straight to the simplex.
+// tightReject explains why the closed-form FIFO candidate was refused: a
+// port overrun lets the ClosedForm tier try the Theorem 2 bus
+// construction; anything else (negative dual, singular chain) indicates
+// resource selection or degeneracy, which no closed form covers.
 type tightReject int
 
 const (
@@ -337,48 +290,44 @@ func (s *Session) fullTightMatrix(dst []float64, sc Scenario) {
 	s.addReturnTerms(dst, sc.Platform, sc.Send, sc.Return)
 }
 
-// tightSearch is the guided active-set solver behind the direct backend.
+// tightSearch is the guided active-set solver behind the direct backend,
+// for a scenario of arbitrary (σ1, σ2).
 //
 // Every optimal vertex of a scenario LP has a simple structure dictated by
 // the paper's lemmas: the enrolled workers E (positive loads — resource
 // selection may drop the rest, Proposition 1) have all their constraint
 // rows tight, except that a worker row may be slack — a worker may have
 // idle time (Lemma 1) — only when a port row is tight instead. Under the
-// one-port model that means at most one slack row (the single port row);
-// under the two-port model the independent send and receive rows admit up
-// to two, one per saturated port. The search walks that vertex space
-// greedily:
+// one-port model that means at most one slack row (the single port row).
+// The two-port model gets no port-row candidates: neither of its port rows
+// can be tight at an optimum with positive loads, because the last enrolled
+// sender's worker row contains the full send prefix Σ α·c plus its own
+// positive w and d terms, and so dominates the send row (symmetrically, the
+// first enrolled returner's row dominates the receive row). The search
+// walks that vertex space greedily:
 //
 //	for E = all workers, then ever smaller subsets:
 //	    try the all-rows-tight system on E
-//	    try, for each slack row k (last send position first, Lemma 2),
-//	        the system with row k replaced by a tight port row — the
-//	        one-port row, or the send/receive row under two-port
-//	    try (two-port) each pair of slack rows replaced by the tight
-//	        send row and the tight receive row
+//	    try (one-port), for each slack row k (last send position first,
+//	        Lemma 2), the system with row k replaced by the tight port row
 //	    if a candidate passes the full-LP KKT certificate, done
 //	    otherwise drop the worker whose candidate load came out most
 //	    negative and descend
 //
 // Each candidate is an m×m linear solve plus a certificate: primal
-// feasibility (loads ≥ 0; the slack rows, the dropped workers' rows and
+// feasibility (loads ≥ 0; the slack row, the dropped workers' rows and
 // the untight port constraints hold as inequalities), dual feasibility
 // (multipliers of the tight rows ≥ 0 via the transpose solve) and, for
 // every dropped worker j, the dual inequality
-// Σ λ_i·A_{ij} + Σ μ_k·portCoeff_k(j) ≥ 1 that makes α_j = 0 optimal. A
+// Σ λ_i·A_{ij} + μ·(c_j + d_j) ≥ 1 that makes α_j = 0 optimal. A
 // certified candidate is the LP optimum by strong duality; if the greedy
 // path certifies nothing, the caller falls back to the simplex, so the
 // search can only ever be fast, never wrong.
-//
-// skipFullTight skips the top-level all-tight candidate (used when the
-// caller already refuted it via the O(p) chains); topHint optionally
-// carries the chain's dual-failure position as a first-level descent hint
-// (-1 for none).
-func (s *Session) tightSearch(sc Scenario, skipFullTight bool, topHint int) ([]float64, bool) {
+func (s *Session) tightSearch(sc Scenario) ([]float64, bool) {
 	q := len(sc.Send)
 	full := grow(&s.work, q*q)
 	s.fullTightMatrix(full, sc)
-	return s.tightSearchOn(sc, full, skipFullTight, topHint)
+	return s.tightSearchOn(sc, full, false)
 }
 
 // vertexHints carries the descent signals of a failed candidate: the most
@@ -392,45 +341,11 @@ type vertexHints struct {
 	loadVal, dualVal float64
 }
 
-// tightSearchOn runs the active-set search on a pre-assembled full tight
-// matrix (s.retPos must describe sc.Return, as fullTightMatrix leaves it).
-//
-// The first pass is the greedy descent guided by load hints. Under the
-// two-port model two further failure modes appear that the one-port lemmas
-// rule out, and each gets a rescue pass before the caller resorts to the
-// simplex: pair optima whose enrolled set is all-tight but whose descent
-// path the load hints misname (the dual hints usually name it — re-descend
-// preferring them), and degenerate vertices where an enrolled worker idles
-// against a tight dropped-worker row (re-descend with the slackDroppedRow
-// candidates enabled). Each pass costs at most one failed descent, against
-// the full simplex solve it replaces; a certificate from any pass is the
-// LP optimum, so pass order cannot affect results.
-func (s *Session) tightSearchOn(sc Scenario, full []float64, skipFullTight bool, topHint int) ([]float64, bool) {
-	if alpha, ok := s.tightDescend(sc, full, skipFullTight, topHint, false, false); ok {
-		return alpha, true
-	}
-	if sc.Model != schedule.TwoPort || disableTwoPortRescue {
-		return nil, false
-	}
-	if alpha, ok := s.tightDescend(sc, full, skipFullTight, topHint, true, false); ok {
-		s.twoPortDualCerts++
-		return alpha, true
-	}
-	if alpha, ok := s.tightDescend(sc, full, skipFullTight, topHint, false, true); ok {
-		s.twoPortDroppedCerts++
-		return alpha, true
-	}
-	if alpha, ok := s.tightDescend(sc, full, skipFullTight, topHint, true, true); ok {
-		s.twoPortDroppedCerts++
-		return alpha, true
-	}
-	return nil, false
-}
-
-// tightDescend is one greedy active-set descent. dualFirst flips the drop
-// priority from load hints to dual hints; droppedRescue enables the
-// slackDroppedRow candidates at every level.
-func (s *Session) tightDescend(sc Scenario, full []float64, skipFullTight bool, topHint int, dualFirst, droppedRescue bool) ([]float64, bool) {
+// tightSearchOn runs the greedy active-set descent on a pre-assembled full
+// tight matrix (s.retPos must describe sc.Return, as fullTightMatrix
+// leaves it). skipFullTight skips the top-level all-tight candidate, for
+// callers that have already refuted it.
+func (s *Session) tightSearchOn(sc Scenario, full []float64, skipFullTight bool) ([]float64, bool) {
 	q := len(sc.Send)
 	enrolled := growInt(&s.enrolled, q)
 	for i := range enrolled {
@@ -449,37 +364,17 @@ func (s *Session) tightDescend(sc Scenario, full []float64, skipFullTight bool, 
 		slackBest.loadPos, slackBest.dualPos = -1, -1
 		slackBest.loadVal, slackBest.dualVal = math.Inf(-1), math.Inf(-1)
 		if !(m == q && skipFullTight) {
-			if out, ok := s.tryCand(sc, full, E, s.slackBuf[:0], &allTight, &slackBest); ok {
+			if out, ok := s.tryCand(sc, full, E, -1, &allTight, &slackBest); ok {
 				return out, true
 			}
 		}
 		if sc.Model == schedule.OnePort {
 			// At most one worker row may be slack (Lemma 1), and only when
 			// the one-port row is tight instead; last send position first
-			// (Lemma 2). The two-port model gets no port-row candidates:
-			// its port rows are dominated by worker rows (see slackSpec).
+			// (Lemma 2).
 			for k := m - 1; k >= 0; k-- {
-				spec := append(s.slackBuf[:0], slackSpec{row: k, kind: slackPortRow})
-				if out, ok := s.tryCand(sc, full, E, spec, &allTight, &slackBest); ok {
+				if out, ok := s.tryCand(sc, full, E, k, &allTight, &slackBest); ok {
 					return out, true
-				}
-			}
-		}
-		if droppedRescue && m < q {
-			// Degenerate-vertex rescue: one enrolled row goes slack against
-			// a tight dropped-worker row. E is kept sorted by the descent,
-			// so the dropped send positions are its complement.
-			for k := m - 1; k >= 0; k-- {
-				e := 0
-				for dpos := 0; dpos < q; dpos++ {
-					if e < m && E[e] == dpos {
-						e++
-						continue
-					}
-					spec := append(s.slackBuf[:0], slackSpec{row: k, kind: slackDroppedRow, dpos: dpos})
-					if out, ok := s.tryCand(sc, full, E, spec, &allTight, &slackBest); ok {
-						return out, true
-					}
 				}
 			}
 		}
@@ -487,17 +382,12 @@ func (s *Session) tightDescend(sc Scenario, full []float64, skipFullTight bool, 
 			break
 		}
 		drop := -1
-		order := [...]int{allTight.loadPos, allTight.dualPos, slackBest.loadPos, slackBest.dualPos, topHint}
-		if dualFirst {
-			order = [...]int{allTight.dualPos, allTight.loadPos, slackBest.dualPos, slackBest.loadPos, topHint}
-		}
-		for _, cand := range order {
+		for _, cand := range [...]int{allTight.loadPos, allTight.dualPos, slackBest.loadPos, slackBest.dualPos} {
 			if cand >= 0 {
 				drop = cand
 				break
 			}
 		}
-		topHint = -1 // the chain hint applies to the first descent only
 		if drop < 0 {
 			drop = E[m-1]
 		}
@@ -515,8 +405,8 @@ func (s *Session) tightDescend(sc Scenario, full []float64, skipFullTight bool, 
 // tryCand runs one active-set candidate and folds its outcome into the
 // level's descent hints; on success it returns the certified loads expanded
 // back to all send positions.
-func (s *Session) tryCand(sc Scenario, full []float64, E []int, slacks []slackSpec, allTight, slackBest *vertexHints) ([]float64, bool) {
-	alpha, ok, h := s.tryVertex(sc, full, E, slacks)
+func (s *Session) tryCand(sc Scenario, full []float64, E []int, slack int, allTight, slackBest *vertexHints) ([]float64, bool) {
+	alpha, ok, h := s.tryVertex(sc, full, E, slack)
 	if ok {
 		q := len(sc.Send)
 		out := grow(&s.u, q)
@@ -528,7 +418,7 @@ func (s *Session) tryCand(sc Scenario, full []float64, E []int, slacks []slackSp
 		}
 		return out, true
 	}
-	if len(slacks) == 0 {
+	if slack < 0 {
 		*allTight = h
 		return nil, false
 	}
@@ -542,9 +432,10 @@ func (s *Session) tryCand(sc Scenario, full []float64, E []int, slacks []slackSp
 }
 
 // tryVertex solves and certifies one active-set candidate: enrolled
-// positions E, with each slack row E[sp.row] replaced by the tight port row
-// of kind sp.kind. On failure it reports descent hints (see vertexHints).
-func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slackSpec) (alpha []float64, ok bool, h vertexHints) {
+// positions E, with the slack row E[slack] (an enrolled index; -1 for
+// none) replaced by the tight one-port row. On failure it reports descent
+// hints (see vertexHints).
+func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (alpha []float64, ok bool, h vertexHints) {
 	p, send := sc.Platform, sc.Send
 	q := len(send)
 	m := len(E)
@@ -553,17 +444,14 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 	a := grow(&s.a, m*m)
 	for r, pos := range E {
 		row := a[r*m : (r+1)*m]
-		src := full[pos*q:]
-		if sp, isSlack := slackAt(slacks, r); isSlack {
-			if sp.kind == slackPortRow {
-				for t, cpos := range E {
-					w := p.Workers[send[cpos]]
-					row[t] = w.C + w.D
-				}
-				continue
+		if r == slack {
+			for t, cpos := range E {
+				w := p.Workers[send[cpos]]
+				row[t] = w.C + w.D
 			}
-			src = full[sp.dpos*q:] // the dropped worker's row stands in
+			continue
 		}
+		src := full[pos*q:]
 		for t, cpos := range E {
 			row[t] = src[cpos]
 		}
@@ -593,7 +481,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 		clampLoads(alpha)
 	}
 	// Dual multipliers of the tight rows (λ for worker rows, μ at the
-	// slack indices for the port rows); computed before the feasibility
+	// slack index for the port row); computed before the feasibility
 	// verdict because a negative λ is the resource-selection hint even
 	// when the primal side already failed.
 	lam := grow(&s.lam, m)
@@ -605,7 +493,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 	for r, l := range lam {
 		if !certOK(l) {
 			dualOK = false
-			if _, isSlack := slackAt(slacks, r); !isSlack && l < h.dualVal {
+			if r != slack && l < h.dualVal {
 				h.dualPos, h.dualVal = E[r], l
 			}
 		}
@@ -614,7 +502,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 		return nil, false, h
 	}
 	// Primal feasibility of the rows outside the tight set: the slack
-	// rows, every dropped worker's row, and the port constraint(s).
+	// row, every dropped worker's row, and the port constraint(s).
 	rowLHS := func(pos int) float64 {
 		src := full[pos*q:]
 		lhs := 0.0
@@ -623,10 +511,8 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 		}
 		return lhs
 	}
-	for _, sp := range slacks {
-		if rowLHS(E[sp.row]) > 1+tol {
-			return nil, false, h
-		}
+	if slack >= 0 && rowLHS(E[slack]) > 1+tol {
+		return nil, false, h
 	}
 	inE := growInt(&s.mask, q)
 	for t := range inE {
@@ -641,13 +527,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 		}
 	}
 	// Port constraints not in the tight set must hold as inequalities.
-	hasPortRow := false
-	for _, sp := range slacks {
-		if sp.kind == slackPortRow {
-			hasPortRow = true
-		}
-	}
-	if !hasPortRow {
+	if slack < 0 {
 		sumC, sumD := 0.0, 0.0
 		for r, pos := range E {
 			w := p.Workers[send[pos]]
@@ -668,8 +548,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 	// Dropped-variable optimality: for every dropped worker j the dual
 	// constraint Σ λ_r·A_{rj} ≥ 1 must hold over the tight rows, where a
 	// worker row contributes A_{ij} = c_j·[σ1: j before i] + d_j·[σ2: j
-	// after i], the one-port row contributes c_j + d_j (its λ is μ), and a
-	// standing-in dropped row its own coefficient on α_j.
+	// after i] and the one-port row contributes c_j + d_j (its λ is μ).
 	for pos := 0; pos < q; pos++ {
 		if inE[pos] >= 0 {
 			continue
@@ -679,12 +558,8 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 		rj := s.retPos[j]
 		val := 0.0
 		for r, ipos := range E {
-			if sp, isSlack := slackAt(slacks, r); isSlack {
-				if sp.kind == slackPortRow {
-					val += lam[r] * (wj.C + wj.D) // μ · g_j
-				} else {
-					val += lam[r] * full[sp.dpos*q+pos]
-				}
+			if r == slack {
+				val += lam[r] * (wj.C + wj.D) // μ · g_j
 				continue
 			}
 			i := send[ipos]
@@ -702,16 +577,9 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slacks []slack
 	return alpha, true, h
 }
 
-// generalTight assembles and certifies the tight system of an arbitrary
-// (σ1, σ2) scenario through the active-set search.
-func (s *Session) generalTight(sc Scenario) ([]float64, bool) {
-	return s.tightSearch(sc, false, -1)
-}
-
 // fifoTightCertified runs the closed-form FIFO pipeline: chain loads, port
-// check, dual chain. A port overrun is reported as rejectPort so the Auto
-// and Direct tiers can cascade to the port-bound LU vertices (and the
-// ClosedForm tier to the Theorem 2 bus construction).
+// check, dual chain. A port overrun is reported as rejectPort so the
+// ClosedForm tier can cascade to the Theorem 2 bus construction.
 func (s *Session) fifoTightCertified(sc Scenario) ([]float64, tightReject) {
 	alpha, ok := s.fifoTight(sc.Platform, sc.Send)
 	if !ok {
