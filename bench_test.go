@@ -481,6 +481,13 @@ func TestPairPruningGate(t *testing.T) {
 	if frac <= 0.5 {
 		t.Fatalf("return-order subtree cut fraction fell to %.3f <= 50%% on the reference platform", frac)
 	}
+	// The children cut from their parent's one-pass child bounds are a
+	// subset of the pruned ones, and that screen must fire too.
+	screened := after.SubtreesScreened - before.SubtreesScreened
+	t.Logf("BestPairExhaustive6: %d of the pruned subtrees screened", screened)
+	if screened == 0 || screened > pruned {
+		t.Fatalf("%d subtrees screened of %d pruned: want more than none, and no more than pruned", screened, pruned)
+	}
 }
 
 // BenchmarkBestPairExhaustive5 runs the pair branch-and-bound at p = 5
@@ -559,13 +566,51 @@ func BenchmarkBestPairExhaustive7(b *testing.B) {
 	benchPairParallel(b, benchPairPlatform(7), []int{1, 4})
 }
 
+// BenchmarkPairSearchServedShape is the pair search on the platform shape
+// dlsd serves it: 40 six-worker heterogeneous platforms running the
+// size-400 matrix-product application, searched serially, alternating
+// one-port and two-port. One op is all 40 searches; nodes, pruned and
+// screened are per op.
+func BenchmarkPairSearchServedShape(b *testing.B) {
+	rng := rand.New(rand.NewSource(400))
+	plats := make([]*dls.Platform, 40)
+	for i := range plats {
+		plats[i] = dls.RandomSpeeds(rng, 6, dls.Heterogeneous).Platform(dls.DefaultApp(400))
+	}
+	ctx := core.ContextWithSearchParallelism(context.Background(), 1)
+	before := core.PairStatsSnapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, p := range plats {
+			model := schedule.OnePort
+			if k%2 == 1 {
+				model = schedule.TwoPort
+			}
+			if _, err := core.BestPairExhaustiveEval(ctx, p, model, eval.Auto); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	after := core.PairStatsSnapshot()
+	per := func(v uint64) float64 { return float64(v) / float64(b.N) }
+	b.ReportMetric(per(after.NodesExpanded-before.NodesExpanded), "nodes/op")
+	b.ReportMetric(per(after.LeavesEvaluated-before.LeavesEvaluated), "leaves/op")
+	b.ReportMetric(per(after.SubtreesPruned-before.SubtreesPruned), "pruned/op")
+	b.ReportMetric(per(after.SubtreesScreened-before.SubtreesScreened), "screened/op")
+}
+
 // BenchmarkReturnPrefixNode isolates the per-node cost of the pair
 // branch-and-bound's bound computation at q = 7: one fixed 512-move
 // Push/Pop walk through the return-prefix tree, a Bound() at every node.
 // "update" is the Sherman–Morrison incremental path (O(q²)/node, the
 // default), "refactor" pins SetIncremental(false) so every node pays a
 // fresh O(q³) LU — the PR 7 acceptance criterion is update ≥ 1.5× the
-// node throughput of refactor.
+// node throughput of refactor (gated by dlsgate pairsearch). "screen"
+// bounds the same children the way the search now does: one ChildBounds
+// per expanded node, and a Push (with its Bound) only where the walk
+// descends.
 func BenchmarkReturnPrefixNode(b *testing.B) {
 	const q = 7
 	p := benchPairPlatform(q)
@@ -577,8 +622,10 @@ func BenchmarkReturnPrefixNode(b *testing.B) {
 	// sibling (Push, Bound, Pop), then descend into one of them — over
 	// interior depths only: Bound() at full depth is from-scratch on both
 	// paths by design, and the search bounds after Push, never after Pop.
-	type move struct{ pos int } // pos >= 0: Push(pos) + Bound(); pos < 0: Pop
-	var moves []move
+	// pos >= 0: Push(pos) + Bound(); popMove: Pop; screenMove: ChildBounds.
+	type move struct{ pos int }
+	const popMove, screenMove = -1, -2
+	var moves, screenMoves []move
 	nodes := 0
 	var open [q]bool
 	for i := range open {
@@ -596,15 +643,18 @@ func BenchmarkReturnPrefixNode(b *testing.B) {
 			}
 		}
 		down := opens[rot%len(opens)]
+		screenMoves = append(screenMoves, move{pos: screenMove})
 		for _, pos := range opens {
 			moves = append(moves, move{pos: pos})
 			nodes++
 			open[pos] = false
 			if pos == down {
+				screenMoves = append(screenMoves, move{pos: pos})
 				walk(depth+1, rot+1)
+				screenMoves = append(screenMoves, move{pos: popMove})
 			}
 			open[pos] = true
-			moves = append(moves, move{pos: -1})
+			moves = append(moves, move{pos: popMove})
 		}
 	}
 	for rot := 0; nodes < 512; rot++ {
@@ -613,7 +663,8 @@ func BenchmarkReturnPrefixNode(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
 		incremental bool
-	}{{"update", true}, {"refactor", false}} {
+		moves       []move
+	}{{"update", true, moves}, {"refactor", false, moves}, {"screen", true, screenMoves}} {
 		b.Run(tc.name, func(b *testing.B) {
 			sess := eval.NewSession()
 			rp, err := sess.NewReturnPrefix(p, schedule.OnePort, eval.Auto)
@@ -621,18 +672,22 @@ func BenchmarkReturnPrefixNode(b *testing.B) {
 				b.Fatal(err)
 			}
 			rp.SetIncremental(tc.incremental)
+			bounds := make([]float64, q)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := rp.Reset(send); err != nil {
 					b.Fatal(err)
 				}
-				for _, mv := range moves {
-					if mv.pos >= 0 {
+				for _, mv := range tc.moves {
+					switch mv.pos {
+					case popMove:
+						rp.Pop()
+					case screenMove:
+						rp.ChildBounds(bounds)
+					default:
 						rp.Push(mv.pos)
 						rp.Bound()
-					} else {
-						rp.Pop()
 					}
 				}
 				for rp.Depth() > 0 {

@@ -233,6 +233,9 @@ type PairSearchStats struct {
 	NodesExpanded uint64
 	// SubtreesPruned counts subtrees cut by the return-prefix bound.
 	SubtreesPruned uint64
+	// SubtreesScreened counts the part of SubtreesPruned cut from the
+	// parent's one-pass child bounds, without the child being pushed.
+	SubtreesScreened uint64
 	// LeavesEvaluated counts complete return orders whose throughput was
 	// actually computed.
 	LeavesEvaluated uint64
@@ -441,10 +444,11 @@ func (s *Solver) Stats() Stats {
 	st.ViolationsByClass = s.violationsByClass.Snapshot()
 	ps := core.PairStatsSnapshot()
 	st.PairSearch = PairSearchStats{
-		OuterPruned:     ps.OuterPruned,
-		NodesExpanded:   ps.NodesExpanded,
-		SubtreesPruned:  ps.SubtreesPruned,
-		LeavesEvaluated: ps.LeavesEvaluated,
+		OuterPruned:      ps.OuterPruned,
+		NodesExpanded:    ps.NodesExpanded,
+		SubtreesPruned:   ps.SubtreesPruned,
+		SubtreesScreened: ps.SubtreesScreened,
+		LeavesEvaluated:  ps.LeavesEvaluated,
 	}
 	as := core.AffineStatsSnapshot()
 	st.AffineSearch = AffineSearchStats{

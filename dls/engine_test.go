@@ -178,6 +178,9 @@ func TestWithSearchParallelism(t *testing.T) {
 	if st.PairSearch.NodesExpanded == 0 || st.PairSearch.LeavesEvaluated == 0 {
 		t.Fatalf("pair search left no trace in Stats().PairSearch: %+v", st.PairSearch)
 	}
+	if st.PairSearch.SubtreesScreened > st.PairSearch.SubtreesPruned {
+		t.Fatalf("Stats().PairSearch counts more screened than pruned subtrees: %+v", st.PairSearch)
+	}
 	// WithSearchParallelism accepts any n: n <= 0 selects auto.
 	mustSolver(t, dls.WithSearchParallelism(0))
 	mustSolver(t, dls.WithSearchParallelism(-1))
@@ -340,8 +343,9 @@ func TestPairExhaustiveSearch(t *testing.T) {
 			}
 		}
 	}
-	if attrs["pruned"] != "0" || attrs["leaves"] != "576" {
-		t.Errorf("exact pair-exhaustive search annotated pruned=%q leaves=%q, want 0 and 576", attrs["pruned"], attrs["leaves"])
+	if attrs["pruned"] != "0" || attrs["screened"] != "0" || attrs["leaves"] != "576" {
+		t.Errorf("exact pair-exhaustive search annotated pruned=%q screened=%q leaves=%q, want 0, 0 and 576",
+			attrs["pruned"], attrs["screened"], attrs["leaves"])
 	}
 
 	big := dls.RandomSpeeds(rng, 7, dls.Heterogeneous).Platform(dls.DefaultApp(100))

@@ -85,6 +85,9 @@ type PairStats struct {
 	// whole subtrees of return orders discarded without evaluation
 	// (leaves pruned at full depth count too).
 	SubtreesPruned uint64
+	// SubtreesScreened counts the children of SubtreesPruned cut by the
+	// parent's one-pass child bounds, without ever being pushed.
+	SubtreesScreened uint64
 	// LeavesEvaluated counts complete return orders whose throughput was
 	// actually computed (certified bound or fallback evaluation).
 	LeavesEvaluated uint64
@@ -95,27 +98,29 @@ type PairStats struct {
 // which its traced span annotates, so concurrent searches never count each
 // other's nodes.
 type pairCounters struct {
-	outerPruned, nodes, pruned, leaves atomic.Uint64
+	outerPruned, nodes, pruned, screened, leaves atomic.Uint64
 }
 
 var pairTotals pairCounters
 
 func (c *pairCounters) snapshot() PairStats {
 	return PairStats{
-		OuterPruned:     c.outerPruned.Load(),
-		NodesExpanded:   c.nodes.Load(),
-		SubtreesPruned:  c.pruned.Load(),
-		LeavesEvaluated: c.leaves.Load(),
+		OuterPruned:      c.outerPruned.Load(),
+		NodesExpanded:    c.nodes.Load(),
+		SubtreesPruned:   c.pruned.Load(),
+		SubtreesScreened: c.screened.Load(),
+		LeavesEvaluated:  c.leaves.Load(),
 	}
 }
 
 // add flushes one worker's local counts into the global and the
 // per-search counters.
-func (c *pairCounters) add(outerPruned, nodes, pruned, leaves uint64) {
+func (c *pairCounters) add(outerPruned, nodes, pruned, screened, leaves uint64) {
 	for _, t := range [...]*pairCounters{&pairTotals, c} {
 		t.outerPruned.Add(outerPruned)
 		t.nodes.Add(nodes)
 		t.pruned.Add(pruned)
+		t.screened.Add(screened)
 		t.leaves.Add(leaves)
 	}
 }
@@ -549,6 +554,7 @@ func BestPairExhaustiveEval(ctx context.Context, p *platform.Platform, model sch
 			obs.Int("workers", searchParallelism(ctx)),
 			obs.Uint64("nodes", st.NodesExpanded),
 			obs.Uint64("pruned", st.SubtreesPruned),
+			obs.Uint64("screened", st.SubtreesScreened),
 			obs.Uint64("outer_pruned", st.OuterPruned),
 			obs.Uint64("leaves", st.LeavesEvaluated))
 	}
@@ -581,7 +587,7 @@ func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform,
 		if err != nil {
 			return err
 		}
-		bb := &pairBB{core: core, rp: rp, q: n, counts: counts}
+		bb := &pairBB{core: core, rp: rp, q: n, counts: counts, screen: make([]float64, n*n)}
 		defer bb.flush()
 		perm := make([]int, n)
 		pos := make([]int, n)
@@ -609,11 +615,14 @@ type pairBB struct {
 	send   platform.Order
 	q      int
 	counts *pairCounters
+	screen []float64 // ChildBounds output, q entries per depth
 
-	outerPruned, nodes, pruned, leaves uint64
+	outerPruned, nodes, pruned, screened, leaves uint64
 }
 
-func (b *pairBB) flush() { b.counts.add(b.outerPruned, b.nodes, b.pruned, b.leaves) }
+func (b *pairBB) flush() {
+	b.counts.add(b.outerPruned, b.nodes, b.pruned, b.screened, b.leaves)
+}
 
 // searchSend explores the return-order tree of one send order: root bound,
 // then the pruned prefix recursion. A send order whose root relaxation —
@@ -639,19 +648,31 @@ func (b *pairBB) searchSend(send platform.Order) error {
 	return b.searchNode(bound)
 }
 
-// searchNode expands one node: every still-open worker is committed in
-// turn to the deepest open return position, bounded, and either pruned
-// (the whole subtree of return orders sharing that prefix is discarded),
-// recursed into, or — at full depth — evaluated and offered to the
-// incumbent. bound is the tightest certified bound along the path; a node
-// whose own bound fails to compute inherits it (admissible by the bound's
-// monotonicity in prefix length).
+// searchNode expands one node. First every open child is bounded at once
+// from the node's maintained inverse (ReturnPrefix.ChildBounds), and a
+// child that bound already cuts is pruned without being pushed. Each
+// survivor is committed to the deepest open return position, bounded
+// again on its own matrix, and either pruned (the whole subtree of return
+// orders sharing that prefix is discarded), recursed into, or — at full
+// depth — evaluated and offered to the incumbent. Both bounds are
+// admissible and the prune rule keeps pruneSlack, so which one cuts a
+// child never changes the winner. bound is the tightest certified bound
+// along the path; a node whose own bound fails to compute inherits it
+// (admissible by the bound's monotonicity in prefix length).
 func (b *pairBB) searchNode(bound float64) error {
 	if err := b.core.poll(); err != nil {
 		return err
 	}
+	depth := b.rp.Depth()
+	screen := b.screen[depth*b.q : (depth+1)*b.q]
+	b.rp.ChildBounds(screen)
 	for pos := 0; pos < b.q; pos++ {
 		if !b.rp.Open(pos) {
+			continue
+		}
+		if b.core.prunable(min(bound, screen[pos])) {
+			b.pruned++
+			b.screened++
 			continue
 		}
 		b.rp.Push(pos)

@@ -269,7 +269,7 @@ func TestTracedSearchCountsArePerSearch(t *testing.T) {
 	}{
 		{"pair", [2]func(ctx context.Context) error{
 			pairSearch(randomPairPlatform(rng, 5)), pairSearch(randomPairPlatform(rng, 5)),
-		}, []string{"nodes", "pruned", "outer_pruned", "leaves"}},
+		}, []string{"nodes", "pruned", "screened", "outer_pruned", "leaves"}},
 		{"affine", [2]func(ctx context.Context) error{
 			affineSearch(randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)),
 			affineSearch(randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)),

@@ -74,13 +74,14 @@ type ReturnPrefix struct {
 	// update to M itself is LAZY: a Push computes the rank-one factors
 	// (y = M·c, δ) and updates only the O(q) candidate vectors; M absorbs
 	// the factors (materialize) only when the child is expanded further.
-	// A child that is pushed, bounded and popped — the overwhelming
-	// majority of branch-and-bound nodes — therefore costs one M·c
-	// product, not three full O(q²) matrix passes.
+	// The pair search bounds most children without pushing them at all
+	// (ChildBounds reads them off the parent's M), so the lazy update now
+	// pays off on the pushed children the search then prunes or scores as
+	// leaves, and on push-bound-pop walks that skip the screen.
 	m             []float64
 	malpha, mlam  []float64
 	my, mrow      []float64 // rank-one update scratch
-	mcIdx         []int     // support of the column change (the open rows ≠ pos)
+	mcIdx         []int     // support of the column change (the open rows ≠ pos); ChildBounds' open list
 	mcD           float64   // its uniform value: +d on Push, −d on Pop
 	mValid        bool
 	incremental   bool
@@ -809,6 +810,91 @@ func (rp *ReturnPrefix) dualDescentBound(dualOK bool) (bound float64, exact, ok 
 		return 0, false, false
 	}
 	return bound / (1 - tol), false, true
+}
+
+// ChildBounds bounds every open child of the current node in one pass over
+// the maintained inverse, without pushing any of them. Committing send
+// position j changes column j by c = d_j·1_{O∖{j}} (O the open positions),
+// so the child's Sherman–Morrison factors read straight off M:
+//
+//	y = M·c = d_j·(M·1_O − M[:,j]),   δ = 1 + y_j,
+//	λ' = λ̃ − (Σy/δ)·M[j,:],
+//
+// with the open-column row sums M·1_O and the column sums Σ_i M[i,j]
+// formed once per node: O(q·|O|) for all children together. Where λ'
+// passes Bound's dual check (finite, no entry below −CertTol), out[j] is
+// Σλ'₊/(1−CertTol) — weak duality with a zero port multiplier, admissible
+// under both port models. Every other out entry (closed positions,
+// children whose λ' fails the check) is +Inf.
+//
+// ChildBounds materialises a pending level and refactorises an invalid
+// state first (as after Reset). It reports false, with every entry +Inf,
+// where there is no maintained inverse to read: under ExactRational,
+// with SetIncremental(false), or when the node matrix is singular.
+func (rp *ReturnPrefix) ChildBounds(out []float64) bool {
+	q := rp.q
+	out = out[:q]
+	for j := range out {
+		out[j] = math.Inf(1)
+	}
+	if rp.mode == ExactRational || !rp.incremental {
+		return false
+	}
+	if !rp.mValid && !rp.refactor() {
+		return false
+	}
+	if rp.mPending >= 0 {
+		rp.materialize()
+	}
+	// rs = M·1_O over the open columns; col[j] = Σ_i M[i,j] for open j.
+	open := rp.mcIdx[:0]
+	for j, o := range rp.open {
+		if o {
+			open = append(open, j)
+		}
+	}
+	rs, col := rp.my, rp.mrow
+	for _, j := range open {
+		col[j] = 0
+	}
+	for i := 0; i < q; i++ {
+		mi := rp.m[i*q : (i+1)*q]
+		s := 0.0
+		for _, j := range open {
+			s += mi[j]
+			col[j] += mi[j]
+		}
+		rs[i] = s
+	}
+	total := 0.0
+	for _, j := range open {
+		total += col[j]
+	}
+	tol := numeric.CertTol
+	for _, j := range open {
+		d := rp.p.Workers[rp.send[j]].D
+		mj := rp.m[j*q : (j+1)*q]
+		den := 1 + d*(rs[j]-mj[j])
+		if math.IsNaN(den) || math.Abs(den) < 1e-12 {
+			continue
+		}
+		g := d * (total - col[j]) / den
+		lamSum := 0.0
+		for k, l := range rp.mlam {
+			l -= g * mj[k]
+			// NaN fails the comparison too; a +Inf entry leaves out[j]
+			// at +Inf, the same as failing.
+			if !(l >= -tol) {
+				lamSum = math.Inf(1)
+				break
+			}
+			if l > 0 {
+				lamSum += l
+			}
+		}
+		out[j] = lamSum / (1 - tol)
+	}
+	return true
 }
 
 // ReturnOrder materialises the committed return order (worker indices,

@@ -125,6 +125,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Counter("dlsd_pair_search_outer_pruned_total", "Send orders whose whole return-order tree was pruned at the root.", st.PairSearch.OuterPruned)
 	m.Counter("dlsd_pair_search_nodes_expanded_total", "Pair branch-and-bound nodes expanded.", st.PairSearch.NodesExpanded)
 	m.Counter("dlsd_pair_search_subtrees_pruned_total", "Return-order subtrees cut by the prefix bound.", st.PairSearch.SubtreesPruned)
+	m.Counter("dlsd_pair_search_screened_total", "Return-order subtrees cut from the parent's one-pass child bounds, without a push (a subset of the pruned).", st.PairSearch.SubtreesScreened)
 	m.Counter("dlsd_pair_search_leaves_evaluated_total", "Complete return orders evaluated by the pair search.", st.PairSearch.LeavesEvaluated)
 	m.Counter("dlsd_affine_search_nodes_expanded_total", "Affine subset-lattice branch-and-bound nodes expanded.", st.AffineSearch.NodesExpanded)
 	m.Counter("dlsd_affine_search_subtrees_pruned_total", "Affine subset half-lattices cut against the incumbent.", st.AffineSearch.SubtreesPruned)

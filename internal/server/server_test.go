@@ -319,6 +319,7 @@ func TestServeMetricsAndStrategies(t *testing.T) {
 		"dlsd_cache_hits_total",
 		"dlsd_pair_search_nodes_expanded_total",
 		"dlsd_pair_search_subtrees_pruned_total",
+		"dlsd_pair_search_screened_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %s", want)
