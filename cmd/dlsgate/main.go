@@ -7,12 +7,13 @@
 //	dlsgate batching    # search_on.json / search_off.json >= 2, with chain.json, into BENCH_pr5.json
 //	dlsgate tracing     # trace_on.json / trace_off.json >= 0.95, into BENCH_pr10.json
 //
-// The pair-search gate reads the go test -json stream of the parallel
-// pair-search benchmarks (BENCH_pr7.json) and takes each sub-benchmark's
-// fastest ns/op:
+// The benchmark gates read a go test -json stream of benchmarks and take
+// each sub-benchmark's fastest ns/op:
 //
-//	dlsgate pairsearch  # BestPairExhaustive6: one ρ across its subs, and par1/par4 >= 2
-//	                    # on >= 4 CPUs; ReturnPrefixNode refactor/update >= 1.5
+//	dlsgate pairsearch  # BENCH_pr7.json: BestPairExhaustive6 has one ρ across its subs, and
+//	                    # par1/par4 >= 2 on >= 4 CPUs; ReturnPrefixNode refactor/update >= 1.5
+//	dlsgate affine      # BENCH_pr9.json: BestFIFOAffine12 has one ρ across flat and bb,
+//	                    # flat/bb >= 5 and > 50% pruned; BestFIFOAffine16 ran
 //
 // It exits 0 when the gate holds, 1 when it fails and 2 on a usage error
 // or an unreadable report.
@@ -23,11 +24,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -64,18 +66,15 @@ func main() {
 // run checks the gate args names against the reports in dir.
 func run(args []string, dir string, stdout, stderr io.Writer) int {
 	if len(args) == 1 {
-		if args[0] == "pairsearch" {
-			return pairSearchGate(dir, stdout, stderr)
+		if gate, ok := benchGates[args[0]]; ok {
+			return gate(dir, stdout, stderr)
 		}
 		if g, ok := gates[args[0]]; ok {
 			return g.check(dir, stdout, stderr)
 		}
 	}
-	names := []string{"pairsearch"}
-	for name := range gates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := append(slices.Collect(maps.Keys(benchGates)), slices.Collect(maps.Keys(gates))...)
+	slices.Sort(names)
 	fmt.Fprintf(stderr, "usage: dlsgate %s\n", strings.Join(names, "|"))
 	return 2
 }
@@ -122,13 +121,115 @@ func (g gate) check(dir string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// benchGates check go test -json benchmark streams.
+var benchGates = map[string]func(dir string, stdout, stderr io.Writer) int{
+	"pairsearch": pairSearchGate,
+	"affine":     affineGate,
+}
+
 // numCPU is the runner's CPU count; the speedup gate holds only from 4.
 var numCPU = runtime.NumCPU
 
+// benchMetric matches one tab-separated "value unit" field of a benchmark
+// result line, such as "12345 ns/op" or "0.031 rho"; procSuffix is the
+// "-GOMAXPROCS" suffix go test appends to a benchmark's name.
 var (
-	nsPerOp = regexp.MustCompile(`([\d.]+) ns/op`)
-	rhoRe   = regexp.MustCompile(`([\d.]+) rho`)
+	benchMetric = regexp.MustCompile(`^\s*([-+\d.eE]+) (\S+)\s*$`)
+	procSuffix  = regexp.MustCompile(`-\d+$`)
 )
+
+// benchRuns maps each benchmark in a go test -json stream to its samples
+// per unit.
+type benchRuns map[string]map[string][]float64
+
+// readBenchRuns reads the artifact in dir; on failure it reports why and
+// returns nil. Result lines are reassembled from the output events and
+// named by their own first field: go test -json splits a result line
+// over events and, under -count, tags only the first run's events with
+// the benchmark, so the events' Test field cannot be relied on.
+func readBenchRuns(dir, artifact string, stderr io.Writer) benchRuns {
+	f, err := os.Open(filepath.Join(dir, artifact))
+	if err != nil {
+		fmt.Fprintf(stderr, "dlsgate: %v\n", err)
+		return nil
+	}
+	defer f.Close()
+	r := benchRuns{}
+	var pending string
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		var ev struct{ Action, Output string }
+		if json.Unmarshal(sc.Bytes(), &ev) != nil || ev.Action != "output" {
+			continue
+		}
+		pending += ev.Output
+		for i := strings.IndexByte(pending, '\n'); i >= 0; i = strings.IndexByte(pending, '\n') {
+			r.addLine(pending[:i])
+			pending = pending[i+1:]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		fmt.Fprintf(stderr, "dlsgate: %s: %v\n", artifact, err)
+		return nil
+	}
+	return r
+}
+
+// addLine records the samples of one benchmark result line; other lines
+// are ignored.
+func (r benchRuns) addLine(line string) {
+	fields := strings.Split(line, "\t")
+	name := procSuffix.ReplaceAllString(strings.TrimSpace(fields[0]), "")
+	if !strings.HasPrefix(name, "Benchmark") {
+		return
+	}
+	for _, field := range fields[1:] {
+		m := benchMetric.FindStringSubmatch(field)
+		if m == nil {
+			continue
+		}
+		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
+			if r[name] == nil {
+				r[name] = map[string][]float64{}
+			}
+			r[name][m[2]] = append(r[name][m[2]], v)
+		}
+	}
+}
+
+// stat reduces each named benchmark's samples of unit with reduce. It
+// reports false, naming the benchmark, when one has no samples.
+func (r benchRuns) stat(stderr io.Writer, unit string, reduce func([]float64) float64, names ...string) ([]float64, bool) {
+	out := make([]float64, len(names))
+	for i, name := range names {
+		v := r[name][unit]
+		if len(v) == 0 {
+			fmt.Fprintf(stderr, "dlsgate: no %s samples found for %s\n", unit, name)
+			return nil, false
+		}
+		out[i] = reduce(v)
+	}
+	return out, true
+}
+
+// distinct returns the distinct samples of unit across the benchmarks
+// whose names start with prefix.
+func (r benchRuns) distinct(prefix, unit string) []float64 {
+	var out []float64
+	for name, units := range r {
+		if strings.HasPrefix(name, prefix) {
+			out = append(out, units[unit]...)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+func median(v []float64) float64 {
+	s := slices.Sorted(slices.Values(v))
+	return s[len(s)/2]
+}
 
 // pairSearchGate checks the parallel pair-search gates on BENCH_pr7.json:
 //  1. serial/parallel divergence — every BestPairExhaustive6 sub reports
@@ -137,67 +238,25 @@ var (
 //  2. the p = 6 pair search is at least 2× faster at 4 workers than
 //     serially, asserted only with 4 or more CPUs, where a wall-clock
 //     speedup means something;
-//  3. the incremental bound path (ReturnPrefixNode/update) has at least
-//     1.5× the node throughput of per-node refactorisation at q = 7
-//     (single-threaded, so on any runner).
+//  3. the incremental bound path has at least 1.5× the node throughput of
+//     per-node refactorisation at q = 7: the median of the
+//     ReturnPrefixNode/interleaved refactor/update samples, each itself a
+//     median over walks that alternate the two paths, so host load
+//     falls on both sides alike.
 func pairSearchGate(dir string, stdout, stderr io.Writer) int {
-	const artifact = "BENCH_pr7.json"
-	f, err := os.Open(filepath.Join(dir, artifact))
-	if err != nil {
-		fmt.Fprintf(stderr, "dlsgate: %v\n", err)
+	r := readBenchRuns(dir, "BENCH_pr7.json", stderr)
+	if r == nil {
 		return 2
 	}
-	defer f.Close()
-	ns := map[string]float64{} // sub-benchmark name -> fastest ns/op
-	rho := map[string]bool{}   // distinct rho metrics across the p = 6 subs
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		var ev struct{ Test, Output string }
-		if json.Unmarshal(sc.Bytes(), &ev) != nil {
-			continue
-		}
-		if m := nsPerOp.FindStringSubmatch(ev.Output); m != nil {
-			if v, err := strconv.ParseFloat(m[1], 64); err == nil {
-				if old, ok := ns[ev.Test]; !ok || v < old {
-					ns[ev.Test] = v
-				}
-			}
-		}
-		if strings.HasPrefix(ev.Test, "BenchmarkBestPairExhaustive6") {
-			if m := rhoRe.FindStringSubmatch(ev.Output); m != nil {
-				rho[m[1]] = true
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(stderr, "dlsgate: %s: %v\n", artifact, err)
-		return 2
-	}
-	need := func(names ...string) bool {
-		for _, name := range names {
-			if _, ok := ns[name]; !ok {
-				fmt.Fprintf(stderr, "dlsgate: no ns/op samples found for %s\n", name)
-				return false
-			}
-		}
-		return true
-	}
-	const par1, par4 = "BenchmarkBestPairExhaustive6/par1", "BenchmarkBestPairExhaustive6/par4"
-	const update, refactor = "BenchmarkReturnPrefixNode/update", "BenchmarkReturnPrefixNode/refactor"
-	if len(rho) > 1 {
-		values := make([]string, 0, len(rho))
-		for v := range rho {
-			values = append(values, v)
-		}
-		sort.Strings(values)
-		fmt.Fprintf(stderr, "dlsgate: parallel pair search diverged from serial: rho values %v\n", values)
+	if rho := r.distinct("BenchmarkBestPairExhaustive6", "rho"); len(rho) > 1 {
+		fmt.Fprintf(stderr, "dlsgate: parallel pair search diverged from serial: rho values %v\n", rho)
 		return 1
 	}
-	if !need(par1, par4) {
+	ns, ok := r.stat(stderr, "ns/op", slices.Min, "BenchmarkBestPairExhaustive6/par1", "BenchmarkBestPairExhaustive6/par4")
+	if !ok {
 		return 2
 	}
-	speedup := ns[par1] / ns[par4]
+	speedup := ns[0] / ns[1]
 	cores := numCPU()
 	fmt.Fprintf(stdout, "BestPairExhaustive6: par1/par4 speedup %.2fx on %d CPUs\n", speedup, cores)
 	if cores >= 4 && speedup < 2 {
@@ -207,14 +266,60 @@ func pairSearchGate(dir string, stdout, stderr io.Writer) int {
 	if cores < 4 {
 		fmt.Fprintln(stdout, "fewer than 4 CPUs: speedup gate skipped (divergence gate still enforced)")
 	}
-	if !need(update, refactor) {
+	ratio, ok := r.stat(stderr, "refactor/update", median, "BenchmarkReturnPrefixNode/interleaved")
+	if !ok {
 		return 2
 	}
-	ratio := ns[refactor] / ns[update]
-	fmt.Fprintf(stdout, "ReturnPrefixNode: update path %.2fx refactor-per-node throughput\n", ratio)
-	if ratio < 1.5 {
+	fmt.Fprintf(stdout, "ReturnPrefixNode: update path %.2fx refactor-per-node throughput\n", ratio[0])
+	if ratio[0] < 1.5 {
 		fmt.Fprintln(stderr, "dlsgate: incremental bound path fell below 1.5x node throughput at q=7")
 		return 1
 	}
+	return 0
+}
+
+// affineGate checks the affine subset-search gates on BENCH_pr9.json:
+//  1. the flat 2^12 loop and the branch-and-bound find the same winner
+//     (all BestFIFOAffine12 subs report one rho metric);
+//  2. the branch-and-bound is at least 5× faster than the flat loop;
+//  3. it prunes more than 50% of the subset lattice (the largest
+//     pruned-frac sample);
+//  4. the p = 16 search ran (CI runs it under a 120 s timeout).
+//
+// It also prints the sweep port-vertex fast path's speedup over the
+// descent, for information only.
+func affineGate(dir string, stdout, stderr io.Writer) int {
+	r := readBenchRuns(dir, "BENCH_pr9.json", stderr)
+	if r == nil {
+		return 2
+	}
+	const flat, bb = "BenchmarkBestFIFOAffine12/flat", "BenchmarkBestFIFOAffine12/bb"
+	if rho := r.distinct("BenchmarkBestFIFOAffine12", "rho"); len(rho) != 1 {
+		fmt.Fprintf(stderr, "dlsgate: affine flat and bb disagreed on the winner: rho values %v\n", rho)
+		return 1
+	}
+	ns, ok := r.stat(stderr, "ns/op", slices.Min, flat, bb)
+	if !ok {
+		return 2
+	}
+	frac, ok := r.stat(stderr, "pruned-frac", slices.Max, bb)
+	if !ok {
+		return 2
+	}
+	fmt.Fprintf(stdout, "BestFIFOAffine12: bb %.2fx flat, cut fraction %.3f\n", ns[0]/ns[1], frac[0])
+	if ns[0]/ns[1] < 5 {
+		fmt.Fprintln(stderr, "dlsgate: affine branch-and-bound fell below 5x the flat loop at p = 12")
+		return 1
+	}
+	if frac[0] <= 0.5 {
+		fmt.Fprintln(stderr, "dlsgate: affine subset cut fraction fell to <= 50% on the reference platform")
+		return 1
+	}
+	ns, ok = r.stat(stderr, "ns/op", slices.Min, "BenchmarkBestFIFOAffine16",
+		"BenchmarkSweepPortVertex/fastpath", "BenchmarkSweepPortVertex/descent")
+	if !ok {
+		return 2
+	}
+	fmt.Fprintf(stdout, "SweepPortVertex: fastpath %.2fx descent (informational)\n", ns[2]/ns[1])
 	return 0
 }

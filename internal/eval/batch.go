@@ -10,11 +10,9 @@ import (
 	"repro/internal/schedule"
 )
 
-// batchWidth is the lane count of one lockstep chunk. Eight float64 lanes
-// fill two AVX2 registers (or one AVX-512 register); the position-step
-// loops live in internal/eval/kern, which dispatches between a pure-Go
-// reference, a hand-unrolled variant, and AVX2 assembly — all bitwise
-// identical.
+// batchWidth is the lane count of one lockstep chunk. The position-step
+// loops live in internal/eval/kern, one pure-Go implementation that
+// rounds at the same points as Session's scalar FIFO chain.
 const batchWidth = kern.Width
 
 // Batch evaluates many same-size FIFO or LIFO scenarios in lockstep. The

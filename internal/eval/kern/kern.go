@@ -2,79 +2,20 @@
 // eval.Batch: the FIFO/LIFO load chains, the FIFO dual chain, and the
 // certificate scans, each over one lockstep chunk of Width lanes.
 //
-// Three variants exist and are required to be bitwise identical:
-//
-//   - "purego"   — the straight-line reference loops (always present; the
-//     only variant when building with the purego tag);
-//   - "unrolled" — hand-unrolled 8-lane pure-Go bodies that keep the lane
-//     accumulators in locals;
-//   - "avx2"     — Plan9 amd64 assembly over two YMM registers per row
-//     (only on amd64 without the purego tag, when the CPU supports AVX2
-//     and GODEBUG does not carry cpu.avx2=off).
-//
-// Identity holds because every variant performs the same IEEE-754 double
-// operations in the same order: the assembly uses only VMULPD/VADDPD/
-// VSUBPD (lane-wise identical to scalar MULSD/ADDSD/SUBSD) and never a
-// fused multiply-add, and the Go bodies keep each product and sum in a
-// separate statement so the compiler cannot contract them either. The
-// conformance suite in the eval package pins all available variants
-// bitwise equal on rho, loads and certificates.
-//
-// Dispatch is decided once at init; SetVariant overrides it (tests,
-// diagnostics). All kernels assume slices hold q*Width elements laid out
-// position-major (row pos*Width+lane) except the Width-sized per-lane
-// prefix buffers.
+// The loops round every product before it is added, as Session's scalar
+// FIFO chain does, so dls's chain prepass answers a request bitwise as
+// its solo Solve would (dls.FuzzPrepassMatchesSolve pins this). All
+// kernels assume slices hold q*Width elements laid out position-major (row
+// pos*Width+lane) except the Width-sized per-lane prefix buffers.
 package kern
 
-import "sync/atomic"
-
-// Width is the lane count of one lockstep chunk. Eight float64 lanes fill
-// two AVX2 registers; eval.Batch's batchWidth must equal it.
+// Width is the lane count of one lockstep chunk; eval.Batch's batchWidth
+// must equal it.
 const Width = 8
 
-// impl is one complete kernel variant.
-type impl struct {
-	name      string
-	fifoChain func(q int, p, c, d, wd, invCW, sp, sc, sd []float64)
-	fifoDual  func(q int, c, dc, invWD, u, v, pu, pv []float64)
-	fifoOK    func(q int, u, v, t []float64, tol float64) uint8
-	lifoChain func(q int, p, w, invCWD, sp []float64)
-	lifoDual  func(q int, g, invCWD, pu []float64, tol float64) uint8
-}
-
-var active atomic.Pointer[impl]
-
-func init() {
-	active.Store(pick())
-}
-
-// Variant reports the name of the kernel variant currently dispatched.
-func Variant() string { return active.Load().name }
-
-// Variants lists every variant available in this build on this CPU, the
-// default dispatch choice first.
-func Variants() []string {
-	out := []string{pick().name}
-	for _, im := range available() {
-		if im.name != out[0] {
-			out = append(out, im.name)
-		}
-	}
-	return out
-}
-
-// SetVariant forces dispatch to the named variant. It reports false if the
-// variant is not available in this build on this CPU. Intended for tests
-// and diagnostics; safe for concurrent use with running kernels.
-func SetVariant(name string) bool {
-	for _, im := range available() {
-		if im.name == name {
-			active.Store(im)
-			return true
-		}
-	}
-	return false
-}
+// Variant names the kernel implementation. There is one, the pure-Go
+// loops in ref.go; the name stays for reports that record it.
+func Variant() string { return "purego" }
 
 // FIFOChain runs the FIFO load chain over all Width lanes: row 0 holds
 // P=1 with prefix sums seeded from that row's c and d, and each later row
@@ -83,7 +24,7 @@ func SetVariant(name string) bool {
 func FIFOChain(q int, p, c, d, wd, invCW, sp, sc, sd []float64) {
 	checkRows(q, p, c, d, wd, invCW)
 	checkLanes(sp, sc, sd)
-	active.Load().fifoChain(q, p, c, d, wd, invCW, sp, sc, sd)
+	refFIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
 }
 
 // FIFODual runs the forward FIFO dual chain: u and v receive the
@@ -91,7 +32,7 @@ func FIFOChain(q int, p, c, d, wd, invCW, sp, sc, sd []float64) {
 func FIFODual(q int, c, dc, invWD, u, v, pu, pv []float64) {
 	checkRows(q, c, dc, invWD, u, v)
 	checkLanes(pu, pv)
-	active.Load().fifoDual(q, c, dc, invWD, u, v, pu, pv)
+	refFIFODual(q, c, dc, invWD, u, v, pu, pv)
 }
 
 // FIFOLambdaOK scans the closed dual λ = u + t·v over every row and
@@ -100,7 +41,7 @@ func FIFODual(q int, c, dc, invWD, u, v, pu, pv []float64) {
 func FIFOLambdaOK(q int, u, v, t []float64, tol float64) uint8 {
 	checkRows(q, u, v)
 	checkLanes(t)
-	return active.Load().fifoOK(q, u, v, t, tol)
+	return refFIFOLambdaOK(q, u, v, t, tol)
 }
 
 // LIFOChain runs the lower-triangular LIFO load chain; loads land in p
@@ -108,7 +49,7 @@ func FIFOLambdaOK(q int, u, v, t []float64, tol float64) uint8 {
 func LIFOChain(q int, p, w, invCWD, sp []float64) {
 	checkRows(q, p, w, invCWD)
 	checkLanes(sp)
-	active.Load().lifoChain(q, p, w, invCWD, sp)
+	refLIFOChain(q, p, w, invCWD, sp)
 }
 
 // LIFODualOK runs the backward LIFO dual chain, accumulating the suffix
@@ -117,7 +58,7 @@ func LIFOChain(q int, p, w, invCWD, sp []float64) {
 func LIFODualOK(q int, g, invCWD, pu []float64, tol float64) uint8 {
 	checkRows(q, g, invCWD)
 	checkLanes(pu)
-	return active.Load().lifoDual(q, g, invCWD, pu, tol)
+	return refLIFODualOK(q, g, invCWD, pu, tol)
 }
 
 func checkRows(q int, bufs ...[]float64) {

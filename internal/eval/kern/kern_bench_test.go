@@ -2,13 +2,12 @@ package kern
 
 import "testing"
 
-// BenchmarkChains times one lockstep chunk's worth of every dispatched
-// kernel — the FIFO load chain, the FIFO dual chain and its certificate
-// scan, the LIFO chain and its dual scan — per variant at q = 16. Unlike
-// eval's BenchmarkBatchChainEval, which runs whole batch evaluations and
-// so dilutes the kernels with per-scenario bookkeeping, this measures
-// only the loops the dispatch actually switches; the CI AVX2 gate
-// (avx2 >= 1.3x purego) reads this benchmark.
+// BenchmarkChains times one lockstep chunk's worth of every kernel — the
+// FIFO load chain, the FIFO dual chain and its certificate scan, the LIFO
+// chain and its dual scan — at q = 16. Unlike eval's
+// BenchmarkBatchChainEval, which runs whole batch evaluations and so
+// dilutes the kernels with per-scenario bookkeeping, this measures only
+// the loops.
 func BenchmarkChains(b *testing.B) {
 	const q = 16
 	r := lcg(4242)
@@ -19,23 +18,11 @@ func BenchmarkChains(b *testing.B) {
 	fillColumns(&r, q, c, d, wd, invCW, dc, invWD, w, invCWD, g)
 	fillColumns(&r, 1, tt)
 	sp, sc, sd, pu, pv := buf(1), buf(1), buf(1), buf(1), buf(1)
-	def := Variant()
-	defer SetVariant(def)
-	for _, name := range Variants() {
-		b.Run(name, func(b *testing.B) {
-			if !SetVariant(name) {
-				b.Fatalf("SetVariant(%q) refused a listed variant", name)
-			}
-			for i := 0; i < b.N; i++ {
-				FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
-				FIFODual(q, c, dc, invWD, u, v, pu, pv)
-				FIFOLambdaOK(q, u, v, tt, 1e-10)
-				LIFOChain(q, p, w, invCWD, sp)
-				for l := 0; l < Width; l++ {
-					pu[l] = 0
-				}
-				LIFODualOK(q, g, invCWD, pu, 1e-10)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
+		FIFODual(q, c, dc, invWD, u, v, pu, pv)
+		FIFOLambdaOK(q, u, v, tt, 1e-10)
+		LIFOChain(q, p, w, invCWD, sp)
+		LIFODualOK(q, g, invCWD, pu, 1e-10)
 	}
 }

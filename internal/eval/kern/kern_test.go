@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -29,53 +30,96 @@ func fillColumns(r *lcg, q int, cols ...[]float64) {
 
 func buf(q int) []float64 { return make([]float64, q*Width) }
 
-// forEachVariant runs fn once per available variant, restoring the default
-// dispatch afterwards.
-func forEachVariant(t *testing.T, fn func(t *testing.T, name string)) {
+// The lane* functions are the expected values: each runs one lane's
+// recurrence as a scalar loop over the position-major columns, rounding
+// every product before it is added, as the solo chain in eval does.
+
+func laneFIFOChain(q, l int, c, d, wd, invCW []float64) (p []float64, sp, sc, sd float64) {
+	p = make([]float64, q)
+	p[0], sp, sc, sd = 1, 1, c[l], d[l]
+	for k := 1; k < q; k++ {
+		at := k*Width + l
+		pk := p[k-1] * wd[at-Width]
+		pk = float64(pk * invCW[at])
+		p[k] = pk
+		sp += pk
+		sc += float64(pk * c[at])
+		sd += float64(pk * d[at])
+	}
+	return p, sp, sc, sd
+}
+
+func laneFIFODual(q, l int, c, dc, invWD []float64) (u, v []float64, pu, pv float64) {
+	u, v = make([]float64, q), make([]float64, q)
+	for k := 0; k < q; k++ {
+		at := k*Width + l
+		u[k] = float64((1 - float64(dc[at]*pu)) * invWD[at])
+		v[k] = float64((-c[at] - float64(dc[at]*pv)) * invWD[at])
+		pu += u[k]
+		pv += v[k]
+	}
+	return u, v, pu, pv
+}
+
+func laneFIFOLambdaOK(q, l int, u, v, t []float64, tol float64) bool {
+	for k := 0; k < q; k++ {
+		if !(u[k*Width+l]+float64(t[l]*v[k*Width+l]) >= -tol) {
+			return false
+		}
+	}
+	return true
+}
+
+func laneLIFOChain(q, l int, w, invCWD []float64) (p []float64, sp float64) {
+	p = make([]float64, q)
+	p[0] = invCWD[l]
+	sp = p[0]
+	for k := 1; k < q; k++ {
+		p[k] = float64(p[k-1]*w[(k-1)*Width+l]) * invCWD[k*Width+l]
+		sp += p[k]
+	}
+	return p, sp
+}
+
+func laneLIFODualOK(q, l int, g, invCWD []float64, tol float64) (pu float64, ok bool) {
+	ok = true
+	for k := q - 1; k >= 0; k-- {
+		at := k*Width + l
+		lam := float64((1 - float64(g[at]*pu)) * invCWD[at])
+		pu += lam
+		if !(lam >= -tol) {
+			ok = false
+		}
+	}
+	return pu, ok
+}
+
+func bitsEq(t *testing.T, what string, got, want float64) {
 	t.Helper()
-	def := Variant()
-	defer SetVariant(def)
-	for _, name := range Variants() {
-		if !SetVariant(name) {
-			t.Fatalf("SetVariant(%q) refused a listed variant", name)
-		}
-		fn(t, name)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = %x (%v), want %x (%v)", what,
+			math.Float64bits(got), got, math.Float64bits(want), want)
 	}
 }
 
-func bitsEq(t *testing.T, variant, what string, got, want []float64) {
+// column reads lane l of a position-major buffer.
+func column(b []float64, q, l int) []float64 {
+	out := make([]float64, q)
+	for k := range out {
+		out[k] = b[k*Width+l]
+	}
+	return out
+}
+
+func colEq(t *testing.T, what string, got, want []float64) {
 	t.Helper()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: %s[%d] = %x (%v), reference has %x (%v)",
-				variant, what, i, math.Float64bits(got[i]), got[i],
-				math.Float64bits(want[i]), want[i])
-		}
+	for k := range want {
+		bitsEq(t, fmt.Sprintf("%s[%d]", what, k), got[k], want[k])
 	}
 }
 
-func TestVariantDispatch(t *testing.T) {
-	vs := Variants()
-	if len(vs) == 0 || vs[0] != Variant() {
-		t.Fatalf("default variant %q not first in %v", Variant(), vs)
-	}
-	if SetVariant("no-such-variant") {
-		t.Fatal("SetVariant accepted an unknown variant")
-	}
-	seen := map[string]bool{}
-	for _, v := range vs {
-		if seen[v] {
-			t.Fatalf("variant %q listed twice in %v", v, vs)
-		}
-		seen[v] = true
-	}
-	if !seen["purego"] {
-		t.Fatalf("reference variant missing from %v", vs)
-	}
-}
-
-// TestGoldenFIFOChain anchors the reference on a hand-computed vector and
-// then pins every variant to the reference bitwise on random columns.
+// TestGoldenFIFOChain checks the kernel on a hand-computed vector and
+// then lane by lane against the scalar recurrence on random columns.
 func TestGoldenFIFOChain(t *testing.T) {
 	// Hand-checked q=2 vector: uniform lanes with wd[row0]=0.6 and
 	// invCW[row1]=0.5 give P1 = (1*0.6)*0.5 and the sums follow by one
@@ -89,37 +133,34 @@ func TestGoldenFIFOChain(t *testing.T) {
 		wd[l], invCW[Width+l] = 0.6, 0.5
 		c[Width+l], d[Width+l] = 0.2, 0.1
 	}
-	forEachVariant(t, func(t *testing.T, name string) {
-		FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
-		for l := 0; l < Width; l++ {
-			pk := p[0] * wd[l]
-			pk = float64(pk * invCW[Width+l])
-			expSp := 1 + pk
-			expSc := c[l] + float64(pk*c[Width+l])
-			expSd := d[l] + float64(pk*d[Width+l])
-			if p[l] != 1 || p[Width+l] != pk {
-				t.Fatalf("%s: chain rows = %v, %v; want 1, %v", name, p[l], p[Width+l], pk)
-			}
-			if sp[l] != expSp || sc[l] != expSc || sd[l] != expSd {
-				t.Fatalf("%s: sums = %v %v %v; want %v %v %v", name, sp[l], sc[l], sd[l], expSp, expSc, expSd)
-			}
+	FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
+	for l := 0; l < Width; l++ {
+		pk := p[0] * wd[l]
+		pk = float64(pk * invCW[Width+l])
+		expSp := 1 + pk
+		expSc := c[l] + float64(pk*c[Width+l])
+		expSd := d[l] + float64(pk*d[Width+l])
+		if p[l] != 1 || p[Width+l] != pk {
+			t.Fatalf("chain rows = %v, %v; want 1, %v", p[l], p[Width+l], pk)
 		}
-	})
+		if sp[l] != expSp || sc[l] != expSc || sd[l] != expSd {
+			t.Fatalf("sums = %v %v %v; want %v %v %v", sp[l], sc[l], sd[l], expSp, expSc, expSd)
+		}
+	}
 
 	for _, q := range []int{1, 2, 3, 5, 9} {
 		r := lcg(uint64(q) * 977)
 		p, c, d, wd, invCW := buf(q), buf(q), buf(q), buf(q), buf(q)
 		fillColumns(&r, q, c, d, wd, invCW)
-		refP, refSp, refSc, refSd := buf(q), buf(1), buf(1), buf(1)
-		refFIFOChain(q, refP, c, d, wd, invCW, refSp, refSc, refSd)
 		sp, sc, sd := buf(1), buf(1), buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
-			bitsEq(t, name, "P", p, refP)
-			bitsEq(t, name, "sp", sp[:Width], refSp[:Width])
-			bitsEq(t, name, "sc", sc[:Width], refSc[:Width])
-			bitsEq(t, name, "sd", sd[:Width], refSd[:Width])
-		})
+		FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
+		for l := 0; l < Width; l++ {
+			wantP, wantSp, wantSc, wantSd := laneFIFOChain(q, l, c, d, wd, invCW)
+			colEq(t, "P", column(p, q, l), wantP)
+			bitsEq(t, "sp", sp[l], wantSp)
+			bitsEq(t, "sc", sc[l], wantSc)
+			bitsEq(t, "sd", sd[l], wantSd)
+		}
 	}
 }
 
@@ -128,43 +169,60 @@ func TestGoldenFIFODual(t *testing.T) {
 		r := lcg(uint64(q)*31 + 7)
 		c, dc, invWD := buf(q), buf(q), buf(q)
 		fillColumns(&r, q, c, dc, invWD)
-		refU, refV, refPu, refPv := buf(q), buf(q), buf(1), buf(1)
-		refFIFODual(q, c, dc, invWD, refU, refV, refPu, refPv)
 		u, v, pu, pv := buf(q), buf(q), buf(1), buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			FIFODual(q, c, dc, invWD, u, v, pu, pv)
-			bitsEq(t, name, "u", u, refU)
-			bitsEq(t, name, "v", v, refV)
-			bitsEq(t, name, "pu", pu[:Width], refPu[:Width])
-			bitsEq(t, name, "pv", pv[:Width], refPv[:Width])
-		})
+		FIFODual(q, c, dc, invWD, u, v, pu, pv)
+		for l := 0; l < Width; l++ {
+			wantU, wantV, wantPu, wantPv := laneFIFODual(q, l, c, dc, invWD)
+			colEq(t, "u", column(u, q, l), wantU)
+			colEq(t, "v", column(v, q, l), wantV)
+			bitsEq(t, "pu", pu[l], wantPu)
+			bitsEq(t, "pv", pv[l], wantPv)
+		}
 	}
 }
 
+// TestGoldenFIFOLambdaOK pins the comparison semantics lane by lane: λ
+// exactly at -tol passes, one ulp below fails, NaN fails (0·Inf included),
+// -Inf fails and +Inf passes, at whichever row they occur.
 func TestGoldenFIFOLambdaOK(t *testing.T) {
 	const tol = 1e-10
+	q := 2
+	u, v, tt := buf(q), buf(q), buf(1)
+	for i := range u {
+		u[i], v[i] = 1, 0
+	}
+	for l := range tt[:Width] {
+		tt[l] = 1
+	}
+	u[0] = -tol                           // lane 0: λ = -tol, passes
+	u[Width+1] = math.Nextafter(-tol, -1) // lane 1: one ulp below, fails
+	v[2] = math.NaN()                     // lane 2: NaN, fails
+	u[Width+3] = math.Inf(-1)             // lane 3: -Inf in row 1, fails
+	v[4] = math.Inf(1)                    // lane 4: +Inf, passes
+	v[Width+5] = math.Inf(-1)             // lane 5: t·v = -Inf, fails
+	v[6], tt[6] = math.Inf(1), 0          // lane 6: 0·Inf = NaN, fails
+	u[7], v[7], tt[7] = 0.5, -0.25, 2     // lane 7: λ = 0 exactly, passes
+	if got, want := FIFOLambdaOK(q, u, v, tt, tol), uint8(0b10010001); got != want {
+		t.Fatalf("edge-case mask %08b, want %08b", got, want)
+	}
+
 	for _, q := range []int{1, 3, 6, 9} {
 		r := lcg(uint64(q) * 1009)
 		u, v, tt := buf(q), buf(q), buf(1)
 		fillColumns(&r, q, u, v)
 		fillColumns(&r, 1, tt)
-		// Mix in negatives, exact-boundary values and NaN/Inf lanes so the
-		// comparison semantics (ordered, NaN fails) are pinned too.
 		for i := 0; i < q*Width; i += 3 {
 			u[i] = -u[i]
 		}
-		u[0] = -tol // boundary: passes >= -tol exactly
-		v[Width-1] = math.NaN()
-		if q > 1 {
-			u[Width+1] = math.Inf(-1)
-			v[Width+2] = math.Inf(1)
-		}
-		want := refFIFOLambdaOK(q, u, v, tt, tol)
-		forEachVariant(t, func(t *testing.T, name string) {
-			if got := FIFOLambdaOK(q, u, v, tt, tol); got != want {
-				t.Fatalf("%s: mask %08b, reference %08b", name, got, want)
+		var want uint8
+		for l := 0; l < Width; l++ {
+			if laneFIFOLambdaOK(q, l, u, v, tt, tol) {
+				want |= 1 << l
 			}
-		})
+		}
+		if got := FIFOLambdaOK(q, u, v, tt, tol); got != want {
+			t.Fatalf("q=%d: mask %08b, want %08b", q, got, want)
+		}
 	}
 }
 
@@ -173,69 +231,109 @@ func TestGoldenLIFOChain(t *testing.T) {
 		r := lcg(uint64(q)*577 + 3)
 		p, w, invCWD := buf(q), buf(q), buf(q)
 		fillColumns(&r, q, w, invCWD)
-		refP, refSp := buf(q), buf(1)
-		refLIFOChain(q, refP, w, invCWD, refSp)
 		sp := buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			LIFOChain(q, p, w, invCWD, sp)
-			bitsEq(t, name, "P", p, refP)
-			bitsEq(t, name, "sp", sp[:Width], refSp[:Width])
-		})
+		LIFOChain(q, p, w, invCWD, sp)
+		for l := 0; l < Width; l++ {
+			wantP, wantSp := laneLIFOChain(q, l, w, invCWD)
+			colEq(t, "P", column(p, q, l), wantP)
+			bitsEq(t, "sp", sp[l], wantSp)
+		}
 	}
 }
 
+// TestGoldenLIFODualOK pins the backward scan's verdicts lane by lane on
+// q = 2 (row 1 is scanned first, with an empty suffix sum), then checks
+// random columns against the scalar recurrence.
 func TestGoldenLIFODualOK(t *testing.T) {
 	const tol = 1e-10
+	q := 2
+	g, invCWD, pu := buf(q), buf(q), buf(1)
+	for i := range g {
+		g[i], invCWD[i] = 1, 1
+	}
+	// Row 1 gives λ = invCWD[row1] = 1 and suffix 1 in every lane unless
+	// noted; row 0 then gives λ = (1 - g·1)·invCWD[row0].
+	// lane 0: λ = 0, passes.
+	g[1], invCWD[1] = 2, tol                    // lane 1: λ = -tol exactly, passes
+	g[2], invCWD[2] = 2, math.Nextafter(tol, 1) // lane 2: just below -tol, fails
+	g[3] = math.NaN()                           // lane 3: NaN, fails
+	g[Width+4] = math.Inf(1)                    // lane 4: Inf·0 = NaN in row 1, fails
+	invCWD[Width+5] = math.Inf(1)               // lane 5: row 0 sees 1 - Inf, fails
+	g[6] = math.Inf(-1)                         // lane 6: λ = +Inf, passes
+	g[7] = 40                                   // lane 7: λ = -39, fails
+	if got, want := LIFODualOK(q, g, invCWD, pu, tol), uint8(0b01000011); got != want {
+		t.Fatalf("edge-case mask %08b, want %08b", got, want)
+	}
+	bitsEq(t, "pu[0]", pu[0], 1)
+	wantPu1 := 1.0
+	wantPu1 -= tol
+	bitsEq(t, "pu[1]", pu[1], wantPu1)
+
 	for _, q := range []int{1, 2, 4, 9} {
 		r := lcg(uint64(q)*13 + 29)
 		g, invCWD := buf(q), buf(q)
 		fillColumns(&r, q, g, invCWD)
-		// Large g values drive some λ negative; poison one lane with NaN.
+		// Large g values drive some λ negative.
 		for i := Width; i < q*Width; i += 5 {
 			g[i] *= 40
 		}
-		g[(q-1)*Width+3] = math.NaN()
-		refPu := buf(1)
-		want := refLIFODualOK(q, g, invCWD, refPu, tol)
 		pu := buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			got := LIFODualOK(q, g, invCWD, pu, tol)
-			if got != want {
-				t.Fatalf("%s: mask %08b, reference %08b", name, got, want)
+		got := LIFODualOK(q, g, invCWD, pu, tol)
+		var want uint8
+		for l := 0; l < Width; l++ {
+			wantPu, ok := laneLIFODualOK(q, l, g, invCWD, tol)
+			bitsEq(t, "pu", pu[l], wantPu)
+			if ok {
+				want |= 1 << l
 			}
-			bitsEq(t, name, "pu", pu[:Width], refPu[:Width])
-		})
+		}
+		if got != want {
+			t.Fatalf("q=%d: mask %08b, want %08b", q, got, want)
+		}
 	}
 }
 
-// TestGoldenExtremes pushes denormal and overflow magnitudes through the
-// chains: products that underflow to subnormals or overflow to +Inf must
-// round identically in every variant.
+// TestGoldenExtremes pushes the FIFO chain into gradual underflow and
+// overflow and checks the regimes are reached, not just matched.
 func TestGoldenExtremes(t *testing.T) {
 	q := 6
 	p, c, d, wd, invCW := buf(q), buf(q), buf(q), buf(q), buf(q)
 	r := lcg(99)
 	fillColumns(&r, q, c, d, wd, invCW)
+	for pos := 0; pos < q; pos++ {
+		at := pos * Width
+		c[at+2], d[at+2] = 0.5, 0.25
+		wd[at], invCW[at] = 1e-80, 1    // lane 0: P_k = 1e-80^k
+		wd[at+1], invCW[at+1] = 1, 1e80 // lane 1: P_k = 1e80^k
+		wd[at+2], invCW[at+2] = 0.5, 2  // lane 2: exact powers of two
+	}
+	sp, sc, sd := buf(1), buf(1), buf(1)
+	FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
 	for l := 0; l < Width; l++ {
-		for pos := 0; pos < q; pos++ {
-			switch l % 4 {
-			case 0: // drive P toward underflow
-				wd[pos*Width+l] = 1e-80
-			case 1: // drive P toward overflow
-				invCW[pos*Width+l] = 1e80
-			case 2: // exact powers of two keep products exact
-				wd[pos*Width+l], invCW[pos*Width+l] = 0.5, 2
-			}
+		wantP, wantSp, wantSc, wantSd := laneFIFOChain(q, l, c, d, wd, invCW)
+		colEq(t, "P", column(p, q, l), wantP)
+		bitsEq(t, "sp", sp[l], wantSp)
+		bitsEq(t, "sc", sc[l], wantSc)
+		bitsEq(t, "sd", sd[l], wantSd)
+	}
+	if p4 := p[4*Width]; !(p4 > 0 && p4 < 0x1p-1022) {
+		t.Fatalf("lane 0 row 4 = %v, want a subnormal", p4)
+	}
+	if p[5*Width] != 0 {
+		t.Fatalf("lane 0 row 5 = %v, want underflow to 0", p[5*Width])
+	}
+	if p3, p4 := p[3*Width+1], p[4*Width+1]; math.IsInf(p3, 0) || !math.IsInf(p4, 1) {
+		t.Fatalf("lane 1 rows 3, 4 = %v, %v; want finite then +Inf", p3, p4)
+	}
+	if !math.IsInf(sp[1], 1) {
+		t.Fatalf("lane 1 sum = %v, want +Inf", sp[1])
+	}
+	for pos := 0; pos < q; pos++ {
+		if p[pos*Width+2] != 1 {
+			t.Fatalf("lane 2 row %d = %v, want exactly 1", pos, p[pos*Width+2])
 		}
 	}
-	refP, refSp, refSc, refSd := buf(q), buf(1), buf(1), buf(1)
-	refFIFOChain(q, refP, c, d, wd, invCW, refSp, refSc, refSd)
-	sp, sc, sd := buf(1), buf(1), buf(1)
-	forEachVariant(t, func(t *testing.T, name string) {
-		FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
-		bitsEq(t, name, "P", p, refP)
-		bitsEq(t, name, "sp", sp[:Width], refSp[:Width])
-		bitsEq(t, name, "sc", sc[:Width], refSc[:Width])
-		bitsEq(t, name, "sd", sd[:Width], refSd[:Width])
-	})
+	if sp[2] != 6 || sc[2] != 3 || sd[2] != 1.5 {
+		t.Fatalf("lane 2 sums = %v %v %v, want 6 3 1.5", sp[2], sc[2], sd[2])
+	}
 }

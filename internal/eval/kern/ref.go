@@ -1,20 +1,14 @@
 package kern
 
-// The pure-Go reference kernels: the batch.go loops, run across all Width
-// lanes. Every product that feeds an addition or subtraction is wrapped in
-// an explicit float64 conversion — the Go spec lets the compiler contract
-// mul+add into a fused multiply-add even across statements (GOAMD64=v3
-// does), and only an explicit conversion forces the intermediate rounding
-// that keeps these loops bitwise identical to the assembly variants.
-
-var refImpl = &impl{
-	name:      "purego",
-	fifoChain: refFIFOChain,
-	fifoDual:  refFIFODual,
-	fifoOK:    refFIFOLambdaOK,
-	lifoChain: refLIFOChain,
-	lifoDual:  refLIFODualOK,
-}
+// The loops of eval.Batch, run across all Width lanes. Every product that
+// feeds an addition or subtraction is wrapped in an explicit float64
+// conversion: the Go spec lets the compiler contract mul+add into a fused
+// multiply-add even across statements (the arm64, loong64, ppc64, riscv64
+// and s390x backends do; Go 1.24's amd64 backend fuses only math.FMA, at
+// every GOAMD64 level), and only an explicit conversion forces the
+// intermediate rounding. Session's scalar FIFO chain (fifoTight,
+// internal/eval/tight.go) rounds at the same points, so a Batch lane stays
+// bitwise equal to the solo solve of its scenario on every architecture.
 
 func refFIFOChain(q int, p, c, d, wd, invCW, sp, sc, sd []float64) {
 	for l := 0; l < Width; l++ {
