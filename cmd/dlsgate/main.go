@@ -15,6 +15,13 @@
 //	dlsgate affine      # BENCH_pr9.json: BestFIFOAffine12 has one ρ across flat and bb,
 //	                    # flat/bb >= 5 and > 50% pruned; BestFIFOAffine16 ran
 //
+// Two gates read other inputs:
+//
+//	dlsgate fma         # stdin: an arm64 assembly listing of internal/eval/kern and internal/eval
+//	                    # shows no fused multiply-add in kern's ref* loops or eval's fifoTight
+//	dlsgate fleet       # dlsctl's /fleet on 127.0.0.1:9090 is all healthy on ports >= 8083
+//	                    # within 90 s of a rolling restart; writes fleet.json
+//
 // It exits 0 when the gate holds, 1 when it fails and 2 on a usage error
 // or an unreadable report.
 package main
@@ -66,14 +73,14 @@ func main() {
 // run checks the gate args names against the reports in dir.
 func run(args []string, dir string, stdout, stderr io.Writer) int {
 	if len(args) == 1 {
-		if gate, ok := benchGates[args[0]]; ok {
+		if gate, ok := gateFuncs[args[0]]; ok {
 			return gate(dir, stdout, stderr)
 		}
 		if g, ok := gates[args[0]]; ok {
 			return g.check(dir, stdout, stderr)
 		}
 	}
-	names := append(slices.Collect(maps.Keys(benchGates)), slices.Collect(maps.Keys(gates))...)
+	names := append(slices.Collect(maps.Keys(gateFuncs)), slices.Collect(maps.Keys(gates))...)
 	slices.Sort(names)
 	fmt.Fprintf(stderr, "usage: dlsgate %s\n", strings.Join(names, "|"))
 	return 2
@@ -121,10 +128,13 @@ func (g gate) check(dir string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// benchGates check go test -json benchmark streams.
-var benchGates = map[string]func(dir string, stdout, stderr io.Writer) int{
+// gateFuncs are the gates other than the throughput ratios: the
+// benchmark-stream gates, the FMA listing gate and the fleet poll.
+var gateFuncs = map[string]func(dir string, stdout, stderr io.Writer) int{
 	"pairsearch": pairSearchGate,
 	"affine":     affineGate,
+	"fma":        fmaGate,
+	"fleet":      fleetGate,
 }
 
 // numCPU is the runner's CPU count; the speedup gate holds only from 4.

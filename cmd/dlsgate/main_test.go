@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // writeReports writes dlsload-shaped reports, one per name, into a new
@@ -213,4 +219,74 @@ func TestAffineGate(t *testing.T) {
 		{"no sweep samples", without(descent), 2, 2},
 		{"no rho samples", []benchSample{sample(flat, 5e6), sample(bb, 9e5, "0.9 pruned-frac")}, 2, 1},
 	})
+}
+
+// TestFMAGate runs the FMA gate on a clean listing, on listings with a
+// fused instruction inside and outside the guarded functions, and on one
+// holding no guarded function.
+func TestFMAGate(t *testing.T) {
+	const (
+		ref    = "repro/internal/eval/kern.refFIFOChain STEXT size=640 args=0xc8 locals=0x18 funcid=0x0 align=0x0\n"
+		tight  = "repro/internal/eval.(*Session).fifoTight STEXT size=720 args=0x28 locals=0x38 funcid=0x0 align=0x0\n"
+		other  = "repro/internal/eval.portFeasible STEXT size=200 args=0x30 locals=0x0 funcid=0x0 align=0x0\n"
+		mul    = "\t0x0158 00344 (ref.go:27)\tFMULD\tF0, F1, F2\n\t0x015c 00348 (ref.go:27)\tFADDD\tF2, F3, F3\n"
+		fmadd  = "\t0x015c 00348 (ref.go:27)\tFMADDD\tF0, F1, F2, F1\n"
+		fnmsub = "\t0x00f4 00244 (tight.go:87)\tFNMSUBD\tF3, F1, F2, F1\n"
+	)
+	for _, tc := range []struct {
+		name, listing string
+		code          int
+	}{
+		{"clean", ref + mul + tight + mul + other + fmadd, 0},
+		{"fused in a ref loop", ref + mul + fmadd + tight + mul, 1},
+		{"fused in fifoTight", ref + mul + other + mul + tight + fnmsub, 1},
+		{"no guarded function", other + mul, 2},
+		{"empty", "", 2},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := checkFMA(strings.NewReader(tc.listing), &stdout, &stderr); code != tc.code {
+			t.Errorf("%s: exit %d, want %d\n%s%s", tc.name, code, tc.code, &stdout, &stderr)
+		}
+	}
+}
+
+// TestFleetGate serves /fleet documents and polls them: a fleet healthy on
+// its alternate ports passes and lands in fleet.json; a replica left on
+// its original port, an unhealthy slot or a document missing a field
+// fails once the deadline passes.
+func TestFleetGate(t *testing.T) {
+	for _, tc := range []struct {
+		name, doc string
+		code      int
+	}{
+		{"rolled", `{"replicas":3,"healthy":3,"fleet":[{"slot":0,"addr":"127.0.0.1:8083","restarts":1},{"slot":1,"addr":"127.0.0.1:8084","restarts":1},{"slot":2,"addr":"127.0.0.1:8085","restarts":2}]}`, 0},
+		{"replica on its original port", `{"replicas":3,"healthy":3,"fleet":[{"slot":0,"addr":"127.0.0.1:8083"},{"slot":1,"addr":"127.0.0.1:8081"},{"slot":2,"addr":"127.0.0.1:8085"}]}`, 1},
+		{"unhealthy slot", `{"replicas":3,"healthy":2,"fleet":[{"slot":0,"addr":"127.0.0.1:8083"},{"slot":1,"addr":"127.0.0.1:8084"},{"slot":2,"addr":"127.0.0.1:8085"}]}`, 1},
+		{"no healthy count", `{"replicas":3,"fleet":[]}`, 1},
+		{"not JSON", `<html>`, 1},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, tc.doc)
+		}))
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		code := pollFleet(srv.URL+"/fleet", dir, 100*time.Millisecond, &stdout, &stderr)
+		srv.Close()
+		if code != tc.code {
+			t.Errorf("%s: exit %d, want %d\n%s%s", tc.name, code, tc.code, &stdout, &stderr)
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "fleet.json"))
+		if tc.code != 0 {
+			if err == nil {
+				t.Errorf("%s: failed gate wrote fleet.json", tc.name)
+			}
+			continue
+		}
+		var got, want any
+		if err != nil || json.Unmarshal(data, &got) != nil || json.Unmarshal([]byte(tc.doc), &want) != nil ||
+			!reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fleet.json %s (%v), want the served document", tc.name, data, err)
+		}
+	}
 }

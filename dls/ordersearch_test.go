@@ -2,6 +2,7 @@ package dls_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,10 +97,13 @@ func TestOrderSearchSweepCases(t *testing.T) {
 	}
 }
 
-// TestOrderSearchTheoremFallsBackToSweep: at extreme z the float evaluator
-// can fail to verify the theorem's schedule while another optimal order
-// passes. The request then runs the sweep instead of failing.
-func TestOrderSearchTheoremFallsBackToSweep(t *testing.T) {
+// TestOrderSearchTheoremAtLargeZ: at z = 1e6 loads and multipliers sum to
+// ρ ≈ 4e-6, and the evaluator, judging its certificates in the schedule's
+// own time scale, still verifies Theorem 1's order. fifo and
+// fifo-exhaustive both answer the exact optimum, the latter through the
+// theorem path, and the p! sweep returns the same schedule at 1, 2 and 4
+// search workers.
+func TestOrderSearchTheoremAtLargeZ(t *testing.T) {
 	const z = 1e6
 	p := dls.NewPlatform(
 		dls.Worker{C: 0.25, W: 0.96, D: 0.25 * z},
@@ -108,31 +112,53 @@ func TestOrderSearchTheoremFallsBackToSweep(t *testing.T) {
 		dls.Worker{C: 1, W: 0.71, D: z},
 		dls.Worker{C: 1, W: 0.44, D: z},
 	)
-	send := p.ByCDesc() // Theorem 1's order for z > 1
-	if _, err := core.SolveScenario(context.Background(), p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
-		t.Fatal("the theorem's schedule verifies: the fallback is not exercised")
+	const want = 3.9999844800597568e-06 // the exact LP optimum, rounded
+	for _, strategy := range []string{dls.StrategyFIFO, dls.StrategyFIFOExhaustive} {
+		solver := mustSolver(t)
+		res, err := solver.Solve(context.Background(), dls.Request{Platform: p, Strategy: strategy})
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if res.Throughput != want {
+			t.Fatalf("%s: throughput %.17g, want %.17g", strategy, res.Throughput, want)
+		}
+		if strategy == dls.StrategyFIFOExhaustive {
+			if got := solver.Stats().OrderSearch; got != (dls.OrderSearchStats{Theorem: 1}) {
+				t.Fatalf("OrderSearch = %+v, want {Theorem:1 Sweep:0}", got)
+			}
+		}
 	}
-	// A serial sweep: at this z the range-split sweep fails verification
-	// on its own winner (a separate evaluator limit, see ROADMAP).
-	solver := mustSolver(t, dls.WithSearchParallelism(1))
-	req := dls.Request{Platform: p, Strategy: dls.StrategyFIFOExhaustive}
-	res, err := solver.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if want := sweepThroughput(t, req); res.Throughput != want {
-		t.Fatalf("throughput %.17g, sweep %.17g", res.Throughput, want)
-	}
-	if got := solver.Stats().OrderSearch; got != (dls.OrderSearchStats{Sweep: 1}) {
-		t.Fatalf("OrderSearch = %+v, want {Theorem:0 Sweep:1}", got)
+	var serial string
+	for _, workers := range []int{1, 2, 4} {
+		ctx := core.ContextWithSearchParallelism(context.Background(), workers)
+		s, order, err := core.BestFIFOExhaustiveEval(ctx, p, dls.OnePort, dls.EvalAuto)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if s.Throughput() != want {
+			t.Fatalf("%d workers: sweep throughput %.17g, want %.17g", workers, s.Throughput(), want)
+		}
+		got := fmt.Sprintf("%v %v %v %x", order, s.SendOrder, s.ReturnOrder, alphaBits(s.Alpha))
+		if workers == 1 {
+			serial = got
+		} else if got != serial {
+			t.Fatalf("%d workers: sweep answer %s, serial %s", workers, got, serial)
+		}
 	}
 }
 
-// TestFIFOStrategyLargeZ: for z > 1 the fifo strategy solves the mirrored
-// platform and flips the schedule in time. On this z = 1e5 platform the
-// float evaluator cannot verify Theorem 1's order solved directly, but it
-// verifies the flipped mirror, so the strategy answers, and agrees with
-// exact arithmetic.
+// alphaBits returns the IEEE bit patterns of the loads.
+func alphaBits(alpha []float64) []uint64 {
+	bits := make([]uint64, len(alpha))
+	for i, a := range alpha {
+		bits[i] = math.Float64bits(a)
+	}
+	return bits
+}
+
+// TestFIFOStrategyLargeZ: for z > 1 the fifo strategy solves Theorem 1's
+// order, non-increasing c, directly. On this z = 1e5 platform that order
+// verifies, and the strategy agrees with exact arithmetic.
 func TestFIFOStrategyLargeZ(t *testing.T) {
 	const z = 1e5
 	p := dls.NewPlatform(
@@ -141,8 +167,8 @@ func TestFIFOStrategyLargeZ(t *testing.T) {
 		dls.Worker{C: 0.5, W: 1.8, D: 0.5 * z},
 	)
 	send := p.ByCDesc()
-	if _, err := core.SolveScenario(context.Background(), p, send, send, dls.OnePort, dls.EvalAuto); err == nil {
-		t.Fatal("Theorem 1's order verifies when solved directly: the mirror route is not exercised")
+	if _, err := core.SolveScenario(context.Background(), p, send, send, dls.OnePort, dls.EvalAuto); err != nil {
+		t.Fatalf("Theorem 1's order fails when solved directly: %v", err)
 	}
 	res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO})
 	if err != nil {

@@ -224,7 +224,10 @@ func TestSolveBatchPrepassHonoursCancellation(t *testing.T) {
 // under either model, on platforms whose costs span ratios up to 1e±6,
 // with random Send/Return orders where the strategy reads them, must get
 // from SolveBatch exactly what per-request Solve gives: the same failure,
-// or the same bits.
+// or the same bits. A spread with its high bit set draws the large-z
+// family instead: every return cost is z·c with z = 1e5 or 1e6, where
+// loads and multipliers sum to ρ ≈ 1/z and certificates are judged in
+// that scale.
 func FuzzPrepassMatchesSolve(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(5), uint8(0))
 	f.Add(int64(2), uint8(6), uint8(11), uint8(6))
@@ -239,11 +242,18 @@ func FuzzPrepassMatchesSolve(f *testing.F) {
 		p := 1 + int(workers%12)
 		half := float64(spread%7) / 2 // costs in [10^-half, 10^half]
 		cost := func() float64 { return math.Pow(10, half*(2*rng.Float64()-1)) }
+		z := 0.0
+		if spread >= 128 {
+			z = []float64{1e5, 1e6}[spread%2]
+		}
 		reqs := make([]Request, 2+int(lanes%7))
 		for i := range reqs {
 			ws := make([]Worker, p)
 			for k := range ws {
 				ws[k] = Worker{C: cost(), W: cost(), D: cost()}
+				if z > 0 {
+					ws[k].D = z * ws[k].C
+				}
 			}
 			req := Request{
 				Platform: NewPlatform(ws...),

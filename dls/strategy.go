@@ -28,8 +28,8 @@ const (
 	StrategyIncC = "inc-c"
 	// StrategyIncW is the INC_W heuristic: FIFO by non-decreasing w.
 	StrategyIncW = "inc-w"
-	// StrategyDecC is FIFO by non-increasing c: the optimal FIFO send order
-	// when z > 1 (Section 3's mirror argument).
+	// StrategyDecC is FIFO by non-increasing c: Theorem 1's optimal FIFO
+	// send order when z > 1.
 	StrategyDecC = "dec-c"
 	// StrategyFIFOOrder solves the FIFO schedule using Request.Send as the
 	// send (and return) order.
@@ -240,10 +240,9 @@ func init() {
 // orderSearch is the FIFO (lifo false) or LIFO order search. It answers
 // with an optimal send order. A request that theoremOrder covers is solved
 // once in the theorem's order, whose ties go to the lower worker index,
-// and records a "search" stage with backend=theorem. Every other request,
-// and one whose theorem schedule the float evaluator cannot verify (it
-// happens from z ≈ 1e5), runs the sweep over all p! send orders and gets
-// its lexicographically least winner.
+// and records a "search" stage with backend=theorem. Every other request
+// runs the sweep over all p! send orders and gets its lexicographically
+// least winner.
 func orderSearch(lifo bool) StrategyFunc {
 	kind, search := "fifo-order", core.BestFIFOExhaustiveEval
 	if lifo {
@@ -262,16 +261,17 @@ func orderSearch(lifo bool) StrategyFunc {
 			t1 := obs.Now(ctx)
 			res := result(nil, order, orderByTheorem)
 			s, err := core.SolveScenario(ctx, req.Platform, res.Send, res.Return, req.Model, req.Eval)
-			if err == nil {
-				if obs.Enabled(ctx) {
-					obs.StageAt(ctx, 1, "search", t0, t1,
-						obs.String("kind", kind),
-						obs.Int64("orders", 1),
-						obs.String("backend", "theorem"))
-				}
-				res.Schedule = s
-				return res, nil
+			if err != nil {
+				return nil, err
 			}
+			if obs.Enabled(ctx) {
+				obs.StageAt(ctx, 1, "search", t0, t1,
+					obs.String("kind", kind),
+					obs.Int64("orders", 1),
+					obs.String("backend", "theorem"))
+			}
+			res.Schedule = s
+			return res, nil
 		}
 		s, send, err := search(ctx, req.Platform, req.Model, req.Eval)
 		if err != nil {

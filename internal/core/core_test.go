@@ -195,13 +195,23 @@ func TestOptimalFIFOZGreaterOne(t *testing.T) {
 	}
 	// Mirror symmetry: the optimal throughput on the mirror platform is the
 	// same (time reversal is an involution).
-	m, err := OptimalFIFO(p.Mirror(), eval.Auto)
+	m, err := OptimalFIFO(mirror(p), eval.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approxEq(s.Throughput(), m.Throughput()) {
 		t.Errorf("mirror throughput %g != %g", m.Throughput(), s.Throughput())
 	}
+}
+
+// mirror returns p with forward and return costs swapped (c ↔ d), the
+// platform of Section 3's time-reversal argument.
+func mirror(p *platform.Platform) *platform.Platform {
+	m := p.Clone()
+	for i := range m.Workers {
+		m.Workers[i].C, m.Workers[i].D = m.Workers[i].D, m.Workers[i].C
+	}
+	return m
 }
 
 func TestOptimalFIFONoCommonZ(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/eval"
@@ -11,16 +10,11 @@ import (
 
 // OptimalFIFO computes an optimal one-port FIFO schedule on a star platform
 // with a common ratio z = d_i/c_i, implementing Theorem 1 and Proposition 1:
-//
-//   - z < 1: enroll all workers sorted by non-decreasing c_i, solve the FIFO
-//     scenario; zero loads give the resource selection.
-//   - z > 1: solve the mirrored platform (c ↔ d, whose ratio is 1/z < 1) and
-//     flip the resulting schedule in time; initial messages then go out in
-//     non-increasing c_i order, as stated in Section 3. Solving that order
-//     directly is equivalent in exact arithmetic, but from z ≈ 1e5 the
-//     float evaluator verifies the flipped mirror more often.
-//   - z = 1: any ordering is optimal; non-decreasing c_i is used for
-//     determinism.
+// it enrolls every worker in Theorem 1's send order — non-decreasing c_i
+// for z ≤ 1, non-increasing c_i for z > 1 (Section 3's mirror argument) —
+// and solves that one FIFO scenario; zero loads give the resource
+// selection. At z = 1 every ordering is optimal and non-decreasing c_i is
+// used for determinism.
 //
 // The returned schedule has horizon T = 1 and throughput equal to the
 // optimal FIFO throughput ρ*. It returns ErrNoCommonZ when the platform has
@@ -33,23 +27,11 @@ func OptimalFIFO(p *platform.Platform, mode eval.Mode) (*schedule.Schedule, erro
 	if !ok {
 		return nil, ErrNoCommonZ
 	}
-	if z <= 1 {
-		order := p.ByC()
-		return eval.Evaluate(eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}, mode)
+	order := p.ByC()
+	if z > 1 {
+		order = p.ByCDesc()
 	}
-	// z > 1: time-reversal reduction. The mirror has ratio 1/z < 1; its
-	// non-decreasing-c order is the original's non-decreasing-d order.
-	mirror := p.Mirror()
-	order := mirror.ByC()
-	ms, err := eval.Evaluate(eval.Scenario{Platform: mirror, Send: order, Return: order, Model: schedule.OnePort}, mode)
-	if err != nil {
-		return nil, err
-	}
-	s := ms.Flipped()
-	if err := s.Check(p, schedule.OnePort); err != nil {
-		return nil, fmt.Errorf("core: internal error: flipped z>1 schedule fails verification: %w", err)
-	}
-	return s, nil
+	return eval.Evaluate(eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}, mode)
 }
 
 // theoremZUlps is how far apart, in units in the last place of the first

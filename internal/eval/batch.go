@@ -194,11 +194,10 @@ func (b *Batch) runFIFO(base, wch int) {
 		denom := b.cw[l] + b.sd[l]
 		rho := b.sp[l] / denom
 		ok := denom > 0 && !math.IsNaN(rho) && !math.IsInf(rho, 0)
-		lim := (1 + tol) * denom
 		if b.model == schedule.TwoPort {
-			ok = ok && b.sc[l] <= lim && b.sd[l] <= lim
+			ok = ok && certOK(denom-b.sc[l], denom) && certOK(denom-b.sd[l], denom)
 		} else {
-			ok = ok && b.sc[l]+b.sd[l] <= lim
+			ok = ok && certOK(denom-(b.sc[l]+b.sd[l]), denom)
 		}
 		onemv := 1 - b.pv[l]
 		ok = ok && (onemv >= 1e-12 || onemv <= -1e-12)
@@ -295,5 +294,5 @@ func (b *Batch) Schedule(i int) (*schedule.Schedule, error) {
 	sc := b.Scenario(i)
 	s := GetSession()
 	defer s.Release()
-	return buildSchedule(sc, s.canonicalLoads(sc, alpha))
+	return s.canonicalSchedule(sc, alpha)
 }

@@ -28,6 +28,19 @@ import (
 // the tight face, so a near-miss bails out and keeps the original loads.
 const degenTol = numeric.CheckTol
 
+// canonicalSchedule builds the verified schedule of the optimal loads
+// alpha, replaced by their canonical vertex where canonicalLoads finds the
+// optimum degenerate. A canonical vertex the checker rejects is not
+// adopted: at large z the float simplex behind it can pass an infeasible
+// lex-min program (a port row a hair short of tight, as a LIFO optimum's
+// is) as feasible, while alpha carries its own certificate.
+func (s *Session) canonicalSchedule(sc Scenario, alpha []float64) (*schedule.Schedule, error) {
+	if out, err := buildSchedule(sc, s.canonicalLoads(sc, alpha)); err == nil {
+		return out, nil
+	}
+	return buildSchedule(sc, alpha)
+}
+
 // canonicalLoads returns alpha untouched unless the scenario's optimum is
 // detected degenerate (identical links across the send workers and a tight
 // port row at alpha), in which case it returns the lexicographically

@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 
-	"repro/internal/numeric"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -29,9 +28,9 @@ import (
 // subset instead of enumerating subsets.
 
 // fifoDualHint runs the O(m) FIFO dual chain and reports both whether the
-// multipliers certify (all ≥ -CertTol) and the index (into send) of the
-// most negative multiplier — the resource-selection descent hint. On
-// success s.lam holds the multipliers.
+// multipliers certify (each passes certOK against their sum t) and the
+// index (into send) of the most negative multiplier — the
+// resource-selection descent hint. On success s.lam holds the multipliers.
 func (s *Session) fifoDualHint(p *platform.Platform, send platform.Order) (hint int, ok bool) {
 	wc := s.derivedCosts(p)
 	q := len(send)
@@ -54,7 +53,7 @@ func (s *Session) fifoDualHint(p *platform.Platform, send platform.Order) (hint 
 	worst := 0.0
 	for k := range u {
 		lam[k] = u[k] + t*v[k]
-		if !certOK(lam[k]) {
+		if !certOK(lam[k], t) {
 			ok = false
 			if lam[k] < worst {
 				worst, hint = lam[k], k
@@ -70,18 +69,20 @@ func (s *Session) lifoDualHint(p *platform.Platform, send platform.Order) (hint 
 	wc := s.derivedCosts(p)
 	lam := grow(&s.lam, len(send))
 	suffix := 0.0
-	hint, ok = -1, true
-	worst := 0.0
 	for k := len(send) - 1; k >= 0; k-- {
 		w := &wc[send[k]]
 		lam[k] = (1 - w.g*suffix) * w.invCWD
-		if !certOK(lam[k]) {
+		suffix += lam[k]
+	}
+	hint, ok = -1, true
+	worst := 0.0
+	for k, l := range lam {
+		if !certOK(l, suffix) {
 			ok = false
-			if lam[k] < worst {
-				worst, hint = lam[k], k
+			if l < worst {
+				worst, hint = l, k
 			}
 		}
-		suffix += lam[k]
 	}
 	return hint, ok
 }
@@ -117,12 +118,18 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 		return nil, 0, false, -1, 0
 	}
 	wc := s.derivedCosts(p)
-	tol := numeric.CertTol
 	X := grow(&s.u, m)
 	Y := grow(&s.v, m)
-	// The first tight row f closes (t, s) together with the port row; its
-	// coefficients (a11, a12) and the port row's (a21, a22) accumulate in
-	// the same pass that chains X and Y.
+	// The first tight row f closes (t, s) together with the port row. The
+	// closure takes row f minus the port row,
+	//
+	//	w_f·α_f − Σ_{j<f} d_j·α_j − Σ_{j>f} c_j·α_j = 0,
+	//
+	// whose coefficients (a11, a12) hold no common return block: at large
+	// z row f and the port row are both dominated by the same d terms, and
+	// their difference formed from rounded row sums would cancel most of
+	// its digits. The port row's coefficients (a21, a22) accumulate in the
+	// same pass that chains X and Y.
 	f := 0
 	if k == 0 {
 		f = 1
@@ -148,15 +155,14 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 		}
 		a21 += X[r] * w.g
 		a22 += Y[r] * w.g
-		if r >= f { // row f's return suffix Σ_{j≥f} d_j·α_j
-			a11 += X[r] * w.d
-			a12 += Y[r] * w.d
+		switch {
+		case r < f:
+			a11 -= X[r] * w.d
+			a12 -= Y[r] * w.d
+		case r > f:
+			a11 -= X[r] * w.c
+			a12 -= Y[r] * w.c
 		}
-	}
-	for j := 0; j <= f; j++ { // row f's send prefix Σ_{j≤f} c_j·α_j
-		cj := wc[sub[j]].c
-		a11 += X[j] * cj
-		a12 += Y[j] * cj
 	}
 	wf := wc[sub[f]].w
 	a11 += X[f] * wf
@@ -165,11 +171,12 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 	if det < 1e-300 && det > -1e-300 {
 		return nil, 0, false, -1, 0
 	}
-	t := (a22 - a12) / det
-	sv := (a11 - a21) / det
+	t := -a12 / det
+	sv := a11 / det
 	alpha = grow(&s.alpha, m)
 	loadHint = -1
 	worst := 0.0
+	loadsOK := true
 	// Loads, the slack row's inequality (worker k's idle time ≥ 0) and the
 	// NaN guard share one pass; the slack row's send prefix stops at k.
 	slackLHS := 0.0
@@ -183,6 +190,9 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 		if a < worst {
 			worst, loadHint = a, r
 		}
+		if !certOK(a*w.cwd, 1) {
+			loadsOK = false
+		}
 		if r <= k {
 			slackLHS += a * w.c
 		}
@@ -190,12 +200,12 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 			slackLHS += a * w.d
 		}
 	}
-	if worst < -tol {
+	if !loadsOK {
 		return nil, 0, false, loadHint, worst
 	}
 	clampLoads(alpha)
 	slackLHS += alpha[k] * wc[sub[k]].w
-	if slackLHS > 1+tol {
+	if !certOK(1-slackLHS, 1) {
 		return nil, 0, false, -1, 0
 	}
 	// Dual chain in (T, μ): λ_j = l0[j] + T·lT[j] + μ·lM[j], λ_k = 0.
@@ -236,13 +246,14 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 	}
 	T := (r1*b22 - b12*r2) / det
 	mu = (b11*r2 - r1*b21) / det
-	if !certOK(mu) {
+	// The dual objective Σλ + μ = T + μ is the scale of every multiplier.
+	if !certOK(mu, T+mu) {
 		return nil, 0, false, -1, 0
 	}
 	lam := grow(&s.lam, m)
 	for j := 0; j < m; j++ {
 		lam[j] = l0[j] + T*lT[j] + mu*lM[j]
-		if !certOK(lam[j]) {
+		if !certOK(lam[j], T+mu) {
 			return nil, 0, false, -1, 0
 		}
 	}
@@ -438,7 +449,6 @@ func (s *Session) chainDroppedOK(sc Scenario, E []int, alpha, lam []float64, mu 
 		return true
 	}
 	wc := s.derivedCosts(sc.Platform)
-	tol := numeric.CertTol
 	ei := 0 // enrolled index of the next enrolled position ≥ cursor
 	preAC, preAD, preLam := 0.0, 0.0, 0.0
 	totAD, totLam := 0.0, 0.0
@@ -469,7 +479,7 @@ func (s *Session) chainDroppedOK(sc Scenario, E []int, alpha, lam []float64, mu 
 			dualLHS = wj.c*(totLam-preLam) + wj.d*preLam
 		}
 		dualLHS += mu * wj.g
-		if rowLHS > 1+tol || dualLHS < 1-tol {
+		if !certOK(1-rowLHS, 1) || !certOK(dualLHS-1, 1) {
 			return false
 		}
 	}

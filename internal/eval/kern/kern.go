@@ -36,8 +36,9 @@ func FIFODual(q int, c, dc, invWD, u, v, pu, pv []float64) {
 }
 
 // FIFOLambdaOK scans the closed dual λ = u + t·v over every row and
-// returns a bitmask with bit l set iff lane l satisfied λ >= -tol at every
-// position (NaN anywhere fails the lane).
+// returns a bitmask with bit l set iff lane l satisfied λ >= -tol·t at
+// every position (NaN anywhere fails the lane). The closure t is the
+// lane's dual sum Σλ, so tol is relative to the multipliers' own scale.
 func FIFOLambdaOK(q int, u, v, t []float64, tol float64) uint8 {
 	checkRows(q, u, v)
 	checkLanes(t)
@@ -54,7 +55,8 @@ func LIFOChain(q int, p, w, invCWD, sp []float64) {
 
 // LIFODualOK runs the backward LIFO dual chain, accumulating the suffix
 // sum into pu (zeroed on entry), and returns a bitmask with bit l set iff
-// lane l kept λ >= -tol at every position (NaN anywhere fails the lane).
+// lane l kept λ >= -tol·Σλ at every position, Σλ being the lane's final
+// pu (NaN anywhere fails the lane).
 func LIFODualOK(q int, g, invCWD, pu []float64, tol float64) uint8 {
 	checkRows(q, g, invCWD)
 	checkLanes(pu)

@@ -63,7 +63,7 @@ func laneFIFODual(q, l int, c, dc, invWD []float64) (u, v []float64, pu, pv floa
 
 func laneFIFOLambdaOK(q, l int, u, v, t []float64, tol float64) bool {
 	for k := 0; k < q; k++ {
-		if !(u[k*Width+l]+float64(t[l]*v[k*Width+l]) >= -tol) {
+		if !(u[k*Width+l]+float64(t[l]*v[k*Width+l]) >= -tol*t[l]) {
 			return false
 		}
 	}
@@ -82,12 +82,15 @@ func laneLIFOChain(q, l int, w, invCWD []float64) (p []float64, sp float64) {
 }
 
 func laneLIFODualOK(q, l int, g, invCWD []float64, tol float64) (pu float64, ok bool) {
-	ok = true
+	lams := make([]float64, q)
 	for k := q - 1; k >= 0; k-- {
 		at := k*Width + l
-		lam := float64((1 - float64(g[at]*pu)) * invCWD[at])
-		pu += lam
-		if !(lam >= -tol) {
+		lams[k] = float64((1 - float64(g[at]*pu)) * invCWD[at])
+		pu += lams[k]
+	}
+	ok = true
+	for _, lam := range lams {
+		if !(lam >= -tol*pu) {
 			ok = false
 		}
 	}
@@ -182,8 +185,8 @@ func TestGoldenFIFODual(t *testing.T) {
 }
 
 // TestGoldenFIFOLambdaOK pins the comparison semantics lane by lane: λ
-// exactly at -tol passes, one ulp below fails, NaN fails (0·Inf included),
-// -Inf fails and +Inf passes, at whichever row they occur.
+// exactly at -tol·t passes, one ulp below fails, NaN fails (0·Inf
+// included), -Inf fails and +Inf passes, at whichever row they occur.
 func TestGoldenFIFOLambdaOK(t *testing.T) {
 	const tol = 1e-10
 	q := 2
@@ -194,7 +197,7 @@ func TestGoldenFIFOLambdaOK(t *testing.T) {
 	for l := range tt[:Width] {
 		tt[l] = 1
 	}
-	u[0] = -tol                           // lane 0: λ = -tol, passes
+	u[0], tt[0] = -2*tol, 2               // lane 0: λ = -tol·t, passes
 	u[Width+1] = math.Nextafter(-tol, -1) // lane 1: one ulp below, fails
 	v[2] = math.NaN()                     // lane 2: NaN, fails
 	u[Width+3] = math.Inf(-1)             // lane 3: -Inf in row 1, fails
@@ -243,31 +246,32 @@ func TestGoldenLIFOChain(t *testing.T) {
 
 // TestGoldenLIFODualOK pins the backward scan's verdicts lane by lane on
 // q = 2 (row 1 is scanned first, with an empty suffix sum), then checks
-// random columns against the scalar recurrence.
+// random columns against the scalar recurrence. The edge cases use a
+// power-of-two tol so the boundary lanes are exact.
 func TestGoldenLIFODualOK(t *testing.T) {
-	const tol = 1e-10
+	const tol = 0x1p-32
 	q := 2
 	g, invCWD, pu := buf(q), buf(q), buf(1)
 	for i := range g {
 		g[i], invCWD[i] = 1, 1
 	}
-	// Row 1 gives λ = invCWD[row1] = 1 and suffix 1 in every lane unless
-	// noted; row 0 then gives λ = (1 - g·1)·invCWD[row0].
-	// lane 0: λ = 0, passes.
-	g[1], invCWD[1] = 2, tol                    // lane 1: λ = -tol exactly, passes
-	g[2], invCWD[2] = 2, math.Nextafter(tol, 1) // lane 2: just below -tol, fails
-	g[3] = math.NaN()                           // lane 3: NaN, fails
-	g[Width+4] = math.Inf(1)                    // lane 4: Inf·0 = NaN in row 1, fails
-	invCWD[Width+5] = math.Inf(1)               // lane 5: row 0 sees 1 - Inf, fails
-	g[6] = math.Inf(-1)                         // lane 6: λ = +Inf, passes
-	g[7] = 40                                   // lane 7: λ = -39, fails
+	// Row 1 gives λ = invCWD[row1], 1 in every lane unless noted; row 0
+	// then gives λ = (1 - g·λ_row1)·invCWD[row0], and Σλ is their sum.
+	// lane 0: λ = 0, Σλ = 1, passes.
+	invCWD[Width+1] = 1 + tol // lane 1: λ = -tol, Σλ = 1: λ = -tol·Σλ exactly, passes
+	invCWD[Width+2] = 1 + tol // lane 2: λ = -tol·(1+2⁻⁵²), Σλ = 1: one ulp below, fails
+	invCWD[2] = math.Nextafter(1, 2)
+	g[3] = math.NaN()             // lane 3: NaN, fails
+	g[Width+4] = math.Inf(1)      // lane 4: Inf·0 = NaN in row 1, fails
+	invCWD[Width+5] = math.Inf(1) // lane 5: row 0 sees 1 - Inf, Σλ = NaN, fails
+	g[6] = math.Inf(-1)           // lane 6: λ = +Inf, passes
+	g[7] = 40                     // lane 7: λ = -39, fails
 	if got, want := LIFODualOK(q, g, invCWD, pu, tol), uint8(0b01000011); got != want {
 		t.Fatalf("edge-case mask %08b, want %08b", got, want)
 	}
 	bitsEq(t, "pu[0]", pu[0], 1)
-	wantPu1 := 1.0
-	wantPu1 -= tol
-	bitsEq(t, "pu[1]", pu[1], wantPu1)
+	bitsEq(t, "pu[1]", pu[1], 1)
+	bitsEq(t, "pu[2]", pu[2], 1)
 
 	for _, q := range []int{1, 2, 4, 9} {
 		r := lcg(uint64(q)*13 + 29)

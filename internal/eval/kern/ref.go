@@ -1,5 +1,7 @@
 package kern
 
+import "math"
+
 // The loops of eval.Batch, run across all Width lanes. Every product that
 // feeds an addition or subtraction is wrapped in an explicit float64
 // conversion: the Go spec lets the compiler contract mul+add into a fused
@@ -49,13 +51,17 @@ func refFIFODual(q int, c, dc, invWD, u, v, pu, pv []float64) {
 }
 
 func refFIFOLambdaOK(q int, u, v, t []float64, tol float64) uint8 {
+	var lim [Width]float64
+	for l := range lim {
+		lim[l] = -tol * t[l]
+	}
 	ok := uint8(0xff)
 	for pos := 0; pos < q; pos++ {
 		row := pos * Width
 		for l := 0; l < Width; l++ {
 			lam := float64(t[l] * v[row+l])
 			lam = u[row+l] + lam
-			if !(lam >= -tol) {
+			if !(lam >= lim[l]) {
 				ok &^= 1 << l
 			}
 		}
@@ -80,10 +86,11 @@ func refLIFOChain(q int, p, w, invCWD, sp []float64) {
 }
 
 func refLIFODualOK(q int, g, invCWD, pu []float64, tol float64) uint8 {
+	var least [Width]float64
 	for l := 0; l < Width; l++ {
 		pu[l] = 0
+		least[l] = math.Inf(1)
 	}
-	ok := uint8(0xff)
 	for pos := q - 1; pos >= 0; pos-- {
 		row := pos * Width
 		for l := 0; l < Width; l++ {
@@ -91,9 +98,14 @@ func refLIFODualOK(q int, g, invCWD, pu []float64, tol float64) uint8 {
 			lam = 1 - lam
 			lam = float64(lam * invCWD[row+l])
 			pu[l] += lam
-			if !(lam >= -tol) {
-				ok &^= 1 << l
-			}
+			least[l] = min(least[l], lam)
+		}
+	}
+	// A NaN multiplier leaves the sum NaN, which fails the comparison.
+	ok := uint8(0xff)
+	for l := 0; l < Width; l++ {
+		if !(least[l] >= -tol*pu[l]) {
+			ok &^= 1 << l
 		}
 	}
 	return ok

@@ -52,7 +52,7 @@ type Session struct {
 // workerCosts are the per-worker constants of the chain recurrences.
 type workerCosts struct {
 	c, d, w              float64
-	cw, wd, g, dc        float64 // c+w, w+d, c+d, d−c
+	cw, wd, g, dc, cwd   float64 // c+w, w+d, c+d, d−c, c+w+d
 	invCW, invWD, invCWD float64 // 1/(c+w), 1/(w+d), 1/(c+w+d)
 }
 
@@ -63,7 +63,7 @@ type workerCosts struct {
 func deriveCosts(w platform.Worker) workerCosts {
 	return workerCosts{
 		c: w.C, d: w.D, w: w.W,
-		cw: w.C + w.W, wd: w.W + w.D, g: w.C + w.D, dc: w.D - w.C,
+		cw: w.C + w.W, wd: w.W + w.D, g: w.C + w.D, dc: w.D - w.C, cwd: w.C + w.W + w.D,
 		invCW: 1 / (w.C + w.W), invWD: 1 / (w.W + w.D), invCWD: 1 / (w.C + w.W + w.D),
 	}
 }
@@ -127,10 +127,10 @@ func (s *Session) Evaluate(sc Scenario, mode Mode) (*schedule.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode != ExactRational {
-		alpha = s.canonicalLoads(sc, alpha)
+	if mode == ExactRational {
+		return buildSchedule(sc, alpha)
 	}
-	return buildSchedule(sc, alpha)
+	return s.canonicalSchedule(sc, alpha)
 }
 
 // Throughput is the raw fast path for search loops: it returns only the
@@ -288,10 +288,11 @@ func buildSchedule(sc Scenario, alpha []float64) (*schedule.Schedule, error) {
 		out.Alpha[i] = alpha[k]
 	}
 	// Prune zero-load workers from both orders (resource selection): the
-	// send order keeps exactly the loads left non-zero here.
+	// send order keeps exactly the loads left non-zero here. A load counts
+	// as zero by its time footprint, the scale certOK judges loads in.
 	sends, returns := 0, 0
 	for _, i := range sc.Send {
-		if out.Alpha[i] <= numeric.LoadEps {
+		if w := p.Workers[i]; out.Alpha[i]*(w.C+w.W+w.D) <= numeric.LoadEps {
 			out.Alpha[i] = 0
 			continue
 		}

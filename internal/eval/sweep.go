@@ -108,12 +108,8 @@ type Sweep struct {
 	sub         []int  // scratch: enrolled subsequence as worker indices
 
 	// Port-vertex fast-path scratch (FIFO only): the candidate
-	// subsequence's all-tight chain and its prefix sums (see sweepport.go),
-	// a position buffer for substituted sets, and whether any two workers
-	// share an exact (c, d) pair (gates the twin-substitution rescue).
+	// subsequence's all-tight chain and its prefix sums (see sweepport.go).
 	pvP, pvSC, pvSD, pvSG []float64
-	subPos                []int
-	hasTwins              bool
 
 	stats SweepStats // resolution-path counters
 }
@@ -156,17 +152,6 @@ func NewSweep(p *platform.Platform, send platform.Order, model schedule.Model, l
 		sw.pvSC = make([]float64, q)
 		sw.pvSD = make([]float64, q)
 		sw.pvSG = make([]float64, q)
-		sw.subPos = make([]int, 0, q)
-	outer:
-		for i := 0; i < q; i++ {
-			for j := i + 1; j < q; j++ {
-				wi, wj := p.Workers[sw.order[i]], p.Workers[sw.order[j]]
-				if wi.C == wj.C && wi.D == wj.D {
-					sw.hasTwins = true
-					break outer
-				}
-			}
-		}
 	}
 	for k := 0; k < q; k++ {
 		sw.gather(k)
@@ -181,8 +166,7 @@ func NewSweep(p *platform.Platform, send platform.Order, model schedule.Model, l
 func (sw *Sweep) gather(k int) {
 	wc := deriveCosts(sw.p.Workers[sw.order[k]])
 	sw.c[k], sw.d[k], sw.w[k] = wc.c, wc.d, wc.w
-	sw.cw[k], sw.wd[k], sw.g[k], sw.dc[k] = wc.cw, wc.wd, wc.g, wc.dc
-	sw.cwd[k] = wc.c + wc.w + wc.d
+	sw.cw[k], sw.wd[k], sw.g[k], sw.dc[k], sw.cwd[k] = wc.cw, wc.wd, wc.g, wc.dc, wc.cwd
 	sw.invCW[k], sw.invWD[k], sw.invCWD[k] = wc.invCW, wc.invWD, wc.invCWD
 }
 
@@ -383,11 +367,6 @@ func (sw *Sweep) throughput(incumbent float64) (float64, bool) {
 			if rho, ok := sw.portVertexScan(sc, sw.opt.pos, sw.opt.slackWorker < 0, sw.opt.slackWorker); ok {
 				return rho, true
 			}
-			// On repeated-cost platforms the set change is usually a twin
-			// swap — try those sets before conceding the descent.
-			if rho, ok := sw.twinSubstituteScan(sc); ok {
-				return rho, true
-			}
 			// The optimal active set itself moved: resume the descent from
 			// the cached enrolled set (falling back to full enrollment
 			// inside descendFrom).
@@ -401,15 +380,11 @@ func (sw *Sweep) throughput(incumbent float64) (float64, bool) {
 			}
 			// A dropped check broke. The optimum is often still a vertex of
 			// the same enrolled set — the moved row/column changes which
-			// slack row's duals close feasibly — or, on repeated-cost
-			// platforms, the set with the crossed pair's membership swapped.
-			// Scan both before the descent, which must also consider other
-			// enrollment changes. The cached shape's own dropped check just
-			// failed, so it is excluded from the same-set scan.
+			// slack row's duals close feasibly — so scan it before the
+			// descent, which must also consider enrollment changes. The
+			// cached shape's own dropped check just failed, so it is
+			// excluded from the scan.
 			if rho, ok := sw.portVertexScan(sc, sw.opt.pos, sw.opt.slackWorker < 0, sw.opt.slackWorker); ok {
-				return rho, true
-			}
-			if rho, ok := sw.twinSubstituteScan(sc); ok {
 				return rho, true
 			}
 			return sw.descend()
@@ -442,7 +417,6 @@ func (sw *Sweep) throughput(incumbent float64) (float64, bool) {
 // the incrementally maintained prefix state.
 func (sw *Sweep) fullTight() (float64, bool) {
 	q := sw.q
-	tol := numeric.CertTol
 	sw.ensureChain()
 	if sw.lifo {
 		rho := sw.SP[q-1]
@@ -450,9 +424,10 @@ func (sw *Sweep) fullTight() (float64, bool) {
 			return 0, false
 		}
 		// Port feasibility is automatic for LIFO (the last tight row caps
-		// Σα·(c+d) below 1 under either model); only the dual certifies.
+		// Σα·(c+d) below 1 under either model); only the dual certifies,
+		// its least multiplier judged against the dual sum (certOK).
 		sw.ensureLIFODual()
-		if !(sw.minLam[0] >= -tol) {
+		if !certOK(sw.minLam[0], sw.sufLam[0]) {
 			return 0, false
 		}
 		return rho, true
@@ -462,13 +437,13 @@ func (sw *Sweep) fullTight() (float64, bool) {
 	if !(denom > 0) || math.IsNaN(rho) || math.IsInf(rho, 0) {
 		return 0, false
 	}
-	// Port constraint(s) at the chain loads α_k = P_k/denom.
-	lim := (1 + tol) * denom
+	// Port constraint(s) at the chain loads α_k = P_k/denom, in units of
+	// denom.
 	if sw.model == schedule.TwoPort {
-		if sw.SC[q-1] > lim || sw.SD[q-1] > lim {
+		if !certOK(denom-sw.SC[q-1], denom) || !certOK(denom-sw.SD[q-1], denom) {
 			return 0, false
 		}
-	} else if sw.SC[q-1]+sw.SD[q-1] > lim {
+	} else if !certOK(denom-(sw.SC[q-1]+sw.SD[q-1]), denom) {
 		return 0, false
 	}
 	// Dual closure and certificate scan (same guards as fifoDualHint).
@@ -479,7 +454,7 @@ func (sw *Sweep) fullTight() (float64, bool) {
 	}
 	t := sw.pu[q-1] / onemv
 	for k := 0; k < q; k++ {
-		if !(sw.u[k]+t*sw.v[k] >= -tol) { // also catches NaN
+		if !certOK(sw.u[k]+t*sw.v[k], t) {
 			return 0, false
 		}
 	}
@@ -564,7 +539,7 @@ func (sw *Sweep) dualScreen(incumbent float64) (bound float64, pruned bool) {
 		} else {
 			val = sw.c[pos]*suf + sw.w[pos]*lj + sw.d[pos]*pre + mu*sw.g[pos]
 		}
-		if !(val >= 1-tol) {
+		if !certOK(val-1, 1) {
 			return 0, false
 		}
 	}

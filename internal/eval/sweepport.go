@@ -54,7 +54,7 @@ func (sw *Sweep) Stats() SweepStats { return sw.stats }
 
 // disablePortFastPath switches off the port-vertex fast path. Test hook
 // only: the regression test compares descent fallbacks with and without
-// the scan on the repeated-cost platform.
+// the scan on a port-bound platform.
 var disablePortFastPath bool
 
 // portVertexScan tries to certify an optimum on the enrolled send
@@ -181,8 +181,8 @@ func (sw *Sweep) portVertexScan(sc Scenario, pos []int, skipAllTight bool, skipW
 	return 0, false
 }
 
-// recordScanOpt records a scan-certified optimum (possibly on a different
-// enrolled set than the cached one) and clears the revalidation flags.
+// recordScanOpt records a scan-certified optimum and clears the
+// revalidation flags.
 func (sw *Sweep) recordScanOpt(pos []int, alpha, lam []float64, mu float64, slackWorker int) {
 	sw.opt.set(pos, alpha, lam, mu, slackWorker)
 	for k := range sw.optIn {
@@ -194,54 +194,4 @@ func (sw *Sweep) recordScanOpt(pos []int, alpha, lam []float64, mu float64, slac
 	sw.haveOpt = true
 	sw.needChains, sw.needDropped = false, false
 	sw.stats.PortHits++
-}
-
-// twinSubstituteScan is the repeated-cost rescue: on platforms where
-// several workers share a (c, d) link pair, a transposition that demotes
-// an enrolled worker's rank routinely makes the optimum evict it in favour
-// of a currently dropped twin — the duplicate-cost tie the descent's
-// branch-and-certify pass exists for, surfacing at sweep level. For every
-// enrolled worker with a dropped exact-(c, d) twin, scan the substituted
-// set (evict the worker, enroll the twin at its own send position). The
-// same-set scan has already failed when this runs, and each substituted
-// set costs one O(m)-plus-screens pass, against the full descent — with
-// its full-enrollment retry when the subset start fails — that these
-// rescues replace.
-func (sw *Sweep) twinSubstituteScan(sc Scenario) (float64, bool) {
-	m := len(sw.opt.pos)
-	if !sw.hasTwins || m == 0 || m >= sw.q {
-		return 0, false // full enrollment leaves no dropped twin to enroll
-	}
-	wc := sw.sess.derivedCosts(sw.p)
-	for _, ePos := range sw.opt.pos {
-		e := &wc[sw.order[ePos]]
-		for dPos := 0; dPos < sw.q; dPos++ {
-			if sw.optIn[dPos] {
-				continue
-			}
-			d := &wc[sw.order[dPos]]
-			if d.c != e.c || d.d != e.d {
-				continue
-			}
-			pos := sw.subPos[:0]
-			inserted := false
-			for _, p := range sw.opt.pos {
-				if p == ePos {
-					continue
-				}
-				if !inserted && dPos < p {
-					pos = append(pos, dPos)
-					inserted = true
-				}
-				pos = append(pos, p)
-			}
-			if !inserted {
-				pos = append(pos, dPos)
-			}
-			if rho, ok := sw.portVertexScan(sc, pos, false, -1); ok {
-				return rho, true
-			}
-		}
-	}
-	return 0, false
 }

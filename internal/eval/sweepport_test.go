@@ -8,28 +8,22 @@ import (
 	"repro/internal/schedule"
 )
 
-// portBoundTwinPlatform builds the port-vertex regression platform: the
-// repeated-cost construction (four (c, d) link pairs, each shared by two
-// workers differing only in computation speed) with fast workers and
-// d-heavy links, so the one-port constraint binds on strict subsets and
-// the optimum is a port-tight vertex whose slack row — and whose choice
-// between twins — flips as the sweep's transpositions reorder the ranks.
-// Seed 23 is pinned because its descents are never degenerate and its
-// fallbacks are exactly the two shapes the fast path targets: a slack-row
-// shift on the cached enrolled set, and a twin substitution.
-func portBoundTwinPlatform(seed int64) *platform.Platform {
+// portBoundPlatform builds the port-vertex regression platform: eight
+// workers with cheap, d-heavy links and slow computation, so every worker
+// stays enrolled, the one-port constraint binds, and the optimum is a
+// port-tight vertex whose slack row shifts rank as the sweep's
+// transpositions reorder the workers — the shape the rescan targets. Seed
+// 4 is pinned because its descents are never degenerate and every one of
+// them, without the fast path, is such a slack-row shift.
+func portBoundPlatform(seed int64) *platform.Platform {
 	rng := rand.New(rand.NewSource(seed))
-	base := make([]platform.Worker, 4)
-	for i := range base {
-		base[i] = platform.Worker{
-			C: 0.04 + 0.08*rng.Float64(),
-			D: 0.08 + 0.15*rng.Float64(),
-		}
-	}
 	ws := make([]platform.Worker, 8)
 	for i := range ws {
-		ws[i] = base[i%4]
-		ws[i].W = 0.02 + 0.07*rng.Float64()
+		ws[i] = platform.Worker{
+			C: 0.05 + 0.05*rng.Float64(),
+			D: 0.1 + 0.1*rng.Float64(),
+			W: 0.5 + 0.5*rng.Float64(),
+		}
 	}
 	return platform.New(ws...)
 }
@@ -61,14 +55,13 @@ func sweepAllPerms(t testing.TB, p8 *platform.Platform, disable bool) ([]float64
 }
 
 // TestSweepPortVertexFastPath is the regression test of the port-vertex
-// fast path: on the port-bound repeated-cost platform the O(1)-screened
-// vertex rescan plus the twin-substitution rescue must cut the sweep's
-// chain-search fallbacks at least in half, while every permutation's
-// throughput stays in agreement with the descent-only sweep (both sides
-// return KKT-certified LP optima, so any drift is a soundness bug, not a
-// tolerance artefact).
+// fast path: on the port-bound platform the O(1)-screened vertex rescan
+// must cut the sweep's chain-search fallbacks at least in half, while
+// every permutation's throughput stays in agreement with the descent-only
+// sweep (both sides return KKT-certified LP optima, so any drift is a
+// soundness bug, not a tolerance artefact).
 func TestSweepPortVertexFastPath(t *testing.T) {
-	p := portBoundTwinPlatform(23)
+	p := portBoundPlatform(4)
 	slow, slowStats := sweepAllPerms(t, p, true)
 	fast, fastStats := sweepAllPerms(t, p, false)
 	for i := range slow {
@@ -93,10 +86,10 @@ func TestSweepPortVertexFastPath(t *testing.T) {
 
 // TestSweepPortVertexAllocationFree pins the fast path's allocation
 // discipline: the scans run on preallocated sweep scratch, so the full
-// p = 8 sweep on the port-bound twin platform stays allocation-free
+// p = 8 sweep on the port-bound platform stays allocation-free
 // beyond setup and amortised session-buffer growth.
 func TestSweepPortVertexAllocationFree(t *testing.T) {
-	p := portBoundTwinPlatform(23)
+	p := portBoundPlatform(4)
 	allocs := testing.AllocsPerRun(1, func() {
 		var sw *Sweep
 		sjtWalk(8, 1<<30, func(perm []int, swapped int) {
@@ -118,11 +111,11 @@ func TestSweepPortVertexAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSweepPortVertex times the full p = 8 port-bound twin sweep with
+// BenchmarkSweepPortVertex times the full p = 8 port-bound sweep with
 // the port-vertex fast path on and off — the wall-clock counterpart of the
 // fallback-counter regression test.
 func BenchmarkSweepPortVertex(b *testing.B) {
-	p := portBoundTwinPlatform(23)
+	p := portBoundPlatform(4)
 	for _, mode := range []struct {
 		name    string
 		disable bool

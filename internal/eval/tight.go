@@ -18,10 +18,20 @@ import (
 // A·α = 1; the optimality certificate additionally solves Aᵀ·λ = 1 and
 // demands α ≥ 0, λ ≥ 0 and slack port rows (see the package comment).
 
-// certOK reports whether v is acceptable as a "non-negative" certificate
-// component: at worst CertTol below zero, and finite.
-func certOK(v float64) bool {
-	return v >= -numeric.CertTol && !math.IsNaN(v) && !math.IsInf(v, 0)
+// certOK is the one acceptance rule for a certificate component that is
+// non-negative in exact arithmetic: v must be finite and may undershoot
+// zero by at most CertTol in units of scale, the quantity v is measured
+// against in the schedule's own time scale. A load is judged by its time
+// footprint α·(c+w+d) and a row or port slack as is, both against the
+// horizon T = 1; a multiplier against the dual objective Σλ (+ μ), which
+// equals ρ at an optimum; a dual column's surplus against its objective
+// coefficient 1. Raw loads and multipliers would be judged loosely by the
+// factor 1/ρ: from a return-to-send ratio z ≈ 1e5 they sum to ρ ≈ 1e-5,
+// and a load accepted at −CertTol and clamped to zero moves its worker's
+// rows by CertTol·(c+w+d) in time, enough to certify a vertex the checker
+// then rejects.
+func certOK(v, scale float64) bool {
+	return v >= -numeric.CertTol*scale && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // clampLoads zeroes the tiny negative loads admitted by certOK so the
@@ -41,11 +51,10 @@ func portFeasible(p *platform.Platform, send platform.Order, alpha []float64, mo
 		sumC += alpha[k] * p.Workers[i].C
 		sumD += alpha[k] * p.Workers[i].D
 	}
-	lim := 1 + numeric.CertTol
 	if model == schedule.TwoPort {
-		return sumC <= lim && sumD <= lim
+		return certOK(1-sumC, 1) && certOK(1-sumD, 1)
 	}
-	return sumC+sumD <= lim
+	return certOK(1-(sumC+sumD), 1)
 }
 
 // --- FIFO chain -----------------------------------------------------------
@@ -439,7 +448,6 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 	p, send := sc.Platform, sc.Send
 	q := len(send)
 	m := len(E)
-	tol := numeric.CertTol
 	// Assemble the m×m candidate system.
 	a := grow(&s.a, m*m)
 	for r, pos := range E {
@@ -466,6 +474,8 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 		alpha[r] = 1
 	}
 	luSolve(a, piv, m, alpha)
+	wc := s.derivedCosts(p)
+	feasible := true
 	for r, v := range alpha {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, false, h
@@ -473,8 +483,10 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 		if v < h.loadVal {
 			h.loadPos, h.loadVal = E[r], v
 		}
+		if !certOK(v*wc[send[E[r]]].cwd, 1) {
+			feasible = false
+		}
 	}
-	feasible := h.loadVal >= -tol
 	if feasible {
 		h.loadPos = -1
 		h.loadVal = 0
@@ -483,15 +495,17 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 	// Dual multipliers of the tight rows (λ for worker rows, μ at the
 	// slack index for the port row); computed before the feasibility
 	// verdict because a negative λ is the resource-selection hint even
-	// when the primal side already failed.
+	// when the primal side already failed. Their sum is the dual
+	// objective the multipliers are judged against.
 	lam := grow(&s.lam, m)
 	for r := range lam {
 		lam[r] = 1
 	}
 	luSolveTranspose(a, piv, m, lam)
+	dualSum := sum(lam)
 	dualOK := true
 	for r, l := range lam {
-		if !certOK(l) {
+		if !certOK(l, dualSum) {
 			dualOK = false
 			if r != slack && l < h.dualVal {
 				h.dualPos, h.dualVal = E[r], l
@@ -511,7 +525,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 		}
 		return lhs
 	}
-	if slack >= 0 && rowLHS(E[slack]) > 1+tol {
+	if slack >= 0 && !certOK(1-rowLHS(E[slack]), 1) {
 		return nil, false, h
 	}
 	inE := growInt(&s.mask, q)
@@ -522,7 +536,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 		inE[pos] = r
 	}
 	for pos := 0; pos < q; pos++ {
-		if inE[pos] < 0 && rowLHS(pos) > 1+tol {
+		if inE[pos] < 0 && !certOK(1-rowLHS(pos), 1) {
 			return nil, false, h
 		}
 	}
@@ -535,10 +549,10 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 			sumD += alpha[r] * w.D
 		}
 		if sc.Model == schedule.TwoPort {
-			if sumC > 1+tol || sumD > 1+tol {
+			if !certOK(1-sumC, 1) || !certOK(1-sumD, 1) {
 				return nil, false, h
 			}
-		} else if sumC+sumD > 1+tol {
+		} else if !certOK(1-(sumC+sumD), 1) {
 			return nil, false, h
 		}
 	}
@@ -570,7 +584,7 @@ func (s *Session) tryVertex(sc Scenario, full []float64, E []int, slack int) (al
 				val += lam[r] * wj.D
 			}
 		}
-		if val < 1-tol {
+		if !certOK(val-1, 1) {
 			return nil, false, h
 		}
 	}

@@ -5,11 +5,7 @@
 // its constant from here, so the tolerances stay mutually consistent and
 // the rationale lives in one place.
 //
-// The constants are absolute and sized for the problems the paper's
-// experiments pose: platform costs O(0.01..1), right-hand sides exactly 1,
-// loads O(1..10). In that range absolute and relative tolerances differ by
-// a small factor only, and the constants below are chosen on a simple
-// ladder:
+// The constants are chosen on a simple ladder:
 //
 //	LoadEps (1e-12)  «  LPEps/CertTol (1e-9)  «  CheckTol (1e-7)
 //
@@ -17,12 +13,17 @@
 // turn stricter than the independent feasibility checker, so a solution
 // accepted by a solver is never rejected downstream by a tighter check.
 //
-// Outside that range the ladder does not hold. From a return-to-send
-// ratio z of about 1e5, or with costs near 2e5, rounding noise outgrows
-// the absolute constants: the closed-form tier certifies, and the float
-// simplex reports, throughputs up to a few 1e-7 relative above the LP
-// optimum, and some one-port FIFO schedules fail the checker with a port
-// conflict near t = 0. ROADMAP item 1 tracks the fix.
+// The ladder holds in the schedule's own time scale, where the horizon is
+// T = 1 and every row of the scenario LP reads in time units. The
+// tight-system evaluator and the schedule builder judge a load by its time
+// footprint α·(c+w+d) and a dual multiplier against the dual objective
+// Σλ (= ρ at an optimum), not by their raw values, which shrink as 1/z
+// once return costs grow: at a return-to-send ratio z = 1e6 loads and
+// multipliers sum to ρ ≈ 1e-6, where a raw −CertTol would admit a load
+// whose worker's rows move by 1e-3 in time. The checker's tolerance is
+// relative to T already. The float simplex still applies LPEps to raw
+// values, and from z ≈ 1e5, or with costs near 2e5, it can report
+// throughputs a few 1e-7 relative above the LP optimum.
 package numeric
 
 const (
@@ -34,17 +35,18 @@ const (
 	LPEps = 1e-9
 
 	// CertTol bounds the negativity accepted in the tight-system evaluator's
-	// KKT certificate: primal loads, port-constraint slack and dual
-	// multipliers may undershoot zero by at most CertTol before the
-	// evaluator refuses the certificate and falls back to the simplex.
-	// Matching LPEps keeps the direct and simplex backends agreeing to well
-	// within the 1e-9 the property tests demand.
+	// KKT certificate: load time footprints, port-constraint slack and dual
+	// multipliers (relative to their sum) may undershoot zero by at most
+	// CertTol before the evaluator refuses the certificate and falls back
+	// to the simplex. Matching LPEps keeps the direct and simplex backends
+	// agreeing to well within the 1e-9 the property tests demand.
 	CertTol = 1e-9
 
-	// LoadEps is the threshold below which an LP load is treated as exactly
-	// zero and its worker pruned from the schedule (resource selection,
-	// Proposition 1). It sits far below CertTol/LPEps so pruning never
-	// disagrees with the solvers about which loads are "really" positive.
+	// LoadEps is the time footprint below which an LP load is treated as
+	// exactly zero and its worker pruned from the schedule (resource
+	// selection, Proposition 1). It sits far below CertTol/LPEps so pruning
+	// never disagrees with the solvers about which loads are "really"
+	// positive.
 	LoadEps = 1e-12
 
 	// CheckTol is the relative tolerance of the independent schedule

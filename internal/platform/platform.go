@@ -207,17 +207,6 @@ func (p *Platform) AppendFingerprint(b []byte) []byte {
 	return b
 }
 
-// Mirror returns the platform with forward and return costs swapped
-// (C↔D). Solving the mirrored problem and flipping the schedule in time is
-// how the z > 1 regime reduces to z < 1 (Section 3).
-func (p *Platform) Mirror() *Platform {
-	m := p.Clone()
-	for i := range m.Workers {
-		m.Workers[i].C, m.Workers[i].D = m.Workers[i].D, m.Workers[i].C
-	}
-	return m
-}
-
 // Order is a permutation of worker indices (0-based into Workers).
 type Order []int
 

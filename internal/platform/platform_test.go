@@ -79,25 +79,6 @@ func TestIsBus(t *testing.T) {
 	}
 }
 
-func TestMirrorInvolution(t *testing.T) {
-	p := New(Worker{C: 1, W: 2, D: 3}, Worker{C: 4, W: 5, D: 6})
-	m := p.Mirror()
-	if m.Workers[0].C != 3 || m.Workers[0].D != 1 {
-		t.Errorf("Mirror swapped wrong: %+v", m.Workers[0])
-	}
-	mm := m.Mirror()
-	for i := range p.Workers {
-		if mm.Workers[i] != p.Workers[i] {
-			t.Errorf("Mirror∘Mirror changed worker %d: %+v != %+v", i, mm.Workers[i], p.Workers[i])
-		}
-	}
-	// Mirror must not alias the original.
-	m.Workers[0].W = 99
-	if p.Workers[0].W == 99 {
-		t.Error("Mirror aliases the original platform")
-	}
-}
-
 func TestOrders(t *testing.T) {
 	p := New(
 		Worker{C: 3, W: 1, D: 1.5},

@@ -147,20 +147,6 @@ func (s *Schedule) ScaledToLoad(total float64) *Schedule {
 	return out
 }
 
-// Flipped returns the time-reversed schedule: sends become returns and vice
-// versa. It is the image of the Section 3 "mirror" argument: a feasible
-// schedule for platform P with horizon T flips into a feasible schedule for
-// P.Mirror() with the same loads, where the new σ1 is the old σ2 reversed
-// and the new σ2 is the old σ1 reversed.
-func (s *Schedule) Flipped() *Schedule {
-	return &Schedule{
-		SendOrder:   s.ReturnOrder.Reverse(),
-		ReturnOrder: s.SendOrder.Reverse(),
-		Alpha:       append([]float64(nil), s.Alpha...),
-		T:           s.T,
-	}
-}
-
 // WorkerTimeline holds the derived event dates of one enrolled worker.
 type WorkerTimeline struct {
 	Worker      int     // worker index into the platform

@@ -278,20 +278,43 @@ func TestScaledToLoad(t *testing.T) {
 	(&Schedule{Alpha: []float64{0}, T: 1}).ScaledToLoad(10)
 }
 
+// flipped returns the time-reversed schedule: sends become returns and
+// vice versa. It is the image of Section 3's mirror argument: a feasible
+// schedule for p with horizon T flips into a feasible schedule for
+// mirror(p) with the same loads, where the new σ1 is the old σ2 reversed
+// and the new σ2 is the old σ1 reversed.
+func flipped(s *Schedule) *Schedule {
+	return &Schedule{
+		SendOrder:   s.ReturnOrder.Reverse(),
+		ReturnOrder: s.SendOrder.Reverse(),
+		Alpha:       append([]float64(nil), s.Alpha...),
+		T:           s.T,
+	}
+}
+
+// mirror returns p with forward and return costs swapped (c ↔ d).
+func mirror(p *platform.Platform) *platform.Platform {
+	m := p.Clone()
+	for i := range m.Workers {
+		m.Workers[i].C, m.Workers[i].D = m.Workers[i].D, m.Workers[i].C
+	}
+	return m
+}
+
 func TestFlippedFeasibleOnMirror(t *testing.T) {
 	// Time reversal: a feasible one-port schedule flips into a feasible
 	// one-port schedule on the mirrored platform (c ↔ d).
 	p := twoWorkerPlatform()
 	s := feasibleFIFO()
-	f := s.Flipped()
-	if err := f.Check(p.Mirror(), OnePort); err != nil {
+	f := flipped(s)
+	if err := f.Check(mirror(p), OnePort); err != nil {
 		t.Errorf("flipped schedule infeasible on mirror: %v", err)
 	}
 	if math.Abs(f.Throughput()-s.Throughput()) > 1e-12 {
 		t.Error("flip must preserve throughput")
 	}
 	// Flip twice = identity on orders.
-	ff := f.Flipped()
+	ff := flipped(f)
 	for i := range s.SendOrder {
 		if ff.SendOrder[i] != s.SendOrder[i] || ff.ReturnOrder[i] != s.ReturnOrder[i] {
 			t.Error("double flip must restore orders")
@@ -349,8 +372,8 @@ func TestQuickFlipInvariant(t *testing.T) {
 			// Not all random combinations are feasible; skip those.
 			return true
 		}
-		fl := s.Flipped()
-		if err := fl.Check(p.Mirror(), OnePort); err != nil {
+		fl := flipped(s)
+		if err := fl.Check(mirror(p), OnePort); err != nil {
 			t.Logf("flip broke feasibility: %v", err)
 			return false
 		}
