@@ -242,10 +242,10 @@ func BenchmarkSolveCached(b *testing.B) {
 
 // --- Evaluation-pipeline benchmarks ----------------------------------------
 //
-// These quantify the internal/eval tiering: the closed-form and direct
-// tight-system backends against the simplex-only path on the factorial
-// searches (the acceptance benchmarks of the scenario-evaluation pipeline)
-// and on a single scenario solve.
+// These quantify the internal/eval tiering: the certified Auto tiers
+// against the simplex-only path on the factorial searches (the acceptance
+// benchmarks of the scenario-evaluation pipeline) and on a single scenario
+// solve.
 
 // benchExhaustivePlatform is the heterogeneous 7-worker platform shared by
 // the exhaustive benchmarks (5040 FIFO scenarios per run).
@@ -256,17 +256,17 @@ func benchExhaustivePlatform() *dls.Platform {
 
 // BenchmarkBestFIFOExhaustive7 runs the p! FIFO order search at p = 7
 // under each evaluation backend, with the engine's default search
-// parallelism. The auto and direct tiers must produce the same winning
-// order and loads as the simplex tier (covered by the agreement tests in
-// internal/eval); the benchmark tracks the speedup of the tight-system
-// path over the simplex-only path. The platform has a common z, so the
+// parallelism. The auto tiers must produce the same winning order and
+// loads as the simplex tier (covered by the agreement tests in
+// internal/eval); the benchmark tracks the speedup of the certified tiers
+// over the simplex-only path. The platform has a common z, so the
 // engine answers fifo-exhaustive on it from Theorem 1: the backends call
 // the sweep directly, and the theorem sub-benchmark times what dls.Solve
 // serves.
 func BenchmarkBestFIFOExhaustive7(b *testing.B) {
 	p := benchExhaustivePlatform()
 	ctx := core.ContextWithSearchParallelism(context.Background(), 0)
-	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalDirect, dls.EvalSimplex} {
+	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalSimplex} {
 		b.Run(mode.String(), fifoSweepBench(ctx, p, mode))
 	}
 	b.Run("theorem", func(b *testing.B) {
@@ -724,14 +724,14 @@ func BenchmarkReturnPrefixNode(b *testing.B) {
 
 // BenchmarkScenarioEval solves one fixed 11-worker FIFO scenario under each
 // backend: the per-scenario cost that the factorial searches multiply. The
-// platform is compute-bound (computation scaled up) so the all-tight
-// closed form applies — the port-bound/resource-selection regimes are
+// platform is compute-bound (computation scaled up) so Auto's all-tight
+// chain applies — the port-bound/resource-selection regimes are
 // covered by the exhaustive benchmarks above.
 func BenchmarkScenarioEval(b *testing.B) {
 	rng := rand.New(rand.NewSource(64))
 	p := dls.RandomSpeeds(rng, 11, dls.Heterogeneous).Platform(dls.DefaultApp(100)).ScaleComputation(20)
 	ctx := context.Background()
-	for _, mode := range []dls.EvalMode{dls.EvalClosedForm, dls.EvalDirect, dls.EvalSimplex} {
+	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalSimplex} {
 		b.Run(mode.String(), func(b *testing.B) {
 			req := dls.Request{Platform: p, Strategy: dls.StrategyIncC, Eval: mode}
 			b.ReportAllocs()

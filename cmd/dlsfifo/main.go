@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	dlsfifo schedule -platform file.json [-discipline fifo|lifo|incw|<strategy>] [-model one-port|two-port] [-exact] [-eval auto|closed-form|direct|simplex|exact] [-load M] [-gantt]
+//	dlsfifo schedule -platform file.json [-discipline fifo|lifo|incw|<strategy>] [-model one-port|two-port] [-exact] [-eval auto|simplex|exact] [-load M] [-gantt]
 //	dlsfifo bus -c 0.1 -d 0.05 -w 0.4,0.6,0.8
-//	dlsfifo brute -platform file.json [-exact] [-eval direct] [-timeout 30s] [-search-parallel N]
+//	dlsfifo brute -platform file.json [-exact] [-eval auto|simplex|exact] [-timeout 30s] [-search-parallel N]
 //	dlsfifo random -p 11 -family heterogeneous -size 100 -seed 42
 //	dlsfifo strategies
 //
@@ -158,7 +158,7 @@ func cmdSchedule(args []string) error {
 	gantt := fs.Bool("gantt", false, "render the schedule timeline as a Gantt chart")
 	out := fs.String("out", "", "write the computed schedule as JSON to this file")
 	timeout := fs.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | closed-form | direct | simplex | exact")
+	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | simplex | exact")
 	searchPar := fs.Int("search-parallel", 0, "workers for the exhaustive searches (0 = one per CPU, 1 = serial; result is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -377,7 +377,7 @@ func cmdBrute(args []string) error {
 	platformPath := fs.String("platform", "", "platform JSON file")
 	exact := fs.Bool("exact", false, "use exact rational LP arithmetic")
 	timeout := fs.Duration("timeout", 0, "abort the (p!)² search after this duration (0 = no limit)")
-	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | closed-form | direct | simplex | exact")
+	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | simplex | exact")
 	searchPar := fs.Int("search-parallel", 0, "workers for the exhaustive searches (0 = one per CPU, 1 = serial; result is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err

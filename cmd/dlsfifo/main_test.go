@@ -231,7 +231,7 @@ func TestCmdScheduleTimeoutExpiresExhaustive(t *testing.T) {
 
 func TestCmdScheduleEvalFlag(t *testing.T) {
 	path := writePlatform(t)
-	for _, mode := range []string{"auto", "closed-form", "direct", "simplex", "exact"} {
+	for _, mode := range []string{"auto", "simplex", "exact"} {
 		out, err := captureStdout(t, func() error {
 			return cmdSchedule([]string{"-platform", path, "-eval", mode})
 		})
@@ -243,14 +243,16 @@ func TestCmdScheduleEvalFlag(t *testing.T) {
 			t.Errorf("-eval %s: output does not echo the backend:\n%s", mode, out)
 		}
 	}
-	if err := cmdSchedule([]string{"-platform", path, "-eval", "nope"}); err == nil {
-		t.Error("unknown -eval backend must fail")
+	for _, mode := range []string{"nope", "closed-form", "direct"} {
+		if err := cmdSchedule([]string{"-platform", path, "-eval", mode}); err == nil {
+			t.Errorf("unknown -eval backend %q must fail", mode)
+		}
 	}
 	if err := cmdBrute([]string{"-platform", path, "-eval", "nope"}); err == nil {
 		t.Error("brute: unknown -eval backend must fail")
 	}
-	if err := cmdBrute([]string{"-platform", path, "-eval", "direct"}); err != nil {
-		t.Errorf("brute -eval direct: %v", err)
+	if err := cmdBrute([]string{"-platform", path, "-eval", "simplex"}); err != nil {
+		t.Errorf("brute -eval simplex: %v", err)
 	}
 }
 
@@ -263,7 +265,7 @@ func TestEvalBackendsAgreeOnSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rhos []float64
-	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalDirect, dls.EvalSimplex} {
+	for _, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalSimplex} {
 		res, err := dls.Solve(context.Background(), dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Eval: mode})
 		if err != nil {
 			t.Fatal(err)

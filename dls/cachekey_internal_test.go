@@ -22,7 +22,7 @@ func TestCacheKeyInjective(t *testing.T) {
 		"affine":         {Platform: p, Strategy: StrategyScenario, Affine: &zero},
 		"two-port":       {Platform: p, Strategy: StrategyScenario, Model: TwoPort},
 		"exact":          {Platform: p, Strategy: StrategyScenario, Arith: Exact},
-		"eval direct":    {Platform: p, Strategy: StrategyScenario, Eval: EvalDirect},
+		"eval simplex":   {Platform: p, Strategy: StrategyScenario, Eval: EvalSimplex},
 		"other strategy": {Platform: p, Strategy: StrategyScenarioAffine},
 		"other platform": {Platform: NewPlatform(Worker{C: 1, W: 2, D: 3}), Strategy: StrategyScenario},
 		"no affine":      base,

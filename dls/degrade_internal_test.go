@@ -248,7 +248,7 @@ func TestDegradeSkipsTheoremAnswer(t *testing.T) {
 		if res.Degraded {
 			t.Fatalf("%s: theorem answer degraded to %s", strategy, res.DegradedTo)
 		}
-		sweep, err := s.Solve(context.Background(), Request{Platform: plat, Strategy: strategy, Eval: EvalDirect})
+		sweep, err := s.Solve(context.Background(), Request{Platform: plat, Strategy: strategy, Eval: EvalSimplex})
 		if err != nil {
 			t.Fatalf("%s sweep: %v", strategy, err)
 		}

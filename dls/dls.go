@@ -52,11 +52,11 @@
 // # Scenario evaluation
 //
 // Every fixed communication scenario is evaluated by the internal/eval
-// pipeline: closed-form load recurrences and a direct tight-system solver
-// with full optimality certificates where they apply, the simplex (float64
-// or exact rational) otherwise. [Request.Eval] selects the backend
-// ([EvalAuto], the default, tiers them); the backends agree to 1e-9 by
-// property test, so the knob trades only speed, not results.
+// pipeline: closed-form FIFO/LIFO load chains and a pivot solver, each
+// answer carrying a full optimality certificate, with the simplex (float64
+// or exact rational) as a counted safety net. [Request.Eval] selects the
+// backend ([EvalAuto], the default, tiers them); the backends agree to
+// 1e-9 by property test, so the knob trades only speed, not results.
 //
 // All schedule-producing strategies verify their output against an
 // independent feasibility checker before returning it.
@@ -126,22 +126,16 @@ const (
 )
 
 // EvalMode selects the scenario-evaluation backend of a Request (see
-// internal/eval): closed-form load recurrences, the direct tight-system
-// solver, the simplex, or the tiered automatic composition.
+// internal/eval): the tiered automatic composition, the float64 simplex or
+// the exact rational simplex.
 type EvalMode = eval.Mode
 
 // Evaluation backends for Request.Eval.
 const (
-	// EvalAuto tiers the backends: closed form → direct → simplex. The
-	// zero value, and the default everywhere.
+	// EvalAuto tiers the certified backends: the O(p) FIFO/LIFO chains,
+	// then the pivot solver, with the float simplex as a counted safety
+	// net. The zero value, and the default everywhere.
 	EvalAuto = eval.Auto
-	// EvalClosedForm uses only the closed-form backend (FIFO/LIFO load
-	// recurrences, Theorem 2 on buses) and fails where no closed form
-	// applies.
-	EvalClosedForm = eval.ClosedForm
-	// EvalDirect uses the tight-system Gaussian elimination, falling back
-	// to the simplex when its optimality certificate fails.
-	EvalDirect = eval.Direct
 	// EvalSimplex always solves the full LP with the float64 simplex.
 	EvalSimplex = eval.Simplex
 	// EvalExact always solves the full LP in exact rational arithmetic
@@ -149,8 +143,8 @@ const (
 	EvalExact = eval.ExactRational
 )
 
-// ParseEvalMode parses an evaluation-backend name: "auto", "closed-form",
-// "direct", "simplex" or "exact".
+// ParseEvalMode parses an evaluation-backend name: "auto", "simplex" or
+// "exact".
 func ParseEvalMode(s string) (EvalMode, error) { return eval.ParseMode(s) }
 
 // Random platform families (Section 5.3.2).

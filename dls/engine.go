@@ -36,9 +36,9 @@ type Request struct {
 	// the exact-rational evaluation backend regardless of Eval.
 	Arith Arith
 	// Eval selects the scenario-evaluation backend: EvalAuto (the zero
-	// value and the default everywhere) tiers closed-form load recurrences
-	// and the direct tight-system solver over the simplex; EvalClosedForm,
-	// EvalDirect, EvalSimplex and EvalExact pin a single backend. See
+	// value and the default everywhere) tiers the closed-form FIFO/LIFO
+	// chains and the certified pivot solver, with the simplex as a counted
+	// safety net; EvalSimplex and EvalExact pin one LP solver. See
 	// internal/eval for the backend semantics.
 	Eval EvalMode
 	// Send is the send order for the fixed-order strategies
@@ -194,6 +194,10 @@ type Stats struct {
 	// AffineSearch is the cumulative affine subset-search instrumentation
 	// (process global, like PairSearch).
 	AffineSearch AffineSearchStats
+	// EvalSimplexFallbacks counts the EvalAuto scenario evaluations that no
+	// certified tier answered, so the float simplex did (process global:
+	// every evaluation in the process advances it).
+	EvalSimplexFallbacks uint64
 }
 
 // WindowFlushes counts flushed admission windows by reason.
@@ -457,6 +461,7 @@ func (s *Solver) Stats() Stats {
 		LeavesEvaluated: as.LeavesEvaluated,
 		BoundSolves:     as.BoundSolves,
 	}
+	st.EvalSimplexFallbacks = eval.SimplexFallbacks()
 	return st
 }
 

@@ -589,7 +589,7 @@ func TestEvalModeKnob(t *testing.T) {
 
 	// Every backend reaches the same optimum through the engine.
 	var ref float64
-	for i, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalDirect, dls.EvalSimplex, dls.EvalExact} {
+	for i, mode := range []dls.EvalMode{dls.EvalAuto, dls.EvalSimplex, dls.EvalExact} {
 		res, err := dls.Solve(ctx, dls.Request{Platform: p, Strategy: dls.StrategyIncC, Eval: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -638,11 +638,14 @@ func TestEvalModeKnob(t *testing.T) {
 }
 
 func TestParseEvalMode(t *testing.T) {
-	m, err := dls.ParseEvalMode("closed-form")
-	if err != nil || m != dls.EvalClosedForm {
-		t.Errorf("ParseEvalMode(closed-form) = (%v, %v)", m, err)
+	m, err := dls.ParseEvalMode("simplex")
+	if err != nil || m != dls.EvalSimplex {
+		t.Errorf("ParseEvalMode(simplex) = (%v, %v)", m, err)
 	}
-	if _, err := dls.ParseEvalMode("nope"); err == nil {
-		t.Error("unknown backend name must fail")
+	for _, name := range []string{"nope", "closed-form", "direct"} {
+		_, err := dls.ParseEvalMode(name)
+		if err == nil || !strings.Contains(err.Error(), "auto, simplex, exact") {
+			t.Errorf("ParseEvalMode(%q) = %v, want an error listing auto, simplex, exact", name, err)
+		}
 	}
 }

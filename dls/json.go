@@ -7,7 +7,7 @@ import (
 
 // This file makes Request round-trippable through JSON, the wire format of
 // the dlsd serving layer: enums travel as their canonical names ("one-port",
-// "exact", "closed-form", ...), zero-valued knobs are omitted so a request
+// "exact", "simplex", ...), zero-valued knobs are omitted so a request
 // written by hand stays as small as the Go literal, and unmarshalling
 // rejects unknown names instead of smuggling them through as integers.
 

@@ -20,7 +20,7 @@ func randomRequest(rng *rand.Rand) dls.Request {
 		Strategy: dls.Strategies()[rng.Intn(len(dls.Strategies()))],
 		Model:    dls.Model(rng.Intn(2)),
 		Arith:    dls.Arith(rng.Intn(2)),
-		Eval:     []dls.EvalMode{dls.EvalAuto, dls.EvalClosedForm, dls.EvalDirect, dls.EvalSimplex, dls.EvalExact}[rng.Intn(5)],
+		Eval:     []dls.EvalMode{dls.EvalAuto, dls.EvalSimplex, dls.EvalExact}[rng.Intn(3)],
 	}
 	if rng.Intn(2) == 0 {
 		req.Send = p.ByC()

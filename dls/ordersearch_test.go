@@ -79,7 +79,7 @@ func TestOrderSearchSweepCases(t *testing.T) {
 	general := p.Clone()
 	general.Workers[0].D *= 3
 	for _, req := range []dls.Request{
-		{Platform: p, Strategy: dls.StrategyFIFOExhaustive, Eval: dls.EvalDirect},
+		{Platform: p, Strategy: dls.StrategyFIFOExhaustive, Eval: dls.EvalSimplex},
 		{Platform: p, Strategy: dls.StrategyLIFOExhaustive, Eval: dls.EvalSimplex},
 		{Platform: p, Strategy: dls.StrategyFIFOExhaustive, Model: dls.TwoPort},
 		{Platform: general, Strategy: dls.StrategyFIFOExhaustive},

@@ -320,7 +320,7 @@ var wireNames = func() map[string]string {
 		StrategyFIFOAffine, StrategyScenarioAffine,
 		ModelName(OnePort), ModelName(TwoPort), ArithName(Float64), ArithName(Exact),
 	}
-	for _, m := range []EvalMode{EvalAuto, EvalClosedForm, EvalDirect, EvalSimplex, EvalExact} {
+	for _, m := range []EvalMode{EvalAuto, EvalSimplex, EvalExact} {
 		names = append(names, m.String())
 	}
 	for i := 1; i <= 64; i++ {

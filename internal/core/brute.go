@@ -432,10 +432,14 @@ func bestOrderExhaustive(ctx context.Context, p *platform.Platform, model schedu
 // rides the SJT transpositions of the range (the range opener rebuilds the
 // chains from scratch, exactly like the full enumeration's identity
 // emission), other backends evaluate each order through one pooled
-// session. Sweep values are pure functions of the order — Delta recomputes
-// everything downstream of a transposition from unchanged prefix state —
-// so a range-partitioned search scores every order bit-identically to the
-// serial one.
+// session. On its miss path a sweep value is a pure function of the
+// order: the full chain descent and then the pivot tier both start from
+// the order alone. The chain warm path, which re-certifies or resumes from
+// the optimum cached at the previous order, is not on platforms with exact
+// cost ties: two rank ranges can reach one order through different
+// certified vertices whose values differ in the last bit, so a
+// range-partitioned search can pick a different winner than the serial one
+// (ROADMAP item 4). The byte-identity tests use tie-free platforms.
 func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mode eval.Mode, lifo bool, lo, hi int64) error {
 	n := p.P()
 	sess := eval.GetSession()
@@ -443,18 +447,11 @@ func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mo
 	sc := eval.Scenario{Platform: p, Model: model}
 	reversed := make(platform.Order, n) // scratch for the LIFO return order
 	var sweep *eval.Sweep
-	useSweep := mode == eval.Auto
-	// An order the sweep cannot certify has already been through the full
-	// chain descent that Auto would run again, so only the simplex is left.
-	missMode := mode
-	if useSweep {
-		missMode = eval.Simplex
-	}
 	return forEachPermutationRange(n, lo, hi, func(perm []int, swapped int) error {
 		if err := core.poll(); err != nil {
 			return err
 		}
-		if useSweep {
+		if mode == eval.Auto {
 			if swapped < 0 {
 				var err error
 				if sweep, err = eval.NewSweep(p, perm, model, lifo); err != nil {
@@ -469,10 +466,12 @@ func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mo
 			// strictly below the shared best (see screenSlack), so a pruned
 			// order's capped value can never win and an exact tie is always
 			// computed exactly.
-			if rho, ok := sweep.ThroughputBound(core.screen()); ok {
-				core.offer(rho, platform.Order(perm), nil)
-				return nil
+			rho, ok := sweep.ThroughputBound(core.screen())
+			if !ok {
+				return fmt.Errorf("core: send order %v: no tier of the evaluator answered", perm)
 			}
+			core.offer(rho, platform.Order(perm), nil)
+			return nil
 		}
 		sc.Send = perm
 		if lifo {
@@ -483,7 +482,7 @@ func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mo
 		} else {
 			sc.Return = perm
 		}
-		rho, err := sess.ThroughputTrusted(sc, missMode)
+		rho, err := sess.ThroughputTrusted(sc, mode)
 		if err != nil {
 			return err
 		}

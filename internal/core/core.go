@@ -8,9 +8,9 @@
 // callers pick their orders and call SolveScenario.
 //
 // All scenario evaluation is delegated to the internal/eval pipeline: a
-// tiered evaluator that uses closed-form load recurrences and a direct
-// tight-system solver where their optimality certificates hold, and the
-// simplex (float64 or exact rational) otherwise. Scenario solves and the
+// tiered evaluator whose closed-form FIFO/LIFO chains and pivot solver
+// answer with full optimality certificates, the float64 simplex being a
+// counted safety net, or a pinned simplex (float64 or exact rational). Scenario solves and the
 // *Eval searches take an eval.Mode selecting the backend; the *Context
 // searches and OnePortPenalty take an Arith (the float64/exact switch).
 package core
@@ -32,7 +32,7 @@ type Arith int
 // Arithmetic modes.
 const (
 	// Float64 evaluates scenarios with the tiered float64 pipeline
-	// (closed form / direct tight system / float64 simplex).
+	// (closed-form chains / pivot solver / counted float64 simplex).
 	Float64 Arith = iota
 	// Exact evaluates them with the exact rational simplex.
 	Exact

@@ -11,9 +11,9 @@ import (
 // Tracing hooks: when a trace rides the context (internal/obs), the
 // scenario evaluations and searches record their stage of the request's
 // latency decomposition — which eval tier actually answered
-// ("eval-backend": closed-form / direct / simplex / exact, fallback
-// taken) and what the order-space search did ("search": worker count,
-// nodes expanded, subtrees pruned). With no trace on the context every
+// ("eval-backend": closed-form chains / pivot / simplex / exact, and
+// whether the simplex answered as a fallback) and what the order-space
+// search did ("search": worker count, nodes expanded, subtrees pruned). With no trace on the context every
 // hook is a no-op costing one context lookup.
 
 // recordEvalBackend records one eval-backend stage from the session's

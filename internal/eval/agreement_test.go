@@ -12,8 +12,7 @@ import (
 // The backend-agreement property test of the scenario-evaluation pipeline:
 // on randomized platforms spanning every regime the backends specialise on
 // (common z below and above 1, no common z, buses, compute-bound and
-// port-bound mixes), the direct tight-system backend and the simplex
-// backend must agree on throughput/makespan and on every load to 1e-9, and
+// port-bound mixes), the pivot tier and the simplex backend must agree on throughput/makespan and on every load to 1e-9, and
 // the exact-rational backend must confirm the float64 optima.
 
 const agreeTol = 1e-9
@@ -84,34 +83,51 @@ func randomScenario(rng *rand.Rand, p *platform.Platform) Scenario {
 	return Scenario{Platform: p, Send: send, Return: ret, Model: model}
 }
 
-func TestDirectAgreesWithSimplex(t *testing.T) {
+// evaluatePivot is Evaluate pinned to the pivot tier, whatever the
+// scenario shape, so the FIFO and LIFO scenarios the chains answer under
+// Auto exercise it too. A simplex fallback fails the test.
+func evaluatePivot(t *testing.T, sc Scenario) *schedule.Schedule {
+	t.Helper()
+	s := NewSession()
+	alpha, _, err := s.pivotScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fallback := s.Backend(); fallback {
+		t.Fatalf("pivot certificate failed\nσ1=%v σ2=%v model=%v\n%s", sc.Send, sc.Return, sc.Model, sc.Platform)
+	}
+	out, err := s.canonicalSchedule(sc, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestPivotAgreesWithSimplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7331))
 	const trials = 240
 	const load = 1000.0
 	for trial := 0; trial < trials; trial++ {
 		p := randomAgreementPlatform(rng)
 		sc := randomScenario(rng, p)
-		direct, err := Evaluate(sc, Direct)
-		if err != nil {
-			t.Fatalf("trial %d: direct: %v\n%s", trial, err, p)
-		}
+		pivot := evaluatePivot(t, sc)
 		simplex, err := Evaluate(sc, Simplex)
 		if err != nil {
 			t.Fatalf("trial %d: simplex: %v\n%s", trial, err, p)
 		}
-		if !agreeEq(direct.Throughput(), simplex.Throughput()) {
-			t.Errorf("trial %d: throughput direct %.12g != simplex %.12g\nscenario σ1=%v σ2=%v model=%v\n%s",
-				trial, direct.Throughput(), simplex.Throughput(), sc.Send, sc.Return, sc.Model, p)
+		if !agreeEq(pivot.Throughput(), simplex.Throughput()) {
+			t.Errorf("trial %d: throughput pivot %.12g != simplex %.12g\nscenario σ1=%v σ2=%v model=%v\n%s",
+				trial, pivot.Throughput(), simplex.Throughput(), sc.Send, sc.Return, sc.Model, p)
 		}
 		// Makespan for a fixed load is load/ρ — agreement transfers, but
 		// assert it explicitly since it is the user-facing number.
-		if !agreeEq(load/direct.Throughput(), load/simplex.Throughput()) {
+		if !agreeEq(load/pivot.Throughput(), load/simplex.Throughput()) {
 			t.Errorf("trial %d: makespan disagreement", trial)
 		}
-		for i := range direct.Alpha {
-			if !agreeEq(direct.Alpha[i], simplex.Alpha[i]) {
-				t.Errorf("trial %d: load of worker %d: direct %.12g != simplex %.12g\nscenario σ1=%v σ2=%v model=%v\n%s",
-					trial, i, direct.Alpha[i], simplex.Alpha[i], sc.Send, sc.Return, sc.Model, p)
+		for i := range pivot.Alpha {
+			if !agreeEq(pivot.Alpha[i], simplex.Alpha[i]) {
+				t.Errorf("trial %d: load of worker %d: pivot %.12g != simplex %.12g\nscenario σ1=%v σ2=%v model=%v\n%s",
+					trial, i, pivot.Alpha[i], simplex.Alpha[i], sc.Send, sc.Return, sc.Model, p)
 			}
 		}
 		// Auto must tier to the same optimum as well.
@@ -132,9 +148,9 @@ func TestDirectAgreesWithSimplex(t *testing.T) {
 				t.Errorf("trial %d: exact %.12g != simplex %.12g (float64 simplex off the true optimum)",
 					trial, exact.Throughput(), simplex.Throughput())
 			}
-			if !agreeEq(exact.Throughput(), direct.Throughput()) {
-				t.Errorf("trial %d: exact %.12g != direct %.12g (tight certificate off the true optimum)",
-					trial, exact.Throughput(), direct.Throughput())
+			if !agreeEq(exact.Throughput(), pivot.Throughput()) {
+				t.Errorf("trial %d: exact %.12g != pivot %.12g (pivot certificate off the true optimum)",
+					trial, exact.Throughput(), pivot.Throughput())
 			}
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // of the scenario LP: with every link cost equal, any feasible point that
 // saturates the tight port row carries the same total load, so many load
 // vectors are simultaneously optimal and the backends would legitimately
-// return different vertices (the Theorem 2 construction, an active-set
-// port vertex, whatever vertex the simplex pivots into). Every schedule-
+// return different vertices (a chain tier's port vertex, the pivot
+// tier's final basis, whatever vertex the simplex pivots into). Every schedule-
 // producing float64 evaluation therefore funnels through canonicalLoads,
 // which detects the degenerate regime and replaces the computed loads by
 // the lexicographically smallest optimal load vector (by send position) —
@@ -52,7 +52,7 @@ func (s *Session) canonicalLoads(sc Scenario, alpha []float64) []float64 {
 	if q < 2 {
 		return alpha
 	}
-	// Identical links across the enrolled workers (the busFIFO criterion).
+	// Identical links across the enrolled workers (a bus, Theorem 2).
 	c0 := sc.Platform.Workers[sc.Send[0]].C
 	d0 := sc.Platform.Workers[sc.Send[0]].D
 	for _, i := range sc.Send {

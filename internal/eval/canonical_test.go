@@ -29,14 +29,21 @@ func TestCanonicalLoadsByteIdentical(t *testing.T) {
 	send := platform.Identity(p.P())
 	sc := Scenario{Platform: p, Send: send, Return: send, Model: schedule.OnePort}
 	var ref *schedule.Schedule
-	for _, mode := range []Mode{ClosedForm, Direct, Simplex, Auto} {
-		s, err := Evaluate(sc, mode)
+	for _, backend := range []struct {
+		name string
+		eval func() (*schedule.Schedule, error)
+	}{
+		{"auto", func() (*schedule.Schedule, error) { return Evaluate(sc, Auto) }},
+		{"pivot", func() (*schedule.Schedule, error) { return evaluatePivot(t, sc), nil }},
+		{"simplex", func() (*schedule.Schedule, error) { return Evaluate(sc, Simplex) }},
+	} {
+		s, err := backend.eval()
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%s: %v", backend.name, err)
 		}
 		// The optimum saturates the port: ρ = 1/(c+d) exactly.
 		if want := 1 / (0.2 + 0.3); math.Abs(s.Throughput()-want) > 1e-9*want {
-			t.Fatalf("%v: throughput %.12g != port bound %.12g", mode, s.Throughput(), want)
+			t.Fatalf("%s: throughput %.12g != port bound %.12g", backend.name, s.Throughput(), want)
 		}
 		if ref == nil {
 			ref = s
@@ -44,8 +51,8 @@ func TestCanonicalLoadsByteIdentical(t *testing.T) {
 		}
 		for i := range s.Alpha {
 			if s.Alpha[i] != ref.Alpha[i] {
-				t.Errorf("%v: load of worker %d = %.17g differs from closed-form's %.17g",
-					mode, i, s.Alpha[i], ref.Alpha[i])
+				t.Errorf("%s: load of worker %d = %.17g differs from auto's %.17g",
+					backend.name, i, s.Alpha[i], ref.Alpha[i])
 			}
 		}
 	}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/schedule"
 )
 
-// This file implements the fast FIFO/LIFO variants of the active-set
-// descent. For those scenario shapes every candidate vertex — all rows
+// This file implements the chain tiers: the active-set descent for FIFO
+// and LIFO scenarios. For those scenario shapes every candidate vertex — all rows
 // tight on an enrolled subsequence, or port-tight with one slack row — is
 // a chain system solvable in O(m), so the whole search runs without any
 // Gaussian elimination:

@@ -5,35 +5,33 @@
 //
 // # Backends
 //
-// [Evaluate] and [Session.Evaluate] run three backends, tiered under [Auto]
-// or pinned one at a time by the other [Mode] values:
+// [Evaluate] and [Session.Evaluate] answer under [Auto] through two
+// certified tiers, or pin one LP solver with the other [Mode] values:
 //
-//   - closed form — O(p) load recurrences for FIFO (σ2 = σ1) and LIFO
-//     (σ2 = reverse σ1) scenarios. These are the all-constraints-tight
-//     chains underlying Theorems 1 and 2: subtracting consecutive
-//     per-worker constraints collapses the p×p system to a two-term
-//     recurrence. On bus platforms the FIFO case additionally covers the
-//     port-bound regime via the constructive proof of Theorem 2.
-//   - direct — Gaussian elimination (LU with partial pivoting) on the p×p
-//     all-constraints-tight linear system of a general (σ1, σ2) scenario,
-//     in the spirit of the tight-constraint derivations of Gallet, Robert
-//     & Vivien for linear processor networks.
-//   - simplex — the full Section 2.3 linear program solved by the float64
-//     two-phase simplex (or its exact rational twin), the always-correct
-//     general fallback.
+//   - chain tiers — O(p) load and dual recurrences for FIFO (σ2 = σ1) and
+//     LIFO (σ2 = reverse σ1) scenarios, run as an active-set descent over
+//     enrolled subsequences. These are the all-constraints-tight chains
+//     underlying Theorems 1 and 2: subtracting consecutive per-worker
+//     constraints collapses the p×p system to a two-term recurrence, and
+//     one-port FIFO port-bound vertices close in O(p) as well.
+//   - pivot — a dense primal simplex from α = 0 whose final basis is
+//     re-solved by LU and certified (pivot.go), for general (σ1, σ2)
+//     pairs and every FIFO or LIFO scenario the chains miss.
+//   - simplex / exact — the full Section 2.3 linear program solved by the
+//     float64 two-phase simplex or its exact rational twin. Under Auto
+//     the float simplex answers only when a pivot certificate fails, and
+//     every such fallback is counted ([SimplexFallbacks]).
 //
 // # Soundness
 //
-// The tight-system backends are sound, not merely fast: a tight candidate
-// α = A⁻¹·1 is accepted only together with a complete KKT certificate —
-// primal feasibility (α ≥ 0 and the port constraint(s) hold) plus a dual
-// solution λ = A⁻ᵀ·1 with λ ≥ 0. All per-worker rows being tight and the
-// port multiplier being zero on a slack port row, complementary slackness
-// holds by construction, so by strong duality the certificate proves the
-// tight point optimal for the LP. Any scenario whose certificate fails
-// (negative load, port overrun, negative multiplier, ill-conditioned
-// system) silently falls back to the simplex, which handles resource
-// selection and port-bound optima exactly as before.
+// The certified tiers are sound, not merely fast: a vertex — loads E
+// solving its tight rows T — is accepted only together with a complete KKT
+// certificate: primal feasibility (every load ≥ 0, every row outside T
+// holds), dual feasibility of the multipliers λ = B⁻ᵀ·1 of the tight rows,
+// and a non-negative dual surplus on every load outside E. By strong
+// duality the certificate proves the vertex optimal for the LP. Every
+// component is judged in the schedule's own time scale by one predicate,
+// certOK.
 //
 // Every schedule returned by [Evaluate] (and [Session.Evaluate]) is
 // verified post hoc by the independent feasibility checker of package
@@ -43,7 +41,6 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/lp"
@@ -54,19 +51,11 @@ import (
 // Mode selects the evaluation backend (or the tiered composition).
 type Mode int
 
-// Evaluation modes. The zero value Auto is the default everywhere: closed
-// forms when the scenario shape admits them, the direct tight-system solver
-// for general permutation pairs, the simplex as fallback.
+// Evaluation modes. The zero value Auto is the default everywhere.
 const (
-	// Auto tiers the backends: closed form → direct → simplex.
+	// Auto tiers the backends: chains → pivot, with the simplex as the
+	// counted safety net.
 	Auto Mode = iota
-	// ClosedForm uses only the closed-form backend and fails on scenarios
-	// it cannot certify (general permutation pairs, port-bound non-bus
-	// FIFO optima).
-	ClosedForm
-	// Direct uses the tight-system Gaussian elimination for every scenario
-	// shape, falling back to the simplex when the certificate fails.
-	Direct
 	// Simplex always solves the full linear program in float64.
 	Simplex
 	// ExactRational always solves the full linear program in exact
@@ -78,8 +67,6 @@ const (
 // knobs).
 var modeNames = map[Mode]string{
 	Auto:          "auto",
-	ClosedForm:    "closed-form",
-	Direct:        "direct",
 	Simplex:       "simplex",
 	ExactRational: "exact",
 }
@@ -98,8 +85,7 @@ func (m Mode) Valid() bool {
 	return ok
 }
 
-// ParseMode parses a canonical mode name ("auto", "closed-form", "direct",
-// "simplex", "exact").
+// ParseMode parses a canonical mode name ("auto", "simplex", "exact").
 func ParseMode(s string) (Mode, error) {
 	for m, name := range modeNames {
 		if s == name {
@@ -111,7 +97,7 @@ func ParseMode(s string) (Mode, error) {
 
 // ModeNames returns the canonical mode names, in tier order.
 func ModeNames() string {
-	return "auto, closed-form, direct, simplex, exact"
+	return "auto, simplex, exact"
 }
 
 // Scenario is one fixed-communication-scenario evaluation problem: the
@@ -125,18 +111,6 @@ type Scenario struct {
 	Return   platform.Order
 	Model    schedule.Model
 }
-
-// Errors reported by the strict backends. Auto and Direct never surface
-// these — they fall back to the simplex instead.
-var (
-	// ErrNotApplicable is returned by the ClosedForm mode when the scenario
-	// has no closed form (a general permutation pair).
-	ErrNotApplicable = errors.New("eval: no closed form for this scenario shape")
-	// ErrNotTight is returned by the ClosedForm mode when the
-	// all-constraints-tight candidate exists but fails its optimality
-	// certificate (resource selection or a binding port constraint).
-	ErrNotTight = errors.New("eval: tight closed-form candidate is not the LP optimum")
-)
 
 // Evaluate solves one scenario with the given mode using a pooled scratch
 // session. It is safe for concurrent use.

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -20,7 +19,7 @@ func testStar() *platform.Platform {
 }
 
 func TestModeParseAndString(t *testing.T) {
-	for _, m := range []Mode{Auto, ClosedForm, Direct, Simplex, ExactRational} {
+	for _, m := range []Mode{Auto, Simplex, ExactRational} {
 		if !m.Valid() {
 			t.Errorf("%v must be valid", m)
 		}
@@ -38,8 +37,13 @@ func TestModeParseAndString(t *testing.T) {
 	if _, err := ParseMode("nope"); err == nil {
 		t.Error("ParseMode must reject unknown names")
 	}
-	if !strings.Contains(ModeNames(), "closed-form") {
+	if !strings.Contains(ModeNames(), "simplex") {
 		t.Errorf("ModeNames() = %q", ModeNames())
+	}
+	for _, gone := range []string{"closed-form", "direct"} {
+		if _, err := ParseMode(gone); err == nil {
+			t.Errorf("ParseMode(%q) accepted a removed mode", gone)
+		}
 	}
 }
 
@@ -50,7 +54,7 @@ func TestEvaluateModesAgree(t *testing.T) {
 	order := p.ByC()
 	sc := Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}
 	var ref float64
-	for _, mode := range []Mode{Auto, ClosedForm, Direct, Simplex, ExactRational} {
+	for _, mode := range []Mode{Auto, Simplex, ExactRational} {
 		s, err := Evaluate(sc, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -92,31 +96,18 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-func TestClosedFormStrictErrors(t *testing.T) {
-	p := testStar()
-	send := platform.Identity(3)
-	general := platform.Order{1, 0, 2} // neither σ1 nor its reverse
-	if _, err := Evaluate(Scenario{Platform: p, Send: send, Return: general, Model: schedule.OnePort}, ClosedForm); !errors.Is(err, ErrNotApplicable) {
-		t.Errorf("general pair: want ErrNotApplicable, got %v", err)
-	}
-	// A port-bound non-bus FIFO optimum has no closed form.
-	hard := platform.New(
-		platform.Worker{C: 0.3, W: 1e-6, D: 0.15},
-		platform.Worker{C: 0.4, W: 1e-6, D: 0.2},
-	)
-	if _, err := Evaluate(Scenario{Platform: hard, Send: platform.Identity(2), Return: platform.Identity(2), Model: schedule.OnePort}, ClosedForm); !errors.Is(err, ErrNotTight) {
-		t.Errorf("port-bound star: want ErrNotTight, got %v", err)
-	}
-}
-
 func TestClosedFormBusPortBound(t *testing.T) {
-	// On a bus the closed form covers the port-bound regime via Theorem 2:
-	// with negligible compute ρ = 1/(c+d).
+	// On a bus the chain tier's port vertices cover the port-bound regime
+	// of Theorem 2: with negligible compute ρ = 1/(c+d).
 	p := platform.NewBus(0.3, 0.15, 1e-9, 1e-9, 1e-9)
 	order := platform.Identity(3)
-	s, err := Evaluate(Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}, ClosedForm)
+	sess := NewSession()
+	s, err := sess.Evaluate(Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}, Auto)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if backend, _ := sess.Backend(); backend != "closed-form" {
+		t.Errorf("answered by %q, want the closed-form chain tier", backend)
 	}
 	if want := 1 / 0.45; !agreeEq(s.Throughput(), want) {
 		t.Errorf("throughput %g, want %g", s.Throughput(), want)
@@ -230,14 +221,18 @@ func TestZeroLoadWorkersPruned(t *testing.T) {
 		platform.Worker{C: 1e6, W: 0.1, D: 5e5},
 	)
 	order := p.ByC()
-	for _, mode := range []Mode{Auto, Direct, Simplex} {
-		s, err := Evaluate(Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}, mode)
+	sc := Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}
+	for _, mode := range []Mode{Auto, Simplex} {
+		s, err := Evaluate(sc, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		if len(s.SendOrder) != 1 || s.SendOrder[0] != 0 {
 			t.Errorf("%v: send order %v, want [0]", mode, s.SendOrder)
 		}
+	}
+	if s := evaluatePivot(t, sc); len(s.SendOrder) != 1 || s.SendOrder[0] != 0 {
+		t.Errorf("pivot: send order %v, want [0]", s.SendOrder)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lp"
 	"repro/internal/numeric"
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -908,10 +907,10 @@ func (rp *ReturnPrefix) ReturnOrder() platform.Order {
 }
 
 // LeafThroughput evaluates the fully committed return order exactly when
-// Bound could not certify the leaf: the active-set descent over the
-// already-assembled full tight matrix (port-bound and resource-selection
-// vertices), then the simplex. The Simplex and ExactRational modes solve
-// the scenario LP directly, the latter in rational arithmetic.
+// Bound could not certify the leaf: the pivot tier on the assembled full
+// tight matrix, then the counted simplex safety net. The Simplex and
+// ExactRational modes solve the scenario LP directly, the latter in
+// rational arithmetic.
 func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 	if len(rp.tail) != rp.q {
 		return 0, fmt.Errorf("eval: LeafThroughput on a partial return prefix (%d of %d committed)", len(rp.tail), rp.q)
@@ -926,16 +925,10 @@ func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 		_, rho, err := s.exactLoads(sc)
 		return rho, err
 	}
-	// tightSearchOn reads the session's retPos table (worker → return
-	// position) for the dropped-worker certificate terms.
-	retPos := growInt(&s.retPos, rp.p.P())
-	for k, i := range sc.Return {
-		retPos[i] = k
-	}
-	if alpha, ok := s.tightSearchOn(sc, rp.r, true); ok {
+	if alpha, ok := s.pivotLoads(rp.p, rp.send, rp.model, rp.r); ok {
 		return sum(alpha), nil
 	}
-	_, rho, err := s.simplexLoads(sc)
+	_, rho, err := s.fallbackLoads(sc)
 	return rho, err
 }
 
@@ -952,9 +945,9 @@ func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 //
 // The branch-and-bound search computes the same quantity incrementally
 // through ReturnPrefix; this one-shot form exists for property tests and
-// diagnostics, and falls back to solving the relaxation LP outright when
-// the tight candidate does not certify, so the returned value is always
-// the relaxation's exact optimum.
+// diagnostics. When the all-tight candidate does not certify, the pivot
+// tier solves the relaxation; the value returned always carries a full
+// KKT certificate, and an uncertified relaxation is an error.
 func (s *Session) ReturnPrefixBound(p *platform.Platform, send platform.Order, model schedule.Model, tail []int) (float64, error) {
 	sc := Scenario{Platform: p, Send: send, Return: send, Model: model}
 	if err := validate(sc); err != nil {
@@ -982,50 +975,9 @@ func (s *Session) ReturnPrefixBound(p *platform.Platform, send platform.Order, m
 	if bound, exact, ok := rp.Bound(); ok && exact {
 		return bound, nil
 	}
-	sol, err := rp.relaxationLP().Solve()
-	if err != nil {
-		return 0, err
+	alpha, ok := s.pivotLoads(p, rp.send, model, rp.r)
+	if !ok {
+		return 0, fmt.Errorf("eval: return-prefix relaxation of σ1 = %v, tail %v: no certified optimum", send, tail)
 	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("eval: return-prefix relaxation LP terminated %v (internal error)", sol.Status)
-	}
-	return sol.Objective, nil
-}
-
-// relaxationLP builds the node's relaxation as an explicit LP (the
-// always-correct fallback of the one-shot ReturnPrefixBound).
-func (rp *ReturnPrefix) relaxationLP() *lp.Problem {
-	q := rp.q
-	prob := lp.NewMaximize()
-	for range rp.send {
-		prob.AddVar("", 1)
-	}
-	coefs := make([]lp.Coef, 0, q)
-	for s := 0; s < q; s++ {
-		coefs = coefs[:0]
-		for t := 0; t < q; t++ {
-			if v := rp.r[s*q+t]; v != 0 {
-				coefs = append(coefs, lp.Coef{Var: t, Value: v})
-			}
-		}
-		prob.AddConstraint("", coefs, lp.LE, 1)
-	}
-	port := make([]lp.Coef, 0, q)
-	if rp.model == schedule.TwoPort {
-		for t, j := range rp.send {
-			port = append(port, lp.Coef{Var: t, Value: rp.p.Workers[j].C})
-		}
-		prob.AddConstraint("", port, lp.LE, 1)
-		port = port[:0]
-		for t, j := range rp.send {
-			port = append(port, lp.Coef{Var: t, Value: rp.p.Workers[j].D})
-		}
-		prob.AddConstraint("", port, lp.LE, 1)
-	} else {
-		for t, j := range rp.send {
-			port = append(port, lp.Coef{Var: t, Value: rp.p.Workers[j].C + rp.p.Workers[j].D})
-		}
-		prob.AddConstraint("", port, lp.LE, 1)
-	}
-	return prob
+	return sum(alpha), nil
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lp"
 	"repro/internal/numeric"
@@ -23,20 +24,29 @@ type Session struct {
 	lam        []float64 // dual multipliers
 	u, v       []float64 // FIFO dual chain decomposition / expanded loads
 	a          []float64 // candidate system / LU factors (clobbered by solves)
-	work       []float64 // q×q assembled system kept intact across candidates
+	work       []float64 // chain-search loads expanded to send positions
+	full       []float64 // q×q worker rows handed to the pivot tier
 	piv        []int     // LU row swaps
 	retPos     []int     // worker index → return position
-	mask       []int     // send position → enrolled index (active-set search)
-	enrolled   []int     // active-set descent: enrolled send positions
+	mask       []int     // send position → enrolled index (pivot certificate)
+	enrolled   []int     // enrolled send positions (chain descent, pivot basis)
 	sub        []int     // enrolled subsequence as worker indices (chain search)
 	d0, dT, dM []float64 // (T, μ)-parameterised dual chain of a port vertex
 
+	// Pivot tier scratch (pivot.go): the scaled tableau, its reduced
+	// costs, the basic column of each row, the tight-row marks, the rows
+	// of the certificate system nobody owns and the certified loads.
+	tab, red     []float64
+	basis        []int
+	tight, spare []int
+	x            []float64
+
 	// lastBackend names the tier that actually produced the most recent
-	// loadsResolved answer ("closed-form", "direct", "simplex", "exact");
-	// lastFallback reports that the answer came from the end-of-pipeline
-	// simplex fallback rather than a requested or certified tier. The
-	// serving layer's tracing reads both to attribute each request's
-	// eval-backend stage.
+	// loadsResolved answer ("closed-form", "pivot", "simplex", "exact");
+	// lastFallback reports that the answer came from the counted simplex
+	// safety net rather than a requested or certified tier. The serving
+	// layer's tracing reads both to attribute each request's eval-backend
+	// stage.
 	lastBackend  string
 	lastFallback bool
 
@@ -171,70 +181,56 @@ func (s *Session) loadsResolved(sc Scenario, mode Mode) ([]float64, float64, err
 	case ExactRational:
 		s.lastBackend = "exact"
 		return s.exactLoads(sc)
-	case Auto, ClosedForm, Direct:
-		// Tight-system tiers below.
+	case Auto:
 	default:
 		return nil, 0, fmt.Errorf("eval: unknown mode %d", int(mode))
 	}
-	kind := kindOf(sc.Send, sc.Return)
-	switch mode {
-	case ClosedForm:
-		s.lastBackend = "closed-form"
-		switch kind {
-		case kindFIFO:
-			alpha, rej := s.fifoTightCertified(sc)
-			if rej == rejectNone {
-				return alpha, sum(alpha), nil
-			}
-			// Port-bound FIFO optimum: a closed form exists on buses only
-			// (Theorem 2's constructive proof).
-			if rej == rejectPort && sc.Model == schedule.OnePort {
-				if alpha, ok := s.busFIFO(sc.Platform, sc.Send); ok {
-					return alpha, sum(alpha), nil
-				}
-			}
-			return nil, 0, ErrNotTight
-		case kindLIFO:
-			if alpha, ok := s.lifoTightCertified(sc); ok {
-				return alpha, sum(alpha), nil
-			}
-			return nil, 0, ErrNotTight
-		default:
-			return nil, 0, ErrNotApplicable
-		}
-	case Direct:
-		if alpha, ok := s.tightSearch(sc); ok {
-			s.lastBackend = "direct"
+	// Tiering: the O(p) chain descent for FIFO and LIFO, the pivot tier
+	// for general pairs and for every chain miss.
+	if kind := kindOf(sc.Send, sc.Return); kind != kindGeneral {
+		if alpha, ok := s.chainSearch(sc, kind == kindLIFO, nil, nil); ok {
+			s.lastBackend = "closed-form"
 			return alpha, sum(alpha), nil
 		}
-	case Auto:
-		// Tiering: the chain-based active-set descent for FIFO and LIFO
-		// (O(p) per level, no LU), the LU active-set search for general
-		// pairs, the simplex whenever no certificate holds (degeneracy, a
-		// descent that guessed wrong).
-		switch kind {
-		case kindFIFO, kindLIFO:
-			if alpha, ok := s.chainSearch(sc, kind == kindLIFO, nil, nil); ok {
-				s.lastBackend = "closed-form"
-				return alpha, sum(alpha), nil
-			}
-		default:
-			if alpha, ok := s.tightSearch(sc); ok {
-				s.lastBackend = "direct"
-				return alpha, sum(alpha), nil
-			}
-		}
 	}
+	return s.pivotScenario(sc)
+}
+
+// pivotScenario answers the scenario through the pivot tier, or through
+// the counted simplex safety net when the pivot certificate fails.
+func (s *Session) pivotScenario(sc Scenario) ([]float64, float64, error) {
+	full := grow(&s.full, len(sc.Send)*len(sc.Send))
+	buildTightBase(full, sc.Platform, sc.Send)
+	s.addReturnTerms(full, sc.Platform, sc.Send, sc.Return)
+	if alpha, ok := s.pivotLoads(sc.Platform, sc.Send, sc.Model, full); ok {
+		s.lastBackend = "pivot"
+		return alpha, sum(alpha), nil
+	}
+	return s.fallbackLoads(sc)
+}
+
+// simplexFallbacks counts, process-wide, the Auto evaluations whose pivot
+// certificate failed and that the float simplex answered instead.
+var simplexFallbacks atomic.Uint64
+
+// SimplexFallbacks returns the number of Auto evaluations, since process
+// start, that fell back to the float simplex because no tier certified
+// them (dlsd exports it as dlsd_eval_simplex_fallback_total).
+func SimplexFallbacks() uint64 { return simplexFallbacks.Load() }
+
+// fallbackLoads is the counted safety net of the Auto pipeline.
+func (s *Session) fallbackLoads(sc Scenario) ([]float64, float64, error) {
+	simplexFallbacks.Add(1)
 	s.lastBackend, s.lastFallback = "simplex", true
 	return s.simplexLoads(sc)
 }
 
 // Backend reports which evaluation tier produced the session's most
-// recent answer ("closed-form", "direct", "simplex", "exact"; "" before
-// the first evaluation) and whether it was the end-of-pipeline simplex
-// fallback rather than a certified or requested tier. Single-goroutine
-// like the rest of the session; callers read it immediately after the
-// evaluation they want attributed.
+// recent answer ("closed-form" for the chain tiers, "pivot", "simplex",
+// "exact"; "" before the first evaluation) and whether it was the counted
+// simplex fallback rather than a certified or requested tier.
+// Single-goroutine like the rest of the session; callers read it
+// immediately after the evaluation they want attributed.
 func (s *Session) Backend() (backend string, fallback bool) {
 	return s.lastBackend, s.lastFallback
 }

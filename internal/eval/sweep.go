@@ -55,10 +55,11 @@ import (
 //
 // Only when the warm candidate fails does the sweep fall back to the full
 // active-set descent (recording the new optimum's structure), and only
-// when that fails — degenerate chains — does the caller pay a simplex
-// solve. Every certified answer carries the complete KKT certificate, so
-// the sweep is exactly as sound as the from-scratch pipeline: a certified
-// value IS the scenario's LP optimum, never an approximation.
+// when that fails — degenerate chains — does it hand the order to the
+// pivot tier, which solves it from the order alone. Every certified
+// answer carries the complete KKT certificate, so the sweep is exactly as
+// sound as the from-scratch pipeline: a certified value IS the scenario's
+// LP optimum, never an approximation.
 type Sweep struct {
 	p     *platform.Platform
 	model schedule.Model
@@ -319,13 +320,13 @@ func (sw *Sweep) scenario() Scenario {
 	return Scenario{Platform: sw.p, Send: sw.order, Return: ret, Model: sw.model}
 }
 
-// Throughput returns the optimal throughput of the current send order
-// (identical to what the tiered Auto pipeline computes), or ok == false in
-// the rare degenerate cases where no chain candidate certifies and the
-// caller must fall back to the simplex. It tries, in order: the cached
-// active-set optimum (re-verified to the extent the transpositions since
-// the last call invalidated it), the incrementally maintained
-// full-enrollment chain certificate, and the full active-set descent.
+// Throughput returns the optimal throughput of the current send order,
+// the value the tiered Auto pipeline computes; ok is false only when even
+// Auto's simplex safety net fails, an internal error. It tries, in order:
+// the cached active-set optimum (re-verified to the extent the
+// transpositions since the last call invalidated it), the incrementally
+// maintained full-enrollment chain certificate, the full active-set
+// descent and, when no chain candidate certifies, the pivot tier.
 func (sw *Sweep) Throughput() (float64, bool) {
 	return sw.throughput(-1)
 }
@@ -618,8 +619,11 @@ func (sw *Sweep) descendFrom(initE []int) (float64, bool) {
 		_, ok = sw.sess.chainSearch(sc, sw.lifo, &sw.opt, nil)
 	}
 	if !ok {
+		// No chain candidate certifies: the pivot tier answers from the
+		// scenario alone, without the cached structure.
 		sw.haveOpt = false
-		return 0, false
+		_, rho, err := sw.sess.pivotScenario(sc)
+		return rho, err == nil
 	}
 	for k := range sw.optIn {
 		sw.optIn[k] = false

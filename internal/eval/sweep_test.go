@@ -80,7 +80,7 @@ func TestSweepMatchesFromScratch(t *testing.T) {
 			}
 			rho, ok := sw.Throughput()
 			if !ok {
-				return // degenerate chains: the search falls back to the simplex
+				t.Fatalf("trial %d perm %v (lifo=%v): no tier answered", trial, perm, lifo)
 			}
 			auto, err := fresh.Throughput(sc, Auto)
 			if err != nil {

@@ -11,11 +11,12 @@ import (
 // TestTwoPortPairFamilyAgreesWithSimplex is an agreement corpus for the
 // two-port model: a fixed family of random scenarios (fast workers,
 // heterogeneous links — the regime where resource selection drops several
-// workers and the active-set descent has the most room to guess wrong),
-// FIFO, LIFO and general return orders, every Auto throughput checked
-// against the simplex. Under two-port the port rows are dominated by
-// worker rows (see tightSearch), so every certificate comes from the
-// all-tight candidates of the descent; everything else is the simplex's.
+// workers), FIFO, LIFO and general return orders, every Auto throughput
+// checked against the simplex. Under two-port neither port row can be
+// tight at a scenario optimum — the last enrolled sender's row dominates
+// the send row, the first enrolled returner's row the receive row — so
+// every certificate, from the chain tiers or the pivot tier, has worker
+// rows only.
 func TestTwoPortPairFamilyAgreesWithSimplex(t *testing.T) {
 	sess := NewSession()
 	ref := NewSession()
@@ -58,12 +59,14 @@ func TestTwoPortPairFamilyAgreesWithSimplex(t *testing.T) {
 	}
 }
 
-// TestTwoPortRescueAgreesOnLoads pins the load vectors, not just the
-// throughput: the rescue certificates are full KKT optima, so Auto and the
-// simplex must return the same canonicalised loads on the shapes the
-// rescues handle.
-func TestTwoPortRescueAgreesOnLoads(t *testing.T) {
+// TestTwoPortGeneralPairLoadsMatchSimplex pins the load vectors, not just
+// the throughput, on two-port general (σ1, σ2) pairs: Auto answers them
+// through the pivot tier, whose certificates are full KKT optima, so its
+// canonicalised loads must equal the simplex's, and none of the 80 trials
+// may fall back to the simplex.
+func TestTwoPortGeneralPairLoadsMatchSimplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	sess := NewSession()
 	for trial := 0; trial < 80; trial++ {
 		n := 5 + rng.Intn(3)
 		ws := make([]platform.Worker, n)
@@ -78,9 +81,12 @@ func TestTwoPortRescueAgreesOnLoads(t *testing.T) {
 		send := platform.Order(rng.Perm(n))
 		ret := platform.Order(rng.Perm(n))
 		sc := Scenario{Platform: p, Send: send, Return: ret, Model: schedule.TwoPort}
-		auto, err := Evaluate(sc, Auto)
+		auto, err := sess.Evaluate(sc, Auto)
 		if err != nil {
 			t.Fatalf("trial %d: auto: %v", trial, err)
+		}
+		if backend, fallback := sess.Backend(); fallback || backend != "pivot" {
+			t.Fatalf("trial %d: answered by %q (fallback %v), want the pivot tier", trial, backend, fallback)
 		}
 		simplex, err := Evaluate(sc, Simplex)
 		if err != nil {

@@ -58,7 +58,7 @@ type Config struct {
 	Parallelism int
 	// Eval selects the scenario-evaluation backend for every engine
 	// request of the run. The zero value (EvalAuto) tiers the closed-form
-	// and tight-system backends over the simplex; the agreement between
+	// chains and the pivot solver over the simplex; the agreement between
 	// backends is itself covered by the internal/eval property tests.
 	Eval dls.EvalMode
 	// SearchParallelism is the intra-request worker count of the

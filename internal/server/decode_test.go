@@ -52,6 +52,8 @@ func TestServeDecodeBoundaries(t *testing.T) {
 		{"unknown model", `{` + platform + `,"strategy":"inc-c","model":"three-port"}`, http.StatusBadRequest, http.StatusBadRequest, false},
 		{"unknown arith", `{` + platform + `,"strategy":"inc-c","arith":"decimal"}`, http.StatusBadRequest, http.StatusBadRequest, false},
 		{"unknown eval", `{` + platform + `,"strategy":"inc-c","eval":"magic"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"removed eval direct", `{` + platform + `,"strategy":"inc-c","eval":"direct"}`, http.StatusBadRequest, http.StatusBadRequest, false},
+		{"removed eval closed-form", `{` + platform + `,"strategy":"inc-c","eval":"closed-form"}`, http.StatusBadRequest, http.StatusBadRequest, false},
 		{"zero c", `{"platform":{"workers":[{"c":0,"w":0.4,"d":0.025}]},"strategy":"inc-c"}`, http.StatusBadRequest, http.StatusBadRequest, false},
 		{"negative c", `{"platform":{"workers":[{"c":-1,"w":0.4,"d":0.025}]},"strategy":"inc-c"}`, http.StatusBadRequest, http.StatusBadRequest, false},
 		{"no workers", `{"platform":{"workers":[]},"strategy":"inc-c"}`, http.StatusBadRequest, http.StatusBadRequest, false},
@@ -64,6 +66,9 @@ func TestServeDecodeBoundaries(t *testing.T) {
 			status, body := postRaw(t, ts.URL+"/v1/solve", tc.body)
 			if status != tc.solve {
 				t.Errorf("/v1/solve: status %d, want %d: %s", status, tc.solve, body)
+			}
+			if strings.HasPrefix(tc.name, "removed eval") && !strings.Contains(string(body), "auto, simplex, exact") {
+				t.Errorf("/v1/solve: %s does not list the eval modes", body)
 			}
 			if tc.name == "null model" && status == http.StatusOK {
 				var out SolveResponse

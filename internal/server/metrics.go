@@ -131,4 +131,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Counter("dlsd_affine_search_subtrees_pruned_total", "Affine subset half-lattices cut against the incumbent.", st.AffineSearch.SubtreesPruned)
 	m.Counter("dlsd_affine_search_leaves_evaluated_total", "Participant subsets whose affine scenario LP was solved.", st.AffineSearch.LeavesEvaluated)
 	m.Counter("dlsd_affine_search_bound_solves_total", "Affine relaxation LPs solved on exclude edges.", st.AffineSearch.BoundSolves)
+	m.Counter("dlsd_eval_simplex_fallback_total", "Auto scenario evaluations no certified tier answered, solved by the float simplex instead.", st.EvalSimplexFallbacks)
 }

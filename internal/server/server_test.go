@@ -320,6 +320,7 @@ func TestServeMetricsAndStrategies(t *testing.T) {
 		"dlsd_pair_search_nodes_expanded_total",
 		"dlsd_pair_search_subtrees_pruned_total",
 		"dlsd_pair_search_screened_total",
+		"dlsd_eval_simplex_fallback_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %s", want)
@@ -460,5 +461,34 @@ func TestOrderSearchMetrics(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestEvalSimplexFallbackMetric: pair searches on the served shape (d tied
+// to c) and with independent return costs, under both port models, are
+// answered by certified tiers only, so the process-wide simplex fallback
+// counter on /metrics still reads 0 after them.
+func TestEvalSimplexFallbackMetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(4251))
+	_, ts := newTestServer(t, Config{Window: 2 * time.Millisecond})
+	for _, model := range []dls.Model{dls.OnePort, dls.TwoPort} {
+		for _, p := range []*dls.Platform{
+			dls.RandomSpeeds(rng, 5, dls.Heterogeneous).Platform(dls.DefaultApp(400)),
+			independentD(rng, dls.RandomSpeeds(rng, 5, dls.Heterogeneous).Platform(dls.DefaultApp(100))),
+		} {
+			req := dls.Request{Platform: p, Strategy: dls.StrategyPairExhaustive, Model: model}
+			if resp, body := postJSON(t, ts.URL+"/v1/solve", req, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
+			}
+		}
+	}
+	r, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	metrics, _ := io.ReadAll(r.Body)
+	if want := "dlsd_eval_simplex_fallback_total 0\n"; !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
