@@ -56,7 +56,7 @@ func run(args []string, w io.Writer) error {
 	svgPath := fs.String("svg", "", "write the figure's SVG rendering (figure 9) to this file")
 	parallel := fs.Int("parallel", 0, "engine worker-pool size for the LP batches (0 = GOMAXPROCS); output is identical at any setting")
 	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | simplex | exact")
-	searchPar := fs.Int("search-parallel", 1, "workers INSIDE each exhaustive search (1 = serial, 0 = one per CPU); output is identical at any setting")
+	searchPar := fs.Int("search-parallel", 1, "most workers INSIDE each exhaustive search (1 = serial, 0 = one per CPU; helpers only on idle CPUs); output is identical at any setting")
 	profile := fs.String("profile", "", "write a pprof profile of the run: cpu | mem")
 	profileOut := fs.String("profile-out", "", "profile output path (default cpu.pprof / mem.pprof)")
 	if err := fs.Parse(args); err != nil {

@@ -159,7 +159,7 @@ func cmdSchedule(args []string) error {
 	out := fs.String("out", "", "write the computed schedule as JSON to this file")
 	timeout := fs.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | simplex | exact")
-	searchPar := fs.Int("search-parallel", 0, "workers for the exhaustive searches (0 = one per CPU, 1 = serial; result is identical)")
+	searchPar := fs.Int("search-parallel", 0, "most workers per exhaustive search (0 = one per CPU, 1 = serial; helpers only on idle CPUs; result is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -378,7 +378,7 @@ func cmdBrute(args []string) error {
 	exact := fs.Bool("exact", false, "use exact rational LP arithmetic")
 	timeout := fs.Duration("timeout", 0, "abort the (p!)² search after this duration (0 = no limit)")
 	evalName := fs.String("eval", "auto", "scenario-evaluation backend: auto | simplex | exact")
-	searchPar := fs.Int("search-parallel", 0, "workers for the exhaustive searches (0 = one per CPU, 1 = serial; result is identical)")
+	searchPar := fs.Int("search-parallel", 0, "most workers per exhaustive search (0 = one per CPU, 1 = serial; helpers only on idle CPUs; result is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

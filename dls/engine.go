@@ -198,6 +198,10 @@ type Stats struct {
 	// certified tier answered, so the float simplex did (process global:
 	// every evaluation in the process advances it).
 	EvalSimplexFallbacks uint64
+	// SearchHelpers counts the helper workers of the pair and affine
+	// searches against the process-wide search worker budget (process
+	// global, like PairSearch).
+	SearchHelpers SearchHelperStats
 }
 
 // WindowFlushes counts flushed admission windows by reason.
@@ -260,6 +264,22 @@ type AffineSearchStats struct {
 	LeavesEvaluated uint64
 	// BoundSolves counts relaxation LPs solved on exclude edges.
 	BoundSolves uint64
+}
+
+// SearchHelperStats counts the helper workers of the work-stealing
+// searches (pair-exhaustive, fifo-affine). A search's primary worker
+// always runs; its helpers borrow only idle cores of the process-wide
+// budget of GOMAXPROCS running search workers. dlsd re-exports the counts
+// on /metrics as dlsd_search_helpers_total{outcome}.
+type SearchHelperStats struct {
+	// Started helpers found an idle core when their search started.
+	Started uint64
+	// Denied helpers were allowed by the search's cap (WithSearchParallelism)
+	// but found the budget full.
+	Denied uint64
+	// Retired helpers left their search at a rank boundary because the
+	// budget was overdrawn; the search's other workers took over their ranks.
+	Retired uint64
 }
 
 // Solver is the scheduling engine: it resolves requests against the
@@ -357,15 +377,21 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithSearchParallelism sets how many workers the exhaustive searches
+// WithSearchParallelism caps how many workers the exhaustive searches
 // (fifo-exhaustive, lifo-exhaustive, pair-exhaustive, fifo-affine) use
 // WITHIN one request: the search space is split across a worker pool
 // (work stealing for the pair and affine branch-and-bounds, static SJT
-// rank ranges for the order sweeps). n ≤ 0 — the default — uses one
-// worker per CPU; n == 1 forces the serial search. The search result is
-// byte-identical for every setting: worker count changes wall-clock time
-// and nothing else. This is independent of WithParallelism, which fans
-// out ACROSS requests.
+// rank ranges for the order sweeps). n ≤ 0 — the default — caps at one
+// worker per CPU; n == 1 forces the serial search. A search runs at most
+// n workers, and all searches share a budget of GOMAXPROCS running
+// workers: every search's first worker runs, but a pair or affine
+// search's helpers start only on idle cores and retire when concurrent
+// searches overdraw the budget (Stats.SearchHelpers), so a lone search on
+// an idle process runs min(n, GOMAXPROCS) workers. The order sweeps keep their
+// fixed split of min(n, p!) workers. The search result is byte-identical
+// for every setting and load: worker count changes wall-clock time and
+// nothing else. This is independent of WithParallelism, which fans out
+// ACROSS requests.
 func WithSearchParallelism(n int) Option {
 	return func(s *Solver) error {
 		if n <= 0 {
@@ -462,6 +488,8 @@ func (s *Solver) Stats() Stats {
 		BoundSolves:     as.BoundSolves,
 	}
 	st.EvalSimplexFallbacks = eval.SimplexFallbacks()
+	sh := core.SearchHelperStatsSnapshot()
+	st.SearchHelpers = SearchHelperStats{Started: sh.Started, Denied: sh.Denied, Retired: sh.Retired}
 	return st
 }
 

@@ -333,9 +333,10 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 	traced := obs.Enabled(ctx)
 	t0 := obs.Now(ctx)
 	var counts affineCounters
+	pool := poolRun{workers: 1}
 	var err error
 	if algo == AffineBB {
-		err = affineSearchBB(ctx, winner, p, aff, sorted, &counts)
+		pool, err = affineSearchBB(ctx, winner, p, aff, sorted, &counts)
 	} else {
 		err = affineSearchFlat(winner, p, aff, arith, sorted, &counts)
 	}
@@ -347,7 +348,8 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
 			obs.String("kind", "affine-subset"),
 			obs.String("algo", algo.String()),
-			obs.Int("workers", searchParallelism(ctx)),
+			obs.Int("workers", pool.workers),
+			obs.Int("helpers_retired", pool.retired),
 			obs.Uint64("nodes", st.NodesExpanded),
 			obs.Uint64("pruned", st.SubtreesPruned),
 			obs.Uint64("leaves", st.LeavesEvaluated),
@@ -491,8 +493,10 @@ func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith 
 // rank; each worker replays its rank's decisions — recomputing the
 // exclude-edge bounds, so a hopeless prefix is dropped without descending —
 // and then recurses include-first below the prefix, pruning against the
-// shared incumbent. Counter flushes happen once per worker.
-func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, aff Affine, sorted platform.Order, counts *affineCounters) error {
+// shared incumbent. Counter flushes happen once per worker. The prefix
+// depth follows the worker cap, not how many workers the budget lets
+// start, so a search's task split never depends on the process's load.
+func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, aff Affine, sorted platform.Order, counts *affineCounters) (poolRun, error) {
 	n := len(sorted)
 	depth := 0
 	for depth < n-1 && 1<<depth < 4*searchParallelism(ctx) {

@@ -389,7 +389,8 @@ func bestOrderExhaustive(ctx context.Context, p *platform.Platform, model schedu
 	}
 	traced := obs.Enabled(ctx)
 	t0 := obs.Now(ctx)
-	if err := runRangePool(ctx, winner, factorial(n), run); err != nil {
+	pool, err := runRangePool(ctx, winner, factorial(n), run)
+	if err != nil {
 		return nil, nil, err
 	}
 	if traced {
@@ -403,7 +404,7 @@ func bestOrderExhaustive(ctx context.Context, p *platform.Platform, model schedu
 		}
 		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
 			obs.String("kind", kind),
-			obs.Int("workers", searchParallelism(ctx)),
+			obs.Int("workers", pool.workers),
 			obs.Int64("orders", factorial(n)),
 			obs.String("backend", backend))
 	}
@@ -543,14 +544,16 @@ func BestPairExhaustiveEval(ctx context.Context, p *platform.Platform, model sch
 		return nil, err
 	}
 	var counts pairCounters
-	if err := pairSearchBB(ctx, winner, p, model, mode, n, &counts); err != nil {
+	pool, err := pairSearchBB(ctx, winner, p, model, mode, n, &counts)
+	if err != nil {
 		return nil, err
 	}
 	if traced {
 		st := counts.snapshot()
 		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
 			obs.String("kind", "pair"),
-			obs.Int("workers", searchParallelism(ctx)),
+			obs.Int("workers", pool.workers),
+			obs.Int("helpers_retired", pool.retired),
 			obs.Uint64("nodes", st.NodesExpanded),
 			obs.Uint64("pruned", st.SubtreesPruned),
 			obs.Uint64("screened", st.SubtreesScreened),
@@ -578,7 +581,7 @@ func BestPairExhaustiveEval(ctx context.Context, p *platform.Platform, model sch
 // and ReturnPrefix, pruning against the shared incumbent. Counter flushes
 // into the global and the per-search counts happen exactly once per
 // worker, including on cancellation.
-func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, model schedule.Model, mode eval.Mode, n int, counts *pairCounters) error {
+func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform, model schedule.Model, mode eval.Mode, n int, counts *pairCounters) (poolRun, error) {
 	run := func(core *searchCore, next func() (int64, bool)) error {
 		sess := eval.GetSession()
 		defer sess.Release()

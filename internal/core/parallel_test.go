@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,6 +62,7 @@ func ordersEqual(a, b platform.Order) bool {
 // trials repeat the pair search and the FIFO sweep under the two-port
 // model, whose scenarios take the evaluator's two-port paths.
 func TestParallelSearchMatchesSerialByteIdentical(t *testing.T) {
+	setSearchBudget(t, 8)
 	rng := rand.New(rand.NewSource(7171))
 	const trials = 240
 	workerCounts := []int{2, 4, 8}
@@ -129,49 +133,132 @@ func TestParallelSearchMatchesSerialByteIdentical(t *testing.T) {
 	}
 }
 
+// setSearchBudget replaces GOMAXPROCS as the search worker budget for the
+// rest of the test: tests that need more workers than CPUs raise it.
+func setSearchBudget(t *testing.T, n int) {
+	searchBudgetOverride = n
+	t.Cleanup(func() { searchBudgetOverride = 0 })
+}
+
 // TestStealingPoolCoversEveryRankOnce is the steal-storm stress test: many
 // workers over a small rank space with near-zero per-rank work, so the
 // deques drain instantly and the run is dominated by concurrent
 // steal-half traffic. Every rank must be delivered exactly once per run.
-// The -race CI job runs this test and makes the steal/install/pop locking
-// discipline part of the checked surface.
+// The retire rounds overdraw the budget by one for every second worker to
+// take its first rank, so about half the helpers retire mid-run at
+// whatever rank boundary they reach next, leaving their remainders to the
+// thieves. The -race CI job runs this test and makes the
+// steal/install/pop/retire locking discipline part of the checked surface.
 func TestStealingPoolCoversEveryRankOnce(t *testing.T) {
 	const (
 		workers = 16
 		total   = int64(1000)
 		rounds  = 50
 	)
+	setSearchBudget(t, workers)
 	ctx := ContextWithSearchParallelism(context.Background(), workers)
-	for round := 0; round < rounds; round++ {
-		var mu sync.Mutex
-		seen := make(map[int64]int, total)
-		winner := newSearchCore(ctx)
-		err := runStealingPool(ctx, winner, total, func(core *searchCore, next func() (int64, bool)) error {
-			local := make([]int64, 0, 64)
-			for {
-				r, ok := next()
-				if !ok {
-					break
+	for _, retire := range []bool{false, true} {
+		retired := 0
+		for round := 0; round < rounds; round++ {
+			var mu sync.Mutex
+			seen := make(map[int64]int, total)
+			var started, overdraw atomic.Int64
+			winner := newSearchCore(ctx)
+			run, err := runStealingPool(ctx, winner, total, func(core *searchCore, next func() (int64, bool)) error {
+				local := make([]int64, 0, 64)
+				for {
+					r, ok := next()
+					if !ok {
+						break
+					}
+					local = append(local, r)
+					if retire && len(local) == 1 && started.Add(1)%2 == 0 {
+						overdraw.Add(1)
+						runningSearchWorkers.Add(1)
+					}
 				}
-				local = append(local, r)
+				mu.Lock()
+				for _, r := range local {
+					seen[r]++
+				}
+				mu.Unlock()
+				return nil
+			})
+			runningSearchWorkers.Add(-overdraw.Load())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.workers != workers {
+				t.Fatalf("round %d: %d workers ran, want %d", round, run.workers, workers)
+			}
+			retired += run.retired
+			if int64(len(seen)) != total {
+				t.Fatalf("retire=%v round %d: %d of %d ranks delivered", retire, round, len(seen), total)
+			}
+			for r, c := range seen {
+				if c != 1 {
+					t.Fatalf("retire=%v round %d: rank %d delivered %d times", retire, round, r, c)
+				}
+			}
+		}
+		if retire && retired == 0 {
+			t.Fatal("no helper retired in any round: the retire path went unexercised")
+		}
+		if !retire && retired != 0 {
+			t.Fatalf("%d helpers retired under an idle budget", retired)
+		}
+	}
+	if n := runningSearchWorkers.Load(); n != 0 {
+		t.Fatalf("%d search workers still counted after every pool returned", n)
+	}
+}
+
+// TestStealingPoolRetireLeavesOneRank pins the retire hand-off at its
+// tightest: a helper retires with exactly one rank left in its deque, a
+// rank no thief may take from a live owner. The primary must take it from
+// the retired deque, so every rank is still delivered exactly once.
+func TestStealingPoolRetireLeavesOneRank(t *testing.T) {
+	setSearchBudget(t, 2)
+	ctx := ContextWithSearchParallelism(context.Background(), 2)
+	// Two workers over four ranks: the primary holds [0,2), the helper
+	// [2,4), and each pops the front of its own interval first.
+	const total = 4
+	helperHolds, overdrawn := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	seen := map[int64]int{}
+	run, err := runStealingPool(ctx, newSearchCore(ctx), total, func(core *searchCore, next func() (int64, bool)) error {
+		for first := true; ; first = false {
+			r, ok := next()
+			if !ok {
+				return nil
 			}
 			mu.Lock()
-			for _, r := range local {
-				seen[r]++
-			}
+			seen[r]++
 			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(seen)) != total {
-			t.Fatalf("round %d: %d of %d ranks delivered", round, len(seen), total)
-		}
-		for r, c := range seen {
-			if c != 1 {
-				t.Fatalf("round %d: rank %d delivered %d times", round, r, c)
+			switch {
+			case first && r == 2: // the helper: rank 3 is left
+				close(helperHolds)
+				<-overdrawn
+			case first && r == 0: // the primary
+				<-helperHolds
+				runningSearchWorkers.Add(1) // another search's primary
+				close(overdrawn)
+				for runningSearchWorkers.Load() > 2 {
+					runtime.Gosched() // until the helper retired
+				}
 			}
+		}
+	})
+	runningSearchWorkers.Add(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.workers != 2 || run.retired != 1 {
+		t.Fatalf("pool ran %d workers with %d retired, want 2 and 1", run.workers, run.retired)
+	}
+	for r := int64(0); r < total; r++ {
+		if seen[r] != 1 {
+			t.Fatalf("rank %d delivered %d times (all: %v)", r, seen[r], seen)
 		}
 	}
 }
@@ -186,6 +273,7 @@ func TestParallelPairSearchCancellation(t *testing.T) {
 	p := randomPairPlatform(rng, 7)
 	disablePairSeeding = true
 	defer func() { disablePairSeeding = false }()
+	setSearchBudget(t, 4)
 	ctx, cancel := context.WithTimeout(ContextWithSearchParallelism(context.Background(), 4), 500*time.Microsecond)
 	defer cancel()
 	start := time.Now()
@@ -223,11 +311,11 @@ func TestRankDequeStealHalf(t *testing.T) {
 	}
 }
 
-// searchSpanAttrs runs search under a fresh trace at search parallelism 1
-// and returns the attributes of its "search" span.
-func searchSpanAttrs(t *testing.T, search func(ctx context.Context) error) map[string]string {
+// searchSpanAttrs runs search under a fresh trace at search parallelism
+// par and returns the attributes of its "search" span.
+func searchSpanAttrs(t *testing.T, par int, search func(ctx context.Context) error) map[string]string {
 	tr := obs.NewTrace("search", "test", time.Now)
-	if err := search(obs.ContextWithTrace(ContextWithSearchParallelism(context.Background(), 1), tr)); err != nil {
+	if err := search(obs.ContextWithTrace(ContextWithSearchParallelism(context.Background(), par), tr)); err != nil {
 		t.Error(err)
 		return nil
 	}
@@ -277,7 +365,7 @@ func TestTracedSearchCountsArePerSearch(t *testing.T) {
 	} {
 		var solo [2]map[string]string
 		for i, search := range tc.searches {
-			solo[i] = searchSpanAttrs(t, search)
+			solo[i] = searchSpanAttrs(t, 1, search)
 		}
 		var together [2]map[string]string
 		var wg sync.WaitGroup
@@ -287,7 +375,7 @@ func TestTracedSearchCountsArePerSearch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				together[i] = searchSpanAttrs(t, search)
+				together[i] = searchSpanAttrs(t, 1, search)
 			}()
 		}
 		close(start)
@@ -299,5 +387,96 @@ func TestTracedSearchCountsArePerSearch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSearchBudget pins the process-wide budget from both ends. With the
+// budget held full by other searches' workers, the pair and affine
+// searches run their primary alone (the span reads workers=1), however
+// high their cap, and answer byte-identically to the serial search. On an
+// idle budget the same searches run min(cap, GOMAXPROCS) workers. Four
+// searches racing for a budget of two get helpers denied or retired
+// mid-search, and still answer like the serial search.
+func TestSearchBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(2727))
+	pp := randomPairPlatform(rng, 5)
+	ap, aff := randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)
+	// Each search renders its answer's bits.
+	for _, sr := range []struct {
+		name   string
+		search func(ctx context.Context) (string, error)
+	}{
+		{"pair", func(ctx context.Context) (string, error) {
+			res, err := BestPairExhaustiveEval(ctx, pp, schedule.OnePort, eval.Auto)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprint(res.Send, res.Return, scheduleBits(res.Schedule)), nil
+		}},
+		{"affine", func(ctx context.Context) (string, error) {
+			res, err := BestFIFOAffineContext(ctx, ap, aff, Float64)
+			if err != nil {
+				return "", err
+			}
+			alpha := make([]uint64, len(res.Alpha))
+			for i, a := range res.Alpha {
+				alpha[i] = math.Float64bits(a)
+			}
+			return fmt.Sprint(res.Send, res.Return, res.Feasible, math.Float64bits(res.Throughput), alpha), nil
+		}},
+	} {
+		const capWorkers = 4
+		traced := func(par int) (got string, attrs map[string]string) {
+			attrs = searchSpanAttrs(t, par, func(ctx context.Context) (err error) {
+				got, err = sr.search(ctx)
+				return err
+			})
+			return got, attrs
+		}
+		serial, _ := traced(1)
+
+		budget := searchBudget()
+		runningSearchWorkers.Add(budget)
+		got, attrs := traced(capWorkers)
+		runningSearchWorkers.Add(-budget)
+		if attrs["workers"] != "1" || attrs["helpers_retired"] != "0" {
+			t.Errorf("%s search under a full budget: workers=%q helpers_retired=%q, want 1 and 0", sr.name, attrs["workers"], attrs["helpers_retired"])
+		}
+		if got != serial {
+			t.Errorf("%s search under a full budget answered\n%s\nserial answered\n%s", sr.name, got, serial)
+		}
+
+		got, attrs = traced(capWorkers)
+		if want := fmt.Sprint(min(capWorkers, runtime.GOMAXPROCS(0))); attrs["workers"] != want {
+			t.Errorf("%s search on an idle budget: workers=%q, want %s", sr.name, attrs["workers"], want)
+		}
+		if got != serial {
+			t.Errorf("%s search on an idle budget answered\n%s\nserial answered\n%s", sr.name, got, serial)
+		}
+
+		setSearchBudget(t, 2)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := ContextWithSearchParallelism(context.Background(), capWorkers)
+				for range 5 {
+					got, err := sr.search(ctx)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != serial {
+						t.Errorf("%s search racing for the budget answered\n%s\nserial answered\n%s", sr.name, got, serial)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		searchBudgetOverride = 0
+	}
+	if n := runningSearchWorkers.Load(); n != 0 {
+		t.Fatalf("%d search workers still counted after every search returned", n)
 	}
 }

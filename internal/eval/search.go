@@ -82,7 +82,8 @@ type ReturnPrefix struct {
 	my, mrow      []float64 // rank-one update scratch
 	mcIdx         []int     // support of the column change (the open rows ≠ pos); ChildBounds' open list
 	mcD           float64   // its uniform value: +d on Push, −d on Pop
-	mValid        bool
+	mValid        bool      // α̃ and λ̃ belong to the current node matrix
+	mInv          bool      // so does M (refactor leaves it to ensureInverse)
 	incremental   bool
 	sinceRefactor int
 
@@ -212,6 +213,7 @@ func (rp *ReturnPrefix) Open(pos int) bool { return rp.open[pos] }
 // Sherman–Morrison rank-one update (see pushUpdate), so the whole move is
 // O(q²) with a small constant — one M·c product.
 func (rp *ReturnPrefix) Push(pos int) {
+	rp.ensureInverse()
 	d := rp.p.Workers[rp.send[pos]].D
 	q := rp.q
 	rp.mcIdx = rp.mcIdx[:0]
@@ -241,6 +243,7 @@ func (rp *ReturnPrefix) Push(pos int) {
 // (and with them the search winner) byte-identical across serial and
 // parallel exploration.
 func (rp *ReturnPrefix) Pop() {
+	rp.ensureInverse()
 	n := len(rp.tail) - 1
 	pos := rp.tail[n]
 	rp.tail = rp.tail[:n]
@@ -451,15 +454,17 @@ const refineStride = 16
 // the node is refactorised from scratch instead.
 const mResidTol = 1e-8
 
-// refactor rebuilds the maintained inverse, α̃ and λ̃ from a fresh LU of
-// the current node matrix (O(q³), amortised over the O(q²) incremental
-// moves between refactorisations).
+// refactor rebuilds α̃ and λ̃ from a fresh LU of the current node matrix
+// (O(q³), amortised over the O(q²) incremental moves between
+// refactorisations). The inverse M waits for ensureInverse: the bound
+// needs only the two solves, and most send orders are cut by their root
+// bound before any move or child screen reads M.
 func (rp *ReturnPrefix) refactor() bool {
 	q := rp.q
 	copy(rp.lu, rp.r)
 	rp.mValid = false
 	rp.sinceRefactor = 0
-	// The fresh M belongs to the CURRENT node: every outstanding lazy
+	// The fresh factor belongs to the CURRENT node: every outstanding lazy
 	// stack entry (factors relative to ancestors' M) is now void, so the
 	// Pops crossing this node fall back to generic column updates.
 	rp.mPending = -1
@@ -468,6 +473,37 @@ func (rp *ReturnPrefix) refactor() bool {
 	}
 	if !luFactor(rp.lu, rp.piv, q) {
 		return false
+	}
+	for i := 0; i < q; i++ {
+		rp.malpha[i] = 1
+		rp.mlam[i] = 1
+	}
+	luSolve(rp.lu, rp.piv, q, rp.malpha)
+	luSolveTranspose(rp.lu, rp.piv, q, rp.mlam)
+	rp.mValid = true
+	rp.mInv = false
+	return true
+}
+
+// ensureInverse builds M for a state refactor left without one. It must
+// run before a move changes r.
+func (rp *ReturnPrefix) ensureInverse() {
+	if rp.mValid && !rp.mInv {
+		rp.buildInverse()
+	}
+}
+
+// buildInverse builds M = r⁻¹ column by column from a fresh factor of the
+// node matrix (dualDescentBound reuses the pivot scratch after refactor);
+// the LU is deterministic, so M is bitwise the inverse an eager refactor
+// would have built. A non-finite entry invalidates the state, and the
+// next Bound refactorises.
+func (rp *ReturnPrefix) buildInverse() {
+	q := rp.q
+	copy(rp.lu, rp.r)
+	rp.mValid = false
+	if !luFactor(rp.lu, rp.piv, q) {
+		return
 	}
 	col := rp.mrow
 	for j := 0; j < q; j++ {
@@ -479,19 +515,13 @@ func (rp *ReturnPrefix) refactor() bool {
 		for i := 0; i < q; i++ {
 			v := col[i]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
+				return
 			}
 			rp.m[i*q+j] = v
 		}
 	}
-	for i := 0; i < q; i++ {
-		rp.malpha[i] = 1
-		rp.mlam[i] = 1
-	}
-	luSolve(rp.lu, rp.piv, q, rp.malpha)
-	luSolveTranspose(rp.lu, rp.piv, q, rp.mlam)
 	rp.mValid = true
-	return true
+	rp.mInv = true
 }
 
 // refine performs one step of iterative refinement on the maintained
@@ -501,6 +531,9 @@ func (rp *ReturnPrefix) refactor() bool {
 // update-vs-refactor agreement test relies on. Returns false (caller
 // refactorises) when a pre-refinement residual exceeds mResidTol.
 func (rp *ReturnPrefix) refine() bool {
+	if rp.ensureInverse(); !rp.mValid {
+		return false
+	}
 	if rp.mPending >= 0 {
 		rp.materialize() // the corrections below multiply by M
 	}
@@ -840,6 +873,9 @@ func (rp *ReturnPrefix) ChildBounds(out []float64) bool {
 		return false
 	}
 	if !rp.mValid && !rp.refactor() {
+		return false
+	}
+	if rp.ensureInverse(); !rp.mValid {
 		return false
 	}
 	if rp.mPending >= 0 {

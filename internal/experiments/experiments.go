@@ -61,9 +61,10 @@ type Config struct {
 	// chains and the pivot solver over the simplex; the agreement between
 	// backends is itself covered by the internal/eval property tests.
 	Eval dls.EvalMode
-	// SearchParallelism is the intra-request worker count of the
-	// exhaustive order-space searches (the "pair" figure): 0 uses one
-	// worker per CPU, 1 the serial search. Results are byte-identical at
+	// SearchParallelism caps the intra-request workers of the exhaustive
+	// order-space searches (the "pair" figure): 0 caps at one worker per
+	// CPU, 1 is the serial search; helpers beyond a search's first worker
+	// run only on idle CPUs. Results are byte-identical at
 	// every setting. The experiment default is 1: the per-size batches
 	// already saturate the CPU across requests, so nesting intra-search
 	// workers inside them only adds scheduling noise.

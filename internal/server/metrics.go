@@ -131,5 +131,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Counter("dlsd_affine_search_subtrees_pruned_total", "Affine subset half-lattices cut against the incumbent.", st.AffineSearch.SubtreesPruned)
 	m.Counter("dlsd_affine_search_leaves_evaluated_total", "Participant subsets whose affine scenario LP was solved.", st.AffineSearch.LeavesEvaluated)
 	m.Counter("dlsd_affine_search_bound_solves_total", "Affine relaxation LPs solved on exclude edges.", st.AffineSearch.BoundSolves)
+	for _, o := range []struct {
+		outcome string
+		n       uint64
+	}{{"started", st.SearchHelpers.Started}, {"denied", st.SearchHelpers.Denied}, {"retired", st.SearchHelpers.Retired}} {
+		m.Counter("dlsd_search_helpers_total", "Pair and affine search helper workers, by outcome: started on an idle core, denied by the full budget of GOMAXPROCS search workers, or retired early when concurrent searches overdrew it.",
+			o.n, stats.Label{Key: "outcome", Value: o.outcome})
+	}
 	m.Counter("dlsd_eval_simplex_fallback_total", "Auto scenario evaluations no certified tier answered, solved by the float simplex instead.", st.EvalSimplexFallbacks)
 }

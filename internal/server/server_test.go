@@ -321,6 +321,9 @@ func TestServeMetricsAndStrategies(t *testing.T) {
 		"dlsd_pair_search_subtrees_pruned_total",
 		"dlsd_pair_search_screened_total",
 		"dlsd_eval_simplex_fallback_total",
+		"dlsd_search_helpers_total{outcome=\"started\"}",
+		"dlsd_search_helpers_total{outcome=\"denied\"}",
+		"dlsd_search_helpers_total{outcome=\"retired\"}",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %s", want)
