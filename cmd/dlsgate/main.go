@@ -295,9 +295,6 @@ func pairSearchGate(dir string, stdout, stderr io.Writer) int {
 //  3. it prunes more than 50% of the subset lattice (the largest
 //     pruned-frac sample);
 //  4. the p = 16 search ran (CI runs it under a 120 s timeout).
-//
-// It also prints the sweep port-vertex fast path's speedup over the
-// descent, for information only.
 func affineGate(dir string, stdout, stderr io.Writer) int {
 	r := readBenchRuns(dir, "BENCH_pr9.json", stderr)
 	if r == nil {
@@ -325,11 +322,8 @@ func affineGate(dir string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dlsgate: affine subset cut fraction fell to <= 50% on the reference platform")
 		return 1
 	}
-	ns, ok = r.stat(stderr, "ns/op", slices.Min, "BenchmarkBestFIFOAffine16",
-		"BenchmarkSweepPortVertex/fastpath", "BenchmarkSweepPortVertex/descent")
-	if !ok {
+	if _, ok := r.stat(stderr, "ns/op", slices.Min, "BenchmarkBestFIFOAffine16"); !ok {
 		return 2
 	}
-	fmt.Fprintf(stdout, "SweepPortVertex: fastpath %.2fx descent (informational)\n", ns[2]/ns[1])
 	return 0
 }

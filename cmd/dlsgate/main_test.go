@@ -187,14 +187,12 @@ func TestPairSearchGate(t *testing.T) {
 func TestAffineGate(t *testing.T) {
 	const flat, bb = "BenchmarkBestFIFOAffine12/flat", "BenchmarkBestFIFOAffine12/bb"
 	const p16 = "BenchmarkBestFIFOAffine16"
-	const fast, descent = "BenchmarkSweepPortVertex/fastpath", "BenchmarkSweepPortVertex/descent"
 	const bbMetrics = "1.25e-01 rho"
 	good := []benchSample{
 		sample(flat, 5e6, bbMetrics), sample(flat, 4.8e6, bbMetrics),
 		sample(bb, 9e5, bbMetrics, "400 leaves/op", "0.902 pruned-frac"),
 		sample(bb, 9.5e5, bbMetrics, "400 leaves/op", "0.902 pruned-frac"),
 		sample(p16, 2e9, "1.31e-01 rho"),
-		sample(fast, 1e6), sample(descent, 3e6),
 	}
 	with := func(extra ...benchSample) []benchSample {
 		return append(append([]benchSample(nil), good...), extra...)
@@ -216,7 +214,6 @@ func TestAffineGate(t *testing.T) {
 		{"half the lattice pruned", append(without(bb), sample(bb, 9e5, bbMetrics, "0.5 pruned-frac")), 2, 1},
 		{"no pruned-frac samples", append(without(bb), sample(bb, 9e5, bbMetrics)), 2, 2},
 		{"p=16 did not run", without(p16), 2, 2},
-		{"no sweep samples", without(descent), 2, 2},
 		{"no rho samples", []benchSample{sample(flat, 5e6), sample(bb, 9e5, "0.9 pruned-frac")}, 2, 1},
 	})
 }

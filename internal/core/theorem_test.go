@@ -112,7 +112,7 @@ func distinctStar(rng *rand.Rand, p int, z float64) *platform.Platform {
 // orders that tie in exact arithmetic can read one ulp apart depending on
 // the path the sweep took to them, so with equal forward costs the winner
 // can differ between worker counts for a reason outside this test (ROADMAP
-// item 1).
+// item 4).
 func TestLargeZCorpora(t *testing.T) {
 	for _, z := range []float64{1e5, 1e6} {
 		rng := rand.New(rand.NewSource(int64(z)))

@@ -45,7 +45,7 @@ func (s *Session) fifoDualHint(p *platform.Platform, send platform.Order) (hint 
 		pv += v[k]
 	}
 	if d := 1 - pv; d < 1e-12 && d > -1e-12 {
-		return -1, false // closure degenerate; let the simplex decide
+		return -1, false // closure degenerate; let the pivot tier decide
 	}
 	t := pu / (1 - pv)
 	lam := grow(&s.lam, q)
@@ -105,17 +105,13 @@ func (s *Session) lifoDualHint(p *platform.Platform, send platform.Order) (hint 
 // the stationarity equation of column k.
 //
 // On success the loads are in s.alpha (by enrolled index), the worker-row
-// multipliers in s.lam, and the port multiplier is returned as mu. On
-// failure loadHint names the most negative load's enrolled index (-1 if
-// none) and loadWorst that load's value — the descent prefers the hint of
-// the least infeasible vertex, whose structure sits closest to the
-// optimum's.
-func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int) (alpha []float64, mu float64, ok bool, loadHint int, loadWorst float64) {
+// multipliers in s.lam, and the port multiplier is returned as mu.
+func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int) (alpha []float64, mu float64, ok bool) {
 	m := len(sub)
 	if m < 2 {
 		// A single enrolled worker has no tight worker row left once its
 		// own row goes slack; the all-tight candidate covers m = 1.
-		return nil, 0, false, -1, 0
+		return nil, 0, false
 	}
 	wc := s.derivedCosts(p)
 	X := grow(&s.u, m)
@@ -169,13 +165,11 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 	a12 += Y[f] * wf
 	det := a11*a22 - a12*a21
 	if det < 1e-300 && det > -1e-300 {
-		return nil, 0, false, -1, 0
+		return nil, 0, false
 	}
 	t := -a12 / det
 	sv := a11 / det
 	alpha = grow(&s.alpha, m)
-	loadHint = -1
-	worst := 0.0
 	loadsOK := true
 	// Loads, the slack row's inequality (worker k's idle time ≥ 0) and the
 	// NaN guard share one pass; the slack row's send prefix stops at k.
@@ -185,10 +179,7 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 		a := t*X[r] + sv*Y[r]
 		alpha[r] = a
 		if math.IsNaN(a) || math.IsInf(a, 0) {
-			return nil, 0, false, -1, 0
-		}
-		if a < worst {
-			worst, loadHint = a, r
+			return nil, 0, false
 		}
 		if !certOK(a*w.cwd, 1) {
 			loadsOK = false
@@ -201,12 +192,12 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 		}
 	}
 	if !loadsOK {
-		return nil, 0, false, loadHint, worst
+		return nil, 0, false
 	}
 	clampLoads(alpha)
 	slackLHS += alpha[k] * wc[sub[k]].w
 	if !certOK(1-slackLHS, 1) {
-		return nil, 0, false, -1, 0
+		return nil, 0, false
 	}
 	// Dual chain in (T, μ): λ_j = l0[j] + T·lT[j] + μ·lM[j], λ_k = 0.
 	l0 := grow(&s.d0, m)
@@ -242,22 +233,22 @@ func (s *Session) fifoPortVertex(p *platform.Platform, sub platform.Order, k int
 	r2 := -p0
 	det = b11*b22 - b12*b21
 	if det < 1e-300 && det > -1e-300 {
-		return nil, 0, false, -1, 0
+		return nil, 0, false
 	}
 	T := (r1*b22 - b12*r2) / det
 	mu = (b11*r2 - r1*b21) / det
 	// The dual objective Σλ + μ = T + μ is the scale of every multiplier.
 	if !certOK(mu, T+mu) {
-		return nil, 0, false, -1, 0
+		return nil, 0, false
 	}
 	lam := grow(&s.lam, m)
 	for j := 0; j < m; j++ {
 		lam[j] = l0[j] + T*lT[j] + mu*lM[j]
 		if !certOK(lam[j], T+mu) {
-			return nil, 0, false, -1, 0
+			return nil, 0, false
 		}
 	}
-	return alpha, mu, true, -1, 0
+	return alpha, mu, true
 }
 
 // chainOptRecord captures the structure of a certified chain-search
@@ -292,8 +283,9 @@ func (r *chainOptRecord) set(E []int, alpha, lam []float64, mu float64, slackWor
 //     the dropped-worker checks all certify, done;
 //  2. on a port overrun (one-port FIFO only — LIFO never saturates the
 //     port): scan the port-tight vertices, slack row k = m−1 down to 0;
-//  3. otherwise drop the dual chain's most negative position (falling back
-//     to the vertices' load hints, then the last position) and descend.
+//  3. otherwise drop the dual chain's most negative position (at a
+//     port-bound level with a clean dual, the most port-hungry worker;
+//     else the last position) and descend.
 //
 // Returns loads by send position of the full scenario. When rec is non-nil
 // the certified optimum's structure is recorded into it. initE optionally
@@ -301,25 +293,9 @@ func (r *chainOptRecord) set(E []int, alpha, lam []float64, mu float64, slackWor
 // (ascending; nil enrolls everything) — the incremental sweep uses it to
 // resume from the previous permutation's optimal active set.
 func (s *Session) chainSearch(sc Scenario, lifo bool, rec *chainOptRecord, initE []int) ([]float64, bool) {
-	// The drop policy at a port-bound level with a clean relaxed dual is
-	// heuristic (certificates make a wrong drop slow, never wrong): the
-	// first attempt sheds the most port-hungry worker, and if that descent
-	// bottoms out uncertified a second attempt follows the port vertices'
-	// load hints instead, running only when the policies actually diverged.
-	alpha, ok, ambiguous := s.chainDescent(sc, lifo, rec, initE, false)
-	if !ok && ambiguous {
-		alpha, ok, _ = s.chainDescent(sc, lifo, rec, initE, true)
-	}
-	return alpha, ok
-}
-
-// chainDescent is one greedy descent pass; see chainSearch. It reports
-// whether any level's drop choice was policy-dependent (ambiguous).
-func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, initE []int, preferLoadHint bool) ([]float64, bool, bool) {
 	p := sc.Platform
 	q := len(sc.Send)
 	top := q
-	ambiguous := false
 	enrolled := growInt(&s.enrolled, q)
 	if initE == nil {
 		for i := range enrolled {
@@ -354,7 +330,7 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 			alpha, chainOK = s.fifoTight(p, subOrder)
 		}
 		if !chainOK {
-			return nil, false, ambiguous // degenerate chain; let the simplex decide
+			return nil, false // degenerate chain; let the pivot tier decide
 		}
 		portOK := lifo || portFeasible(p, subOrder, alpha, sc.Model)
 		var hint int
@@ -368,27 +344,20 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 			if rec != nil {
 				rec.set(E, alpha, s.lam[:m], 0, -1)
 			}
-			return expand(E, alpha), true, ambiguous
+			return expand(E, alpha), true
 		}
 		// Port-bound vertices: one-port FIFO only, and only when the dual
 		// chain is clean — a negative chain multiplier means resource
 		// selection wants a drop first, so scanning the port vertices of
 		// the current (too large) enrolled set would be wasted work.
-		loadHint := -1
 		if dualOK && !portOK && !lifo && sc.Model == schedule.OnePort {
-			loadBest := math.Inf(-1)
 			for k := m - 1; k >= 0; k-- {
-				va, mu, ok, lh, lw := s.fifoPortVertex(p, subOrder, k)
+				va, mu, ok := s.fifoPortVertex(p, subOrder, k)
 				if ok && s.chainDroppedOK(sc, E, va, s.lam[:m], mu, lifo) {
 					if rec != nil {
 						rec.set(E, va, s.lam[:m], mu, subOrder[k])
 					}
-					return expand(E, va), true, ambiguous
-				}
-				// Prefer the hint of the least infeasible vertex: its
-				// structure sits closest to the optimum's.
-				if lh >= 0 && lw > loadBest {
-					loadBest, loadHint = lw, lh
+					return expand(E, va), true
 				}
 			}
 		}
@@ -400,33 +369,21 @@ func (s *Session) chainDescent(sc Scenario, lifo bool, rec *chainOptRecord, init
 		case hint >= 0:
 			drop = hint
 		case !portOK:
-			// Port-bound level with a clean relaxed dual: the port vertices'
-			// load hints conflate the slack row with the drop candidate (the
-			// most negative load sits at the slack row itself), so resource
-			// selection at a saturated port prefers shedding the worker that
-			// consumes the most port time per unit load (largest c+d); the
-			// retry pass trusts the vertices' load hints instead.
+			// Port-bound level with a clean relaxed dual: resource
+			// selection at a saturated port sheds the worker that consumes
+			// the most port time per unit load (largest c+d). The choice is
+			// heuristic; certificates make a wrong drop slow, never wrong.
 			wc := s.derivedCosts(p)
 			worstG := -1.0
-			greedy := drop
 			for r, i := range subOrder {
 				if g := wc[i].g; g > worstG {
-					worstG, greedy = g, r
+					worstG, drop = g, r
 				}
 			}
-			if loadHint >= 0 && loadHint != greedy {
-				ambiguous = true
-			}
-			drop = greedy
-			if preferLoadHint && loadHint >= 0 {
-				drop = loadHint
-			}
-		case loadHint >= 0:
-			drop = loadHint
 		}
 		copy(enrolled[drop:], enrolled[drop+1:m])
 	}
-	return nil, false, ambiguous
+	return nil, false
 }
 
 // chainDroppedOK verifies the full-LP certificate parts that concern the

@@ -35,7 +35,7 @@ func repeatedCostPlatform(seed int64) *platform.Platform {
 // search on a repeated-(c, d) platform: every certificate the descent
 // returns must be the LP optimum, not merely feasible, so each one is
 // compared against the simplex. Orders the descent cannot certify go to
-// the simplex in Auto and are not checked here.
+// the pivot tier in Auto and are not checked here.
 func TestChainSearchDuplicateCostBranch(t *testing.T) {
 	p := repeatedCostPlatform(2)
 	sess := NewSession()
@@ -62,5 +62,5 @@ func TestChainSearchDuplicateCostBranch(t *testing.T) {
 	if certified == 0 {
 		t.Fatal("the chain search certified no order on the repeated-cost platform")
 	}
-	t.Logf("%d certified, %d left to the simplex, over 5000 permutations", certified, failed)
+	t.Logf("%d certified, %d left to the pivot tier, over 5000 permutations", certified, failed)
 }

@@ -108,12 +108,22 @@ type Sweep struct {
 	optIn       []bool // by send position: enrolled in the cached optimum
 	sub         []int  // scratch: enrolled subsequence as worker indices
 
-	// Port-vertex fast-path scratch (FIFO only): the candidate
-	// subsequence's all-tight chain and its prefix sums (see sweepport.go).
-	pvP, pvSC, pvSD, pvSG []float64
-
 	stats SweepStats // resolution-path counters
 }
+
+// SweepStats counts how a sweep's orders were answered below the warm
+// path.
+type SweepStats struct {
+	// Fallbacks counts chain-search descents: orders the warm path (cached
+	// optimum, dual screen, cached-shape re-solve) did not answer.
+	Fallbacks uint64
+	// Pivots counts the orders whose descent certified nothing, answered
+	// by the pivot tier.
+	Pivots uint64
+}
+
+// Stats returns the sweep's resolution-path counters.
+func (sw *Sweep) Stats() SweepStats { return sw.stats }
 
 // NewSweep starts an incremental sweep over send orders of the given
 // scenario shape: FIFO (σ2 = σ1) when lifo is false, LIFO (σ2 = reverse
@@ -149,10 +159,6 @@ func NewSweep(p *platform.Platform, send platform.Order, model schedule.Model, l
 		sw.v = make([]float64, q)
 		sw.pu = make([]float64, q)
 		sw.pv = make([]float64, q)
-		sw.pvP = make([]float64, q)
-		sw.pvSC = make([]float64, q)
-		sw.pvSD = make([]float64, q)
-		sw.pvSG = make([]float64, q)
 	}
 	for k := 0; k < q; k++ {
 		sw.gather(k)
@@ -360,16 +366,8 @@ func (sw *Sweep) throughput(incumbent float64) (float64, bool) {
 			if rho, ok := sw.resolveCachedShape(sc, m); ok {
 				return rho, true
 			}
-			// The candidate shape no longer certifies. On a port-bound
-			// platform the slack row usually just shifted rank: rescan this
-			// enrolled set's port-tight vertices (O(1)-screened per row)
-			// before paying a descent. resolveCachedShape already refuted
-			// the cached shape itself, so it is excluded from the scan.
-			if rho, ok := sw.portVertexScan(sc, sw.opt.pos, sw.opt.slackWorker < 0, sw.opt.slackWorker); ok {
-				return rho, true
-			}
-			// The optimal active set itself moved: resume the descent from
-			// the cached enrolled set (falling back to full enrollment
+			// The candidate shape no longer certifies: resume the descent
+			// from the cached enrolled set (falling back to full enrollment
 			// inside descendFrom).
 			return sw.descendFrom(sw.opt.pos)
 		}
@@ -378,15 +376,6 @@ func (sw *Sweep) throughput(incumbent float64) (float64, bool) {
 			if sw.sess.chainDroppedOK(sc, sw.opt.pos, sw.opt.alpha, sw.opt.lam, sw.opt.mu, sw.lifo) {
 				sw.needDropped = false
 				return sw.opt.rho, true
-			}
-			// A dropped check broke. The optimum is often still a vertex of
-			// the same enrolled set — the moved row/column changes which
-			// slack row's duals close feasibly — so scan it before the
-			// descent, which must also consider enrollment changes. The
-			// cached shape's own dropped check just failed, so it is
-			// excluded from the scan.
-			if rho, ok := sw.portVertexScan(sc, sw.opt.pos, sw.opt.slackWorker < 0, sw.opt.slackWorker); ok {
-				return rho, true
 			}
 			return sw.descend()
 		}
@@ -399,14 +388,6 @@ func (sw *Sweep) throughput(incumbent float64) (float64, bool) {
 		// against the full-enrollment all-tight optimum.
 		sw.cacheFullEnrollment(rho)
 		return rho, true
-	}
-	// A refuted full-enrollment all-tight candidate usually failed its
-	// port check: scan the full-enrollment port-tight vertices before
-	// descending (the scan's screen shares the chain factorisation).
-	if sw.haveOpt && len(sw.opt.pos) == sw.q {
-		if rho, ok := sw.portVertexScan(sw.scenario(), sw.opt.pos, true, -1); ok {
-			return rho, true
-		}
 	}
 	// No usable cache (or the cached full-enrollment candidate was just
 	// refuted): run the full descent.
@@ -569,7 +550,7 @@ func (sw *Sweep) resolveCachedShape(sc Scenario, m int) (float64, bool) {
 		if k < 0 {
 			return 0, false
 		}
-		va, mu, ok, _, _ := s.fifoPortVertex(sw.p, subOrder, k)
+		va, mu, ok := s.fifoPortVertex(sw.p, subOrder, k)
 		if !ok || !s.chainDroppedOK(sc, sw.opt.pos, va, s.lam[:m], mu, sw.lifo) {
 			return 0, false
 		}
@@ -621,6 +602,7 @@ func (sw *Sweep) descendFrom(initE []int) (float64, bool) {
 	if !ok {
 		// No chain candidate certifies: the pivot tier answers from the
 		// scenario alone, without the cached structure.
+		sw.stats.Pivots++
 		sw.haveOpt = false
 		_, rho, err := sw.sess.pivotScenario(sc)
 		return rho, err == nil

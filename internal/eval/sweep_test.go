@@ -48,39 +48,76 @@ func sjtWalk(n, maxSteps int, fn func(perm []int, swapped int)) {
 	}
 }
 
+// sweepWalk drives a one-port sweep of p (FIFO, or LIFO when lifo is
+// true) through the first steps orders of the SJT walk, handing each
+// order's throughput to fn, and returns the sweep's final counters.
+func sweepWalk(t testing.TB, p *platform.Platform, lifo bool, steps int, fn func(perm []int, rho float64)) SweepStats {
+	var sw *Sweep
+	sjtWalk(p.P(), steps, func(perm []int, swapped int) {
+		if swapped < 0 {
+			var err error
+			if sw, err = NewSweep(p, perm, schedule.OnePort, lifo); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			sw.Delta(swapped)
+		}
+		rho, ok := sw.Throughput()
+		if !ok {
+			t.Fatalf("perm %v (lifo=%v): no tier answered", perm, lifo)
+		}
+		fn(perm, rho)
+	})
+	return sw.Stats()
+}
+
+// portBoundPlatform builds a port-bound platform: eight workers with
+// cheap, d-heavy links and slow computation, so every worker stays
+// enrolled, the one-port constraint binds, and the optimum is a port-tight
+// vertex whose slack row shifts rank as the sweep's transpositions reorder
+// the workers. Seed 4's descents are never degenerate.
+func portBoundPlatform(seed int64) *platform.Platform {
+	rng := rand.New(rand.NewSource(seed))
+	ws := make([]platform.Worker, 8)
+	for i := range ws {
+		ws[i] = platform.Worker{
+			C: 0.05 + 0.05*rng.Float64(),
+			D: 0.1 + 0.1*rng.Float64(),
+			W: 0.5 + 0.5*rng.Float64(),
+		}
+	}
+	return platform.New(ws...)
+}
+
+// largeZPlatform draws a common-z star of 4 to 6 workers with d = z·c,
+// the shape of internal/core's large-z corpora.
+func largeZPlatform(rng *rand.Rand, z float64) *platform.Platform {
+	ws := make([]platform.Worker, 4+rng.Intn(3))
+	for i := range ws {
+		c := 0.01 + rng.Float64()
+		ws[i] = platform.Worker{C: c, W: 0.05 + rng.Float64(), D: z * c}
+	}
+	return platform.New(ws...)
+}
+
 // TestSweepMatchesFromScratch is the incremental half of the extended
 // agreement property test: walking adjacent transpositions, every
 // certified Sweep throughput must equal the from-scratch tiered pipeline
 // and the simplex to 1e-9, on 240 random platforms across all shape
 // families, FIFO and LIFO, with the exact-rational backend confirming
-// every 10th trial.
+// every 10th trial. All 8! FIFO orders of the port-bound platform, whose
+// warm path misses thousands of them, are held to Auto.
 func TestSweepMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	const trials = 240
+	fresh := NewSession()
 	for trial := 0; trial < trials; trial++ {
 		p := randomAgreementPlatform(rng)
 		lifo := trial%2 == 1
-		n := p.P()
-		var sw *Sweep
-		fresh := NewSession()
-		steps := 40
-		sjtWalk(n, steps, func(perm []int, swapped int) {
-			if swapped < 0 {
-				var err error
-				if sw, err = NewSweep(p, perm, schedule.OnePort, lifo); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				sw.Delta(swapped)
-			}
+		sweepWalk(t, p, lifo, 40, func(perm []int, rho float64) {
 			sc := Scenario{Platform: p, Send: perm, Return: perm, Model: schedule.OnePort}
-			rev := platform.Order(perm).Reverse()
 			if lifo {
-				sc.Return = rev
-			}
-			rho, ok := sw.Throughput()
-			if !ok {
-				t.Fatalf("trial %d perm %v (lifo=%v): no tier answered", trial, perm, lifo)
+				sc.Return = platform.Order(perm).Reverse()
 			}
 			auto, err := fresh.Throughput(sc, Auto)
 			if err != nil {
@@ -106,6 +143,54 @@ func TestSweepMatchesFromScratch(t *testing.T) {
 				}
 			}
 		})
+	}
+	p := portBoundPlatform(4)
+	sweepWalk(t, p, false, 1<<30, func(perm []int, rho float64) {
+		sc := Scenario{Platform: p, Send: perm, Return: perm, Model: schedule.OnePort}
+		auto, err := fresh.Throughput(sc, Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !agreeEq(rho, auto) {
+			t.Fatalf("port-bound perm %v: sweep %.12g != auto %.12g", perm, rho, auto)
+		}
+	})
+}
+
+// TestSweepAllocationFree pins the sweep's allocation discipline: the
+// warm path and the descent run on preallocated sweep and session
+// scratch, so the full p = 8 sweep on the port-bound platform stays
+// allocation-free beyond setup and amortised session-buffer growth.
+func TestSweepAllocationFree(t *testing.T) {
+	p := portBoundPlatform(4)
+	allocs := testing.AllocsPerRun(1, func() {
+		sweepWalk(t, p, false, 1<<30, func([]int, float64) {})
+	})
+	if allocs > 200 {
+		t.Fatalf("p = 8 sweep allocated %.0f times (> 200): a per-permutation allocation crept into the sweep", allocs)
+	}
+}
+
+// TestSweepTierCounts pins how many orders of serial FIFO one-port sweeps
+// leave the warm path for the descent (Fallbacks) and how many of those
+// the pivot tier answers (Pivots), over every order of: the port-bound
+// platform, one z = 1e6 large-z platform, and one random p = 6 platform
+// whose descents miss. The counts are deterministic, so a change to the
+// sweep's tiers fails here instead of only moving a timing.
+func TestSweepTierCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		p                 *platform.Platform
+		fallbacks, pivots uint64
+	}{
+		{"port-bound", portBoundPlatform(4), 4773, 0},
+		{"z=1e6", largeZPlatform(rand.New(rand.NewSource(1e6)), 1e6), 87, 0},
+		{"random", randomAgreementPlatform(rand.New(rand.NewSource(4))), 401, 77},
+	} {
+		got := sweepWalk(t, tc.p, false, 1<<30, func([]int, float64) {})
+		if got.Fallbacks != tc.fallbacks || got.Pivots != tc.pivots {
+			t.Errorf("%s: %d fallbacks, %d pivots; want %d, %d", tc.name, got.Fallbacks, got.Pivots, tc.fallbacks, tc.pivots)
+		}
 	}
 }
 
