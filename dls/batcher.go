@@ -136,19 +136,28 @@ type submission struct {
 
 	// Tracing (internal/obs): the traces riding ctx at submit time, and
 	// the batcher-clock timestamps bracketing the depth-0 stages —
-	// queue_wait (submit → admitted into a window), window_wait (admitted
-	// → flush) and solve (flush → answer). All zero when no trace rides
-	// the context: the hot path then skips every stage call.
-	traces   []*obs.Trace
-	submitAt time.Time
-	admitAt  time.Time
-	flushAt  time.Time
+	// queue_wait (trace start → admitted into a window), window_wait
+	// (admitted → flush) and solve (flush → answer). All zero when no
+	// trace rides the context: the hot path then skips every stage call.
+	traces  []*obs.Trace
+	admitAt time.Time
+	flushAt time.Time
 }
 
 // stage records a depth-0 stage on every trace following the submission.
 func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Attr) {
 	for _, t := range sub.traces {
 		t.StageAt(0, name, start, end, attrs...)
+	}
+}
+
+// queueStage records queue_wait on every trace following the submission,
+// from the trace's own start to end, so the time from the trace's start
+// to the submission counts as queueing and the depth-0 stages begin where
+// the trace does.
+func (sub *submission) queueStage(end time.Time) {
+	for _, t := range sub.traces {
+		t.StageAt(0, "queue_wait", t.Start(), end)
 	}
 }
 
@@ -286,10 +295,7 @@ func (b *Batcher) resolveClass(name string) (SLOClass, error) {
 // context's) for SLO shedding and violation accounting.
 func (b *Batcher) initSubmission(sub *submission, ctx context.Context, req Request, class SLOClass) {
 	*sub = submission{ctx: ctx, req: req, class: class, ready: make(chan struct{})}
-	if ts := obs.Traces(ctx); len(ts) > 0 {
-		sub.traces = ts
-		sub.submitAt = b.clock.Now()
-	}
+	sub.traces = obs.Traces(ctx)
 	if class.Deadline > 0 {
 		sub.deadline = b.clock.Now().Add(class.Deadline)
 	} else if d, ok := ctx.Deadline(); ok {
@@ -491,7 +497,7 @@ func (b *Batcher) solveDirect(subs []*submission) {
 			}
 			// Direct mode has no window: the slot wait is the queue stage
 			// and the solve runs immediately after.
-			sub.stage("queue_wait", sub.submitAt, start)
+			sub.queueStage(start)
 			sub.flushAt = start
 		}
 	}
@@ -612,7 +618,7 @@ var flushReasonNames = [numFlushReasons]string{"idle", "size", "timer", "close"}
 func (r flushReason) String() string { return flushReasonNames[r] }
 
 // stageFlush records the admission stages of a flushed window on every
-// traced submission — queue_wait (submit → admission) and window_wait
+// traced submission — queue_wait (trace start → admission) and window_wait
 // (admission → this flush, annotated with the window id, its fill and
 // the flush reason, so a slow window_wait says whether the workers were
 // busy) — and stamps flushAt, where the solve stage picks up.
@@ -626,7 +632,7 @@ func (b *Batcher) stageFlush(win []*submission, id uint64, reason flushReason) {
 			now = b.clock.Now()
 		}
 		sub.flushAt = now
-		sub.stage("queue_wait", sub.submitAt, sub.admitAt)
+		sub.queueStage(sub.admitAt)
 		sub.stage("window_wait", sub.admitAt, now,
 			obs.Uint64("window", id), obs.Int("fill", len(win)), obs.String("flush", reason.String()))
 	}

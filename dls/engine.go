@@ -228,59 +228,22 @@ type OrderSearchStats struct {
 	Sweep uint64
 }
 
-// PairSearchStats counts the exhaustive pair search's branch-and-bound
-// activity. The counters are process-global atomics shared by all solvers;
-// they make the bound's pruning effectiveness observable in production
-// (dlsd re-exports them on /metrics as dlsd_pair_search_*).
-type PairSearchStats struct {
-	// OuterPruned counts send orders whose entire return-order tree was
-	// discarded by the root bound before expansion.
-	OuterPruned uint64
-	// NodesExpanded counts branch-and-bound nodes whose children were
-	// generated.
-	NodesExpanded uint64
-	// SubtreesPruned counts subtrees cut by the return-prefix bound.
-	SubtreesPruned uint64
-	// SubtreesScreened counts the part of SubtreesPruned cut from the
-	// parent's one-pass child bounds, without the child being pushed.
-	SubtreesScreened uint64
-	// LeavesEvaluated counts complete return orders whose throughput was
-	// actually computed.
-	LeavesEvaluated uint64
-}
-
-// AffineSearchStats counts the affine subset search's lattice
-// branch-and-bound activity. The counters are process-global atomics
-// shared by all solvers; dlsd re-exports them on /metrics as
-// dlsd_affine_search_*.
-type AffineSearchStats struct {
-	// NodesExpanded counts interior lattice nodes whose include/exclude
-	// children were generated.
-	NodesExpanded uint64
-	// SubtreesPruned counts half-lattices cut against the incumbent.
-	SubtreesPruned uint64
-	// LeavesEvaluated counts participant subsets whose scenario LP was
-	// actually solved (the flat loop counts every non-empty mask).
-	LeavesEvaluated uint64
-	// BoundSolves counts relaxation LPs solved on exclude edges.
-	BoundSolves uint64
-}
-
-// SearchHelperStats counts the helper workers of the work-stealing
-// searches (pair-exhaustive, fifo-affine). A search's primary worker
-// always runs; its helpers borrow only idle cores of the process-wide
-// budget of GOMAXPROCS running search workers. dlsd re-exports the counts
-// on /metrics as dlsd_search_helpers_total{outcome}.
-type SearchHelperStats struct {
-	// Started helpers found an idle core when their search started.
-	Started uint64
-	// Denied helpers were allowed by the search's cap (WithSearchParallelism)
-	// but found the budget full.
-	Denied uint64
-	// Retired helpers left their search at a rank boundary because the
-	// budget was overdrawn; the search's other workers took over their ranks.
-	Retired uint64
-}
+// The search counters, re-exported from internal/core. They are
+// process-global atomics shared by all solvers; dlsd re-exports them on
+// /metrics as dlsd_pair_search_*, dlsd_affine_search_* and
+// dlsd_search_helpers_total{outcome}.
+type (
+	// PairSearchStats counts the exhaustive pair search's branch-and-bound
+	// activity.
+	PairSearchStats = core.PairStats
+	// AffineSearchStats counts the affine subset search's lattice
+	// branch-and-bound activity.
+	AffineSearchStats = core.AffineStats
+	// SearchHelperStats counts the helper workers of the work-stealing
+	// searches (pair-exhaustive, fifo-affine) against the process-wide
+	// budget of GOMAXPROCS running search workers.
+	SearchHelperStats = core.SearchHelperStats
+)
 
 // Solver is the scheduling engine: it resolves requests against the
 // strategy registry, optionally memoizes results in an LRU cache, bounds
@@ -472,24 +435,10 @@ func (s *Solver) Stats() Stats {
 	st.DegradedByStrategy = s.degradedBy.Snapshot()
 	st.ShedByClass = s.shedByClass.Snapshot()
 	st.ViolationsByClass = s.violationsByClass.Snapshot()
-	ps := core.PairStatsSnapshot()
-	st.PairSearch = PairSearchStats{
-		OuterPruned:      ps.OuterPruned,
-		NodesExpanded:    ps.NodesExpanded,
-		SubtreesPruned:   ps.SubtreesPruned,
-		SubtreesScreened: ps.SubtreesScreened,
-		LeavesEvaluated:  ps.LeavesEvaluated,
-	}
-	as := core.AffineStatsSnapshot()
-	st.AffineSearch = AffineSearchStats{
-		NodesExpanded:   as.NodesExpanded,
-		SubtreesPruned:  as.SubtreesPruned,
-		LeavesEvaluated: as.LeavesEvaluated,
-		BoundSolves:     as.BoundSolves,
-	}
+	st.PairSearch = core.PairStatsSnapshot()
+	st.AffineSearch = core.AffineStatsSnapshot()
 	st.EvalSimplexFallbacks = eval.SimplexFallbacks()
-	sh := core.SearchHelperStatsSnapshot()
-	st.SearchHelpers = SearchHelperStats{Started: sh.Started, Denied: sh.Denied, Retired: sh.Retired}
+	st.SearchHelpers = core.SearchHelperStatsSnapshot()
 	return st
 }
 

@@ -22,8 +22,10 @@ import (
 //	compute on Pi: O_i    + α_i·w_i
 //	return from Pi: Lout_i + α_i·d_i.
 //
-// With the orders fixed the program remains linear (the constants move to
-// the right-hand sides), but resource selection becomes the hard part: an
+// With the orders fixed the program remains the paper's linear one with
+// other right-hand sides: affineRHS lowers each row's horizon by the fixed
+// costs it carries, and eval.BuildLP, the one writer of the Section 2.3
+// rows, builds the program. Resource selection becomes the hard part: an
 // enrolled worker consumes its latencies even with α = 0, and the paper
 // cites Legrand, Yang and Casanova for the NP-hardness of the affine
 // star problem. BestFIFOAffineContext therefore enumerates participant
@@ -64,8 +66,9 @@ func (a Affine) validate(p *platform.Platform) error {
 }
 
 // ScenarioLPAffine builds the affine-model linear program for a fixed
-// scenario. The enrolled set is exactly the workers in send; their fixed
-// costs are charged whether or not the optimal α is positive.
+// scenario: eval's scenario program with the fixed costs moved to the
+// right-hand sides. The enrolled set is exactly the workers in send; their
+// fixed costs are charged whether or not the optimal α is positive.
 func ScenarioLPAffine(p *platform.Platform, aff Affine, send, ret platform.Order, model schedule.Model) (*lp.Problem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -76,57 +79,61 @@ func ScenarioLPAffine(p *platform.Platform, aff Affine, send, ret platform.Order
 	if err := eval.ValidOrderPair(p.P(), send, ret); err != nil {
 		return nil, err
 	}
-	q := len(send)
-	prob := lp.NewMaximize()
-	varOf := make(map[int]int, q)
-	for _, i := range send {
-		varOf[i] = prob.AddVar(fmt.Sprintf("alpha_%s", p.Workers[i].Name), 1)
+	if model != schedule.OnePort && model != schedule.TwoPort {
+		return nil, fmt.Errorf("core: unknown model %v", model)
 	}
-	retPos := make(map[int]int, q)
-	for k, i := range ret {
-		retPos[i] = k
-	}
+	sc := eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}
+	return eval.BuildLP(sc, affineRHS(make([]float64, len(send)+2), aff, sc, nil), true), nil
+}
+
+// affineRHS fills rhs with the right-hand sides the fixed costs leave on
+// the scenario's rows, in eval.BuildLP's layout: each row's horizon 1 less
+// the latencies and overhead it carries. charged selects the workers whose
+// fixed costs are billed; nil bills every enrolled worker.
+func affineRHS(rhs []float64, aff Affine, sc eval.Scenario, charged []bool) []float64 {
+	send, ret := sc.Send, sc.Return
+	bill := func(i int) bool { return charged == nil || charged[i] }
 	for s, i := range send {
-		coefs := make([]lp.Coef, 0, 2*q)
-		fixed := aff.Comp[i]
+		fixed := 0.0
+		if bill(i) {
+			fixed = aff.Comp[i]
+		}
 		for _, j := range send[:s+1] {
-			coefs = append(coefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].C})
-			fixed += aff.In[j]
+			if bill(j) {
+				fixed += aff.In[j]
+			}
 		}
-		coefs = append(coefs, lp.Coef{Var: varOf[i], Value: p.Workers[i].W})
-		for _, j := range ret[retPos[i]:] {
-			coefs = append(coefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
-			fixed += aff.Out[j]
+		r := 0
+		for ret[r] != i {
+			r++
 		}
-		prob.AddConstraint(fmt.Sprintf("worker_%s", p.Workers[i].Name), coefs, lp.LE, 1-fixed)
+		for _, j := range ret[r:] {
+			if bill(j) {
+				fixed += aff.Out[j]
+			}
+		}
+		rhs[s] = 1 - fixed
 	}
-	switch model {
-	case schedule.OnePort:
-		coefs := make([]lp.Coef, 0, 2*q)
+	q := len(send)
+	if sc.Model == schedule.OnePort {
 		fixed := 0.0
 		for _, j := range send {
-			coefs = append(coefs,
-				lp.Coef{Var: varOf[j], Value: p.Workers[j].C},
-				lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
-			fixed += aff.In[j] + aff.Out[j]
+			if bill(j) {
+				fixed += aff.In[j] + aff.Out[j]
+			}
 		}
-		prob.AddConstraint("one_port", coefs, lp.LE, 1-fixed)
-	case schedule.TwoPort:
-		sendCoefs := make([]lp.Coef, 0, q)
-		retCoefs := make([]lp.Coef, 0, q)
-		fixedIn, fixedOut := 0.0, 0.0
-		for _, j := range send {
-			sendCoefs = append(sendCoefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].C})
-			retCoefs = append(retCoefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
+		rhs[q] = 1 - fixed
+		return rhs
+	}
+	fixedIn, fixedOut := 0.0, 0.0
+	for _, j := range send {
+		if bill(j) {
 			fixedIn += aff.In[j]
 			fixedOut += aff.Out[j]
 		}
-		prob.AddConstraint("send_port", sendCoefs, lp.LE, 1-fixedIn)
-		prob.AddConstraint("recv_port", retCoefs, lp.LE, 1-fixedOut)
-	default:
-		return nil, fmt.Errorf("core: unknown model %v", model)
 	}
-	return prob, nil
+	rhs[q], rhs[q+1] = 1-fixedIn, 1-fixedOut
+	return rhs
 }
 
 // AffineResult is the outcome of an affine-model solve: the loads and
@@ -153,43 +160,62 @@ func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Or
 	if err != nil {
 		return nil, err
 	}
-	var x []float64
+	x, rho, feasible, err := solveAffine(prob, arith)
+	if err != nil {
+		return nil, err
+	}
+	res := &AffineResult{Send: send.Clone(), Return: ret.Clone(), Alpha: make([]float64, p.P())}
+	if !feasible {
+		// The fixed costs alone exceed the horizon.
+		return res, nil
+	}
+	res.Feasible = true
+	res.Throughput = rho
+	for k, i := range send {
+		if x[k] > 0 {
+			res.Alpha[i] = x[k]
+		}
+	}
+	return res, nil
+}
+
+// solveAffine solves an affine scenario LP under arith and returns its
+// loads and throughput Σ x[k]>0, the value every search comparison and the
+// winner's final re-solve report. feasible is false when the fixed costs
+// alone exceed the horizon.
+func solveAffine(prob *lp.Problem, arith Arith) (x []float64, rho float64, feasible bool, err error) {
 	var status lp.Status
 	switch arith {
 	case Float64:
 		sol, err := prob.Solve()
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
 		status, x = sol.Status, sol.X
 	case Exact:
 		sol, err := prob.SolveExact()
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
 		status = sol.Status
 		if status == lp.Optimal {
 			_, x = sol.Float()
 		}
 	default:
-		return nil, fmt.Errorf("core: unknown arithmetic %v", arith)
+		return nil, 0, false, fmt.Errorf("core: unknown arithmetic %v", arith)
 	}
-	res := &AffineResult{Send: send.Clone(), Return: ret.Clone(), Alpha: make([]float64, p.P())}
 	if status == lp.Infeasible {
-		// The fixed costs alone exceed the horizon.
-		return res, nil
+		return nil, 0, false, nil
 	}
 	if status != lp.Optimal {
-		return nil, fmt.Errorf("core: affine scenario LP terminated %v (internal error)", status)
+		return nil, 0, false, fmt.Errorf("core: affine scenario LP terminated %v (internal error)", status)
 	}
-	res.Feasible = true
-	for k, i := range send {
-		if x[k] > 0 {
-			res.Alpha[i] = x[k]
-			res.Throughput += x[k]
+	for _, v := range x {
+		if v > 0 {
+			rho += v
 		}
 	}
-	return res, nil
+	return x, rho, true, nil
 }
 
 // maxAffineSubsets bounds the 2^p subset search of BestFIFOAffineContext.
@@ -363,97 +389,19 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 }
 
 // affineOnePortLP builds the one-port FIFO affine LP over the candidate
-// order without diagnostic names (names never influence the simplex, so
-// the rows pivot bitwise-identically to ScenarioLPAffine's). charged
-// selects the workers whose fixed costs are billed: nil bills every
-// candidate — the exact scenario LP of the subset — while the
-// branch-and-bound bills only the already-included workers, leaving the
-// undecided candidates' linear terms free. That relaxation is an upper
-// bound over every completion S of the included set: extending S's optimum
-// by zeros satisfies each candidate row (undecided rows charge no fixed
-// cost, so their RHS dominates the one-port row S satisfies), and included
-// rows only gain RHS as fixed costs are dropped.
+// order without diagnostic names. charged selects the workers whose fixed
+// costs are billed: nil bills every candidate — the exact scenario LP of
+// the subset — while the branch-and-bound bills only the already-included
+// workers, leaving the undecided candidates' linear terms free. That
+// relaxation is an upper bound over every completion S of the included
+// set: extending S's optimum by zeros satisfies each candidate row
+// (undecided rows charge no fixed cost, so their RHS dominates the
+// one-port row S satisfies), and included rows only gain RHS as fixed
+// costs are dropped.
 func affineOnePortLP(p *platform.Platform, aff Affine, order platform.Order, charged []bool) *lp.Problem {
-	q := len(order)
-	prob := lp.NewMaximize()
-	for range order {
-		prob.AddVar("", 1)
-	}
-	bill := func(i int) bool { return charged == nil || charged[i] }
-	coefs := make([]lp.Coef, 0, 2*q+1)
-	for s, i := range order {
-		coefs = coefs[:0]
-		fixed := 0.0
-		if bill(i) {
-			fixed = aff.Comp[i]
-		}
-		for k, j := range order[:s+1] {
-			coefs = append(coefs, lp.Coef{Var: k, Value: p.Workers[j].C})
-			if bill(j) {
-				fixed += aff.In[j]
-			}
-		}
-		coefs = append(coefs, lp.Coef{Var: s, Value: p.Workers[i].W})
-		for k, j := range order[s:] {
-			coefs = append(coefs, lp.Coef{Var: s + k, Value: p.Workers[j].D})
-			if bill(j) {
-				fixed += aff.Out[j]
-			}
-		}
-		prob.AddConstraint("", coefs, lp.LE, 1-fixed)
-	}
-	coefs = coefs[:0]
-	fixed := 0.0
-	for k, j := range order {
-		coefs = append(coefs,
-			lp.Coef{Var: k, Value: p.Workers[j].C},
-			lp.Coef{Var: k, Value: p.Workers[j].D})
-		if bill(j) {
-			fixed += aff.In[j] + aff.Out[j]
-		}
-	}
-	prob.AddConstraint("", coefs, lp.LE, 1-fixed)
-	return prob
-}
-
-// solveAffineRho solves a subset's scenario LP and returns its throughput
-// under the same Σ x[k]>0 accumulation SolveScenarioAffine uses, so the
-// search comparisons match the value the winner's final re-solve reports.
-func solveAffineRho(prob *lp.Problem, arith Arith, q int) (float64, bool, error) {
-	var x []float64
-	var status lp.Status
-	switch arith {
-	case Float64:
-		sol, err := prob.Solve()
-		if err != nil {
-			return 0, false, err
-		}
-		status, x = sol.Status, sol.X
-	case Exact:
-		sol, err := prob.SolveExact()
-		if err != nil {
-			return 0, false, err
-		}
-		status = sol.Status
-		if status == lp.Optimal {
-			_, x = sol.Float()
-		}
-	default:
-		return 0, false, fmt.Errorf("core: unknown arithmetic %v", arith)
-	}
-	if status == lp.Infeasible {
-		return 0, false, nil
-	}
-	if status != lp.Optimal {
-		return 0, false, fmt.Errorf("core: affine scenario LP terminated %v (internal error)", status)
-	}
-	rho := 0.0
-	for k := 0; k < q; k++ {
-		if x[k] > 0 {
-			rho += x[k]
-		}
-	}
-	return rho, true, nil
+	var rhs [maxAffineSubsets + 1]float64
+	sc := eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}
+	return eval.BuildLP(sc, affineRHS(rhs[:], aff, sc, charged), false)
 }
 
 // affineSearchFlat is the flat 2^p loop: every non-empty mask ascending,
@@ -475,7 +423,7 @@ func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith 
 				order = append(order, i)
 			}
 		}
-		rho, feasible, err := solveAffineRho(affineOnePortLP(p, aff, order, nil), arith, len(order))
+		_, rho, feasible, err := solveAffine(affineOnePortLP(p, aff, order, nil), arith)
 		if err != nil {
 			return err
 		}
@@ -598,8 +546,7 @@ func (b *affineBB) dfs(depth int, parentBound float64) error {
 			return nil
 		}
 		b.leaves++
-		rho, feasible, err := solveAffineRho(
-			affineOnePortLP(b.p, b.aff, b.included, nil), Float64, len(b.included))
+		_, rho, feasible, err := solveAffine(affineOnePortLP(b.p, b.aff, b.included, nil), Float64)
 		if err != nil {
 			return err
 		}

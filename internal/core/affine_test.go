@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -411,4 +412,98 @@ func BenchmarkBestFIFOAffine16(b *testing.B) {
 		res = r
 	}
 	b.ReportMetric(res.Throughput, "rho")
+}
+
+// affineFuzzDraw draws an affine platform of 2 to 10 workers for
+// FuzzAffineBBMatchesFlat. family 0 is dlsbench's search draw (size-400
+// heterogeneous speeds, In and Out below 0.02, Comp below 0.05); 1 the
+// same platform with zero fixed costs; 2 ties: about half the workers copy
+// worker 0's linear and fixed costs, so distinct subsets reach the same ρ;
+// 3 fixed costs of at least the horizon on every worker, so no subset is
+// feasible.
+func affineFuzzDraw(seed int64, n, family uint8) (*platform.Platform, Affine) {
+	rng := rand.New(rand.NewSource(seed))
+	p := 2 + int(n%9)
+	plat := platform.RandomSpeeds(rng, p, platform.Heterogeneous).Platform(platform.DefaultApp(400))
+	aff := ZeroAffine(p)
+	for i := 0; i < p; i++ {
+		aff.In[i] = 0.02 * rng.Float64()
+		aff.Out[i] = 0.02 * rng.Float64()
+		aff.Comp[i] = 0.05 * rng.Float64()
+	}
+	switch family % 4 {
+	case 1:
+		aff = ZeroAffine(p)
+	case 2:
+		for i := 1; i < p; i++ {
+			if rng.Intn(2) == 0 {
+				w := plat.Workers[i].Name
+				plat.Workers[i] = plat.Workers[0]
+				plat.Workers[i].Name = w
+				aff.In[i], aff.Out[i], aff.Comp[i] = aff.In[0], aff.Out[0], aff.Comp[0]
+			}
+		}
+	case 3:
+		for i := 0; i < p; i++ {
+			aff.Comp[i] = 1 + rng.Float64()
+		}
+	}
+	return plat, aff
+}
+
+// FuzzAffineBBMatchesFlat holds the affine branch-and-bound, serial and
+// parallel, byte-identical to the flat subset loop — winning order, ρ
+// bits, load bits — on the families of affineFuzzDraw. Both searches solve
+// their LPs through the same builder, so the winner is also re-solved in
+// exact rational arithmetic, which must agree within 1e-9 relative; when
+// no subset wins, every single worker must be infeasible exactly. The
+// committed corpus holds a no-subset-feasible entry and a tie entry.
+func FuzzAffineBBMatchesFlat(f *testing.F) {
+	for family := uint8(0); family < 4; family++ {
+		f.Add(int64(family)+1, 4+family, family)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, family uint8) {
+		plat, aff := affineFuzzDraw(seed, n, family)
+		flat, err := BestFIFOAffineAlgo(context.Background(), plat, aff, Float64, AffineFlat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2} {
+			bb, err := BestFIFOAffineAlgo(ContextWithSearchParallelism(context.Background(), par), plat, aff, Float64, AffineBB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bb.Feasible != flat.Feasible || !slices.Equal(bb.Send, flat.Send) || !slices.Equal(bb.Return, flat.Return) ||
+				math.Float64bits(bb.Throughput) != math.Float64bits(flat.Throughput) {
+				t.Fatalf("parallelism %d: bb (%v, %v, ρ %x) vs flat (%v, %v, ρ %x)", par,
+					bb.Feasible, bb.Send, math.Float64bits(bb.Throughput), flat.Feasible, flat.Send, math.Float64bits(flat.Throughput))
+			}
+			for i := range bb.Alpha {
+				if math.Float64bits(bb.Alpha[i]) != math.Float64bits(flat.Alpha[i]) {
+					t.Fatalf("parallelism %d worker %d: bb α bits %x, flat %x", par, i,
+						math.Float64bits(bb.Alpha[i]), math.Float64bits(flat.Alpha[i]))
+				}
+			}
+		}
+		if len(flat.Send) == 0 {
+			for i := range plat.Workers {
+				one := platform.Order{i}
+				ex, err := SolveScenarioAffine(plat, aff, one, one, schedule.OnePort, Exact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Feasible {
+					t.Fatalf("no subset won, but worker %d alone is feasible (ρ %g)", i, ex.Throughput)
+				}
+			}
+			return
+		}
+		ex, err := SolveScenarioAffine(plat, aff, flat.Send, flat.Return, schedule.OnePort, Exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ex.Feasible || math.Abs(ex.Throughput-flat.Throughput) > 1e-9*ex.Throughput {
+			t.Fatalf("winner %v: ρ %v, exact re-solve %v (feasible %v)", flat.Send, flat.Throughput, ex.Throughput, ex.Feasible)
+		}
+	})
 }

@@ -111,68 +111,21 @@ func (s *Session) lexMinLoads(sc Scenario, tightSend, tightRecv bool) ([]float64
 	return best, true
 }
 
-// buildLexMinLP assembles the k-th lex-min program: maximise −α_k under
-// the Section 2.3 per-worker rows, the port row(s) — tight ones as
-// equalities — and α_t ≤ fixed_t (plus float slack) for t < k.
+// buildLexMinLP assembles the k-th lex-min program: the scenario program
+// with objective −α_k, the tight port row(s) as equalities and
+// α_t ≤ fixed_t (plus float slack) for t < k.
 func buildLexMinLP(sc Scenario, k int, tightSend, tightRecv bool, fixed []float64) *lp.Problem {
-	p, send, ret := sc.Platform, sc.Send, sc.Return
-	q := len(send)
-	prob := lp.NewMaximize()
+	q := len(sc.Send)
+	prob := BuildLP(sc, nil, false)
 	for t := 0; t < q; t++ {
-		obj := 0.0
-		if t == k {
-			obj = -1
-		}
-		prob.AddVar("", obj)
+		prob.SetObj(t, 0)
 	}
-	varOf := make(map[int]int, q)
-	for t, i := range send {
-		varOf[i] = t
+	prob.SetObj(k, -1)
+	if tightSend {
+		prob.SetSense(q, lp.EQ)
 	}
-	retPos := make(map[int]int, q)
-	for t, i := range ret {
-		retPos[i] = t
-	}
-	for t, i := range send {
-		coefs := make([]lp.Coef, 0, 2*q)
-		for _, j := range send[:t+1] {
-			coefs = append(coefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].C})
-		}
-		coefs = append(coefs, lp.Coef{Var: varOf[i], Value: p.Workers[i].W})
-		for _, j := range ret[retPos[i]:] {
-			coefs = append(coefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
-		}
-		prob.AddConstraint("", coefs, lp.LE, 1)
-	}
-	switch sc.Model {
-	case schedule.OnePort:
-		coefs := make([]lp.Coef, 0, 2*q)
-		for _, j := range send {
-			coefs = append(coefs,
-				lp.Coef{Var: varOf[j], Value: p.Workers[j].C},
-				lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
-		}
-		sense := lp.LE
-		if tightSend {
-			sense = lp.EQ
-		}
-		prob.AddConstraint("", coefs, sense, 1)
-	default: // two-port
-		sendCoefs := make([]lp.Coef, 0, q)
-		retCoefs := make([]lp.Coef, 0, q)
-		for _, j := range send {
-			sendCoefs = append(sendCoefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].C})
-			retCoefs = append(retCoefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
-		}
-		sendSense, retSense := lp.LE, lp.LE
-		if tightSend {
-			sendSense = lp.EQ
-		}
-		if tightRecv {
-			retSense = lp.EQ
-		}
-		prob.AddConstraint("", sendCoefs, sendSense, 1)
-		prob.AddConstraint("", retCoefs, retSense, 1)
+	if tightRecv && sc.Model == schedule.TwoPort {
+		prob.SetSense(q+1, lp.EQ)
 	}
 	for t, v := range fixed {
 		prob.AddConstraint("", []lp.Coef{{Var: t, Value: 1}}, lp.LE, v+1e-12*(1+v))

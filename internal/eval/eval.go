@@ -209,73 +209,101 @@ func kindOf(send, ret platform.Order) scenarioKind {
 // Σ α_j·(c_j + d_j) ≤ 1 under the one-port model, Σ α_j·c_j ≤ 1 and
 // Σ α_j·d_j ≤ 1 under the two-port model; the objective maximises ρ = Σα.
 //
-// This is the only constructor of that program in the repository: the
-// simplex and exact backends solve it, and callers that need the raw LP
-// (exact identity tests, diagnostics) obtain it here.
+// BuildLP, behind it, is the only code in the repository that writes these
+// rows: the simplex and exact backends solve this program, the lex-min
+// canonicalisation re-aims its objective (canonical.go), and the affine
+// model of internal/core lowers its right-hand sides by the fixed costs.
 func ScenarioLP(sc Scenario) (*lp.Problem, error) {
 	if err := validate(sc); err != nil {
 		return nil, err
 	}
-	return buildLP(sc, true), nil
+	return BuildLP(sc, nil, true), nil
 }
 
-// buildLP constructs the scenario LP. When named is false the variables
-// and rows carry empty names, skipping the fmt.Sprintf cost on the hot
-// fallback path (names are only used in diagnostics).
-func buildLP(sc Scenario, named bool) *lp.Problem {
+// BuildLP writes the scenario's program with the given right-hand sides:
+// rhs[t] bounds the worker row at send position t, rhs[q] the one-port
+// row (or the send port row, and rhs[q+1] the receive port row, under the
+// two-port model), for q enrolled workers; nil means 1 on every row. The
+// variable of the worker at send position t is t. When named is false the
+// variables and rows carry empty names, skipping the fmt.Sprintf cost on
+// hot paths (names are only used in diagnostics). The scenario is not
+// validated (see ValidOrderPair).
+func BuildLP(sc Scenario, rhs []float64, named bool) *lp.Problem {
 	p, send, ret := sc.Platform, sc.Send, sc.Return
 	q := len(send)
+	bound := func(row int) float64 {
+		if rhs == nil {
+			return 1
+		}
+		return rhs[row]
+	}
 	prob := lp.NewMaximize()
-	// varOf[workerIndex] = LP variable of that worker's load.
-	varOf := make(map[int]int, q)
 	for _, i := range send {
 		name := ""
 		if named {
 			name = fmt.Sprintf("alpha_%s", p.Workers[i].Name)
 		}
-		varOf[i] = prob.AddVar(name, 1)
+		prob.AddVar(name, 1)
 	}
-	retPos := make(map[int]int, q)
-	for k, i := range ret {
-		retPos[i] = k
+	// retVar[r] is the variable of the worker returning r-th. Up to 32
+	// workers it lives on the stack: the affine searches build thousands
+	// of LPs per request and allocate nothing for it.
+	var buf [32]int
+	retVar := buf[:0]
+	if q > len(buf) {
+		retVar = make([]int, 0, q)
 	}
-	// Per-worker constraints.
-	for s, i := range send {
-		coefs := make([]lp.Coef, 0, 2*q)
-		for _, j := range send[:s+1] {
-			coefs = append(coefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].C})
+	for _, j := range ret {
+		t := 0
+		for send[t] != j {
+			t++
 		}
-		coefs = append(coefs, lp.Coef{Var: varOf[i], Value: p.Workers[i].W})
-		for _, j := range ret[retPos[i]:] {
-			coefs = append(coefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
+		retVar = append(retVar, t)
+	}
+	// Per-worker constraints. AddConstraint copies the terms, so one
+	// buffer serves every row.
+	coefs := make([]lp.Coef, 0, 2*q+1)
+	for s, i := range send {
+		coefs = coefs[:0]
+		for t, j := range send[:s+1] {
+			coefs = append(coefs, lp.Coef{Var: t, Value: p.Workers[j].C})
+		}
+		coefs = append(coefs, lp.Coef{Var: s, Value: p.Workers[i].W})
+		r := 0
+		for retVar[r] != s {
+			r++
+		}
+		for _, t := range retVar[r:] {
+			coefs = append(coefs, lp.Coef{Var: t, Value: p.Workers[send[t]].D})
 		}
 		name := ""
 		if named {
 			name = fmt.Sprintf("worker_%s", p.Workers[i].Name)
 		}
-		prob.AddConstraint(name, coefs, lp.LE, 1)
+		prob.AddConstraint(name, coefs, lp.LE, bound(s))
 	}
 	// Port constraints.
+	coefs = coefs[:0]
 	switch sc.Model {
 	case schedule.OnePort:
 		// C and D stay separate terms so the exact solver accumulates the
 		// row without float64 rounding of c+d.
-		coefs := make([]lp.Coef, 0, 2*q)
-		for _, j := range send {
+		for t, j := range send {
 			coefs = append(coefs,
-				lp.Coef{Var: varOf[j], Value: p.Workers[j].C},
-				lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
+				lp.Coef{Var: t, Value: p.Workers[j].C},
+				lp.Coef{Var: t, Value: p.Workers[j].D})
 		}
-		prob.AddConstraint("one_port", coefs, lp.LE, 1)
+		prob.AddConstraint("one_port", coefs, lp.LE, bound(q))
 	case schedule.TwoPort:
-		sendCoefs := make([]lp.Coef, 0, q)
-		retCoefs := make([]lp.Coef, 0, q)
-		for _, j := range send {
-			sendCoefs = append(sendCoefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].C})
-			retCoefs = append(retCoefs, lp.Coef{Var: varOf[j], Value: p.Workers[j].D})
+		for t, j := range send {
+			coefs = append(coefs, lp.Coef{Var: t, Value: p.Workers[j].C})
 		}
-		prob.AddConstraint("send_port", sendCoefs, lp.LE, 1)
-		prob.AddConstraint("recv_port", retCoefs, lp.LE, 1)
+		prob.AddConstraint("send_port", coefs, lp.LE, bound(q))
+		coefs = coefs[:0]
+		for t, j := range send {
+			coefs = append(coefs, lp.Coef{Var: t, Value: p.Workers[j].D})
+		}
+		prob.AddConstraint("recv_port", coefs, lp.LE, bound(q+1))
 	}
 	return prob
 }

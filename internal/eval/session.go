@@ -245,7 +245,7 @@ func sum(xs []float64) float64 {
 
 // simplexLoads solves the full scenario LP with the float64 simplex.
 func (s *Session) simplexLoads(sc Scenario) ([]float64, float64, error) {
-	sol, err := buildLP(sc, false).Solve()
+	sol, err := BuildLP(sc, nil, false).Solve()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -260,7 +260,7 @@ func (s *Session) simplexLoads(sc Scenario) ([]float64, float64, error) {
 // exactLoads solves the full scenario LP in exact rational arithmetic and
 // returns the float64 view of the optimum.
 func (s *Session) exactLoads(sc Scenario) ([]float64, float64, error) {
-	sol, err := buildLP(sc, true).SolveExact()
+	sol, err := BuildLP(sc, nil, true).SolveExact()
 	if err != nil {
 		return nil, 0, err
 	}

@@ -133,6 +133,11 @@ func (p *Problem) SetObj(v int, coef float64) {
 	p.obj[v] = coef
 }
 
+// SetSense overwrites the sense of row r.
+func (p *Problem) SetSense(r int, s Sense) {
+	p.rows[r].sense = s
+}
+
 // AddConstraint appends the row  Σ coefs  sense  rhs. Entries referencing
 // the same variable accumulate. It panics if a variable index is out of
 // range, mirroring slice indexing semantics.

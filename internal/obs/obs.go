@@ -50,7 +50,7 @@ func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool
 
 // Stage is one named span inside a trace. Depth is display nesting:
 // depth-0 stages partition the request timeline (queue_wait, window_wait,
-// solve), deeper stages attribute slices of their parent (strategy,
+// solve, handback), deeper stages attribute slices of their parent (strategy,
 // eval-backend, search) and are excluded from top-level sums.
 type Stage struct {
 	Name  string
@@ -124,6 +124,14 @@ func (t *Trace) Now() time.Time {
 	return t.now()
 }
 
+// Start returns the trace's start time (zero time on a nil trace).
+func (t *Trace) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.start
+}
+
 // StageAt records one completed stage. Recording after Finish is dropped:
 // the trace has already been snapshotted into the recorder, and a late
 // drain-worker write must not mutate what readers saw.
@@ -166,6 +174,29 @@ func (t *Trace) Finish() {
 	t.mu.Unlock()
 }
 
+// FinishAfter seals the trace like Finish and, when a depth-0 stage named
+// after was recorded, first records the time from that stage's end to the
+// seal as the depth-0 stage name: for a served request, the hand-back of
+// the answer to the handler goroutine, which then closes the partition of
+// the timeline the depth-0 stages make.
+func (t *Trace) FinishAfter(after, name string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if !t.finished {
+		t.finished = true
+		t.end = t.now()
+		for _, st := range t.stages {
+			if st.Depth == 0 && st.Name == after {
+				t.stages = append(t.stages, Stage{Name: name, Start: st.End, End: t.end})
+				break
+			}
+		}
+	}
+	t.mu.Unlock()
+}
+
 // StageData is the immutable JSON view of one recorded stage.
 type StageData struct {
 	Name       string `json:"name"`
@@ -198,8 +229,8 @@ func (d TraceData) Attr(key string) string {
 }
 
 // StageSum returns the summed duration of the depth-0 stages — the
-// partition of the request timeline that should reproduce the end-to-end
-// latency to within the handler's decode/encode overhead.
+// partition of the request timeline, which reproduces the end-to-end
+// latency of a served request that was answered.
 func (d TraceData) StageSum() time.Duration {
 	var sum time.Duration
 	for _, st := range d.Stages {

@@ -32,6 +32,38 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// TestFinishAfterClosesPartition: FinishAfter records the time from the
+// named stage's end to the seal as one more depth-0 stage, so the depth-0
+// stages sum to the trace's duration; without that stage it only seals.
+func TestFinishAfterClosesPartition(t *testing.T) {
+	clk := newFakeClock()
+	tr := NewTrace("id-2", "/v1/solve", clk.Now)
+	s0 := tr.Start()
+	clk.advance(3 * time.Millisecond)
+	s1 := clk.Now()
+	tr.StageAt(0, "queue_wait", s0, s1)
+	clk.advance(4 * time.Millisecond)
+	tr.StageAt(0, "solve", s1, clk.Now())
+	clk.advance(2 * time.Millisecond)
+	tr.FinishAfter("solve", "handback")
+	tr.FinishAfter("solve", "handback") // idempotent
+	d := tr.Snapshot()
+	if got, want := d.StageSum(), 9*time.Millisecond; got != want || d.DurationNS != int64(want) {
+		t.Fatalf("StageSum = %v, duration %v, want both %v", got, time.Duration(d.DurationNS), want)
+	}
+	if n := len(d.Stages); n != 3 || d.Stages[2].Name != "handback" || d.Stages[2].DurationNS != int64(2*time.Millisecond) {
+		t.Fatalf("stages = %+v, want queue_wait, solve, handback of 2ms", d.Stages)
+	}
+
+	bare := NewTrace("id-3", "/v1/solve", clk.Now)
+	bare.StageAt(0, "queue_wait", bare.Start(), clk.Now())
+	clk.advance(time.Millisecond)
+	bare.FinishAfter("solve", "handback")
+	if d := bare.Snapshot(); len(d.Stages) != 1 {
+		t.Fatalf("unsolved trace stages = %+v, want queue_wait alone", d.Stages)
+	}
+}
+
 func TestTraceStagesAndStageSum(t *testing.T) {
 	clk := newFakeClock()
 	tr := NewTrace("id-1", "/v1/solve", clk.Now)

@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,5 +107,42 @@ func TestTraceBatchSlotStages(t *testing.T) {
 				t.Errorf("slot trace %s lacks stage %q: %v", d.ID, want, names)
 			}
 		}
+	}
+}
+
+// TestTraceHandbackBothRoutes: on both solve routes the depth-0 stages —
+// queue_wait from the trace's start, window_wait, solve and the answer's
+// handback to the handler — partition the traced request exactly, and the
+// handback stage has its own /metrics histogram.
+func TestTraceHandbackBothRoutes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Window: 5 * time.Millisecond, WindowSize: 8, Trace: true})
+	rng := rand.New(rand.NewSource(4254))
+	body := chainBatch(rng, 3)
+	if resp, _ := postJSON(t, ts.URL+"/v1/solve", body.Requests[0], nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve status %d", resp.StatusCode)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/solve/batch", body, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	debug := getDebugRequests(t, ts.URL, "")
+	if len(debug.Recent) != 4 {
+		t.Fatalf("%d traces, want 4", len(debug.Recent))
+	}
+	for _, d := range debug.Recent {
+		if names := stageNames(d); !slices.Contains(names, "handback") {
+			t.Errorf("%s trace %s lacks stage handback: %v", d.Route, d.ID, names)
+		}
+		if sum := d.StageSum(); sum != time.Duration(d.DurationNS) {
+			t.Errorf("%s trace %s: depth-0 stage sum %v, end-to-end %v", d.Route, d.ID, sum, time.Duration(d.DurationNS))
+		}
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if series := `dlsd_stage_latency_seconds_count{stage="handback"}`; !strings.Contains(string(metrics), series) {
+		t.Errorf("/metrics missing %s", series)
 	}
 }

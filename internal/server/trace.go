@@ -50,7 +50,8 @@ func (s *Server) Recorder() *obs.Recorder { return s.rec }
 // chain into the caller's trace) and stamping the id onto the response
 // when w is non-nil (batch slots pass nil: one response header cannot
 // carry every slot's trace id). The returned finish seals the trace
-// into the recorder and the stage histograms; it must be called exactly
+// into the recorder and the stage histograms, closing the depth-0 stages
+// with handback (the solve's answer → here); it must be called exactly
 // once, after the solve settled but before the handler returns. With
 // tracing off, ctx is returned unchanged and finish is a no-op.
 func (s *Server) traceRequest(ctx context.Context, r *http.Request, w http.ResponseWriter, route string) (context.Context, func(error)) {
@@ -69,6 +70,7 @@ func (s *Server) traceRequest(ctx context.Context, r *http.Request, w http.Respo
 		if err != nil {
 			t.Annotate(obs.String("error", err.Error()))
 		}
+		t.FinishAfter("solve", "handback")
 		s.observeStages(s.rec.Finish(t))
 	}
 }
