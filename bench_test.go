@@ -601,8 +601,11 @@ func BenchmarkPairSearchServedShape(b *testing.B) {
 // and one refactor walk per iteration, alternating which goes first, and
 // reports the median of the per-iteration time ratios as refactor/update:
 // both sides see the same host load, so the ratio holds still on a shared
-// machine where separate ns/op rounds do not. dlsgate pairsearch gates
-// that ratio at >= 1.5.
+// machine where separate ns/op rounds do not. The walk bounds after every
+// Push, which the search itself stopped doing when children were screened
+// from the parent's inverse, so dlsgate pairsearch gates the served-shape
+// searches' ratio (internal/core's BenchmarkPairServedShapeInverse)
+// instead; this one is the per-node layer number.
 func BenchmarkReturnPrefixNode(b *testing.B) {
 	const q = 7
 	p := benchPairPlatform(q)

@@ -156,20 +156,19 @@ func runGateCases(t *testing.T, gate, artifact string, cases []gateCase) {
 // and on artifacts that break each of its three gates.
 func TestPairSearchGate(t *testing.T) {
 	const par1, par4 = "BenchmarkBestPairExhaustive6/par1", "BenchmarkBestPairExhaustive6/par4"
-	const node = "BenchmarkReturnPrefixNode/"
+	const inverse = "BenchmarkPairServedShapeInverse"
 	good := []benchSample{
 		sample(par1, 4e7, "2367 rho"), sample(par1, 3.9e7, "2367 rho"), sample(par4, 1.9e7, "2367 rho"),
-		sample(node+"update", 6e5), sample(node+"refactor", 7.5e5), sample(node+"screen", 2e5),
-		sample(node+"interleaved", 1.4e6, "1.62 refactor/update"),
-		sample(node+"interleaved", 1.3e6, "1.48 refactor/update"),
-		sample(node+"interleaved", 1.5e6, "1.55 refactor/update"),
+		sample(inverse, 1.4e9, "1.62 refactor/update"),
+		sample(inverse, 1.3e9, "1.48 refactor/update"),
+		sample(inverse, 1.5e9, "1.55 refactor/update"),
 	}
 	with := func(extra ...benchSample) []benchSample {
 		return append(append([]benchSample(nil), good...), extra...)
 	}
 	// Two more samples under 1.5 move the median of five to 1.49.
-	slow := with(sample(node+"interleaved", 1.3e6, "1.49 refactor/update"),
-		sample(node+"interleaved", 1.3e6, "1.40 refactor/update"))
+	slow := with(sample(inverse, 1.3e9, "1.49 refactor/update"),
+		sample(inverse, 1.3e9, "1.40 refactor/update"))
 	runGateCases(t, "pairsearch", "BENCH_pr7.json", []gateCase{
 		{"holds", good, 4, 0},
 		{"holds on 2 CPUs", good, 2, 0},
@@ -178,7 +177,7 @@ func TestPairSearchGate(t *testing.T) {
 		{"par4 under 2x on 2 CPUs", with(sample(par1, 2.5e7, "2367 rho")), 2, 0},
 		{"update under 1.5x", slow, 2, 1},
 		{"no par4 samples", good[:2], 4, 2},
-		{"no interleaved samples", good[:6], 4, 2},
+		{"no inverse samples", good[:3], 4, 2},
 	})
 }
 

@@ -194,9 +194,10 @@ type Stats struct {
 	// AffineSearch is the cumulative affine subset-search instrumentation
 	// (process global, like PairSearch).
 	AffineSearch AffineSearchStats
-	// EvalSimplexFallbacks counts the EvalAuto scenario evaluations that no
-	// certified tier answered, so the float simplex did (process global:
-	// every evaluation in the process advances it).
+	// EvalSimplexFallbacks counts the EvalAuto scenario evaluations and the
+	// float64 affine programs that no certified tier answered, so the float
+	// simplex did (process global: every evaluation in the process advances
+	// it).
 	EvalSimplexFallbacks uint64
 	// SearchHelpers counts the helper workers of the pair and affine
 	// searches against the process-wide search worker budget (process

@@ -24,8 +24,10 @@ import (
 //
 // With the orders fixed the program remains the paper's linear one with
 // other right-hand sides: affineRHS lowers each row's horizon by the fixed
-// costs it carries, and eval.BuildLP, the one writer of the Section 2.3
-// rows, builds the program. Resource selection becomes the hard part: an
+// costs it carries. Under Float64 eval's certified pivot tier solves it
+// (Session.ScenarioLoadsRHS); under Exact eval.BuildLP, the one writer of
+// the Section 2.3 rows, builds it for the rational simplex. Resource
+// selection becomes the hard part: an
 // enrolled worker consumes its latencies even with α = 0, and the paper
 // cites Legrand, Yang and Casanova for the NP-hardness of the affine
 // star problem. BestFIFOAffineContext therefore enumerates participant
@@ -65,31 +67,33 @@ func (a Affine) validate(p *platform.Platform) error {
 	return nil
 }
 
-// ScenarioLPAffine builds the affine-model linear program for a fixed
-// scenario: eval's scenario program with the fixed costs moved to the
-// right-hand sides. The enrolled set is exactly the workers in send; their
+// affineScenario validates an affine scenario's platform, fixed costs,
+// orders and model, and returns the scenario. Its program is eval's
+// scenario program with the fixed costs moved to the right-hand sides
+// (affineRHS): the enrolled set is exactly the workers in send, whose
 // fixed costs are charged whether or not the optimal α is positive.
-func ScenarioLPAffine(p *platform.Platform, aff Affine, send, ret platform.Order, model schedule.Model) (*lp.Problem, error) {
+func affineScenario(p *platform.Platform, aff Affine, send, ret platform.Order, model schedule.Model) (eval.Scenario, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return eval.Scenario{}, err
 	}
 	if err := aff.validate(p); err != nil {
-		return nil, err
+		return eval.Scenario{}, err
 	}
 	if err := eval.ValidOrderPair(p.P(), send, ret); err != nil {
-		return nil, err
+		return eval.Scenario{}, err
 	}
 	if model != schedule.OnePort && model != schedule.TwoPort {
-		return nil, fmt.Errorf("core: unknown model %v", model)
+		return eval.Scenario{}, fmt.Errorf("core: unknown model %v", model)
 	}
-	sc := eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}
-	return eval.BuildLP(sc, affineRHS(make([]float64, len(send)+2), aff, sc, nil), true), nil
+	return eval.Scenario{Platform: p, Send: send, Return: ret, Model: model}, nil
 }
 
 // affineRHS fills rhs with the right-hand sides the fixed costs leave on
 // the scenario's rows, in eval.BuildLP's layout: each row's horizon 1 less
 // the latencies and overhead it carries. charged selects the workers whose
-// fixed costs are billed; nil bills every enrolled worker.
+// fixed costs are billed; nil bills every enrolled worker. It returns rhs
+// cut to the scenario's rows: q+1 under the one-port model, q+2 under
+// the two-port model.
 func affineRHS(rhs []float64, aff Affine, sc eval.Scenario, charged []bool) []float64 {
 	send, ret := sc.Send, sc.Return
 	bill := func(i int) bool { return charged == nil || charged[i] }
@@ -123,7 +127,7 @@ func affineRHS(rhs []float64, aff Affine, sc eval.Scenario, charged []bool) []fl
 			}
 		}
 		rhs[q] = 1 - fixed
-		return rhs
+		return rhs[:q+1]
 	}
 	fixedIn, fixedOut := 0.0, 0.0
 	for _, j := range send {
@@ -133,7 +137,7 @@ func affineRHS(rhs []float64, aff Affine, sc eval.Scenario, charged []bool) []fl
 		}
 	}
 	rhs[q], rhs[q+1] = 1-fixedIn, 1-fixedOut
-	return rhs
+	return rhs[:q+2]
 }
 
 // AffineResult is the outcome of an affine-model solve: the loads and
@@ -156,11 +160,13 @@ type AffineResult struct {
 // fixed costs have already been charged by enrolling them, so the caller
 // (and BestFIFOAffineContext) must treat the enrolled set as given.
 func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Order, model schedule.Model, arith Arith) (*AffineResult, error) {
-	prob, err := ScenarioLPAffine(p, aff, send, ret, model)
+	sc, err := affineScenario(p, aff, send, ret, model)
 	if err != nil {
 		return nil, err
 	}
-	x, rho, feasible, err := solveAffine(prob, arith)
+	sess := eval.GetSession()
+	defer sess.Release()
+	x, rho, feasible, err := solveAffine(sess, sc, affineRHS(make([]float64, len(send)+2), aff, sc, nil), arith)
 	if err != nil {
 		return nil, err
 	}
@@ -179,37 +185,31 @@ func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Or
 	return res, nil
 }
 
-// solveAffine solves an affine scenario LP under arith and returns its
-// loads and throughput Σ x[k]>0, the value every search comparison and the
-// winner's final re-solve report. feasible is false when the fixed costs
+// solveAffine solves the affine scenario program — sc's rows with the
+// right-hand sides rhs — under arith and returns its loads by send
+// position and throughput Σ x[k]>0, the value every search comparison and
+// the winner's final re-solve report. Float64 answers from eval's
+// certified pivot tier (loads owned by sess, valid until its next call),
+// Exact from the rational simplex. feasible is false when the fixed costs
 // alone exceed the horizon.
-func solveAffine(prob *lp.Problem, arith Arith) (x []float64, rho float64, feasible bool, err error) {
-	var status lp.Status
-	switch arith {
-	case Float64:
-		sol, err := prob.Solve()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		status, x = sol.Status, sol.X
-	case Exact:
-		sol, err := prob.SolveExact()
-		if err != nil {
-			return nil, 0, false, err
-		}
-		status = sol.Status
-		if status == lp.Optimal {
-			_, x = sol.Float()
-		}
-	default:
+func solveAffine(sess *eval.Session, sc eval.Scenario, rhs []float64, arith Arith) (x []float64, rho float64, feasible bool, err error) {
+	if arith == Float64 {
+		return sess.ScenarioLoadsRHS(sc, rhs)
+	}
+	if arith != Exact {
 		return nil, 0, false, fmt.Errorf("core: unknown arithmetic %v", arith)
 	}
-	if status == lp.Infeasible {
+	sol, err := eval.BuildLP(sc, rhs, false).SolveExact()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if sol.Status == lp.Infeasible {
 		return nil, 0, false, nil
 	}
-	if status != lp.Optimal {
-		return nil, 0, false, fmt.Errorf("core: affine scenario LP terminated %v (internal error)", status)
+	if sol.Status != lp.Optimal {
+		return nil, 0, false, fmt.Errorf("core: affine scenario LP terminated %v (internal error)", sol.Status)
 	}
+	_, x = sol.Float()
 	for _, v := range x {
 		if v > 0 {
 			rho += v
@@ -221,8 +221,8 @@ func solveAffine(prob *lp.Problem, arith Arith) (x []float64, rho float64, feasi
 // maxAffineSubsets bounds the 2^p subset search of BestFIFOAffineContext.
 // The cap rose from 16 to 20 when the branch-and-bound lattice search
 // replaced the flat mask loop: the drop-the-fixed-costs bound prunes whole
-// half-lattices, so the explored subset count stays far below 2^p on
-// float64 backends.
+// half-lattices, so the explored subset count stays far below 2^p under
+// Float64, where every leaf and bound is one certified pivot solve.
 // Exact-rational searches still run the unpruned flat loop (float bounds
 // cannot certify exact comparisons) and pay the full 2^p exact solves.
 const maxAffineSubsets = 20
@@ -238,8 +238,11 @@ const (
 	AffineAuto AffineAlgo = iota
 	// AffineBB forces the branch-and-bound over include/exclude decisions.
 	AffineBB
-	// AffineFlat forces the flat 2^p mask loop (the original search,
-	// retained for agreement testing and as the exact-arithmetic path).
+	// AffineFlat forces the flat 2^p mask loop: the original search, kept
+	// as the exact-arithmetic path and as an independent search to test
+	// the branch-and-bound against. Under Float64 it scores its leaves
+	// with the branch-and-bound's solver, the pivot tier, so an exact tie
+	// between two subsets breaks the same way in both.
 	AffineFlat
 )
 
@@ -276,34 +279,40 @@ type AffineStats struct {
 	LeavesEvaluated uint64
 	// BoundSolves counts relaxation LPs solved on exclude edges.
 	BoundSolves uint64
+	// SimplexFallbacks counts the Float64 leaf and bound programs whose
+	// pivot certificate failed and that the float simplex answered (each
+	// also counts in eval.SimplexFallbacks).
+	SimplexFallbacks uint64
 }
 
 // affineCounters holds the AffineStats counters as atomics: one
 // process-global set behind AffineStatsSnapshot and one per search, which
 // its traced span annotates (see pairCounters).
 type affineCounters struct {
-	nodes, pruned, leaves, boundSolves atomic.Uint64
+	nodes, pruned, leaves, boundSolves, fallbacks atomic.Uint64
 }
 
 var affineTotals affineCounters
 
 func (c *affineCounters) snapshot() AffineStats {
 	return AffineStats{
-		NodesExpanded:   c.nodes.Load(),
-		SubtreesPruned:  c.pruned.Load(),
-		LeavesEvaluated: c.leaves.Load(),
-		BoundSolves:     c.boundSolves.Load(),
+		NodesExpanded:    c.nodes.Load(),
+		SubtreesPruned:   c.pruned.Load(),
+		LeavesEvaluated:  c.leaves.Load(),
+		BoundSolves:      c.boundSolves.Load(),
+		SimplexFallbacks: c.fallbacks.Load(),
 	}
 }
 
 // add flushes one worker's local counts into the global and the
 // per-search counters.
-func (c *affineCounters) add(nodes, pruned, leaves, boundSolves uint64) {
+func (c *affineCounters) add(nodes, pruned, leaves, boundSolves, fallbacks uint64) {
 	for _, t := range [...]*affineCounters{&affineTotals, c} {
 		t.nodes.Add(nodes)
 		t.pruned.Add(pruned)
 		t.leaves.Add(leaves)
 		t.boundSolves.Add(boundSolves)
+		t.fallbacks.Add(fallbacks)
 	}
 }
 
@@ -379,7 +388,8 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 			obs.Uint64("nodes", st.NodesExpanded),
 			obs.Uint64("pruned", st.SubtreesPruned),
 			obs.Uint64("leaves", st.LeavesEvaluated),
-			obs.Uint64("bound_solves", st.BoundSolves))
+			obs.Uint64("bound_solves", st.BoundSolves),
+			obs.Uint64("simplex_fallbacks", st.SimplexFallbacks))
 	}
 	if len(winner.best) == 0 {
 		// Even single workers cannot start within the horizon.
@@ -388,31 +398,55 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 	return SolveScenarioAffine(p, aff, winner.best, winner.best, schedule.OnePort, arith)
 }
 
-// affineOnePortLP builds the one-port FIFO affine LP over the candidate
-// order without diagnostic names. charged selects the workers whose fixed
-// costs are billed: nil bills every candidate — the exact scenario LP of
-// the subset — while the branch-and-bound bills only the already-included
-// workers, leaving the undecided candidates' linear terms free. That
-// relaxation is an upper bound over every completion S of the included
-// set: extending S's optimum by zeros satisfies each candidate row
-// (undecided rows charge no fixed cost, so their RHS dominates the
+// affineSolver is one search worker's solver of the one-port FIFO affine
+// programs over candidate orders: its eval session, right-hand-side
+// scratch and count of simplex fallbacks, flushed once with the worker's
+// other counters.
+type affineSolver struct {
+	p         *platform.Platform
+	aff       Affine
+	arith     Arith
+	sess      *eval.Session
+	rhs       [maxAffineSubsets + 1]float64
+	fallbacks uint64
+}
+
+// newAffineSolver returns a solver holding a pooled session, which the
+// caller releases.
+func newAffineSolver(p *platform.Platform, aff Affine, arith Arith) *affineSolver {
+	return &affineSolver{p: p, aff: aff, arith: arith, sess: eval.GetSession()}
+}
+
+// solve returns the optimum ρ of the one-port FIFO affine program over
+// order and whether it is feasible. charged selects the workers whose
+// fixed costs are billed: nil bills every candidate — the exact scenario
+// program of the subset — while the branch-and-bound bills only the
+// already-included workers, leaving the undecided candidates' linear terms
+// free. That relaxation is an upper bound over every completion S of the
+// included set: extending S's optimum by zeros satisfies each candidate
+// row (undecided rows charge no fixed cost, so their RHS dominates the
 // one-port row S satisfies), and included rows only gain RHS as fixed
 // costs are dropped.
-func affineOnePortLP(p *platform.Platform, aff Affine, order platform.Order, charged []bool) *lp.Problem {
-	var rhs [maxAffineSubsets + 1]float64
-	sc := eval.Scenario{Platform: p, Send: order, Return: order, Model: schedule.OnePort}
-	return eval.BuildLP(sc, affineRHS(rhs[:], aff, sc, charged), false)
+func (a *affineSolver) solve(order platform.Order, charged []bool) (float64, bool, error) {
+	sc := eval.Scenario{Platform: a.p, Send: order, Return: order, Model: schedule.OnePort}
+	_, rho, feasible, err := solveAffine(a.sess, sc, affineRHS(a.rhs[:], a.aff, sc, charged), a.arith)
+	if _, fallback := a.sess.Backend(); fallback && a.arith == Float64 {
+		a.fallbacks++
+	}
+	return rho, feasible, err
 }
 
 // affineSearchFlat is the flat 2^p loop: every non-empty mask ascending,
-// one scenario LP each, feasible results offered to the core under the
-// shared tie rule. The order scratch is reused across masks and the
+// one scenario program each, feasible results offered to the core under
+// the shared tie rule. The order scratch is reused across masks and the
 // context is polled on the core's throttled counter.
 func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith Arith, sorted platform.Order, counts *affineCounters) error {
 	n := p.P()
 	order := make(platform.Order, 0, n)
+	solver := newAffineSolver(p, aff, arith)
+	defer solver.sess.Release()
 	var leaves uint64
-	defer func() { counts.add(0, 0, leaves, 0) }()
+	defer func() { counts.add(0, 0, leaves, 0, solver.fallbacks) }()
 	for mask := 1; mask < 1<<n; mask++ {
 		if err := core.poll(); err != nil {
 			return err
@@ -423,7 +457,7 @@ func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith 
 				order = append(order, i)
 			}
 		}
-		_, rho, feasible, err := solveAffine(affineOnePortLP(p, aff, order, nil), arith)
+		rho, feasible, err := solver.solve(order, nil)
 		if err != nil {
 			return err
 		}
@@ -453,11 +487,12 @@ func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platfor
 	total := int64(1) << depth
 	run := func(core *searchCore, next func() (int64, bool)) error {
 		bb := &affineBB{
-			core: core, p: p, aff: aff, sorted: sorted, n: n, counts: counts,
+			core: core, solver: newAffineSolver(p, aff, Float64), sorted: sorted, n: n, counts: counts,
 			included: make(platform.Order, 0, n),
 			cand:     make(platform.Order, 0, n),
 			charged:  make([]bool, p.P()),
 		}
+		defer bb.solver.sess.Release()
 		defer bb.flush()
 		for {
 			rank, ok := next()
@@ -473,13 +508,12 @@ func affineSearchBB(ctx context.Context, winner *searchCore, p *platform.Platfor
 }
 
 // affineBB is one worker's branch-and-bound state: the shared search core,
-// the live include stack, bound scratch, and locally accumulated counters
-// (flushed once per worker into the global atomics and the search's own
-// counts).
+// the worker's solver, the live include stack, bound scratch, and locally
+// accumulated counters (flushed once per worker into the global atomics
+// and the search's own counts).
 type affineBB struct {
 	core   *searchCore
-	p      *platform.Platform
-	aff    Affine
+	solver *affineSolver
 	sorted platform.Order
 	n      int
 
@@ -491,7 +525,9 @@ type affineBB struct {
 	nodes, pruned, leaves, boundSolves uint64
 }
 
-func (b *affineBB) flush() { b.counts.add(b.nodes, b.pruned, b.leaves, b.boundSolves) }
+func (b *affineBB) flush() {
+	b.counts.add(b.nodes, b.pruned, b.leaves, b.boundSolves, b.solver.fallbacks)
+}
 
 // searchPrefix replays rank's include (bit 0) / exclude (bit 1) decisions
 // for the first depth workers, then recurses below. Exclude decisions
@@ -546,7 +582,7 @@ func (b *affineBB) dfs(depth int, parentBound float64) error {
 			return nil
 		}
 		b.leaves++
-		_, rho, feasible, err := solveAffine(affineOnePortLP(b.p, b.aff, b.included, nil), Float64)
+		rho, feasible, err := b.solver.solve(b.included, nil)
 		if err != nil {
 			return err
 		}
@@ -575,11 +611,12 @@ func (b *affineBB) dfs(depth int, parentBound float64) error {
 	return b.dfs(depth+1, bound)
 }
 
-// bound solves the exclude-edge relaxation: the affine LP over the
+// bound solves the exclude-edge relaxation: the affine program over the
 // included workers plus every undecided worker from position from on,
-// charging only the included workers' fixed costs (see affineOnePortLP for
-// the admissibility argument). An empty candidate set means the only
-// completion is the empty subset, which the search skips anyway.
+// charging only the included workers' fixed costs (see affineSolver.solve
+// for the admissibility argument), and returns Σα of its certified loads.
+// An empty candidate set means the only completion is the empty subset,
+// which the search skips anyway.
 func (b *affineBB) bound(from int) (float64, bool, error) {
 	b.cand = append(b.cand[:0], b.included...)
 	b.cand = append(b.cand, b.sorted[from:]...)
@@ -593,15 +630,5 @@ func (b *affineBB) bound(from int) (float64, bool, error) {
 	for _, i := range b.included {
 		b.charged[i] = true
 	}
-	sol, err := affineOnePortLP(b.p, b.aff, b.cand, b.charged).Solve()
-	if err != nil {
-		return 0, false, err
-	}
-	if sol.Status == lp.Infeasible {
-		return 0, false, nil
-	}
-	if sol.Status != lp.Optimal {
-		return 0, false, fmt.Errorf("core: affine bound LP terminated %v (internal error)", sol.Status)
-	}
-	return sol.Objective, true, nil
+	return b.solver.solve(b.cand, b.charged)
 }

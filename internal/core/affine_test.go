@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -136,12 +137,12 @@ func TestAffineBestSubsetBeatsFullEnrollment(t *testing.T) {
 func TestAffineValidation(t *testing.T) {
 	p := platform.New(platform.Worker{C: 1, W: 1, D: 0.5})
 	short := Affine{In: []float64{0}, Out: []float64{0}, Comp: nil}
-	if _, err := ScenarioLPAffine(p, short, platform.Identity(1), platform.Identity(1), schedule.OnePort); err == nil {
+	if _, err := SolveScenarioAffine(p, short, platform.Identity(1), platform.Identity(1), schedule.OnePort, Float64); err == nil {
 		t.Error("mismatched affine dimensions must be rejected")
 	}
 	neg := ZeroAffine(1)
 	neg.In[0] = -1
-	if _, err := ScenarioLPAffine(p, neg, platform.Identity(1), platform.Identity(1), schedule.OnePort); err == nil {
+	if _, err := SolveScenarioAffine(p, neg, platform.Identity(1), platform.Identity(1), schedule.OnePort, Float64); err == nil {
 		t.Error("negative latency must be rejected")
 	}
 	nan := ZeroAffine(1)
@@ -313,6 +314,44 @@ func TestAffineBBPrunes(t *testing.T) {
 	}
 }
 
+// TestAffineSpanSimplexFallbacks reads the affine search span's
+// simplex_fallbacks attribute on BenchmarkBestFIFOAffine12's platform,
+// serial and parallel: every leaf and bound program is certified by the
+// pivot tier, so it reads 0 and the process-wide count behind
+// dlsd_eval_simplex_fallback_total (eval.SimplexFallbacks) does not move.
+// With every certificate forced to miss, the span counts exactly the
+// search's own fallbacks, and each of them, plus the winner's re-solve,
+// lands in the process-wide count.
+func TestAffineSpanSimplexFallbacks(t *testing.T) {
+	rng := rand.New(rand.NewSource(207))
+	p := randomStar(rng, 12, 0.5)
+	aff := randomAffine(rng, 12, 0.08)
+	search := func(ctx context.Context) error {
+		_, err := BestFIFOAffineAlgo(ctx, p, aff, Float64, AffineBB)
+		return err
+	}
+	for _, par := range []int{1, 2} {
+		before := eval.SimplexFallbacks()
+		if got := searchSpanAttrs(t, par, search)["simplex_fallbacks"]; got != "0" {
+			t.Errorf("parallelism %d: span simplex_fallbacks=%q, want 0", par, got)
+		}
+		if n := eval.SimplexFallbacks() - before; n != 0 {
+			t.Errorf("parallelism %d: %d simplex fallbacks", par, n)
+		}
+	}
+	eval.ForcePivotMiss = true
+	defer func() { eval.ForcePivotMiss = false }()
+	for _, par := range []int{1, 2} {
+		before := eval.SimplexFallbacks()
+		attrs := searchSpanAttrs(t, par, search)
+		n := eval.SimplexFallbacks() - before
+		if got, want := attrs["simplex_fallbacks"], fmt.Sprint(n-1); got != want || n < 2 {
+			t.Errorf("forced misses at parallelism %d: span simplex_fallbacks=%q, process-wide count rose by %d",
+				par, got, n)
+		}
+	}
+}
+
 // TestAffineAlgoValidation covers the algorithm selector's edges.
 func TestAffineAlgoValidation(t *testing.T) {
 	p := platform.New(platform.Worker{C: 1, W: 1, D: 0.5})
@@ -458,6 +497,8 @@ func affineFuzzDraw(seed int64, n, family uint8) (*platform.Platform, Affine) {
 // exact rational arithmetic, which must agree within 1e-9 relative; when
 // no subset wins, every single worker must be infeasible exactly. The
 // committed corpus holds a no-subset-feasible entry and a tie entry.
+// Its exact-tie entry has two subsets with equal ρ bits, which flat and
+// bb break alike only while both score their leaves with one solver.
 func FuzzAffineBBMatchesFlat(f *testing.F) {
 	for family := uint8(0); family < 4; family++ {
 		f.Add(int64(family)+1, 4+family, family)

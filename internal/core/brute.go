@@ -574,6 +574,11 @@ func BestPairExhaustiveEval(ctx context.Context, p *platform.Platform, model sch
 	return &PairResult{Schedule: best, Send: bestSend, Return: bestRet}, nil
 }
 
+// pairRefactorBounds, set by the benchmark that times the maintained
+// inverse, makes every pair search's return-prefix bounds factorise each
+// node from scratch (eval.ReturnPrefix.SetIncremental(false)).
+var pairRefactorBounds bool
+
 // pairSearchBB drives the branch-and-bound over the work-stealing pool:
 // send orders are tasks identified by their SJT rank, initially dealt to
 // the workers as contiguous blocks; each worker runs a pruned prefix
@@ -589,6 +594,7 @@ func pairSearchBB(ctx context.Context, winner *searchCore, p *platform.Platform,
 		if err != nil {
 			return err
 		}
+		rp.SetIncremental(!pairRefactorBounds)
 		bb := &pairBB{core: core, rp: rp, q: n, counts: counts, screen: make([]float64, n*n)}
 		defer bb.flush()
 		perm := make([]int, n)

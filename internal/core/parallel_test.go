@@ -361,7 +361,7 @@ func TestTracedSearchCountsArePerSearch(t *testing.T) {
 		{"affine", [2]func(ctx context.Context) error{
 			affineSearch(randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)),
 			affineSearch(randomStar(rng, 12, 0.5), randomAffine(rng, 12, 0.08)),
-		}, []string{"nodes", "pruned", "leaves", "bound_solves"}},
+		}, []string{"nodes", "pruned", "leaves", "bound_solves", "simplex_fallbacks"}},
 	} {
 		var solo [2]map[string]string
 		for i, search := range tc.searches {

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/platform"
@@ -56,7 +58,7 @@ func servedShapePlatform(seed int64) *platform.Platform {
 
 // servedShapeRuns runs the serial pair search on the 20 served-shape
 // platforms under each port model.
-func servedShapeRuns(t *testing.T) []servedGolden {
+func servedShapeRuns(t testing.TB) []servedGolden {
 	t.Helper()
 	ctx := ContextWithSearchParallelism(context.Background(), 1)
 	var runs []servedGolden
@@ -143,4 +145,37 @@ func TestPairSearchServedShapeGolden(t *testing.T) {
 	t.Logf("%d searches: outer-pruned %d, nodes %d, pruned %d (screened %d), leaves %d; golden %d, %d, %d, %d",
 		len(runs), total.OuterPruned, total.Nodes, total.Pruned, total.Screened, total.Leaves,
 		goldenTotal.OuterPruned, goldenTotal.Nodes, goldenTotal.Pruned, goldenTotal.Leaves)
+}
+
+// BenchmarkPairServedShapeInverse times what the return-prefix bounds'
+// maintained inverse is worth to the search itself: each iteration runs
+// the 40 served-shape pair searches of servedShapeRuns once with the
+// inverse updated per Push (the default) and once with every node's
+// matrix factorised from scratch, alternating which goes first, and the
+// median of the per-iteration time ratios is reported as refactor/update.
+// Both sides see the same host load, so the ratio holds still on a shared
+// machine. dlsgate pairsearch gates it at >= 1.5.
+func BenchmarkPairServedShapeInverse(b *testing.B) {
+	timed := func(refactor bool) time.Duration {
+		pairRefactorBounds = refactor
+		defer func() { pairRefactorBounds = false }()
+		start := time.Now()
+		servedShapeRuns(b)
+		return time.Since(start)
+	}
+	ratios := make([]float64, b.N)
+	for i := range ratios {
+		var tu, tr time.Duration
+		if i%2 == 0 {
+			tu = timed(false)
+			tr = timed(true)
+		} else {
+			tr = timed(true)
+			tu = timed(false)
+		}
+		ratios[i] = float64(tr) / float64(tu)
+	}
+	b.StopTimer()
+	slices.Sort(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "refactor/update")
 }

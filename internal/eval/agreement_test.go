@@ -89,7 +89,7 @@ func randomScenario(rng *rand.Rand, p *platform.Platform) Scenario {
 func evaluatePivot(t *testing.T, sc Scenario) *schedule.Schedule {
 	t.Helper()
 	s := NewSession()
-	alpha, _, err := s.pivotScenario(sc)
+	alpha, _, err := s.pivotScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

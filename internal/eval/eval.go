@@ -16,11 +16,14 @@
 //     one-port FIFO port-bound vertices close in O(p) as well.
 //   - pivot — a dense primal simplex from α = 0 whose final basis is
 //     re-solved by LU and certified (pivot.go), for general (σ1, σ2)
-//     pairs and every FIFO or LIFO scenario the chains miss.
+//     pairs and every FIFO or LIFO scenario the chains miss. It also
+//     takes other right-hand sides ([Session.ScenarioLoadsRHS]), which
+//     is how internal/core solves the affine model's float64 programs.
 //   - simplex / exact — the full Section 2.3 linear program solved by the
-//     float64 two-phase simplex or its exact rational twin. Under Auto
-//     the float simplex answers only when a pivot certificate fails, and
-//     every such fallback is counted ([SimplexFallbacks]).
+//     float64 two-phase simplex or its exact rational twin. Under Auto,
+//     and behind ScenarioLoadsRHS, the float simplex answers only when a
+//     pivot certificate fails, and every such fallback is counted
+//     ([SimplexFallbacks]).
 //
 // # Soundness
 //
@@ -210,9 +213,11 @@ func kindOf(send, ret platform.Order) scenarioKind {
 // Σ α_j·d_j ≤ 1 under the two-port model; the objective maximises ρ = Σα.
 //
 // BuildLP, behind it, is the only code in the repository that writes these
-// rows: the simplex and exact backends solve this program, the lex-min
-// canonicalisation re-aims its objective (canonical.go), and the affine
-// model of internal/core lowers its right-hand sides by the fixed costs.
+// rows as an LP: the simplex and exact backends solve this program, the
+// lex-min canonicalisation re-aims its objective (canonical.go), and the
+// affine model of internal/core lowers its right-hand sides by the fixed
+// costs for its exact solves (its float64 solves take the same right-hand
+// sides to the pivot tier, ScenarioLoadsRHS).
 func ScenarioLP(sc Scenario) (*lp.Problem, error) {
 	if err := validate(sc); err != nil {
 		return nil, err

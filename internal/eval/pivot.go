@@ -9,27 +9,33 @@ import (
 
 // This file implements the pivot tier: one certified solver for every
 // scenario LP the chain tiers do not settle — general (σ1, σ2) pairs, FIFO
-// and LIFO optima no chain descent certifies, pair-search leaves and the
-// one-shot return-prefix relaxation. Every caller hands it the q×q worker
-// rows of its program in send-position space (row s is the constraint of
-// the worker at send position s, column t the load at send position t);
-// the solver adds the model's port row(s).
+// and LIFO optima no chain descent certifies, pair-search leaves, the
+// one-shot return-prefix relaxation and the affine model's programs,
+// whose fixed costs lower the right-hand sides. Every caller hands it the
+// q×q worker rows of its program in send-position space (row s is the
+// constraint of the worker at send position s, column t the load at send
+// position t) and the rows' right-hand sides in BuildLP's layout, nil
+// meaning 1 on every row; the solver adds the model's port row(s).
 //
-// A dense primal simplex runs from α = 0, which is always feasible (every
-// coefficient is non-negative and every right-hand side is 1), so there is
-// no phase 1. Columns are scaled by the load footprint 1/(c+w+d), so the
+// A dense primal simplex runs from α = 0, which is feasible whenever every
+// right-hand side is non-negative (every coefficient is non-negative), so
+// there is no phase 1; a negative right-hand side makes the program
+// infeasible outright, which ScenarioLoadsRHS reports before pivoting.
+// Columns are scaled by the load footprint 1/(c+w+d), so the
 // variables are the time each worker's load occupies. Entering columns
 // follow Dantzig's rule, switching to Bland's after a degenerate pivot
 // and back after a non-degenerate one (the objective then rose, so no
 // basis repeats), under a hard pivot cap. The simplex only finds the optimal structure: its
 // final basis names the basic loads E and the tight rows T (|E| = |T|),
-// and that vertex is re-solved by LU on the unscaled rows and accepted only
-// on the full KKT certificate, judged component by component with certOK:
+// and that vertex is re-solved by LU on the unscaled rows, α = B⁻¹·rhs_T,
+// and accepted only on the full KKT certificate, judged component by
+// component with certOK:
 //
 //   - primal: every load of E passes by its time footprint, every row
-//     outside T (worker or port) holds with a non-negative slack;
+//     outside T (worker or port) holds with a non-negative slack
+//     rhs_i − lhs_i;
 //   - dual: the multipliers λ = B⁻ᵀ·1 of the tight rows pass against
-//     their sum, the dual objective;
+//     the dual objective Σ λ_r·rhs_r;
 //   - every load outside E has a dual column surplus Σ_T λ_r·A_rj − 1 ≥ 0,
 //     so keeping it at zero is optimal.
 //
@@ -53,6 +59,11 @@ const (
 	pivotTol   = 1e-11
 	pivotDegen = 1e-13
 )
+
+// ForcePivotMiss is a test hook: while set, every pivot solve reports a
+// certificate miss, so tests here and in internal/core can drive the
+// counted simplex fallback. Production code never sets it.
+var ForcePivotMiss bool
 
 // portRows returns the number of port rows of the model's program.
 func portRows(model schedule.Model) int {
@@ -81,11 +92,24 @@ func lpCoef(full []float64, wc []workerCosts, send platform.Order, model schedul
 	}
 }
 
-// pivotLoads solves the program max Σα subject to full·α ≤ 1, the port
-// row(s) and α ≥ 0, and returns its certified optimal loads by send
-// position (session-owned, valid until the next call) and ok; ok is false
-// when the pivot cap is hit or the final vertex fails its certificate.
-func (s *Session) pivotLoads(p *platform.Platform, send platform.Order, model schedule.Model, full []float64) ([]float64, bool) {
+// rhsAt returns the right-hand side of row i: rhs[i], or 1 when rhs is nil.
+func rhsAt(rhs []float64, i int) float64 {
+	if rhs == nil {
+		return 1
+	}
+	return rhs[i]
+}
+
+// pivotLoads solves the program max Σα subject to full·α ≤ rhs on the
+// worker rows, the port row(s) ≤ rhs and α ≥ 0 (rhs in BuildLP's layout,
+// non-negative; nil means 1 on every row), and returns its certified
+// optimal loads by send position (session-owned, valid until the next
+// call) and ok; ok is false when the pivot cap is hit or the final vertex
+// fails its certificate.
+func (s *Session) pivotLoads(p *platform.Platform, send platform.Order, model schedule.Model, full, rhs []float64) ([]float64, bool) {
+	if ForcePivotMiss {
+		return nil, false
+	}
 	wc := s.derivedCosts(p)
 	q := len(send)
 	m := q + portRows(model)
@@ -103,7 +127,7 @@ func (s *Session) pivotLoads(p *platform.Platform, send platform.Order, model sc
 			row[j] = 0
 		}
 		row[q+i] = 1
-		row[n] = 1
+		row[n] = rhsAt(rhs, i)
 		basis[i] = q + i
 	}
 	for j := 0; j < n; j++ {
@@ -192,7 +216,7 @@ func (s *Session) pivotLoads(p *platform.Platform, send platform.Order, model sc
 		obj += f * prow[n]
 		basis[r] = e
 	}
-	return s.certifyBasis(p, send, model, full, basis[:m])
+	return s.certifyBasis(p, send, model, full, rhs, basis[:m])
 }
 
 // certifyBasis re-solves the vertex named by the final simplex basis —
@@ -205,7 +229,7 @@ func (s *Session) pivotLoads(p *platform.Platform, send platform.Order, model sc
 // loads: on the vertices Lemma 1 allows (all rows of E tight, or one
 // replaced by the one-port row) it is the order the values pinned by
 // TestPairSearchServedShapeGolden were computed in.
-func (s *Session) certifyBasis(p *platform.Platform, send platform.Order, model schedule.Model, full []float64, basis []int) ([]float64, bool) {
+func (s *Session) certifyBasis(p *platform.Platform, send platform.Order, model schedule.Model, full, rhs []float64, basis []int) ([]float64, bool) {
 	wc := s.derivedCosts(p)
 	q := len(send)
 	m := len(basis)
@@ -274,8 +298,8 @@ func (s *Session) certifyBasis(p *platform.Platform, send platform.Order, model 
 	}
 	alpha := grow(&s.alpha, k)
 	lam := grow(&s.lam, k)
-	for r := range alpha {
-		alpha[r] = 1
+	for r, i := range rows {
+		alpha[r] = rhsAt(rhs, i)
 		lam[r] = 1
 	}
 	luSolve(a, piv, k, alpha)
@@ -286,7 +310,10 @@ func (s *Session) certifyBasis(p *platform.Platform, send platform.Order, model 
 		}
 	}
 	clampLoads(alpha)
-	dualSum := sum(lam)
+	dualSum := 0.0
+	for r, i := range rows {
+		dualSum += lam[r] * rhsAt(rhs, i)
+	}
 	for _, l := range lam {
 		if !certOK(l, dualSum) {
 			return nil, false
@@ -308,7 +335,7 @@ func (s *Session) certifyBasis(p *platform.Platform, send platform.Order, model 
 		for c, t := range E {
 			lhs += lpCoef(full, wc, send, model, i, t) * alpha[c]
 		}
-		if !certOK(1-lhs, 1) {
+		if !certOK(rhsAt(rhs, i)-lhs, 1) {
 			return nil, false
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/lp"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -157,22 +159,183 @@ func TestPivotCertifiesCorpus(t *testing.T) {
 }
 
 // TestPivotAllocationFree: once a session's buffers have grown, the pivot
-// tier allocates nothing per call, through Auto on a general pair as
-// through the pair search's leaf routine.
+// tier allocates nothing per call, through Auto on a general pair, through
+// the pair search's leaf routine and through ScenarioLoadsRHS with the
+// affine model's lowered right-hand sides.
 func TestPivotAllocationFree(t *testing.T) {
 	sc := pivotScenarioDraw(5, 6, 1, false, 1234)
 	sess := NewSession()
 	full := make([]float64, len(sc.Send)*len(sc.Send))
 	buildTightBase(full, sc.Platform, sc.Send)
 	sess.addReturnTerms(full, sc.Platform, sc.Send, sc.Return)
-	if _, ok := sess.pivotLoads(sc.Platform, sc.Send, sc.Model, full); !ok {
+	if _, ok := sess.pivotLoads(sc.Platform, sc.Send, sc.Model, full, nil); !ok {
 		t.Fatal("scenario not certified")
 	}
-	if n := testing.AllocsPerRun(100, func() { sess.pivotLoads(sc.Platform, sc.Send, sc.Model, full) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { sess.pivotLoads(sc.Platform, sc.Send, sc.Model, full, nil) }); n != 0 {
 		t.Errorf("pivotLoads: %v allocs per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { sess.ThroughputTrusted(sc, Auto) }); n != 0 {
 		t.Errorf("ThroughputTrusted: %v allocs per call", n)
+	}
+	rhs := make([]float64, len(sc.Send)+portRows(sc.Model))
+	for i := range rhs {
+		rhs[i] = 0.9 - 0.01*float64(i)
+	}
+	if _, _, feasible, err := sess.ScenarioLoadsRHS(sc, rhs); err != nil || !feasible {
+		t.Fatalf("ScenarioLoadsRHS: feasible %v, err %v", feasible, err)
+	}
+	if _, fallback := sess.Backend(); fallback {
+		t.Fatal("ScenarioLoadsRHS fell back to the simplex")
+	}
+	if n := testing.AllocsPerRun(100, func() { sess.ScenarioLoadsRHS(sc, rhs) }); n != 0 {
+		t.Errorf("ScenarioLoadsRHS: %v allocs per call", n)
+	}
+}
+
+// pivotRHSDraw draws right-hand sides for the q worker rows and the port
+// row(s) of a program: uniform in [0, 1] with exact zeros and ones mixed
+// in, and in one draw of four uniform in [−0.1, 1], so some rows are
+// negative and the program infeasible.
+func pivotRHSDraw(rng *rand.Rand, rows int) []float64 {
+	lo := 0.0
+	if rng.Intn(4) == 0 {
+		lo = -0.1
+	}
+	rhs := make([]float64, rows)
+	for i := range rhs {
+		switch rng.Intn(8) {
+		case 0:
+			rhs[i] = 0
+		case 1:
+			rhs[i] = 1
+		default:
+			rhs[i] = lo + (1-lo)*rng.Float64()
+		}
+	}
+	return rhs
+}
+
+// TestPivotRHSMatchesExact holds ScenarioLoadsRHS to the exact rational
+// simplex on the pivot draw's platform families (tied links and cost
+// ratios up to 1e12 among them) with FIFO, LIFO and general return orders
+// under both port models and right-hand sides from pivotRHSDraw. The
+// feasibility verdicts must match; ρ must agree within 1e-9 relative, and
+// every load within 1e-9 by its time footprint. Only the tied-link
+// families may differ in the loads: their port row runs parallel to the
+// objective, so many vertices tie, and the pivot loads must then be an
+// optimum of the exact program, every row within 1e-9 of its right-hand
+// side at the exact ρ.
+// The test logs how many programs the simplex fallback answered.
+func TestPivotRHSMatchesExact(t *testing.T) {
+	sess := NewSession()
+	before := SimplexFallbacks()
+	var programs, infeasible, ties int
+	for family := uint8(0); family < 6; family++ {
+		rng := rand.New(rand.NewSource(int64(family) + 31))
+		for _, model := range []schedule.Model{schedule.OnePort, schedule.TwoPort} {
+			for trial := 0; trial < 60; trial++ {
+				q := 1 + rng.Intn(8)
+				p := childBoundsPlatform(rng, q, family)
+				send := platform.Order(rng.Perm(q))
+				ret := send.Clone()
+				switch trial % 3 {
+				case 1:
+					slices.Reverse(ret)
+				case 2:
+					ret = platform.Order(rng.Perm(q))
+				}
+				sc := Scenario{Platform: p, Send: send, Return: ret, Model: model}
+				rhs := pivotRHSDraw(rng, q+portRows(model))
+				where := func() string { return fmt.Sprintf("σ1=%v σ2=%v model=%v rhs=%v\n%s", send, ret, model, rhs, p) }
+				alpha, rho, feasible, err := sess.ScenarioLoadsRHS(sc, rhs)
+				if err != nil {
+					t.Fatalf("%v\n%s", err, where())
+				}
+				sol, err := BuildLP(sc, rhs, true).SolveExact()
+				if err != nil {
+					t.Fatal(err)
+				}
+				programs++
+				if feasible != (sol.Status == lp.Optimal) {
+					t.Fatalf("feasible %v, exact status %v\n%s", feasible, sol.Status, where())
+				}
+				if !feasible {
+					infeasible++
+					continue
+				}
+				want, x := sol.Float()
+				wc := sess.derivedCosts(p)
+				foot := 0.0
+				for k, i := range send {
+					foot += alpha[k] * wc[i].cwd
+				}
+				if math.Abs(rho-want) > 1e-9*want || (want == 0 && foot > 1e-9) {
+					t.Fatalf("ρ %.17g, exact %.17g\n%s", rho, want, where())
+				}
+				same := true
+				for k, i := range send {
+					if math.Abs(alpha[k]-x[k])*wc[i].cwd > 1e-9 {
+						same = false
+					}
+				}
+				if same {
+					continue
+				}
+				if (family/2)%3 != 1 {
+					t.Fatalf("loads %v, exact %v\n%s", alpha, x, where())
+				}
+				ties++
+				full := make([]float64, q*q)
+				buildTightBase(full, p, send)
+				sess.addReturnTerms(full, p, send, ret)
+				for r := range rhs {
+					lhs := 0.0
+					for k := range send {
+						lhs += lpCoef(full, wc, send, model, r, k) * alpha[k]
+					}
+					if lhs > rhs[r]+1e-9 {
+						t.Fatalf("loads %v differ from the exact %v and break row %d (%.17g > %.17g)\n%s",
+							alpha, x, r, lhs, rhs[r], where())
+					}
+				}
+			}
+		}
+	}
+	fallbacks := SimplexFallbacks() - before
+	t.Logf("%d programs, %d infeasible, %d optima tied with the exact vertex's, %d simplex fallbacks",
+		programs, infeasible, ties, fallbacks)
+}
+
+// TestScenarioLoadsRHSFallbackCounted: when the pivot certificate fails,
+// ScenarioLoadsRHS answers from the float simplex, reports the fallback
+// through Backend and counts it in SimplexFallbacks, the counter dlsd
+// exports as dlsd_eval_simplex_fallback_total.
+func TestScenarioLoadsRHSFallbackCounted(t *testing.T) {
+	sc := pivotScenarioDraw(5, 6, 1, false, 1234)
+	rhs := make([]float64, len(sc.Send)+1)
+	for i := range rhs {
+		rhs[i] = 0.9 - 0.01*float64(i)
+	}
+	sess := NewSession()
+	_, want, _, err := sess.ScenarioLoadsRHS(sc, rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ForcePivotMiss = true
+	defer func() { ForcePivotMiss = false }()
+	before := SimplexFallbacks()
+	_, rho, feasible, err := sess.ScenarioLoadsRHS(sc, rhs)
+	if err != nil || !feasible {
+		t.Fatalf("feasible %v, err %v", feasible, err)
+	}
+	if backend, fallback := sess.Backend(); backend != "simplex" || !fallback {
+		t.Errorf("Backend() = %q, %v; want the simplex fallback", backend, fallback)
+	}
+	if n := SimplexFallbacks() - before; n != 1 {
+		t.Errorf("SimplexFallbacks rose by %d, want 1", n)
+	}
+	if math.Abs(rho-want) > 1e-9*want {
+		t.Errorf("fallback ρ %.17g, pivot ρ %.17g", rho, want)
 	}
 }
 

@@ -955,16 +955,16 @@ func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 	sc := Scenario{Platform: rp.p, Send: rp.send, Return: rp.ReturnOrder(), Model: rp.model}
 	switch rp.mode {
 	case Simplex:
-		_, rho, err := s.simplexLoads(sc)
+		_, rho, err := s.simplexLoads(sc, nil)
 		return rho, err
 	case ExactRational:
 		_, rho, err := s.exactLoads(sc)
 		return rho, err
 	}
-	if alpha, ok := s.pivotLoads(rp.p, rp.send, rp.model, rp.r); ok {
+	if alpha, ok := s.pivotLoads(rp.p, rp.send, rp.model, rp.r, nil); ok {
 		return sum(alpha), nil
 	}
-	_, rho, err := s.fallbackLoads(sc)
+	_, rho, err := s.fallbackLoads(sc, nil)
 	return rho, err
 }
 
@@ -1011,7 +1011,7 @@ func (s *Session) ReturnPrefixBound(p *platform.Platform, send platform.Order, m
 	if bound, exact, ok := rp.Bound(); ok && exact {
 		return bound, nil
 	}
-	alpha, ok := s.pivotLoads(p, rp.send, model, rp.r)
+	alpha, ok := s.pivotLoads(p, rp.send, model, rp.r, nil)
 	if !ok {
 		return 0, fmt.Errorf("eval: return-prefix relaxation of σ1 = %v, tail %v: no certified optimum", send, tail)
 	}

@@ -177,7 +177,7 @@ func (s *Session) loadsResolved(sc Scenario, mode Mode) ([]float64, float64, err
 	switch mode {
 	case Simplex:
 		s.lastBackend = "simplex"
-		return s.simplexLoads(sc)
+		return s.simplexLoads(sc, nil)
 	case ExactRational:
 		s.lastBackend = "exact"
 		return s.exactLoads(sc)
@@ -193,36 +193,60 @@ func (s *Session) loadsResolved(sc Scenario, mode Mode) ([]float64, float64, err
 			return alpha, sum(alpha), nil
 		}
 	}
-	return s.pivotScenario(sc)
+	return s.pivotScenario(sc, nil)
 }
 
-// pivotScenario answers the scenario through the pivot tier, or through
-// the counted simplex safety net when the pivot certificate fails.
-func (s *Session) pivotScenario(sc Scenario) ([]float64, float64, error) {
+// ScenarioLoadsRHS solves the scenario's program with the right-hand
+// sides rhs, in BuildLP's layout (rhs[t] bounds the worker row at send
+// position t, then the port row(s); nil means 1 on every row, finite
+// values otherwise), through the pivot tier. It returns the optimal loads
+// by send position (session-owned, valid until the next call), their sum
+// ρ and whether the program is feasible. Every coefficient is
+// non-negative, so a negative right-hand side makes the program
+// infeasible and α = 0 is feasible otherwise. A failed certificate falls
+// back to the float simplex, counted in [SimplexFallbacks] and reported by
+// Backend. The affine model of internal/core solves its scenario and
+// bound programs here. The scenario is not validated (see ValidOrderPair).
+func (s *Session) ScenarioLoadsRHS(sc Scenario, rhs []float64) (alpha []float64, rho float64, feasible bool, err error) {
+	s.lastBackend, s.lastFallback = "pivot", false
+	for _, b := range rhs {
+		if b < 0 {
+			return nil, 0, false, nil
+		}
+	}
+	alpha, rho, err = s.pivotScenario(sc, rhs)
+	return alpha, rho, err == nil, err
+}
+
+// pivotScenario answers the scenario's program with right-hand sides rhs
+// (nil: 1 on every row) through the pivot tier, or through the counted
+// simplex safety net when the pivot certificate fails.
+func (s *Session) pivotScenario(sc Scenario, rhs []float64) ([]float64, float64, error) {
 	full := grow(&s.full, len(sc.Send)*len(sc.Send))
 	buildTightBase(full, sc.Platform, sc.Send)
 	s.addReturnTerms(full, sc.Platform, sc.Send, sc.Return)
-	if alpha, ok := s.pivotLoads(sc.Platform, sc.Send, sc.Model, full); ok {
+	if alpha, ok := s.pivotLoads(sc.Platform, sc.Send, sc.Model, full, rhs); ok {
 		s.lastBackend = "pivot"
 		return alpha, sum(alpha), nil
 	}
-	return s.fallbackLoads(sc)
+	return s.fallbackLoads(sc, rhs)
 }
 
-// simplexFallbacks counts, process-wide, the Auto evaluations whose pivot
+// simplexFallbacks counts, process-wide, the evaluations whose pivot
 // certificate failed and that the float simplex answered instead.
 var simplexFallbacks atomic.Uint64
 
-// SimplexFallbacks returns the number of Auto evaluations, since process
+// SimplexFallbacks returns the number of evaluations, since process
 // start, that fell back to the float simplex because no tier certified
-// them (dlsd exports it as dlsd_eval_simplex_fallback_total).
+// them: Auto scenarios and ScenarioLoadsRHS programs alike (dlsd exports
+// it as dlsd_eval_simplex_fallback_total).
 func SimplexFallbacks() uint64 { return simplexFallbacks.Load() }
 
-// fallbackLoads is the counted safety net of the Auto pipeline.
-func (s *Session) fallbackLoads(sc Scenario) ([]float64, float64, error) {
+// fallbackLoads is the counted safety net of the pivot tier.
+func (s *Session) fallbackLoads(sc Scenario, rhs []float64) ([]float64, float64, error) {
 	simplexFallbacks.Add(1)
 	s.lastBackend, s.lastFallback = "simplex", true
-	return s.simplexLoads(sc)
+	return s.simplexLoads(sc, rhs)
 }
 
 // Backend reports which evaluation tier produced the session's most
@@ -243,15 +267,17 @@ func sum(xs []float64) float64 {
 	return t
 }
 
-// simplexLoads solves the full scenario LP with the float64 simplex.
-func (s *Session) simplexLoads(sc Scenario) ([]float64, float64, error) {
-	sol, err := BuildLP(sc, nil, false).Solve()
+// simplexLoads solves the full scenario LP, with right-hand sides rhs
+// (nil: 1 on every row, otherwise non-negative), with the float64 simplex.
+func (s *Session) simplexLoads(sc Scenario, rhs []float64) ([]float64, float64, error) {
+	sol, err := BuildLP(sc, rhs, false).Solve()
 	if err != nil {
 		return nil, 0, err
 	}
 	if sol.Status != lp.Optimal {
-		// The scheduling LPs are always feasible (α = 0) and bounded (the
-		// port constraint caps Σα), so any other status is an internal bug.
+		// These programs are always feasible (α = 0 under non-negative
+		// right-hand sides) and bounded (the port constraint caps Σα), so
+		// any other status is an internal bug.
 		return nil, 0, fmt.Errorf("eval: scenario LP terminated %v (internal error)", sol.Status)
 	}
 	return sol.X, sol.Objective, nil

@@ -604,7 +604,7 @@ func (sw *Sweep) descendFrom(initE []int) (float64, bool) {
 		// scenario alone, without the cached structure.
 		sw.stats.Pivots++
 		sw.haveOpt = false
-		_, rho, err := sw.sess.pivotScenario(sc)
+		_, rho, err := sw.sess.pivotScenario(sc, nil)
 		return rho, err == nil
 	}
 	for k := range sw.optIn {

@@ -138,5 +138,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m.Counter("dlsd_search_helpers_total", "Pair and affine search helper workers, by outcome: started on an idle core, denied by the full budget of GOMAXPROCS search workers, or retired early when concurrent searches overdrew it.",
 			o.n, stats.Label{Key: "outcome", Value: o.outcome})
 	}
-	m.Counter("dlsd_eval_simplex_fallback_total", "Auto scenario evaluations no certified tier answered, solved by the float simplex instead.", st.EvalSimplexFallbacks)
+	m.Counter("dlsd_eval_simplex_fallback_total", "Auto scenario evaluations and float64 affine programs no certified tier answered, solved by the float simplex instead.", st.EvalSimplexFallbacks)
 }
