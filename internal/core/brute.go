@@ -137,8 +137,8 @@ func PairStatsSnapshot() PairStats { return pairTotals.snapshot() }
 // the new order swapped positions (swapped, swapped+1) of the previous
 // one — or -1 on the first call, which emits the identity. The adjacency
 // contract is what makes incremental re-evaluation possible (eval.Sweep
-// re-derives only the chain state the swap invalidated) and is pinned by
-// a property test.
+// re-verifies only the part of the cached optimum the swap invalidated)
+// and is pinned by a property test.
 //
 // The slice passed to fn is reused and mutated in place between calls: fn
 // must copy it if it escapes the callback (Clone an Order, never retain
@@ -367,12 +367,10 @@ func BestLIFOExhaustiveEval(ctx context.Context, p *platform.Platform, model sch
 // of the search core: every SJT emission is a leaf offered straight to the
 // incumbent. Under the Auto backend the Steinhaus–Johnson–Trotter
 // enumeration drives an incremental eval.Sweep: each adjacent
-// transposition re-derives only the invalidated prefix/suffix state of the
-// FIFO/LIFO load-and-dual chains (O(p−i) after a swap at position i
-// instead of O(p) from scratch), and a permutation is handed to the full
-// tiered pipeline only when the chain certificate fails (port-bound or
-// resource-selecting optima). Other backends — and the certificate
-// failures — evaluate through the raw throughput fast path of one pooled
+// transposition re-verifies only what it invalidated of the previous
+// order's certified optimum, and an order the warm path cannot certify
+// goes to the chain descent and then the pivot tier. Other backends
+// evaluate each order through the raw throughput fast path of one pooled
 // eval session. Only the winning order is re-evaluated through the
 // verified schedule-producing path.
 func bestOrderExhaustive(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode, lifo bool) (*schedule.Schedule, platform.Order, error) {
@@ -430,17 +428,21 @@ func bestOrderExhaustive(ctx context.Context, p *platform.Platform, model schedu
 
 // sweepRange runs one worker's contiguous permutation-rank range of the
 // FIFO/LIFO order search: under the Auto backend an incremental eval.Sweep
-// rides the SJT transpositions of the range (the range opener rebuilds the
-// chains from scratch, exactly like the full enumeration's identity
+// rides the SJT transpositions of the range (the range opener starts with
+// no cached optimum, exactly like the full enumeration's identity
 // emission), other backends evaluate each order through one pooled
 // session. On its miss path a sweep value is a pure function of the
 // order: the full chain descent and then the pivot tier both start from
-// the order alone. The chain warm path, which re-certifies or resumes from
-// the optimum cached at the previous order, is not on platforms with exact
-// cost ties: two rank ranges can reach one order through different
-// certified vertices whose values differ in the last bit, so a
-// range-partitioned search can pick a different winner than the serial one
-// (ROADMAP item 4). The byte-identity tests use tie-free platforms.
+// the order alone, and a full-enrollment all-tight optimum reads Auto's
+// value whichever path reached it. The one-port warm path is still
+// path-dependent on platforms with exact cost ties: the vertex it
+// re-certifies from the previous order (a port-tight vertex, an enrolled
+// subset) can differ from the one a fresh descent finds, so two rank
+// ranges can reach one order through different certified vertices whose
+// values differ in the last bit, and a range-partitioned search can pick
+// a different winner than the serial one (ROADMAP item 7). The one-port
+// byte-identity tests use tie-free platforms; two-port ties are pinned by
+// TestTiedTwoPortSweepMatchesSerial.
 func sweepRange(core *searchCore, p *platform.Platform, model schedule.Model, mode eval.Mode, lifo bool, lo, hi int64) error {
 	n := p.P()
 	sess := eval.GetSession()

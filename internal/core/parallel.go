@@ -126,9 +126,9 @@ func collectSearchErr(ctx context.Context, errs []error) error {
 // worker and runs fn on each block — the static split of the FIFO/LIFO
 // sweeps, whose per-rank cost is uniform enough that stealing would only
 // break the incremental sweep state. The split is fixed by the cap, not by
-// the budget, because a tied sweep's answer depends on it; its workers
-// still count toward the budget while they run. Worker bests merge into
-// winner.
+// the budget, because a one-port sweep's answer on tied costs still
+// depends on it (see sweepRange); its workers still count toward the
+// budget while they run. Worker bests merge into winner.
 func runRangePool(ctx context.Context, winner *searchCore, total int64, fn func(core *searchCore, lo, hi int64) error) (poolRun, error) {
 	workers := searchParallelism(ctx)
 	if int64(workers) > total {

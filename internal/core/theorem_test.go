@@ -108,11 +108,12 @@ func distinctStar(rng *rand.Rand, p int, z float64) *platform.Platform {
 // z = 1e6, where loads and multipliers sum to ρ ≈ 1/z. On every one,
 // Theorem 1's order verifies under eval.Auto within 1e-12 of the exact
 // optimum, and the FIFO one-port sweep answers with the same schedule, bit
-// for bit, at 1, 2 and 4 search workers. The corpora are tie-free: two
-// orders that tie in exact arithmetic can read one ulp apart depending on
-// the path the sweep took to them, so with equal forward costs the winner
-// can differ between worker counts for a reason outside this test (ROADMAP
-// item 4).
+// for bit, at 1, 2 and 4 search workers. The corpora are tie-free: under
+// the one-port model two orders that tie in exact arithmetic can read one
+// ulp apart depending on the path the sweep took to them, so with equal
+// forward costs the winner can differ between worker counts for a reason
+// outside this test (ROADMAP item 7; two-port ties are pinned by
+// TestTiedTwoPortSweepMatchesSerial).
 func TestLargeZCorpora(t *testing.T) {
 	for _, z := range []float64{1e5, 1e6} {
 		rng := rand.New(rand.NewSource(int64(z)))

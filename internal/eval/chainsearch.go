@@ -275,12 +275,44 @@ func (r *chainOptRecord) set(E []int, alpha, lam []float64, mu float64, slackWor
 	r.rho = sum(alpha)
 }
 
+// tightCandidate solves the all-tight chain candidate on the enrolled send
+// positions E of sc, whose workers in send order are sub, and certifies it
+// in the one order every caller shares: the load chain, the port check
+// (FIFO only: LIFO never saturates the port), the dual chain and the
+// dropped-worker checks. It returns the loads by enrolled rank (nil when
+// the chain is degenerate), the dual chain's descent hint (see
+// fifoDualHint), whether the port and the dual certify, and whether the
+// whole candidate does; on success s.lam holds its multipliers. Auto's
+// descent, the sweep's full-enrollment candidate and its cached-shape
+// re-solve all certify through here, so one candidate has one value
+// whichever path asks.
+func (s *Session) tightCandidate(sc Scenario, E []int, sub platform.Order, lifo bool) (alpha []float64, hint int, portOK, dualOK, ok bool) {
+	p := sc.Platform
+	chainOK := false
+	if lifo {
+		alpha, chainOK = s.lifoTight(p, sub)
+	} else {
+		alpha, chainOK = s.fifoTight(p, sub)
+	}
+	if !chainOK {
+		return nil, -1, false, false, false
+	}
+	portOK = lifo || portFeasible(p, sub, alpha, sc.Model)
+	if lifo {
+		hint, dualOK = s.lifoDualHint(p, sub)
+	} else {
+		hint, dualOK = s.fifoDualHint(p, sub)
+	}
+	ok = portOK && dualOK && s.chainDroppedOK(sc, E, alpha, s.lam[:len(E)], 0, lifo)
+	return alpha, hint, portOK, dualOK, ok
+}
+
 // chainSearch runs the active-set descent for FIFO and LIFO scenarios
 // using the O(m) chains for every candidate. Per level, over the enrolled
 // subsequence:
 //
-//  1. solve the all-tight chain; if its loads, port check, dual chain and
-//     the dropped-worker checks all certify, done;
+//  1. solve and certify the all-tight chain (tightCandidate); if it
+//     certifies, done;
 //  2. on a port overrun (one-port FIFO only — LIFO never saturates the
 //     port): scan the port-tight vertices, slack row k = m−1 down to 0;
 //  3. otherwise drop the dual chain's most negative position (at a
@@ -322,29 +354,15 @@ func (s *Session) chainSearch(sc Scenario, lifo bool, rec *chainOptRecord, initE
 			sub[r] = sc.Send[pos]
 		}
 		subOrder := platform.Order(sub[:m])
-		var alpha []float64
-		var chainOK bool
-		if lifo {
-			alpha, chainOK = s.lifoTight(p, subOrder)
-		} else {
-			alpha, chainOK = s.fifoTight(p, subOrder)
-		}
-		if !chainOK {
-			return nil, false // degenerate chain; let the pivot tier decide
-		}
-		portOK := lifo || portFeasible(p, subOrder, alpha, sc.Model)
-		var hint int
-		var dualOK bool
-		if lifo {
-			hint, dualOK = s.lifoDualHint(p, subOrder)
-		} else {
-			hint, dualOK = s.fifoDualHint(p, subOrder)
-		}
-		if portOK && dualOK && s.chainDroppedOK(sc, E, alpha, s.lam[:m], 0, lifo) {
+		alpha, hint, portOK, dualOK, ok := s.tightCandidate(sc, E, subOrder, lifo)
+		if ok {
 			if rec != nil {
 				rec.set(E, alpha, s.lam[:m], 0, -1)
 			}
 			return expand(E, alpha), true
+		}
+		if alpha == nil {
+			return nil, false // degenerate chain; let the pivot tier decide
 		}
 		// Port-bound vertices: one-port FIFO only, and only when the dual
 		// chain is clean — a negative chain multiplier means resource

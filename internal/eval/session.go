@@ -68,8 +68,7 @@ type workerCosts struct {
 
 // deriveCosts is the single definition of the chain recurrences' derived
 // constants; every consumer (Session.derivedCosts, Batch.runChunk's
-// gather, Sweep.gather) goes through it so the formulas cannot drift
-// apart.
+// gather) goes through it so the formulas cannot drift apart.
 func deriveCosts(w platform.Worker) workerCosts {
 	return workerCosts{
 		c: w.C, d: w.D, w: w.W,

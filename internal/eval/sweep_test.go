@@ -249,3 +249,70 @@ func TestSweepBoundSoundness(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepFullEnrollmentMatchesAuto walks every order of a fixed corpus,
+// FIFO and LIFO under both port models: eight platforms shaped like
+// dlsload -mix search's (p = 7, return speeds drawn independently of the
+// forward ones), two common-z DefaultApp platforms and the port-bound
+// platform. Wherever the sweep's cached optimum is the all-tight
+// full-enrollment candidate after Throughput, its value must equal a
+// fresh session's Auto answer bit for bit: both certify the candidate
+// through the same chain routine, so the value cannot depend on the
+// transpositions that reached the order.
+func TestSweepFullEnrollmentMatchesAuto(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var corpus []*platform.Platform
+	for i := 0; i < 8; i++ {
+		p := platform.RandomSpeeds(rng, 7, platform.Heterogeneous).Platform(platform.DefaultApp(100))
+		for k := range p.Workers {
+			p.Workers[k].D *= float64(1+rng.Intn(10)) / float64(1+rng.Intn(10))
+		}
+		corpus = append(corpus, p)
+	}
+	for i := 0; i < 2; i++ {
+		corpus = append(corpus, platform.RandomSpeeds(rng, 6, platform.Heterogeneous).Platform(platform.DefaultApp(400)))
+	}
+	corpus = append(corpus, portBoundPlatform(4))
+	fresh := NewSession()
+	checked := 0
+	for ci, p := range corpus {
+		for _, model := range []schedule.Model{schedule.OnePort, schedule.TwoPort} {
+			for _, lifo := range []bool{false, true} {
+				var sw *Sweep
+				sjtWalk(p.P(), 1<<30, func(perm []int, swapped int) {
+					if swapped < 0 {
+						var err error
+						if sw, err = NewSweep(p, perm, model, lifo); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						sw.Delta(swapped)
+					}
+					rho, ok := sw.Throughput()
+					if !ok {
+						t.Fatalf("platform %d perm %v: no tier answered", ci, perm)
+					}
+					if !sw.haveOpt || len(sw.opt.pos) != p.P() || sw.opt.slackWorker >= 0 {
+						return
+					}
+					sc := Scenario{Platform: p, Send: perm, Return: perm, Model: model}
+					if lifo {
+						sc.Return = platform.Order(perm).Reverse()
+					}
+					auto, err := fresh.ThroughputTrusted(sc, Auto)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(rho) != math.Float64bits(auto) {
+						t.Fatalf("platform %d %v lifo=%v perm %v: full-enrollment sweep value %.17g, Auto %.17g",
+							ci, model, lifo, perm, rho, auto)
+					}
+					checked++
+				})
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no order's cached optimum was full enrollment")
+	}
+}
